@@ -20,6 +20,7 @@ from .monomials import (
     build_data_matrix,
     eval_monomial_vector,
     identity_power_matrix,
+    lex_compare,
 )
 
 #: Relative cutoff below which a coefficient does not count toward the
@@ -126,11 +127,6 @@ def _leading_rows(M: MonomialMap) -> list[int | None]:
         nz = np.flatnonzero(row > LEADING_COEFF_RTOL * mx)
         out.append(int(nz[0]))
     return out
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    diff = np.flatnonzero(a != b)
-    return bool(diff.size) and a[diff[0]] < b[diff[0]]
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,9 @@ def eliminate_products(
         others = [
             k
             for k in alive
-            if k != m and lead_vecs[k] is not None and _lex_less(lead_vecs[k], lead_m)
+            if k != m
+            and lead_vecs[k] is not None
+            and lex_compare(lead_vecs[k], lead_m) < 0
         ]
         committed = False
         for i, j in combinations_with_replacement(others, 2):

@@ -296,10 +296,10 @@ def _decode_map(obj: dict, where: str) -> MonomialMap:
         k_max = tuple(int(v) for v in obj["k_max"])
         K_rows = obj["K"]
         L_rows = obj["L"]
+        K = np.asarray(K_rows, dtype=np.int64).reshape(len(K_rows), n_vars)
+        L = np.asarray(L_rows, dtype=float).reshape(len(L_rows), len(K_rows))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: malformed monomial map: {exc}") from exc
-    K = np.asarray(K_rows, dtype=np.int64).reshape(len(K_rows), n_vars)
-    L = np.asarray(L_rows, dtype=float).reshape(len(L_rows), len(K_rows))
     try:
         return MonomialMap(L, PowerMatrix(K, k_max))
     except InvalidInputError as exc:
@@ -351,21 +351,20 @@ def deserialize_model(text: str) -> ObserverModel:
         n = int(doc["n"])
         d_y = int(doc["d_y"])
         X0 = np.asarray(doc["X0"], dtype=float).reshape(n, -1)
+        f_doc, h_doc = doc["f_o"], doc["h_o"]
+        t_minus = None if doc.get("t_minus") is None else int(doc["t_minus"])
+        sc = doc.get("scaling")
+        mean_std = None if sc is None else (
+            np.asarray(sc["mean"], dtype=float), np.asarray(sc["std"], dtype=float)
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model document: {exc}") from exc
-    f_o = _decode_map(doc["f_o"], "f_o")
-    h_o = _decode_map(doc["h_o"], "h_o")
+    f_o = _decode_map(f_doc, "f_o")
+    h_o = _decode_map(h_doc, "h_o")
     for name, M in (("f_o", f_o), ("h_o", h_o)):
         if not M.is_nontrivial():
             raise ValidationError(f"{name} has an all-zero coefficient column")
     g_io = None if doc.get("g_io") is None else _decode_map(doc["g_io"], "g_io")
-    t_minus = doc.get("t_minus")
-    scaling = None
-    if doc.get("scaling") is not None:
-        sc = doc["scaling"]
-        scaling = OutputScaling(
-            np.asarray(sc["mean"], dtype=float), np.asarray(sc["std"], dtype=float)
-        )
     try:
         return ObserverModel(
             n=n,
@@ -373,9 +372,9 @@ def deserialize_model(text: str) -> ObserverModel:
             f_o=f_o,
             h_o=h_o,
             X0=X0,
-            scaling=scaling,
+            scaling=None if mean_std is None else OutputScaling(*mean_std),
             g_io=g_io,
-            t_minus=None if t_minus is None else int(t_minus),
+            t_minus=t_minus,
             meta=doc.get("meta", {}),
         )
     except InvalidInputError as exc:

@@ -10,7 +10,7 @@ evaluates to 1 everywhere.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,22 +140,48 @@ def identity_power_matrix(n: int) -> PowerMatrix:
     return PowerMatrix(np.eye(n, dtype=np.int64), (1,) * n)
 
 
-def enumerate_power_matrix(
-    n: int, k_max: Sequence[int], cap: int = DEFAULT_ROW_CAP
-) -> PowerMatrix:
-    """Enumerate the full bounded power vector set in decreasing lex order.
+def _count_rows(bounds: Sequence[int], max_degree: int) -> int:
+    """Count the power vectors with ``k[j] <= bounds[j]`` and degree <= ``max_degree``.
 
-    Produces all ``prod_j (k_max[j] + 1)`` exponent vectors with
-    ``0 <= k[j] <= k_max[j]``, sorted strictly decreasing lexicographically.
+    ``counts[d]`` holds how many vectors over the variables seen so far have
+    total degree ``d``; each new variable convolves it with ``0..k``.
+    """
+    counts = [1]
+    for k in bounds:
+        prefix = [0, *itertools.accumulate(counts)]
+        top = min(max_degree, len(counts) - 1 + k)
+        counts = [
+            prefix[min(d, len(counts) - 1) + 1] - prefix[max(d - k, 0)]
+            for d in range(top + 1)
+        ]
+    return sum(counts)
+
+
+def enumerate_power_matrix(
+    n: int,
+    k_max: Sequence[int],
+    cap: int = DEFAULT_ROW_CAP,
+    max_degree: int | None = None,
+) -> PowerMatrix:
+    """Enumerate a bounded power vector set in decreasing lex order.
+
+    Produces every exponent vector with ``0 <= k[j] <= k_max[j]`` and, when
+    ``max_degree`` is given, total degree ``sum(k) <= max_degree``, sorted
+    strictly decreasing lexicographically.  Without ``max_degree`` this is
+    the full box of ``prod_j (k_max[j] + 1)`` rows.  Rows are built directly
+    in order, from the last variable to the first, so the box is never
+    materialized when only its low-degree part is wanted.
 
     Args:
         n: Number of variables (>= 1).
         k_max: Per-variable exponent bounds, length ``n``.
-        cap: Safety cap on the number of rows; the count is exponential in
-            ``n``, so exceeding the cap raises rather than allocating.
+        cap: Safety cap on the number of rows.  It is checked against the
+            true row count of the (degree-bounded) set before anything is
+            allocated, since the count is exponential in ``n``.
+        max_degree: Optional cap on the total degree of each row (>= 0).
 
     Raises:
-        InvalidInputError: On bad ``n`` or ``k_max``.
+        InvalidInputError: On bad ``n``, ``k_max`` or ``max_degree``.
         CapacityError: If the enumeration would exceed ``cap`` rows.
     """
     if n < 1:
@@ -165,14 +191,31 @@ def enumerate_power_matrix(
         raise InvalidInputError(f"k_max length {len(bounds)} does not match n={n}")
     if any(k < 0 for k in bounds):
         raise InvalidInputError("k_max entries must be nonnegative")
-    total = math.prod(k + 1 for k in bounds)
+    if max_degree is not None and max_degree < 0:
+        raise InvalidInputError(f"max_degree must be nonnegative, got {max_degree}")
+    degree = sum(bounds) if max_degree is None else min(int(max_degree), sum(bounds))
+    # Every degree 0..degree occurs, so the set has more than ``degree`` rows;
+    # this bounds the work of the count below.
+    if degree >= cap:
+        raise CapacityError(
+            f"power vector set has more than {degree} rows, exceeding the cap of {cap}"
+        )
+    total = _count_rows(bounds, degree)
     if total > cap:
         raise CapacityError(
-            f"bounded power vector set has {total} rows, exceeding the cap of {cap}"
+            f"power vector set has {total} rows, exceeding the cap of {cap}"
         )
-    axes = [np.arange(k, -1, -1, dtype=np.int64) for k in bounds]
-    grids = np.meshgrid(*axes, indexing="ij")
-    K = np.stack(grids, axis=-1).reshape(-1, n)
+    # Suffix rows over variables j..n-1 with total degree <= ``degree``, in
+    # decreasing lex order; prepending exponents k_max[j] down to 0 keeps it.
+    K = np.zeros((1, 0), dtype=np.int64)
+    deg = np.zeros(1, dtype=np.int64)
+    for k in reversed(bounds):
+        exponents = np.arange(min(k, degree), -1, -1, dtype=np.int64)
+        picks = [np.flatnonzero(deg <= degree - e) for e in exponents]
+        lead = np.repeat(exponents, [p.size for p in picks])
+        rows = np.concatenate(picks)
+        K = np.column_stack([lead, K[rows]])
+        deg = deg[rows] + lead
     return PowerMatrix(K, bounds)
 
 

@@ -122,6 +122,12 @@ def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
     factored as ``H* = C @ L`` with reduced state ``X = L @ V_u`` so that
     ``V_y ~= H* V_u = C X``.
 
+    The SVD is an R-SVD (Chan 1982, ACM TOMS 8(1)): a thin QR
+    ``V_u.T = Q R`` followed by an SVD of the small factor ``R.T``, which
+    shares its left singular vectors ``U`` and singular values ``D`` with
+    ``V_u``.  The right singular vectors are never formed; instead
+    ``C = V_y V_u.T U_n / D_n**2``.
+
     Raises:
         InvalidInputError: If ``V_u`` is identically zero or ``r`` invalid.
         DimensionMismatchError: If the column counts differ.
@@ -141,14 +147,15 @@ def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
     if not (0.0 < r < 1.0):
         raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
 
-    U, sv, Vt = np.linalg.svd(Vu, full_matrices=False)
+    R = np.linalg.qr(Vu.T, mode="r")
+    U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
     # Numerical rank: values below eps * sigma_max count as exact zeros.
     tol = SINGULAR_VALUE_EPS * max(Vu.shape) * sv[0]
     n1 = int(np.sum(sv > tol))
     n, _, table = mdtrunc(sv[:n1], r)
     D_n = sv[:n].copy()
     L = U[:, :n].T
-    C = Vy @ (Vt[:n].T / D_n[None, :])
+    C = (Vy @ Vu.T) @ (U[:, :n] / (D_n**2)[None, :])
     H_star = C @ L
     X = L @ Vu
     return SvdTruncResult(n=n, D_n=D_n, C=C, L=L, X=X, H_star=H_star, table=table)

@@ -73,19 +73,26 @@ def build_window_vectors(
     return Yplus, Yminus
 
 
+def _bound_entries(value, name: str) -> tuple[int, ...]:
+    """Entries of a scalar or vector exponent bound, checked nonempty and nonnegative."""
+    scalar = isinstance(value, (int, np.integer))
+    bounds = (int(value),) if scalar else tuple(int(v) for v in value)
+    if not bounds:
+        raise ConfigError(f"{name} must not be empty")
+    if any(b < 0 for b in bounds):
+        raise ConfigError(f"{name} entries must be nonnegative, got {list(bounds)}")
+    return bounds
+
+
 def _as_bound_vector(value, length: int, name: str) -> tuple[int, ...]:
     """Accept a scalar bound (broadcast) or an explicit per-variable vector."""
+    bounds = _bound_entries(value, name)
     if isinstance(value, (int, np.integer)):
-        if value < 0:
-            raise ConfigError(f"{name} must be nonnegative, got {value}")
-        return (int(value),) * length
-    bounds = tuple(int(v) for v in value)
+        return bounds * length
     if len(bounds) != length:
         raise ConfigError(
             f"{name} has length {len(bounds)} but {length} entries are required"
         )
-    if any(b < 0 for b in bounds):
-        raise ConfigError(f"{name} entries must be nonnegative")
     return bounds
 
 
@@ -121,9 +128,11 @@ class IdentConfig:
         n_expected: Hint for the expected state dimension (drives default
             window maxima).
         max_total_degree_xy: Optional total-degree cap on the (state, output)
-            dictionary; the bounded monomial set may be any subset of the
-            full enumeration, and low-degree subsets keep the dynamics map
-            tame between samples.  ``None`` uses the full bounded set.
+            dictionary (nonnegative); the bounded monomial set may be any
+            subset of the full enumeration, and low-degree subsets keep the
+            dynamics map tame between samples.  The capped set is enumerated
+            directly, so its size, not the box's, counts against
+            ``row_cap``.  ``None`` uses the full bounded set.
         scale_outputs: Standardize each output dimension before lifting and
             fold the transform into the model.
         scale_gamma: Extra gain on the scaling divisor: outputs are divided
@@ -134,7 +143,9 @@ class IdentConfig:
             dynamics regression (a pure reparametrization).  Off by default:
             amplifying low-energy components spreads the minimum-norm
             dynamics fit across poorly excited directions.
-        row_cap: Hard cap on enumerated monomial rows.
+        row_cap: Hard cap (positive) on the rows of each enumerated monomial
+            dictionary, the past lifting and the (state, output) lifting,
+            checked on the true row count before allocation.
     """
 
     r1: float
@@ -180,6 +191,15 @@ class IdentConfig:
             )
         if self.block_limit < 1:
             raise ConfigError("block_limit must be positive")
+        if self.row_cap < 1:
+            raise ConfigError(f"row_cap must be positive, got {self.row_cap}")
+        if self.max_total_degree_xy is not None and self.max_total_degree_xy < 0:
+            raise ConfigError(
+                f"max_total_degree_xy={self.max_total_degree_xy} empties the dictionary"
+            )
+        # k_max_x has one entry per state, known only after the reductions;
+        # its length is checked then, its entries now.
+        _bound_entries(self.k_max_x, "k_max_x")
         anchor = self.anchor_t if self.anchor_t is not None else t_minus_max + 1
         if anchor - t_minus_max < 1:
             raise ConfigError(
@@ -509,22 +529,15 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     y_now = np.concatenate(
         [work.Y[t - 1] for t in final_anchors], axis=1
     )  # (d_y, columns)
-    d_vxy = math.prod(k + 1 for k in k_max_x) * math.prod(
-        k + 1 for k in rcfg.k_max_y2
-    )
-    if d_vxy > cfg.row_cap:
-        raise CapacityError(
-            f"state-output monomial lifting needs {d_vxy} rows, exceeding the cap "
-            f"of {cfg.row_cap}; lower k_max_x/k_max_y2 or the retained rank"
+    try:
+        K_xy = enumerate_power_matrix(
+            n + d_y, k_max_x + rcfg.k_max_y2, cfg.row_cap, cfg.max_total_degree_xy
         )
-    K_xy = enumerate_power_matrix(n + d_y, k_max_x + rcfg.k_max_y2, cap=cfg.row_cap)
-    if cfg.max_total_degree_xy is not None:
-        keep = np.flatnonzero(K_xy.row_degrees() <= cfg.max_total_degree_xy)
-        if keep.size == 0:
-            raise ConfigError(
-                f"max_total_degree_xy={cfg.max_total_degree_xy} empties the dictionary"
-            )
-        K_xy = K_xy.select_rows(keep)
+    except CapacityError as exc:
+        raise CapacityError(
+            f"state-output monomial lifting: {exc}; lower k_max_x/k_max_y2, "
+            "max_total_degree_xy or the retained rank"
+        ) from exc
     XY = np.vstack([X_t, y_now])
     V_xy = build_data_matrix(XY.T, K_xy)
     _check_finite("the lifted state-output pairs", V_xy)

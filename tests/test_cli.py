@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polysid import deserialize_model, serialize_model
-from polysid.cli import main
+from polysid import ConfigError, deserialize_model, serialize_model
+from polysid.cli import config_from_kv, main
 from polysid.dataio import emit
 from polysid.generate import spec_to_kv, generate
 
@@ -125,6 +125,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code != 0
         assert "error: IO:" in err
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "max_total_degree_xy = -1",
+            "k_max_x = -1",
+            "k_max_x = 1 -1",
+            "k_max_y =",
+            "k_max_x =",
+            "k_max_y2 =",
+            "row_cap = 0",
+        ],
+    )
+    def test_bad_structural_value_rejected_by_resolved(self, line):
+        ts = generate(decay_spec(20, t_1=12), 5)
+        base = (
+            "r1 = 0.99\nr2 = 0.99\nr3 = 0.01\nr4 = 0.01\n"
+            "t_plus_max = 2\nt_minus_max = 2\n"
+        )
+        config_from_kv(base).resolved(ts)
+        with pytest.raises(ConfigError) as err:
+            config_from_kv(base + line + "\n").resolved(ts)
+        assert line.split()[0] in str(err.value)
 
 
 class TestInspect:

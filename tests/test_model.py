@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -263,9 +265,25 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             deserialize_model('{"format": "something-else"}')
 
-    def test_invariant_violation_rejected(self):
-        import json
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["f_o"]["K"][0].append(0),
+            lambda doc: doc["f_o"].update(n_vars=doc["f_o"]["n_vars"] + 1),
+            lambda doc: doc.pop("f_o"),
+            lambda doc: doc.update(scaling={"mean": [0.0] * doc["d_y"]}),
+            lambda doc: doc.update(t_minus="two"),
+        ],
+        ids=["ragged-K", "n_vars-vs-K", "missing-f_o", "scaling-without-std",
+             "non-integer-t_minus"],
+    )
+    def test_malformed_document_raises_validation_error(self, corrupt):
+        doc = json.loads(serialize_model(reference_fixture_model()))
+        corrupt(doc)
+        with pytest.raises(ValidationError):
+            deserialize_model(json.dumps(doc))
 
+    def test_invariant_violation_rejected(self):
         model = reference_fixture_model()
         doc = json.loads(serialize_model(model))
         # swap two exponent rows to break the decreasing lexicographic order

@@ -104,6 +104,36 @@ class TestEnumerate:
             enumerate_power_matrix(2, (1,))
         with pytest.raises(InvalidInputError):
             enumerate_power_matrix(1, (-1,))
+        with pytest.raises(InvalidInputError):
+            enumerate_power_matrix(2, (1, 1), max_degree=-1)
+
+    @pytest.mark.parametrize(
+        "k_max",
+        [(0,), (3,), (1, 1), (2, 1), (0, 3), (1, 1, 1), (2, 0, 3), (1, 2, 1, 1),
+         (3, 1, 0, 2, 1)],
+    )
+    def test_degree_bound_equals_filtered_box(self, k_max):
+        full = enumerate_power_matrix(len(k_max), k_max)
+        for max_degree in range(sum(k_max) + 3):
+            pm = enumerate_power_matrix(len(k_max), k_max, max_degree=max_degree)
+            expected = full.K[full.row_degrees() <= max_degree]
+            assert np.array_equal(pm.K, expected)
+            assert pm.k_max == full.k_max
+
+    def test_degree_bound_avoids_the_box(self):
+        # The full box has 2**24 rows, far above the default cap; the
+        # degree-2 set has 1 + 24 + C(24, 2) = 301.
+        pm = enumerate_power_matrix(24, (1,) * 24, max_degree=2)
+        assert pm.d_v == 301
+        assert (pm.row_degrees() <= 2).all()
+
+    def test_capacity_checks_true_count(self):
+        # 1 + 5 + 15 = 21 rows of degree <= 2 over (2,)*5; the box has 243.
+        assert enumerate_power_matrix(5, (2,) * 5, cap=21, max_degree=2).d_v == 21
+        with pytest.raises(CapacityError):
+            enumerate_power_matrix(5, (2,) * 5, cap=20, max_degree=2)
+        with pytest.raises(CapacityError):
+            enumerate_power_matrix(1, (50,), cap=20)
 
 
 class TestPowerMatrixInvariants:

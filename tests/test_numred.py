@@ -16,6 +16,7 @@ from polysid import (
     svd_trunc,
 )
 from polysid.monomials import enumerate_power_matrix
+from polysid.numred import SINGULAR_VALUE_EPS
 
 
 def brute_force_n_r(D, r) -> int:
@@ -143,6 +144,31 @@ class TestSvdTrunc:
         V_u = np.diag([3.0, 1.0]) @ np.eye(2, 6)
         res = svd_trunc(np.eye(2, 6).copy(), V_u, 0.7)
         assert res.n == 1
+
+    @pytest.mark.parametrize(
+        "d_vu, s, rank",
+        [(12, 40, 12), (15, 15, 15), (40, 12, 12), (12, 40, 5)],
+        ids=["wide", "square", "tall", "wide-rank-deficient"],
+    )
+    def test_matches_reference_svd(self, rng, d_vu, s, rank):
+        V_u = rng.standard_normal((d_vu, rank)) @ rng.standard_normal((rank, s))
+        V_y = rng.standard_normal((4, s))
+        r = 0.9
+        U, sv, Vt = np.linalg.svd(V_u, full_matrices=False)
+        n1 = int(np.sum(sv > SINGULAR_VALUE_EPS * max(V_u.shape) * sv[0]))
+        n = mdtrunc(sv[:n1], r)[0]
+        H_ref = V_y @ Vt[:n].T @ np.diag(1.0 / sv[:n]) @ U[:, :n].T
+
+        res = svd_trunc(V_y, V_u, r)
+        assert n1 == rank
+        assert res.n == n
+        assert res.D_n == pytest.approx(sv[:n], rel=1e-12)
+        scale = np.linalg.norm(H_ref)
+        assert np.linalg.norm(res.H_star - H_ref) <= 1e-10 * scale
+        assert np.linalg.norm(res.C @ res.L - H_ref) <= 1e-10 * scale
+        signs = np.sign(np.sum(res.L * U[:, :n].T, axis=1))
+        assert np.abs(signs).min() == 1.0
+        assert res.L == pytest.approx(signs[:, None] * U[:, :n].T, abs=1e-9)
 
     def test_rejects_zero_matrix(self):
         with pytest.raises(InvalidInputError):

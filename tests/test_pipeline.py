@@ -206,6 +206,21 @@ class TestIdentify:
             identify(ts, cfg)
         assert "past monomial lifting" in str(err.value)
 
+    def test_state_output_cap_counts_degree_bounded_rows(self):
+        # n = 12 on this set: the state-output box has 2**13 rows, the
+        # degree-2 dictionary 92 and the largest past dictionary 16.
+        train = generate(polynomial_spec(60), 11)
+        cfg = dict(
+            r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
+            t_plus_max=4, t_minus_max=4, k_max_y=1,
+            max_total_degree_xy=2, scale_gamma=2.0, balance_state=False,
+        )
+        _, diag = identify(train, IdentConfig(**cfg, row_cap=92))
+        assert diag.f_monomials_before == 92
+        with pytest.raises(CapacityError) as err:
+            identify(train, IdentConfig(**cfg, row_cap=91))
+        assert "state-output monomial lifting" in str(err.value)
+
     def test_anchor_validation(self):
         ts = generate(linear_spec(10, t_1=12), 23)
         with pytest.raises(ConfigError):
