@@ -22,7 +22,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .genred import Factorization, MonomialMap, eliminate_products, eval_monomial_map
+from .genred import Factorization, MonomialMap, eliminate_products
 from .generate import GeneratorSpec, generate
 from .model import (
     ObserverModel,
@@ -38,7 +38,6 @@ from .monomials import (
     PowerMatrix,
     build_data_matrix,
     enumerate_power_matrix,
-    eval_monomial_vector,
     identity_power_matrix,
     lex_compare,
     partition_power_matrix,
@@ -79,8 +78,6 @@ __all__ = [
     "deserialize_model",
     "eliminate_products",
     "enumerate_power_matrix",
-    "eval_monomial_map",
-    "eval_monomial_vector",
     "generate",
     "identify",
     "identity_power_matrix",

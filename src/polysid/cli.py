@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -21,43 +23,38 @@ from .monomials import monomial_name
 from .pipeline import IdentConfig, IdentDiagnostics, identify
 
 
+def _kv_bound(raw: str, key: str) -> int | tuple[int, ...]:
+    """An exponent bound: a single integer is a scalar, several a vector."""
+    vec = dataio.kv_int_vector(raw, key)
+    return vec[0] if len(vec) == 1 else vec
+
+
+_KV_PARSERS = {bool: dataio.kv_bool, int: dataio.kv_int, float: dataio.kv_float}
+
+
 def config_from_kv(text: str, origin: str = "<config>") -> IdentConfig:
     """Build an IdentConfig from a flat key-value document.
 
-    The four thresholds r1..r4 are mandatory; structural parameters fall back
-    to their defaults (echoed into the identification report).
+    The keys are the fields of :class:`IdentConfig`, each parsed by its
+    type; an ``int | Sequence[int]`` bound takes one or several integers.
+    The four thresholds r1..r4 are mandatory; structural parameters fall
+    back to their defaults (echoed into the identification report).
     """
     kv = dataio.parse_kv(text, origin)
-    for key in ("r1", "r2", "r3", "r4"):
-        if key not in kv:
-            raise ConfigError(f"{origin}: threshold {key!r} is mandatory")
-    known = {
-        "r1", "r2", "r3", "r4",
-        "t_plus_min", "t_minus_min", "t_plus_max", "t_minus_max",
-        "k_max_y", "k_max_x", "k_max_y2",
-        "block_limit", "anchor_t", "pool_windows", "n_expected",
-        "max_total_degree_xy", "scale_outputs", "scale_gamma",
-        "balance_state", "row_cap",
-    }
-    unknown = set(kv) - known
+    fields = dataclasses.fields(IdentConfig)
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in kv:
+            raise ConfigError(f"{origin}: threshold {f.name!r} is mandatory")
+    unknown = set(kv) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"{origin}: unknown config keys: {', '.join(sorted(unknown))}")
 
-    kwargs: dict = {key: dataio.kv_float(kv[key], key) for key in ("r1", "r2", "r3", "r4")}
-    for key in ("t_plus_min", "t_minus_min", "t_plus_max", "t_minus_max",
-                "block_limit", "anchor_t", "n_expected", "max_total_degree_xy",
-                "row_cap"):
-        if key in kv:
-            kwargs[key] = dataio.kv_int(kv[key], key)
-    if "scale_gamma" in kv:
-        kwargs["scale_gamma"] = dataio.kv_float(kv["scale_gamma"], "scale_gamma")
-    for key in ("k_max_y", "k_max_x", "k_max_y2"):
-        if key in kv:
-            vec = dataio.kv_int_vector(kv[key], key)
-            kwargs[key] = vec[0] if len(vec) == 1 else vec
-    for key in ("pool_windows", "scale_outputs", "balance_state"):
-        if key in kv:
-            kwargs[key] = dataio.kv_bool(kv[key], key)
+    hints = typing.get_type_hints(IdentConfig)
+    kwargs = {}
+    for key, raw in kv.items():
+        kinds = [k for k in typing.get_args(hints[key]) or (hints[key],) if k is not type(None)]
+        parse = _KV_PARSERS[kinds[0]] if len(kinds) == 1 else _kv_bound
+        kwargs[key] = parse(raw, key)
     return IdentConfig(**kwargs)
 
 

@@ -32,15 +32,23 @@ def ingest(path: str | Path) -> TimeSeriesSet:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        return _ingest_rows(csv.reader(fh), str(path))
+        return _ingest_rows(fh, str(path))
 
 
 def ingest_text(text: str, origin: str = "<string>") -> TimeSeriesSet:
     """Parse series-file content from a string (testing convenience)."""
-    return _ingest_rows(csv.reader(io.StringIO(text)), origin)
+    return _ingest_rows(io.StringIO(text), origin)
 
 
-def _ingest_rows(reader, origin: str) -> TimeSeriesSet:
+def _ingest_rows(lines, origin: str) -> TimeSeriesSet:
+    reader = csv.reader(lines)
+    try:
+        return _parse_rows(reader, origin)
+    except csv.Error as exc:
+        raise FormatError(f"{origin}:{reader.line_num}: {exc}") from exc
+
+
+def _parse_rows(reader, origin: str) -> TimeSeriesSet:
     try:
         header = next(reader)
     except StopIteration:
@@ -186,7 +194,10 @@ def kv_matrix(raw: str, key: str, dtype=float) -> np.ndarray:
     widths = {len(r) for r in parsed}
     if len(widths) != 1:
         raise ParseError(f"key {key!r}: ragged matrix rows")
-    return np.asarray(parsed, dtype=dtype)
+    try:
+        return np.asarray(parsed, dtype=dtype)
+    except OverflowError as exc:  # an integer beyond int64
+        raise ParseError(f"key {key!r}: {exc}") from exc
 
 
 def format_matrix(M: np.ndarray) -> str:

@@ -18,7 +18,6 @@ from .errors import DimensionMismatchError, InvalidInputError
 from .monomials import (
     PowerMatrix,
     build_data_matrix,
-    eval_monomial_vector,
     identity_power_matrix,
     lex_compare,
 )
@@ -93,16 +92,6 @@ class Factorization:
             )
         if self.d_x != self.g.m:
             raise InvalidInputError("d_x must equal the output dimension of g")
-
-
-def eval_monomial_map(M: MonomialMap, x) -> np.ndarray:
-    """Evaluate ``L @ x**K`` at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != M.n_vars:
-        raise DimensionMismatchError(
-            f"map over {M.n_vars} variables evaluated at point of shape {x.shape}"
-        )
-    return M.L @ eval_monomial_vector(x, M.K)
 
 
 def eval_monomial_map_many(M: MonomialMap, samples) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .genred import MonomialMap, eval_monomial_map_many
 from .monomials import PowerMatrix
 from .series import TimeSeriesSet
 
-#: Any state component beyond this magnitude aborts prediction.
+#: Any state component beyond this magnitude aborts the observer recursion.
 STATE_OVERFLOW_GUARD = 1e12
 
 DOCUMENT_FORMAT = "polysid-model"
@@ -162,6 +162,37 @@ def _summarize(t_start: int, measured: np.ndarray, predicted: np.ndarray) -> Pre
     )
 
 
+def run_observer(
+    f: MonomialMap,
+    h: MonomialMap,
+    x: np.ndarray,
+    steps: int,
+    feedback: Callable[[int, np.ndarray], np.ndarray],
+    t_start: int = 1,
+) -> np.ndarray:
+    """Outputs ``h(x)``, shape ``(steps, h.m, s)``, of ``x <- f(x, feedback(i, h(x)))``.
+
+    Step ``i`` is time ``t_start + i`` and each column of ``x`` one series.
+    ``feedback`` gives the outputs that drive the state: the measured ones
+    for prediction, the noisy ones for simulation.
+
+    Raises:
+        DivergenceError: Naming the series and time at which a state
+            component first exceeds ``STATE_OVERFLOW_GUARD``.
+    """
+    yhat = np.empty((steps, h.m, x.shape[1]))
+    for i in range(steps):
+        yhat[i] = eval_monomial_map_many(h, x.T)
+        x = eval_monomial_map_many(f, np.vstack([x, feedback(i, yhat[i])]).T)
+        worst = np.abs(x).max(axis=0)
+        if (worst > STATE_OVERFLOW_GUARD).any():
+            raise DivergenceError(
+                f"state diverged in series {int(worst.argmax()) + 1} after time "
+                f"{t_start + i} (|x| > {STATE_OVERFLOW_GUARD:g})"
+            )
+    return yhat
+
+
 def predict_one_step(
     model: ObserverModel,
     ts: TimeSeriesSet,
@@ -200,21 +231,9 @@ def predict_one_step(
         raise InvalidInputError(f"t_start {t_start} outside 1..{ts.t_1}")
 
     Ys = model.scaling.apply(ts.Y.transpose(1, 0, 2)).transpose(1, 0, 2) if model.scaling else ts.Y
-    steps = ts.t_1 - t_start + 1
-    predicted_scaled = np.empty((steps, model.d_y, ts.s))
-    x = x.copy()
-    for i in range(steps):
-        t = t_start + i
-        predicted_scaled[i] = eval_monomial_map_many(model.h_o, x.T)
-        xy = np.vstack([x, Ys[t - 1]])
-        x = eval_monomial_map_many(model.f_o, xy.T)
-        worst = np.abs(x).max(axis=0)
-        if (worst > STATE_OVERFLOW_GUARD).any():
-            k = int(worst.argmax())
-            raise DivergenceError(
-                f"state diverged in series {k + 1} after time {t} "
-                f"(|x| > {STATE_OVERFLOW_GUARD:g})"
-            )
+    predicted_scaled = run_observer(
+        model.f_o, model.h_o, x, ts.t_1 - t_start + 1, lambda i, _: Ys[t_start - 1 + i], t_start
+    )
     predicted = (
         model.scaling.invert(predicted_scaled.transpose(1, 0, 2)).transpose(1, 0, 2)
         if model.scaling
@@ -290,15 +309,24 @@ def _encode_map(M: MonomialMap) -> dict:
     }
 
 
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer, or a float with an integral value; never a boolean."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _decode_map(obj: dict, where: str) -> MonomialMap:
     try:
-        n_vars = int(obj["n_vars"])
-        k_max = tuple(int(v) for v in obj["k_max"])
-        K_rows = obj["K"]
+        n_vars = _integer(obj["n_vars"], f"{where}: n_vars")
+        k_max = tuple(_integer(v, f"{where}: k_max entry") for v in obj["k_max"])
+        K_rows = [[_integer(v, f"{where}: exponent") for v in row] for row in obj["K"]]
         L_rows = obj["L"]
         K = np.asarray(K_rows, dtype=np.int64).reshape(len(K_rows), n_vars)
         L = np.asarray(L_rows, dtype=float).reshape(len(L_rows), len(K_rows))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: malformed monomial map: {exc}") from exc
     try:
         return MonomialMap(L, PowerMatrix(K, k_max))
@@ -348,11 +376,11 @@ def deserialize_model(text: str) -> ObserverModel:
     if not isinstance(doc, dict) or doc.get("format") != DOCUMENT_FORMAT:
         raise ValidationError("document is not a polysid model")
     try:
-        n = int(doc["n"])
-        d_y = int(doc["d_y"])
+        n = _integer(doc["n"], "n")
+        d_y = _integer(doc["d_y"], "d_y")
         X0 = np.asarray(doc["X0"], dtype=float).reshape(n, -1)
         f_doc, h_doc = doc["f_o"], doc["h_o"]
-        t_minus = None if doc.get("t_minus") is None else int(doc["t_minus"])
+        t_minus = None if doc.get("t_minus") is None else _integer(doc["t_minus"], "t_minus")
         sc = doc.get("scaling")
         mean_std = None if sc is None else (
             np.asarray(sc["mean"], dtype=float), np.asarray(sc["std"], dtype=float)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 
 #: Default cap on enumerated monomial rows; full enumerations grow
 #: exponentially in the number of variables.
@@ -228,7 +228,7 @@ def _as_sample_matrix(samples, n: int) -> np.ndarray:
     if X.shape[0] == 0:
         raise InvalidInputError("sample list is empty")
     if X.shape[1] != n:
-        raise InvalidInputError(
+        raise DimensionMismatchError(
             f"sample dimension {X.shape[1]} does not match {n} variables"
         )
     if not np.isfinite(X).all():
@@ -258,17 +258,6 @@ def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
         table = X[:, j][None, :] ** np.arange(mx + 1, dtype=np.int64)[:, None]
         V *= table[K[:, j], :]
     return V
-
-
-def eval_monomial_vector(x: Sequence[float], pm: PowerMatrix) -> np.ndarray:
-    """Evaluate the monomial vector ``x**K`` at a single point.
-
-    Component ``i`` equals ``prod_j x[j] ** K[i, j]`` with ``0**0 == 1``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInputError(f"x must be a vector, got shape {x.shape}")
-    return build_data_matrix(x[None, :], pm)[:, 0]
 
 
 def partition_power_matrix(pm: PowerMatrix, block_limit: int) -> list[PowerMatrix]:

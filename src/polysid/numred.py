@@ -5,7 +5,8 @@ Three operations shared by the identification pipeline:
 * ``mdtrunc`` -- truncation of a nonnegative descending diagonal by
   cumulative l1 mass fraction.
 * ``svd_trunc`` -- truncated-SVD least-squares approximation of one data
-  matrix by a linear map of another, factored to expose a reduced state.
+  matrix by a linear map of another, factored as ``C @ L`` so that ``L``
+  maps the regressors onto a reduced state.
 * ``lk_reduce`` -- pruning of coefficient columns (and the matching power
   matrix rows) whose l1 norm falls below a fraction of the largest column.
 """
@@ -98,8 +99,8 @@ class SvdTruncResult:
         n: Retained rank.
         D_n: The ``n`` retained singular values, positive and nonincreasing.
         C: Left factor, ``d_vy x n``.
-        L: Right factor, ``n x d_vu`` (top rows of the left singular basis).
-        X: Reduced state ``L @ V_u``, ``n x s``.
+        L: Right factor, ``n x d_vu`` (top rows of the left singular basis);
+            ``L @ V_u`` is the reduced state.
         H_star: Full regression matrix ``C @ L``, ``d_vy x d_vu``.
         table: Cumulative-mass table of the positive singular values.
     """
@@ -108,7 +109,6 @@ class SvdTruncResult:
     D_n: np.ndarray
     C: np.ndarray
     L: np.ndarray
-    X: np.ndarray
     H_star: np.ndarray
     table: TruncationTable
 
@@ -119,8 +119,8 @@ def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
     Computes the SVD of ``V_u``, keeps the leading singular values up to
     cumulative mass fraction ``r`` (after zeroing values below the numerical
     rank threshold), and forms the regression ``H* = V_y @ pinv_n(V_u)``
-    factored as ``H* = C @ L`` with reduced state ``X = L @ V_u`` so that
-    ``V_y ~= H* V_u = C X``.
+    factored as ``H* = C @ L``, so that ``V_y ~= C (L V_u)`` with the
+    reduced state ``L V_u``; the state itself is left to the caller.
 
     The SVD is an R-SVD (Chan 1982, ACM TOMS 8(1)): a thin QR
     ``V_u.T = Q R`` followed by an SVD of the small factor ``R.T``, which
@@ -157,8 +157,7 @@ def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
     L = U[:, :n].T
     C = (Vy @ Vu.T) @ (U[:, :n] / (D_n**2)[None, :])
     H_star = C @ L
-    X = L @ Vu
-    return SvdTruncResult(n=n, D_n=D_n, C=C, L=L, X=X, H_star=H_star, table=table)
+    return SvdTruncResult(n=n, D_n=D_n, C=C, L=L, H_star=H_star, table=table)
 
 
 def lk_reduce(

@@ -10,7 +10,8 @@ lifted (state, output) pair to obtain a polynomial observer model:
 
 An outer loop grows the future/past window lengths step by step, monitoring
 the retained rank; when the past dictionary is large it is consumed in
-ascending-order blocks, accumulating surviving generators.
+ascending-order blocks, accumulating surviving generators.  The model is
+built from the window matrices of the last window lengths tried.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     NumericalOverflowError,
     RankDeficiencyError,
 )
-from .genred import Factorization, MonomialMap, eliminate_products
+from .genred import Factorization, MonomialMap, eliminate_products, eval_monomial_map_many
 from .model import ObserverModel, OutputScaling
 from .monomials import (
     DEFAULT_ROW_CAP,
@@ -41,6 +42,18 @@ from .monomials import (
 )
 from .numred import TruncationTable, lk_reduce, svd_trunc
 from .series import TimeSeriesSet
+
+
+def _past_windows(Y: np.ndarray, anchors, length: int) -> np.ndarray:
+    """Output windows ending just before each anchor, one column per (anchor, series).
+
+    The column block of anchor ``a`` stacks ``y(a - 1)`` down to
+    ``y(a - length)`` (most recent first); blocks follow ``anchors`` and
+    columns within a block follow the series.  ``Y`` is indexed
+    ``Y[t - 1, dim, series]``; callers keep every window inside it.
+    """
+    times = np.asarray(anchors)[None, :] - 2 - np.arange(length)[:, None]
+    return Y[times].transpose(0, 2, 1, 3).reshape(length * Y.shape[1], -1)
 
 
 def build_window_vectors(
@@ -66,11 +79,7 @@ def build_window_vectors(
             f"window (t={t}, t_plus={t_plus}, t_minus={t_minus}) exceeds series "
             f"bounds 1..{ts.t_1}"
         )
-    plus_times = range(t + t_plus - 1, t - 1, -1)
-    minus_times = range(t - 1, t - t_minus - 1, -1)
-    Yplus = np.concatenate([ts.Y[tau - 1] for tau in plus_times], axis=0)
-    Yminus = np.concatenate([ts.Y[tau - 1] for tau in minus_times], axis=0)
-    return Yplus, Yminus
+    return _past_windows(ts.Y, [t + t_plus], t_plus), _past_windows(ts.Y, [t], t_minus)
 
 
 def _bound_entries(value, name: str) -> tuple[int, ...]:
@@ -290,38 +299,9 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 def eval_many_checked(M: MonomialMap, samples, what: str) -> np.ndarray:
     """Batch-evaluate a monomial map, mapping overflow onto a pipeline error."""
-    values = M.L @ build_data_matrix(samples, M.K)
+    values = eval_monomial_map_many(M, samples)
     _check_finite(what, values)
     return values
-
-
-def _pooled_anchor_times(ts: TimeSeriesSet, t_plus: int, t_minus: int) -> list[int]:
-    return list(range(t_minus + 1, ts.t_1 - t_plus + 2))
-
-
-def _stack_windows(
-    ts: TimeSeriesSet, anchors: Sequence[int], t_plus: int, t_minus: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window matrices pooled over anchors, plus the shifted past windows.
-
-    Returns ``(Yplus, Yminus, Yminus_next)`` where column blocks iterate over
-    anchors (series-major within each anchor) and ``Yminus_next`` holds the
-    past window advanced by one step, used for the next-state values.
-    """
-    plus_blocks, minus_blocks, next_blocks = [], [], []
-    for t in anchors:
-        Yp, Ym = build_window_vectors(ts, t, t_plus, t_minus)
-        # Past window one step later: stacks y(t) down to y(t - t_minus + 1).
-        shift_times = range(t, t - t_minus, -1)
-        Ym_next = np.concatenate([ts.Y[tau - 1] for tau in shift_times], axis=0)
-        plus_blocks.append(Yp)
-        minus_blocks.append(Ym)
-        next_blocks.append(Ym_next)
-    return (
-        np.concatenate(plus_blocks, axis=1),
-        np.concatenate(minus_blocks, axis=1),
-        np.concatenate(next_blocks, axis=1),
-    )
 
 
 def _past_dictionary_size(k_max_y: tuple[int, ...], t_minus: int) -> int:
@@ -463,40 +443,33 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         step += 1
 
     n1_history: list[int] = []
-    final: _CycleResult | None = None
-    final_windows: tuple[int, int] = schedule[-1]
-    final_anchors: list[int] = []
-    final_pooled = False
-    for tp, tm in schedule:
-        d_v_full = _past_dictionary_size(rcfg.k_max_y, tm)
+    for t_plus, t_minus in schedule:
+        d_v_full = _past_dictionary_size(rcfg.k_max_y, t_minus)
         pooled = (
             cfg.pool_windows
             if cfg.pool_windows is not None
             else ts.s < 4 * d_v_full
         )
-        anchors = _pooled_anchor_times(work, tp, tm) if pooled else [rcfg.anchor_t]
-        Yplus, Yminus, _ = _stack_windows(work, anchors, tp, tm)
-        cycle = _reduction_cycles(Yplus, Yminus.T, tp, tm, rcfg, diag)
-        n1_history.append(cycle.n1)
-        final = cycle
-        final_windows = (tp, tm)
-        final_anchors = anchors
-        final_pooled = pooled
+        anchors = (
+            np.arange(t_minus + 1, work.t_1 - t_plus + 2)
+            if pooled
+            else np.array([rcfg.anchor_t])
+        )
+        Yplus = _past_windows(work.Y, anchors + t_plus, t_plus)
+        Yminus = _past_windows(work.Y, anchors, t_minus)
+        final = _reduction_cycles(Yplus, Yminus.T, t_plus, t_minus, rcfg, diag)
+        n1_history.append(final.n1)
         if (
             len(n1_history) >= 3
             and n1_history[-1] == n1_history[-2] == n1_history[-3]
         ):
             break
 
-    assert final is not None
-    t_plus, t_minus = final_windows
+    # The model comes from the last windows tried and their matrices.
     diag.chosen_t_plus, diag.chosen_t_minus = t_plus, t_minus
-    diag.pooled = final_pooled
-    diag.anchors = final_anchors
+    diag.pooled = pooled
+    diag.anchors = anchors.tolist()
     diag.n1 = final.n1
-
-    # Rebuild the final window matrices (cheap relative to the SVDs).
-    Yplus, Yminus, Yminus_next = _stack_windows(work, final_anchors, t_plus, t_minus)
     diag.n_columns = Yplus.shape[1]
 
     # Generator-product elimination on the reduced set.
@@ -521,14 +494,13 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     d_y = ts.d_y
     h_o = MonomialMap(h_io_plus.L[-d_y:, :], h_io_plus.K).drop_zero_columns()
 
-    # Next-state values from the shifted past windows.
+    # Next-state values from the past windows one step later.
+    Yminus_next = _past_windows(work.Y, anchors + 1, t_minus)
     X_next = eval_many_checked(g_io, Yminus_next.T, "the next-state samples")
 
     # Lift the (state, output) pair.
     k_max_x = _as_bound_vector(cfg.k_max_x, n, "k_max_x")
-    y_now = np.concatenate(
-        [work.Y[t - 1] for t in final_anchors], axis=1
-    )  # (d_y, columns)
+    y_now = Yplus[-d_y:]  # y(t) at every anchor, the bottom of the future stack
     try:
         K_xy = enumerate_power_matrix(
             n + d_y, k_max_x + rcfg.k_max_y2, cfg.row_cap, cfg.max_total_degree_xy
@@ -558,13 +530,13 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     f_o = MonomialMap(L_f, K_f)
 
     # Per-series initial states at the canonical anchor.
-    _, Ym_anchor = build_window_vectors(work, rcfg.anchor_t, t_plus, t_minus)
+    Ym_anchor = _past_windows(work.Y, [rcfg.anchor_t], t_minus)
     X0 = eval_many_checked(g_io, Ym_anchor.T, "the anchor states")
 
     # Training residuals: one-step output error at every pooled column.
     y_hat = eval_many_checked(h_o, X_t.T, "the training predictions")
     resid = y_now - y_hat
-    n_anchors = len(final_anchors)
+    n_anchors = len(anchors)
     per_series = np.sqrt(
         np.mean(
             resid.reshape(d_y, n_anchors, ts.s) ** 2,
@@ -591,7 +563,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
             "t_plus": t_plus,
             "t_minus": t_minus,
             "anchor_t": rcfg.anchor_t,
-            "pooled": final_pooled,
+            "pooled": pooled,
         },
     )
     return model, diag

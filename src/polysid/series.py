@@ -53,6 +53,3 @@ class TimeSeriesSet:
     def series(self, k: int) -> np.ndarray:
         """Series ``k`` (0-based) as a ``(t_1, d_y)`` array."""
         return self.Y[:, :, k]
-
-    def select_series(self, indices) -> "TimeSeriesSet":
-        return TimeSeriesSet(self.Y[:, :, np.asarray(indices, dtype=np.intp)])

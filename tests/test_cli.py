@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polysid import ConfigError, deserialize_model, serialize_model
+from polysid import ConfigError, ParseError, deserialize_model, serialize_model
 from polysid.cli import config_from_kv, main
 from polysid.dataio import emit
 from polysid.generate import spec_to_kv, generate
@@ -150,6 +150,23 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config_from_kv(base + line + "\n").resolved(ts)
         assert line.split()[0] in str(err.value)
+
+    def test_keys_and_types_follow_the_config_fields(self):
+        thresholds = "r1 = 0.9\nr2 = 0.9\nr3 = 0.01\nr4 = 0.01\n"
+        cfg = config_from_kv(
+            thresholds
+            + "k_max_y = 2\nk_max_x = 1 2\nanchor_t = 5\npool_windows = yes\n"
+            "scale_gamma = 2\nmax_total_degree_xy = 3\n"
+        )
+        assert (cfg.r3, cfg.k_max_y, cfg.k_max_x) == (0.01, 2, (1, 2))
+        assert (cfg.anchor_t, cfg.pool_windows, cfg.scale_gamma) == (5, True, 2.0)
+        assert cfg.max_total_degree_xy == 3
+        with pytest.raises(ConfigError, match="threshold 'r3' is mandatory"):
+            config_from_kv(thresholds.replace("r3 = 0.01\n", ""))
+        with pytest.raises(ConfigError, match="unknown config keys: colour"):
+            config_from_kv(thresholds + "colour = red\n")
+        with pytest.raises(ParseError, match="anchor_t"):
+            config_from_kv(thresholds + "anchor_t = 2.5\n")
 
 
 class TestInspect:

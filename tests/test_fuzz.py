@@ -1,0 +1,172 @@
+"""Property tests: outside input raises only PolysidError; models round-trip.
+
+Examples are derandomized so that every run checks the same inputs.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from polysid import MonomialMap, OutputScaling, PolysidError, deserialize_model, serialize_model
+from polysid.cli import config_from_kv
+from polysid.dataio import ingest_text
+from polysid.generate import spec_from_kv, spec_to_kv
+
+from conftest import linear_spec, random_model
+
+fuzz = settings(max_examples=150, deadline=None, derandomize=True)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def only_polysid_errors(fn, *args) -> None:
+    """Call ``fn``; any exception it raises must be a PolysidError."""
+    try:
+        fn(*args)
+    except PolysidError:
+        pass
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) position in a decoded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _model_document(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    while True:
+        model = random_model(rng)
+        if model.g_io is not None and model.scaling is not None:
+            return json.loads(serialize_model(model))
+
+
+MODEL_DOCUMENT = _model_document(7)
+MODEL_PATHS = list(_paths(MODEL_DOCUMENT))
+SPEC_TEXT = spec_to_kv(linear_spec(4, t_1=6))
+SPEC_KEYS = [line.split("=")[0].strip() for line in SPEC_TEXT.splitlines()]
+CONFIG_KEYS = [
+    "r1", "r2", "r3", "r4", "t_plus_min", "t_minus_max", "k_max_y", "k_max_x",
+    "pool_windows", "scale_gamma", "max_total_degree_xy", "anchor_t",
+]
+#: Numbers, with the edges of int64 and of float64 drawn often.
+numbers = st.integers() | st.floats() | st.sampled_from([2**63, -(2**63) - 1, 10**400])
+KV_VALUES = (
+    st.text(alphabet="0123456789 .,;-+eEinfatrusyo\t", max_size=16)
+    | st.text(max_size=12)
+    | st.lists(numbers, min_size=1, max_size=4).map(lambda xs: " ".join(map(str, xs)))
+)
+
+
+@fuzz
+@given(st.text())
+def test_deserialize_arbitrary_text(text):
+    only_polysid_errors(deserialize_model, text)
+
+
+@fuzz
+@given(st.sampled_from(MODEL_PATHS), json_values)
+def test_deserialize_corrupted_document(path, value):
+    doc = json.loads(json.dumps(MODEL_DOCUMENT))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    only_polysid_errors(deserialize_model, json.dumps(doc))
+
+
+@fuzz
+@given(st.text())
+def test_ingest_arbitrary_text(text):
+    only_polysid_errors(ingest_text, text)
+
+
+@fuzz
+@given(
+    st.lists(
+        st.text(alphabet="0123456789,.-+e nainf\r\x00\"", max_size=16), max_size=6
+    )
+)
+def test_ingest_near_csv(rows):
+    only_polysid_errors(ingest_text, "series,t,y1\n" + "\n".join(rows))
+
+
+@fuzz
+@given(st.text())
+def test_config_arbitrary_text(text):
+    only_polysid_errors(config_from_kv, text)
+
+
+@fuzz
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), KV_VALUES))
+def test_config_fuzzed_values(kv):
+    text = "\n".join(f"{key} = {value}" for key, value in kv.items())
+    only_polysid_errors(config_from_kv, text)
+
+
+@fuzz
+@given(st.text())
+def test_spec_arbitrary_text(text):
+    only_polysid_errors(spec_from_kv, text)
+
+
+@fuzz
+@given(st.sampled_from(SPEC_KEYS), KV_VALUES)
+def test_spec_fuzzed_value(key, value):
+    lines = [
+        f"{key} = {value}" if line.split("=")[0].strip() == key else line
+        for line in SPEC_TEXT.splitlines()
+    ]
+    only_polysid_errors(spec_from_kv, "\n".join(lines))
+
+
+@st.composite
+def models(draw):
+    """Random structure (conftest's ``random_model``) with drawn coefficients."""
+    base = random_model(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    nonzero = finite.filter(bool)  # deserialize_model rejects all-zero columns
+
+    def redraw(M: MonomialMap) -> MonomialMap:
+        return MonomialMap(draw(arrays(float, M.L.shape, elements=nonzero)), M.K)
+
+    scaling = base.scaling
+    if scaling is not None:
+        scaling = OutputScaling(
+            draw(arrays(float, base.d_y, elements=finite)),
+            draw(arrays(float, base.d_y, elements=st.floats(min_value=1e-300, max_value=1e300))),
+        )
+    return type(base)(
+        n=base.n,
+        d_y=base.d_y,
+        f_o=redraw(base.f_o),
+        h_o=redraw(base.h_o),
+        X0=draw(arrays(float, base.X0.shape, elements=finite)),
+        scaling=scaling,
+        g_io=None if base.g_io is None else redraw(base.g_io),
+        t_minus=base.t_minus,
+        meta=base.meta,
+    )
+
+
+@fuzz
+@given(models())
+def test_serialization_round_trip(model):
+    doc = serialize_model(model)
+    back = deserialize_model(doc)
+    assert serialize_model(back) == doc
+    assert np.array_equal(back.f_o.L, model.f_o.L)
+    assert np.array_equal(back.X0, model.X0)

@@ -20,7 +20,6 @@ from polysid import (
     TimeSeriesSet,
     ValidationError,
     deserialize_model,
-    eval_monomial_map,
     generate,
     identify,
     identity_power_matrix,
@@ -29,6 +28,7 @@ from polysid import (
     predict_with_burn_in,
     serialize_model,
 )
+from polysid.genred import eval_monomial_map_many
 
 from conftest import linear_spec, random_model, reference_fixture_model
 
@@ -81,10 +81,10 @@ class TestPredictOneStep:
         for k in range(s):
             x = x0[:, k].copy()
             for t in range(T):
-                yhat = model.scaling.invert(eval_monomial_map(model.h_o, x))
+                yhat = model.scaling.invert(eval_monomial_map_many(model.h_o, [x])[:, 0])
                 assert rep.predictions[t, :, k] == pytest.approx(yhat, rel=1e-12, abs=1e-12)
                 y_scaled = model.scaling.apply(ts.Y[t, :, k])
-                x = eval_monomial_map(model.f_o, np.concatenate([x, y_scaled]))
+                x = eval_monomial_map_many(model.f_o, [np.concatenate([x, y_scaled])])[:, 0]
 
     def test_observer_causality(self, rng):
         model = decay_model()
@@ -273,9 +273,19 @@ class TestSerialization:
             lambda doc: doc.pop("f_o"),
             lambda doc: doc.update(scaling={"mean": [0.0] * doc["d_y"]}),
             lambda doc: doc.update(t_minus="two"),
+            lambda doc: doc.update(t_minus=1.5),
+            lambda doc: doc.update(t_minus=True),
+            lambda doc: doc.update(n=doc["n"] + 0.7),
+            lambda doc: doc.update(d_y=True),
+            lambda doc: doc["f_o"].update(n_vars=doc["f_o"]["n_vars"] + 0.9),
+            lambda doc: doc["f_o"]["k_max"].__setitem__(0, 1.5),
+            lambda doc: doc["f_o"]["K"][0].__setitem__(0, 1.4),
+            lambda doc: doc["f_o"]["K"][0].__setitem__(0, True),
         ],
         ids=["ragged-K", "n_vars-vs-K", "missing-f_o", "scaling-without-std",
-             "non-integer-t_minus"],
+             "non-integer-t_minus", "fractional-t_minus", "boolean-t_minus",
+             "fractional-n", "boolean-d_y", "fractional-n_vars",
+             "fractional-k_max", "fractional-K", "boolean-K"],
     )
     def test_malformed_document_raises_validation_error(self, corrupt):
         doc = json.loads(serialize_model(reference_fixture_model()))

@@ -9,6 +9,7 @@ from polysid import (
     DivergenceError,
     FormatError,
     GeneratorSpec,
+    InvalidInputError,
     MonomialMap,
     ParseError,
     PowerMatrix,
@@ -117,6 +118,20 @@ class TestKeyValueDocs:
         with pytest.raises(ParseError):
             spec_from_kv("n = 1\n")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_std", "nan"), ("noise_std", "inf"), ("x0_min", "-inf -1.0"),
+         ("x0_max", "1.0 inf"), ("x0_min", "nan nan")],
+    )
+    def test_spec_rejects_non_finite(self, key, value):
+        text = spec_to_kv(linear_spec(5, t_1=8))
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in text.splitlines()
+        ]
+        with pytest.raises(InvalidInputError, match=key):
+            spec_from_kv("\n".join(lines))
+
 
 class TestGenerate:
     def test_decay_trajectory(self):
@@ -178,7 +193,7 @@ class TestGenerate:
             n=1, d_y=1, f=f, h=h, x0_min=(2.0,), x0_max=(2.0,),
             noise_std=0.0, t_1=200, s=1,
         )
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="series 1 after time"):
             generate(spec, 1)
 
     def test_arity_validation(self):
