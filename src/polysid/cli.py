@@ -153,21 +153,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ts = dataio.ingest(args.data)
     report = predict_with_burn_in(model, ts)
     d = model.d_y
-    header = (
-        "series,t,"
-        + ",".join(f"yhat{i + 1}" for i in range(d))
-        + ","
-        + ",".join(f"resid{i + 1}" for i in range(d))
-    )
-    lines = [header]
-    steps = report.predictions.shape[0]
-    for k in range(ts.s):
-        for i in range(steps):
-            t = report.t_start + i
-            vals = [repr(float(v)) for v in report.predictions[i, :, k]]
-            vals += [repr(float(v)) for v in report.residuals[i, :, k]]
-            lines.append(f"{k + 1},{t}," + ",".join(vals))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    columns = [f"yhat{i + 1}" for i in range(d)] + [f"resid{i + 1}" for i in range(d)]
+    values = np.concatenate([report.predictions, report.residuals], axis=1)
+    Path(args.out).write_text(dataio.long_csv_text(columns, values, report.t_start))
     print(
         f"predicted t={report.t_start}..{ts.t_1} for {ts.s} series; max relative "
         f"RMSE {report.max_relative_rmse:.3g}; wrote {args.out}"

@@ -110,12 +110,20 @@ def emit(ts: TimeSeriesSet, path: str | Path) -> None:
 
 
 def emit_text(ts: TimeSeriesSet) -> str:
-    header = "series,t," + ",".join(f"y{i + 1}" for i in range(ts.d_y))
-    lines = [header]
-    for k in range(ts.s):
-        for t in range(1, ts.t_1 + 1):
-            vals = ",".join(repr(float(v)) for v in ts.Y[t - 1, :, k])
-            lines.append(f"{k + 1},{t},{vals}")
+    return long_csv_text([f"y{i + 1}" for i in range(ts.d_y)], ts.Y)
+
+
+def long_csv_text(columns: list[str], values: np.ndarray, t_start: int = 1) -> str:
+    """Long-format CSV: header ``series,t,<columns>``, one row per (series, time).
+
+    ``values`` has shape ``(steps, len(columns), s)``; step ``i`` of series
+    ``k`` is written as series ``k + 1`` at time ``t_start + i``.  Floats use
+    their shortest exact ``repr``.
+    """
+    lines = ["series,t," + ",".join(columns)]
+    for k in range(values.shape[2]):
+        for i, row in enumerate(values[:, :, k].tolist()):
+            lines.append(f"{k + 1},{t_start + i}," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

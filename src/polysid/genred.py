@@ -67,14 +67,14 @@ class MonomialMap:
 
     def drop_zero_columns(self) -> "MonomialMap":
         """Remove monomials whose coefficient column is exactly zero."""
-        keep = np.flatnonzero(np.abs(self.L).sum(axis=0) != 0.0)
+        keep = np.flatnonzero((self.L != 0.0).any(axis=0))
         if keep.size == self.K.d_v:
             return self
         return MonomialMap(self.L[:, keep], self.K.select_rows(keep))
 
     def is_nontrivial(self) -> bool:
         """True when no coefficient column is entirely zero."""
-        return bool(np.all(np.abs(self.L).sum(axis=0) > 0.0)) if self.K.d_v else True
+        return bool((self.L != 0.0).any(axis=0).all())
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,9 @@ def predict_with_burn_in(model: ObserverModel, ts: TimeSeriesSet) -> PredictionR
 
 
 def _encode_map(M: MonomialMap) -> dict:
+    # Documents never carry all-zero coefficient columns; deserialize_model
+    # rejects them.
+    M = M.drop_zero_columns()
     return {
         "n_vars": M.n_vars,
         "k_max": list(M.K.k_max),

@@ -16,8 +16,7 @@ built from the window matrices of the last window lengths tried.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     NumericalOverflowError,
     RankDeficiencyError,
 )
-from .genred import Factorization, MonomialMap, eliminate_products, eval_monomial_map_many
+from .genred import MonomialMap, eliminate_products, eval_monomial_map_many
 from .model import ObserverModel, OutputScaling
 from .monomials import (
     DEFAULT_ROW_CAP,
@@ -111,8 +110,7 @@ class IdentConfig:
 
     The four thresholds are mandatory; structural parameters carry defaults.
     ``k_max_x`` may be a scalar because the state dimension is only known at
-    run time; scalars are broadcast per variable.  Window maxima default to
-    four times the expected state dimension.
+    run time; scalars are broadcast per variable.
 
     Attributes:
         r1: Mass-fraction threshold of the past-to-future SVD truncation.
@@ -120,8 +118,7 @@ class IdentConfig:
         r3: Relative tolerance of generator-product elimination.
         r4: Column-pruning threshold of the LK-reductions.
         t_plus_min / t_minus_min: Initial future/past window lengths.
-        t_plus_max / t_minus_max: Final window lengths (default
-            ``4 * n_expected``).
+        t_plus_max / t_minus_max: Final window lengths (default 8).
         k_max_y: Per-output exponent bound of the past lifting (scalar or
             length ``d_y``).
         k_max_x: Per-state exponent bound of the dynamics lifting (scalar or
@@ -134,8 +131,6 @@ class IdentConfig:
         pool_windows: Pool every admissible anchor as extra data columns;
             ``None`` enables pooling automatically when the series count is
             small relative to the dictionary.
-        n_expected: Hint for the expected state dimension (drives default
-            window maxima).
         max_total_degree_xy: Optional total-degree cap on the (state, output)
             dictionary (nonnegative); the bounded monomial set may be any
             subset of the full enumeration, and low-degree subsets keep the
@@ -144,14 +139,10 @@ class IdentConfig:
             ``row_cap``.  ``None`` uses the full bounded set.
         scale_outputs: Standardize each output dimension before lifting and
             fold the transform into the model.
-        scale_gamma: Extra gain on the scaling divisor: outputs are divided
-            by ``scale_gamma * std``, so values below 1 inflate the working
-            amplitude.  Larger amplitudes weight high-degree monomial
-            directions more heavily in the truncated SVDs.
-        balance_state: Rescale state components to unit RMS before the
-            dynamics regression (a pure reparametrization).  Off by default:
-            amplifying low-energy components spreads the minimum-norm
-            dynamics fit across poorly excited directions.
+        scale_gamma: Extra gain (positive) on the scaling divisor: outputs
+            are divided by ``scale_gamma * std``, so values below 1 inflate
+            the working amplitude.  Larger amplitudes weight high-degree
+            monomial directions more heavily in the truncated SVDs.
         row_cap: Hard cap (positive) on the rows of each enumerated monomial
             dictionary, the past lifting and the (state, output) lifting,
             checked on the true row count before allocation.
@@ -171,25 +162,24 @@ class IdentConfig:
     block_limit: int = 500
     anchor_t: int | None = None
     pool_windows: bool | None = None
-    n_expected: int = 2
     max_total_degree_xy: int | None = None
     scale_outputs: bool = True
     scale_gamma: float = 1.0
-    balance_state: bool = False
     row_cap: int = DEFAULT_ROW_CAP
 
-    def resolved(self, ts: TimeSeriesSet) -> "_ResolvedConfig":
-        """Validate against a data set and fill in every default."""
+    def resolved(self, ts: TimeSeriesSet) -> "IdentConfig":
+        """Validate against a data set and return a copy with every default filled in.
+
+        The copy sets both window maxima and ``anchor_t``, and gives
+        ``k_max_y`` and ``k_max_y2`` as ``d_y``-length tuples; resolving it
+        again returns an equal config.
+        """
         for name in ("r1", "r2", "r3", "r4"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1), got {v}")
-        if self.n_expected < 1:
-            raise ConfigError("n_expected must be positive")
-        t_plus_max = self.t_plus_max if self.t_plus_max is not None else 4 * self.n_expected
-        t_minus_max = (
-            self.t_minus_max if self.t_minus_max is not None else 4 * self.n_expected
-        )
+        t_plus_max = 8 if self.t_plus_max is None else self.t_plus_max
+        t_minus_max = 8 if self.t_minus_max is None else self.t_minus_max
         if not (1 <= self.t_plus_min <= t_plus_max):
             raise ConfigError(
                 f"need 1 <= t_plus_min <= t_plus_max, got {self.t_plus_min}..{t_plus_max}"
@@ -206,6 +196,8 @@ class IdentConfig:
             raise ConfigError(
                 f"max_total_degree_xy={self.max_total_degree_xy} empties the dictionary"
             )
+        if not self.scale_gamma > 0:
+            raise ConfigError(f"scale_gamma must be positive, got {self.scale_gamma}")
         # k_max_x has one entry per state, known only after the reductions;
         # its length is checked then, its entries now.
         _bound_entries(self.k_max_x, "k_max_x")
@@ -223,8 +215,8 @@ class IdentConfig:
             raise ConfigError(
                 f"anchor time {anchor} leaves no room for a future window of {t_plus_max}"
             )
-        return _ResolvedConfig(
-            base=self,
+        return replace(
+            self,
             t_plus_max=t_plus_max,
             t_minus_max=t_minus_max,
             anchor_t=anchor,
@@ -240,16 +232,6 @@ class IdentConfig:
             return v
 
         return {k: plain(v) for k, v in self.__dict__.items()}
-
-
-@dataclass(frozen=True)
-class _ResolvedConfig:
-    base: IdentConfig
-    t_plus_max: int
-    t_minus_max: int
-    anchor_t: int
-    k_max_y: tuple[int, ...]
-    k_max_y2: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -304,11 +286,6 @@ def eval_many_checked(M: MonomialMap, samples, what: str) -> np.ndarray:
     return values
 
 
-def _past_dictionary_size(k_max_y: tuple[int, ...], t_minus: int) -> int:
-    per_step = math.prod(k + 1 for k in k_max_y)
-    return per_step**t_minus
-
-
 @dataclass(frozen=True)
 class _CycleResult:
     C_vplus: np.ndarray
@@ -320,20 +297,13 @@ class _CycleResult:
 def _reduction_cycles(
     Yplus: np.ndarray,
     Yminus_samples: np.ndarray,
+    K_full: PowerMatrix,
     t_plus: int,
     t_minus: int,
-    rcfg: _ResolvedConfig,
+    cfg: IdentConfig,
     diag: IdentDiagnostics,
 ) -> _CycleResult:
-    """Run the lifting / SVD / pruning cycles for one window length."""
-    cfg = rcfg.base
-    d_y_minus = Yminus_samples.shape[1]
-    k_max_minus = rcfg.k_max_y * t_minus
-    try:
-        K_full = enumerate_power_matrix(d_y_minus, k_max_minus, cap=cfg.row_cap)
-    except CapacityError as exc:
-        raise CapacityError(f"past monomial lifting: {exc}") from exc
-
+    """Run the lifting / SVD / pruning cycles for one window length over ``K_full``."""
     if K_full.d_v > cfg.block_limit:
         blocks = partition_power_matrix(K_full, cfg.block_limit)
     else:
@@ -371,25 +341,6 @@ def _reduction_cycles(
     return result
 
 
-def _balance_state(
-    fact: Factorization, X_samples: np.ndarray
-) -> tuple[MonomialMap, MonomialMap, np.ndarray]:
-    """Rescale state components to unit RMS (a pure reparametrization).
-
-    Returns the rescaled ``(g, h)`` and the rescaled state samples.  The
-    output map absorbs the inverse scale on each monomial.
-    """
-    rms = np.sqrt(np.mean(X_samples**2, axis=1))
-    scale = np.where(rms > 0, rms, 1.0)
-    g = MonomialMap(fact.g.L / scale[:, None], fact.g.K)
-    # h(x_old) with x_old = scale * x_new multiplies each monomial column by
-    # prod_i scale_i ** K[row, i].
-    K_h = fact.h.K.K
-    col_factor = np.prod(scale[None, :] ** K_h, axis=1)
-    h = MonomialMap(fact.h.L * col_factor[None, :], fact.h.K)
-    return g, h, X_samples / scale[:, None]
-
-
 def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentDiagnostics]:
     """Identify a polynomial observer model from output time series.
 
@@ -415,14 +366,13 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         NumericalOverflowError: On non-finite lifted values.
         DegenerateModelError: If every generator is pruned away.
     """
-    rcfg = cfg.resolved(ts)
-    diag = IdentDiagnostics(anchor_t=rcfg.anchor_t, config_echo=cfg.echo())
+    echo = cfg.echo()
+    cfg = cfg.resolved(ts)
+    diag = IdentDiagnostics(anchor_t=cfg.anchor_t, config_echo=echo)
 
     scaling: OutputScaling | None = None
     work = ts
     if cfg.scale_outputs:
-        if not cfg.scale_gamma > 0:
-            raise ConfigError(f"scale_gamma must be positive, got {cfg.scale_gamma}")
         mean = ts.Y.mean(axis=(0, 2))
         std = ts.Y.std(axis=(0, 2))
         std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
@@ -430,34 +380,32 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         work = TimeSeriesSet((ts.Y - mean[None, :, None]) / std[None, :, None])
 
     # Outer loop: grow both window lengths by one per iteration, clamped at
-    # their maxima; stop early after two consecutive iterations leave the
-    # retained rank unchanged.
-    schedule: list[tuple[int, int]] = []
-    step = 0
-    while True:
-        tp = min(cfg.t_plus_min + step, rcfg.t_plus_max)
-        tm = min(cfg.t_minus_min + step, rcfg.t_minus_max)
-        schedule.append((tp, tm))
-        if tp == rcfg.t_plus_max and tm == rcfg.t_minus_max:
-            break
-        step += 1
-
+    # their maxima, until both reach them; stop early after two consecutive
+    # iterations leave the retained rank unchanged.
+    steps = max(cfg.t_plus_max - cfg.t_plus_min, cfg.t_minus_max - cfg.t_minus_min)
     n1_history: list[int] = []
-    for t_plus, t_minus in schedule:
-        d_v_full = _past_dictionary_size(rcfg.k_max_y, t_minus)
+    for step in range(steps + 1):
+        t_plus = min(cfg.t_plus_min + step, cfg.t_plus_max)
+        t_minus = min(cfg.t_minus_min + step, cfg.t_minus_max)
+        try:
+            K_full = enumerate_power_matrix(
+                t_minus * ts.d_y, cfg.k_max_y * t_minus, cap=cfg.row_cap
+            )
+        except CapacityError as exc:
+            raise CapacityError(f"past monomial lifting: {exc}") from exc
         pooled = (
             cfg.pool_windows
             if cfg.pool_windows is not None
-            else ts.s < 4 * d_v_full
+            else ts.s < 4 * K_full.d_v
         )
         anchors = (
             np.arange(t_minus + 1, work.t_1 - t_plus + 2)
             if pooled
-            else np.array([rcfg.anchor_t])
+            else np.array([cfg.anchor_t])
         )
         Yplus = _past_windows(work.Y, anchors + t_plus, t_plus)
         Yminus = _past_windows(work.Y, anchors, t_minus)
-        final = _reduction_cycles(Yplus, Yminus.T, t_plus, t_minus, rcfg, diag)
+        final = _reduction_cycles(Yplus, Yminus.T, K_full, t_plus, t_minus, cfg, diag)
         n1_history.append(final.n1)
         if (
             len(n1_history) >= 3
@@ -484,26 +432,22 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         )
 
     X_t = eval_many_checked(fact.g, Yminus.T, "the state samples")
-    if cfg.balance_state:
-        g_io, h_io_plus, X_t = _balance_state(fact, X_t)
-    else:
-        g_io, h_io_plus = fact.g, fact.h
 
     # Output equation: project the future map onto the current output, the
     # bottom block of the future stack.
     d_y = ts.d_y
-    h_o = MonomialMap(h_io_plus.L[-d_y:, :], h_io_plus.K).drop_zero_columns()
+    h_o = MonomialMap(fact.h.L[-d_y:, :], fact.h.K).drop_zero_columns()
 
     # Next-state values from the past windows one step later.
     Yminus_next = _past_windows(work.Y, anchors + 1, t_minus)
-    X_next = eval_many_checked(g_io, Yminus_next.T, "the next-state samples")
+    X_next = eval_many_checked(fact.g, Yminus_next.T, "the next-state samples")
 
     # Lift the (state, output) pair.
     k_max_x = _as_bound_vector(cfg.k_max_x, n, "k_max_x")
     y_now = Yplus[-d_y:]  # y(t) at every anchor, the bottom of the future stack
     try:
         K_xy = enumerate_power_matrix(
-            n + d_y, k_max_x + rcfg.k_max_y2, cfg.row_cap, cfg.max_total_degree_xy
+            n + d_y, k_max_x + cfg.k_max_y2, cfg.row_cap, cfg.max_total_degree_xy
         )
     except CapacityError as exc:
         raise CapacityError(
@@ -530,8 +474,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     f_o = MonomialMap(L_f, K_f)
 
     # Per-series initial states at the canonical anchor.
-    Ym_anchor = _past_windows(work.Y, [rcfg.anchor_t], t_minus)
-    X0 = eval_many_checked(g_io, Ym_anchor.T, "the anchor states")
+    Ym_anchor = _past_windows(work.Y, [cfg.anchor_t], t_minus)
+    X0 = eval_many_checked(fact.g, Ym_anchor.T, "the anchor states")
 
     # Training residuals: one-step output error at every pooled column.
     y_hat = eval_many_checked(h_o, X_t.T, "the training predictions")
@@ -556,13 +500,13 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         h_o=h_o,
         X0=X0,
         scaling=scaling,
-        g_io=g_io,
+        g_io=fact.g,
         t_minus=t_minus,
         meta={
-            "config": cfg.echo(),
+            "config": echo,
             "t_plus": t_plus,
             "t_minus": t_minus,
-            "anchor_t": rcfg.anchor_t,
+            "anchor_t": cfg.anchor_t,
             "pooled": pooled,
         },
     )

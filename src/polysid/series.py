@@ -43,13 +43,3 @@ class TimeSeriesSet:
     @property
     def s(self) -> int:
         return self.Y.shape[2]
-
-    def at(self, t: int) -> np.ndarray:
-        """Outputs at 1-based time ``t`` as a ``(d_y, s)`` matrix."""
-        if not 1 <= t <= self.t_1:
-            raise InvalidInputError(f"time {t} outside 1..{self.t_1}")
-        return self.Y[t - 1]
-
-    def series(self, k: int) -> np.ndarray:
-        """Series ``k`` (0-based) as a ``(t_1, d_y)`` array."""
-        return self.Y[:, :, k]

@@ -22,7 +22,6 @@ t_minus_min = 2
 t_plus_max = 2
 t_minus_max = 2
 k_max_y = 1
-balance_state = false
 """
 
 
@@ -138,6 +137,8 @@ class TestConfig:
             "k_max_x =",
             "k_max_y2 =",
             "row_cap = 0",
+            "scale_gamma = 0",
+            "scale_gamma = -1",
         ],
     )
     def test_bad_structural_value_rejected_by_resolved(self, line):

@@ -185,7 +185,7 @@ class TestBurnIn:
         cfg = IdentConfig(
             r1=0.999, r2=0.999, r3=0.001, r4=0.001,
             t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
-            k_max_y=1, balance_state=False,
+            k_max_y=1,
         )
         model, _ = identify(ts, cfg)
         hold = generate(linear_spec(3), 77)
@@ -203,7 +203,7 @@ class TestBurnIn:
         cfg = IdentConfig(
             r1=0.999, r2=0.999, r3=0.001, r4=0.001,
             t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
-            k_max_y=1, pool_windows=False, scale_outputs=False, balance_state=False,
+            k_max_y=1, pool_windows=False, scale_outputs=False,
         )
         model, diag = identify(ts, cfg)
         rep = predict_one_step(model, ts, model.X0, t_start=diag.anchor_t)
@@ -255,6 +255,20 @@ class TestSerialization:
         bad = doc.replace("-0.0225", "0.0").replace("0.0336", "0.0")
         with pytest.raises(ValidationError):
             deserialize_model(bad)
+
+    def test_zero_coefficient_column_round_trips(self):
+        f_o = MonomialMap(np.array([[10.0, 0.0]]), identity_power_matrix(2))
+        h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
+        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o, X0=np.full((1, 2), 0.01))
+        doc = serialize_model(model)
+        back = deserialize_model(doc)
+        assert back.f_o.K.d_v == 1
+        ts = TimeSeriesSet(np.arange(12.0).reshape(6, 1, 2))
+        assert np.array_equal(
+            predict_one_step(back, ts, back.X0).predictions,
+            predict_one_step(model, ts, model.X0).predictions,
+        )
+        assert serialize_model(back) == doc
 
     def test_parse_error_reports_location(self):
         with pytest.raises(ParseError) as err:

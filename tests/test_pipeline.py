@@ -83,15 +83,13 @@ class TestTimeSeriesSet:
         Y = rng.standard_normal((4, 2, 3))
         ts = TimeSeriesSet(Y)
         assert ts.t_1 == 4 and ts.d_y == 2 and ts.s == 3
-        assert np.array_equal(ts.at(2), Y[1])
-        assert np.array_equal(ts.series(1), Y[:, :, 1])
 
 
 def small_decay_config(**overrides) -> IdentConfig:
     base = dict(
         r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
         t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
-        k_max_y=1, balance_state=False,
+        k_max_y=1,
     )
     base.update(overrides)
     return IdentConfig(**base)
@@ -128,7 +126,7 @@ class TestIdentify:
         cfg = IdentConfig(
             r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
             t_plus_max=4, t_minus_max=4, k_max_y=1,
-            max_total_degree_xy=2, scale_gamma=5.0, balance_state=False,
+            max_total_degree_xy=2, scale_gamma=5.0,
         )
         model, diag = identify(train, cfg)
         assert diag.training_relative_rmse <= 1e-6
@@ -182,7 +180,7 @@ class TestIdentify:
         cfg = IdentConfig(
             r1=0.99, r2=0.99, r3=0.01, r4=0.01,
             t_plus_min=1, t_minus_min=1, t_plus_max=8, t_minus_max=8,
-            k_max_y=1, balance_state=False,
+            k_max_y=1,
         )
         _, diag = identify(ts, cfg)
         assert (diag.chosen_t_plus, diag.chosen_t_minus) < (8, 8)
@@ -213,7 +211,7 @@ class TestIdentify:
         cfg = dict(
             r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
             t_plus_max=4, t_minus_max=4, k_max_y=1,
-            max_total_degree_xy=2, scale_gamma=2.0, balance_state=False,
+            max_total_degree_xy=2, scale_gamma=2.0,
         )
         _, diag = identify(train, IdentConfig(**cfg, row_cap=92))
         assert diag.f_monomials_before == 92
@@ -228,6 +226,23 @@ class TestIdentify:
         with pytest.raises(ConfigError):
             identify(ts, small_decay_config(anchor_t=2))  # no room for the past
 
+    def test_resolved_fills_every_default(self, rng):
+        ts = TimeSeriesSet(rng.standard_normal((20, 2, 3)))
+        cfg = IdentConfig(r1=0.9, r2=0.9, r3=0.01, r4=0.01, k_max_y2=(1, 2))
+        res = cfg.resolved(ts)
+        assert type(res) is IdentConfig
+        assert res.t_plus_max == res.t_minus_max == 8
+        assert res.anchor_t == res.t_minus_max + 1
+        assert res.k_max_y == (1, 1) and res.k_max_y2 == (1, 2)
+        assert res.k_max_x == 1  # one entry per state, broadcast later
+        assert res.resolved(ts) == res
+        assert cfg.t_plus_max is None and cfg.anchor_t is None
+        res = IdentConfig(
+            r1=0.9, r2=0.9, r3=0.01, r4=0.01, t_plus_max=4, t_minus_max=3
+        ).resolved(ts)
+        assert (res.t_plus_max, res.t_minus_max, res.anchor_t) == (4, 3, 4)
+        assert res.resolved(ts) == res
+
     def test_threshold_validation(self):
         ts = generate(linear_spec(10, t_1=12), 29)
         with pytest.raises(ConfigError):
@@ -239,7 +254,7 @@ class TestIdentify:
         cfg = IdentConfig(
             r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
             t_plus_max=4, t_minus_max=4, k_max_y=1,
-            max_total_degree_xy=2, scale_gamma=2.0, balance_state=False,
+            max_total_degree_xy=2, scale_gamma=2.0,
         )
         model, _ = identify(train, cfg)
         rep = predict_with_burn_in(model, held)
