@@ -6,12 +6,23 @@ rows, ordered strictly decreasing lexicographically, and indexes the monomial
 vector ``x**K`` whose component ``i`` is ``prod_j x[j] ** K[i, j]``.
 The convention ``0**0 == 1`` applies throughout, so the constant monomial
 evaluates to 1 everywhere.
+
+Monomial vectors are evaluated by :func:`build_data_matrix` along a
+*product chain*: every row is its *parent* (the same row with its last
+nonzero exponent set to 0) times one power of one variable, so a row costs
+one multiply.  The chain is planned once per :class:`PowerMatrix` and cached
+on it; parents missing from ``K`` become auxiliary rows, so sets that are
+not downward-closed evaluate too.  Factors are multiplied in increasing
+variable order, left to right, so every value is bit-identical to the
+per-variable product ``V *= x[j] ** K[:, j]`` over ``j = 0..n-1`` and does
+not depend on which other rows a set contains.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,18 +85,28 @@ class PowerMatrix:
     k_max: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        K = np.asarray(self.K)
+        try:
+            K = np.asarray(self.K)
+        except ValueError as exc:  # ragged rows
+            raise InvalidInputError(f"power matrix must be 2-D: {exc}") from exc
         if K.ndim != 2:
             raise InvalidInputError(f"power matrix must be 2-D, got shape {K.shape}")
         if not np.issubdtype(K.dtype, np.integer):
-            if not np.all(K == np.floor(K)):
+            if K.dtype.kind not in "bf" or not (
+                np.isfinite(K).all() and (K == np.floor(K)).all()
+            ):
                 raise InvalidInputError("power matrix entries must be integers")
+            if K.size and np.abs(K).max() >= 2.0**63:
+                raise InvalidInputError("power matrix entries exceed the int64 range")
             K = K.astype(np.int64)
         else:
             K = K.astype(np.int64, copy=True)
         if K.size and K.min() < 0:
             raise InvalidInputError("power matrix entries must be nonnegative")
-        k_max = tuple(int(k) for k in self.k_max)
+        try:
+            k_max = tuple(int(k) for k in self.k_max)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"k_max entries must be integers: {exc}") from exc
         if len(k_max) != K.shape[1]:
             raise InvalidInputError(
                 f"k_max length {len(k_max)} does not match {K.shape[1]} variables"
@@ -131,6 +152,47 @@ class PowerMatrix:
     def row_degrees(self) -> np.ndarray:
         """Total degree of each row."""
         return self.K.sum(axis=1)
+
+    @cached_property
+    def chain_plan(self) -> tuple[int, list[tuple[int, int, int, int]], list[int]]:
+        """The product chain :func:`build_data_matrix` evaluates, planned once.
+
+        Returns ``(rows, steps, top)``.  Chain rows ``0..d_v-1`` are the rows of
+        ``K``; rows from ``d_v`` on are auxiliary parents missing from ``K``.
+        Each step ``(row, parent, j, e)`` sets ``row = parent * x[j] ** e``,
+        where ``j`` is the row's last nonzero variable, ``e`` its exponent
+        there, and ``parent`` the same row with that exponent set to 0, or
+        ``-1`` when that is the constant monomial.  The constant row itself
+        is the step ``(row, -1, -1, 0)``.  Steps run in ascending total
+        degree, so every parent is computed before its children.  ``top[j]``
+        is the largest exponent of variable ``j`` in ``K``.  The plan
+        is cached on the instance and is not a dataclass field, so it takes
+        no part in ``==``, ``repr`` or ``dataclasses.replace``.
+        """
+        rows = [tuple(r) for r in self.K.tolist()]
+        index = {r: i for i, r in enumerate(rows)}
+        links: list[tuple[int, int, int]] = []
+        # ``rows`` grows while it is scanned: each auxiliary parent appended
+        # here is linked to its own parent later in the same loop.
+        for row in rows:
+            nonzero = [j for j, e in enumerate(row) if e]
+            if not nonzero:
+                links.append((-1, -1, 0))
+                continue
+            j = nonzero[-1]
+            parent = row[:j] + (0,) * (len(row) - j)
+            if len(nonzero) == 1:
+                p = -1
+            elif parent in index:
+                p = index[parent]
+            else:
+                p = index[parent] = len(rows)
+                rows.append(parent)
+            links.append((p, j, row[j]))
+        degree = [sum(r) for r in rows]
+        order = sorted(range(len(rows)), key=degree.__getitem__)
+        top = self.K.max(axis=0).tolist() if self.d_v else [0] * self.n
+        return len(rows), [(i, *links[i]) for i in order], top
 
 
 def identity_power_matrix(n: int) -> PowerMatrix:
@@ -220,7 +282,13 @@ def enumerate_power_matrix(
 
 
 def _as_sample_matrix(samples, n: int) -> np.ndarray:
-    X = np.asarray(samples, dtype=float)
+    try:
+        X = np.asarray(samples)
+        if X.dtype.kind == "c":
+            raise InvalidInputError("samples must be real, got complex entries")
+        X = X.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"samples must be an array of real numbers: {exc}") from exc
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2:
@@ -239,25 +307,50 @@ def _as_sample_matrix(samples, n: int) -> np.ndarray:
 def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
     """Evaluate the monomial vector at every sample.
 
+    Rows are computed along ``pm.chain_plan``, one multiply per row: a row
+    is its parent row (the row with its last nonzero exponent set to 0)
+    times ``x[j] ** e``.  Parents missing from ``K`` are computed as
+    auxiliary rows and dropped from the result.  Each row is thus the
+    product of its factors ``x[j] ** K[i, j]`` in increasing ``j``, left to
+    right, exactly as the per-variable product ``V *= x[j] ** K[:, j]``
+    computes it.  First powers are the samples themselves; higher powers
+    come from numpy's ``pow`` over the table ``x[j] ** np.arange(k + 1)``,
+    not from repeated multiplication, whose last bit can differ.
+
     Args:
-        samples: Array-like of shape ``(s, n)`` (or a list of ``n``-vectors).
+        samples: Array-like of shape ``(s, n)`` (or a list of ``n``-vectors)
+            of finite real numbers.
         pm: Power matrix with ``n`` variables and ``d_v`` rows.
 
     Returns:
         Array of shape ``(d_v, s)`` whose column ``k`` is the monomial vector
         evaluated at ``samples[k]``; sample order is preserved.
+
+    Raises:
+        InvalidInputError: If the samples are not a non-empty 2-D array of
+            finite real numbers.
+        DimensionMismatchError: If the sample dimension is not ``pm.n``.
     """
     X = _as_sample_matrix(samples, pm.n)
-    s = X.shape[0]
-    K = pm.K
-    V = np.ones((pm.d_v, s))
-    # Per-variable power tables avoid repeated exponentiation: exponents
-    # repeat heavily across rows of K.
-    for j in range(pm.n):
-        mx = int(K[:, j].max()) if pm.d_v else 0
-        table = X[:, j][None, :] ** np.arange(mx + 1, dtype=np.int64)[:, None]
-        V *= table[K[:, j], :]
-    return V
+    rows, steps, top = pm.chain_plan
+    XT = np.ascontiguousarray(X.T)
+    # tables[j][e] is x[j] ** e.  ``pow(x, 1)`` is x exactly (the result is
+    # representable), so no table is built for k == 1.  numpy picks its
+    # ``pow`` code path from the operands' shapes and the paths round
+    # differently, so higher powers keep the full ``(k + 1, s)`` table shape.
+    tables = []
+    for j, k in enumerate(top):
+        powers = X[:, j][None, :] ** np.arange(k + 1, dtype=np.int64)[:, None] if k > 1 else ()
+        tables.append([None, XT[j], *powers[2:]])
+    W = np.empty((rows, X.shape[0]))
+    for row, parent, j, e in steps:
+        if j < 0:
+            W[row] = 1.0
+        elif parent < 0:
+            W[row] = tables[j][e]
+        else:
+            np.multiply(W[parent], tables[j][e], out=W[row])
+    return W[: pm.d_v]
 
 
 def partition_power_matrix(pm: PowerMatrix, block_limit: int) -> list[PowerMatrix]:

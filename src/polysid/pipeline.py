@@ -366,8 +366,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         NumericalOverflowError: On non-finite lifted values.
         DegenerateModelError: If every generator is pruned away.
     """
-    echo = cfg.echo()
     cfg = cfg.resolved(ts)
+    echo = cfg.echo()
     diag = IdentDiagnostics(anchor_t=cfg.anchor_t, config_echo=echo)
 
     scaling: OutputScaling | None = None

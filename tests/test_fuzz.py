@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polysid import MonomialMap, OutputScaling, PolysidError, deserialize_model, serialize_model
+from polysid import (
+    MonomialMap,
+    OutputScaling,
+    PolysidError,
+    PowerMatrix,
+    build_data_matrix,
+    deserialize_model,
+    serialize_model,
+)
 from polysid.cli import config_from_kv
 from polysid.dataio import ingest_text
 from polysid.generate import spec_from_kv, spec_to_kv
@@ -132,6 +140,42 @@ def test_spec_fuzzed_value(key, value):
         for line in SPEC_TEXT.splitlines()
     ]
     only_polysid_errors(spec_from_kv, "\n".join(lines))
+
+
+#: Sample entries: numbers small enough that no monomial below overflows,
+#: the non-finite floats, and entries that are not real numbers at all.
+sample_entries = (
+    st.floats(-1e3, 1e3)
+    | st.integers(-1000, 1000)
+    | st.booleans()
+    | st.sampled_from([float("nan"), float("inf"), 10**400, 1 + 2j])
+    | st.complex_numbers(max_magnitude=1e3)
+    | st.text(max_size=4)
+    | st.none()
+)
+samples_like = st.recursive(
+    sample_entries, lambda inner: st.lists(inner, max_size=4), max_leaves=12
+) | st.builds(
+    lambda rows, dtype: np.asarray(rows, dtype=dtype),
+    st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2), max_size=3),
+    st.sampled_from([float, complex, str, object]),
+)
+POWER_MATRIX = PowerMatrix(np.array([[2, 1], [1, 1], [0, 2], [0, 0]]), (2, 2))
+
+
+@fuzz
+@given(samples_like)
+def test_build_data_matrix_arbitrary_samples(samples):
+    only_polysid_errors(build_data_matrix, samples, POWER_MATRIX)
+
+
+@fuzz
+@given(
+    st.recursive(sample_entries, lambda inner: st.lists(inner, max_size=3), max_leaves=8),
+    st.lists(sample_entries, max_size=3) | sample_entries,
+)
+def test_power_matrix_arbitrary_entries(K, k_max):
+    only_polysid_errors(lambda: build_data_matrix(np.ones((2, 2)), PowerMatrix(K, k_max)))
 
 
 @st.composite

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysid import (
     CapacityError,
@@ -16,7 +19,10 @@ from polysid import (
     lex_compare,
     partition_power_matrix,
 )
+from polysid import TimeSeriesSet, predict_one_step, serialize_model
 from polysid.monomials import merge_power_matrices, monomial_name
+
+from conftest import random_model
 
 APPENDIX_K = np.array([[2, 1], [2, 0], [1, 1], [1, 0], [0, 1], [0, 0]])
 
@@ -160,6 +166,22 @@ class TestPowerMatrixInvariants:
         pm = PowerMatrix(np.zeros((0, 3), dtype=int), (1, 1, 1))
         assert pm.d_v == 0 and pm.n == 3
 
+    @pytest.mark.parametrize(
+        "K, k_max",
+        [
+            (np.array([["a"]]), (1,)),
+            (np.array([[1 + 0j]]), (1,)),
+            (np.array([[np.inf]]), (1,)),
+            (np.array([[1e19]]), (1,)),
+            ([[1, 0], [1]], (1, 1)),
+            (np.array([[1]]), ("a",)),
+            (np.array([[1]]), 3),
+        ],
+    )
+    def test_malformed_entries_raise_invalid_input(self, K, k_max):
+        with pytest.raises(InvalidInputError):
+            PowerMatrix(K, k_max)
+
 
 def eval_at(x, pm: PowerMatrix) -> np.ndarray:
     """The monomial vector at one point, through the batch evaluator."""
@@ -246,6 +268,138 @@ class TestBuildDataMatrix:
         with pytest.raises(InvalidInputError):
             build_data_matrix(np.zeros((0, 2)), appendix_matrix())
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [["a", "b"]],
+            [[1.0, 2.0], [3.0]],
+            [[1.0 + 2.0j, 3.0]],
+            np.array([[1.0, 2.0]], dtype=complex),
+            [[10**400, 1.0]],
+            [[None, 1.0]],
+        ],
+    )
+    def test_malformed_samples_raise_invalid_input(self, samples):
+        with pytest.raises(InvalidInputError):
+            build_data_matrix(samples, appendix_matrix())
+
+
+def per_variable_oracle(samples, pm: PowerMatrix) -> np.ndarray:
+    """The evaluator before the product chain: one full pass per variable."""
+    X = np.asarray(samples, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    s = X.shape[0]
+    K = pm.K
+    V = np.ones((pm.d_v, s))
+    for j in range(pm.n):
+        mx = int(K[:, j].max()) if pm.d_v else 0
+        table = X[:, j][None, :] ** np.arange(mx + 1, dtype=np.int64)[:, None]
+        V *= table[K[:, j], :]
+    return V
+
+
+exact = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def power_matrices(draw, max_vars: int = 5):
+    """Any set of rows with exponents up to 4: no constant row or parents needed."""
+    n = draw(st.integers(1, max_vars))
+    rows = draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), max_size=12))
+    slack = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if not rows:
+        return PowerMatrix(np.zeros((0, n), dtype=np.int64), tuple(slack))
+    top = np.max(rows, axis=0)
+    return PowerMatrix.from_rows(rows, tuple(int(t) + e for t, e in zip(top, slack)))
+
+
+def draw_samples(seed: int, s: int, n: int) -> np.ndarray:
+    """Generic floats: full mantissas, signs and magnitudes from 1e-3 to 10."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((s, n)) * 10.0 ** rng.uniform(-3, 1, size=(1, n))
+
+
+class TestChainPlan:
+    """The product chain against the per-variable loop it replaced, bit for bit."""
+
+    @exact
+    @given(power_matrices(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_matches_per_variable_oracle(self, pm, s, seed):
+        X = draw_samples(seed, s, pm.n)
+        assert np.array_equal(build_data_matrix(X, pm), per_variable_oracle(X, pm))
+
+    @exact
+    @given(power_matrices(max_vars=3), st.integers(0, 2**32 - 1))
+    def test_reused_across_sample_counts(self, pm, seed):
+        # 9000 samples exceed numpy's 8192-element buffer, where ``pow``
+        # takes another path than on short rows.
+        for s in (1, 2, 17, 9000, 5):
+            X = draw_samples(seed + s, s, pm.n)
+            assert np.array_equal(build_data_matrix(X, pm), per_variable_oracle(X, pm))
+
+    def test_single_sample_as_vector(self):
+        pm = PowerMatrix(np.array([[4, 1], [0, 3]]), (4, 3))
+        x = np.array([1.1, -0.7])
+        assert np.array_equal(build_data_matrix(x, pm), per_variable_oracle(x, pm))
+
+    def test_empty_matrix(self):
+        pm = PowerMatrix(np.zeros((0, 2), dtype=np.int64), (1, 1))
+        assert build_data_matrix(np.ones((3, 2)), pm).shape == (0, 3)
+
+    def test_exact_powers_and_signed_zero(self):
+        pm = enumerate_power_matrix(2, (4, 4))
+        edges = np.array([0.0, -0.0, 5e-324, 2.0**-1022, 1.0, -1.0, 2.0**200, -(2.0**-300)])
+        X = np.column_stack([edges, edges[::-1]])
+        V = build_data_matrix(X, pm)
+        oracle = per_variable_oracle(X, pm)
+        assert np.array_equal(V, oracle)
+        assert np.array_equal(np.signbit(V), np.signbit(oracle))
+
+    def test_missing_parents_become_auxiliary_rows(self):
+        pm = PowerMatrix(np.array([[2, 1, 3]]), (2, 1, 3))
+        rows, steps, top = pm.chain_plan
+        # (2,1,3) <- (2,1,0) <- (2,0,0) <- constant: two auxiliary rows.
+        assert rows == 3 and top == [2, 1, 3]
+        assert [(j, e) for _, _, j, e in steps] == [(0, 2), (1, 1), (2, 3)]
+        x = np.array([[1.3, -0.4, 2.2]])
+        assert np.array_equal(build_data_matrix(x, pm), per_variable_oracle(x, pm))
+
+    def test_every_parent_precedes_its_children(self):
+        pm = PowerMatrix.from_rows([(3, 0, 1), (1, 2, 2), (0, 0, 4), (0, 0, 0), (2, 2, 0)])
+        rows, steps, _ = pm.chain_plan
+        done = set()
+        for row, parent, _, _ in steps:
+            assert parent < 0 or parent in done
+            done.add(row)
+        assert done == set(range(rows))
+
+    def test_plan_is_not_a_field(self, rng):
+        pm = enumerate_power_matrix(3, (2, 1, 2))
+        twin = PowerMatrix(pm.K, pm.k_max)
+        before = repr(pm)
+        build_data_matrix(rng.standard_normal((4, 3)), pm)
+        assert "chain_plan" in vars(pm) and "chain_plan" not in vars(twin)
+        assert repr(pm) == before == repr(twin)
+        assert pm == pm and [f.name for f in dataclasses.fields(pm)] == ["K", "k_max"]
+        copy = dataclasses.replace(pm)
+        assert "chain_plan" not in vars(copy)
+        assert np.array_equal(copy.K, pm.K) and copy.k_max == pm.k_max
+        # ``==`` compares the K arrays, which only a single entry makes a bool.
+        one = PowerMatrix(np.array([[2]]), (3,))
+        build_data_matrix(np.ones((1, 1)), one)
+        assert one == PowerMatrix(np.array([[2]]), (3,))
+        assert one != PowerMatrix(np.array([[2]]), (2,))
+
+    def test_evaluation_leaves_serialized_model_unchanged(self):
+        rng = np.random.default_rng(11)
+        model = random_model(rng)
+        doc = serialize_model(model)
+        Y = rng.standard_normal((6, model.d_y, model.X0.shape[1]))
+        predict_one_step(model, TimeSeriesSet(Y), model.X0)
+        assert "chain_plan" in vars(model.f_o.K)
+        assert serialize_model(model) == doc
+
 
 class TestPartition:
     def test_reference_split(self):
@@ -271,6 +425,16 @@ class TestPartition:
             assert all(b.d_v <= limit for b in blocks)
             combined = sorted(tuple(r) for b in blocks for r in b.K)
             assert combined == sorted(tuple(r) for r in pm.K)
+
+    @exact
+    @given(power_matrices(), st.integers(1, 14))
+    def test_blocks_are_a_permutation_of_the_rows(self, pm, limit):
+        blocks = partition_power_matrix(pm, limit)
+        assert all(0 < b.d_v <= limit for b in blocks)
+        assert all(b.k_max == pm.k_max for b in blocks)
+        rows = [tuple(r) for b in blocks for r in b.K.tolist()]
+        assert sorted(rows) == sorted(tuple(r) for r in pm.K.tolist())
+        assert len(rows) == pm.d_v
 
     def test_blocks_keep_descending_order(self):
         for block in partition_power_matrix(appendix_matrix(), 4):

@@ -102,6 +102,14 @@ class TestIdentify:
         rep = predict_with_burn_in(model, ts)
         assert np.abs(rep.residuals).max() <= 1e-6
 
+    def test_config_echo_is_resolved(self):
+        ts = generate(decay_spec(20, t_1=12), 7)
+        model, diag = identify(ts, small_decay_config(anchor_t=None, k_max_y2=1))
+        echo = model.meta["config"]
+        assert echo == diag.config_echo
+        assert echo["anchor_t"] == diag.anchor_t == model.meta["anchor_t"] == 3
+        assert echo["k_max_y"] == echo["k_max_y2"] == [1]
+
     def test_constant_series(self):
         Y = np.full((10, 1, 6), 3.25)
         ts = TimeSeriesSet(Y)
