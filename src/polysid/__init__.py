@@ -11,7 +11,6 @@ and evaluates it by one-step-ahead prediction.
 from .errors import (
     CapacityError,
     ConfigError,
-    DegenerateModelError,
     DimensionMismatchError,
     DivergenceError,
     FormatError,
@@ -22,7 +21,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .genred import Factorization, MonomialMap, eliminate_products
+from .genred import MonomialMap
 from .generate import GeneratorSpec, generate
 from .model import (
     ObserverModel,
@@ -39,7 +38,6 @@ from .monomials import (
     build_data_matrix,
     enumerate_power_matrix,
     identity_power_matrix,
-    lex_compare,
     partition_power_matrix,
 )
 from .numred import SvdTruncResult, TruncationTable, lk_reduce, mdtrunc, svd_trunc
@@ -51,10 +49,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "ConfigError",
-    "DegenerateModelError",
     "DimensionMismatchError",
     "DivergenceError",
-    "Factorization",
     "FormatError",
     "GeneratorSpec",
     "IdentConfig",
@@ -76,13 +72,11 @@ __all__ = [
     "build_data_matrix",
     "build_window_vectors",
     "deserialize_model",
-    "eliminate_products",
     "enumerate_power_matrix",
     "generate",
     "identify",
     "identity_power_matrix",
     "initial_state_from_past",
-    "lex_compare",
     "lk_reduce",
     "mdtrunc",
     "partition_power_matrix",

@@ -37,8 +37,9 @@ def config_from_kv(text: str, origin: str = "<config>") -> IdentConfig:
 
     The keys are the fields of :class:`IdentConfig`, each parsed by its
     type; an ``int | Sequence[int]`` bound takes one or several integers.
-    The four thresholds r1..r4 are mandatory; structural parameters fall
-    back to their defaults (echoed into the identification report).
+    The thresholds r1, r2 and r4 are mandatory; structural parameters fall
+    back to their defaults (echoed into the identification report).  The
+    deprecated ``r3`` is still accepted and ignored.
     """
     kv = dataio.parse_kv(text, origin)
     fields = dataclasses.fields(IdentConfig)
@@ -97,12 +98,6 @@ def render_report(diag: IdentDiagnostics) -> str:
     lines.append("GENERATORS")
     lines.append(f"retained_rank_n1 = {diag.n1}")
     lines.append(f"retained_rank_n2 = {diag.n2}")
-    lines.append(
-        f"state_components_before_elimination = {diag.generators_before_elimination}"
-    )
-    lines.append(
-        f"state_components_after_elimination = {diag.generators_after_elimination}"
-    )
     lines.append(f"f_monomials_before = {diag.f_monomials_before}")
     lines.append(f"f_monomials_after = {diag.f_monomials_after}")
     lines.append("")

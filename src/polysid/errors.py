@@ -49,12 +49,6 @@ class DivergenceError(PolysidError):
     code = "DIVERGENCE"
 
 
-class DegenerateModelError(PolysidError):
-    """Identification reduced the model to an empty state."""
-
-    code = "DEGENERATE_MODEL"
-
-
 class FormatError(PolysidError):
     """A series file violates the long-format CSV schema."""
 

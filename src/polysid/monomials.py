@@ -34,28 +34,6 @@ from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 DEFAULT_ROW_CAP = 1_000_000
 
 
-def lex_compare(k1: Sequence[int], k2: Sequence[int]) -> int:
-    """Compare two equal-length power vectors lexicographically.
-
-    Returns:
-        1 if ``k1 > k2``, 0 if equal, -1 if ``k1 < k2``.  The winner at the
-        first differing coordinate decides.
-
-    Raises:
-        InvalidInputError: If the vectors have different lengths.
-    """
-    a = np.asarray(k1)
-    b = np.asarray(k2)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidInputError(
-            f"power vectors must be 1-D and equal length, got {a.shape} vs {b.shape}"
-        )
-    diff = np.flatnonzero(a != b)
-    if diff.size == 0:
-        return 0
-    return 1 if a[diff[0]] > b[diff[0]] else -1
-
-
 def _check_rows_strictly_decreasing(K: np.ndarray) -> None:
     if K.shape[0] <= 1:
         return
@@ -71,7 +49,7 @@ def _check_rows_strictly_decreasing(K: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerMatrix:
     """Integer exponent matrix indexing a monomial vector.
 
@@ -79,6 +57,9 @@ class PowerMatrix:
         K: Array of shape ``(d_v, n)`` of nonnegative integers; rows are
             pairwise distinct and strictly decreasing lexicographically.
         k_max: Per-variable exponent bounds; every ``K[i, j] <= k_max[j]``.
+
+    Two power matrices are equal when their rows and bounds are; equal
+    matrices hash equally.
     """
 
     K: np.ndarray
@@ -119,6 +100,14 @@ class PowerMatrix:
         K.setflags(write=False)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "k_max", k_max)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PowerMatrix):
+            return NotImplemented
+        return self.k_max == other.k_max and np.array_equal(self.K, other.K)
+
+    def __hash__(self) -> int:
+        return hash((self.k_max, self.K.shape, self.K.tobytes()))
 
     @property
     def n(self) -> int:

@@ -15,12 +15,9 @@ import pytest
 from polysid import (
     GeneratorSpec,
     IdentConfig,
-    MonomialMap,
-    PowerMatrix,
     TimeSeriesSet,
     build_data_matrix,
     deserialize_model,
-    eliminate_products,
     enumerate_power_matrix,
     generate,
     identify,
@@ -32,7 +29,6 @@ from polysid import (
     serialize_model,
     svd_trunc,
 )
-from polysid.genred import eval_monomial_map_many
 
 from conftest import linear_spec, polynomial_spec, random_model, reference_fixture_model
 
@@ -45,7 +41,7 @@ def test_a1_linear_round_trip():
     train = generate(linear_spec(50, t_1=30), 1)
     held = generate(linear_spec(10, t_1=30), 2)
     cfg = IdentConfig(
-        r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
+        r1=0.9999, r2=0.9999, r4=0.001,
         t_plus_min=1, t_minus_min=1, t_plus_max=4, t_minus_max=4,
         k_max_y=1, max_total_degree_xy=2, scale_gamma=5.0,
     )
@@ -64,7 +60,7 @@ def test_a2_polynomial_round_trip():
     train = generate(polynomial_spec(60, t_1=20), 11)
     held = generate(polynomial_spec(10, t_1=20), 12)
     cfg = IdentConfig(
-        r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
+        r1=0.9999, r2=0.9999, r4=0.001,
         t_plus_min=1, t_minus_min=1, t_plus_max=4, t_minus_max=4,
         k_max_y=1, max_total_degree_xy=2, scale_gamma=2.0,
     )
@@ -169,38 +165,11 @@ def test_a6_lk_reduce_properties():
     assert ok
 
 
-def test_a7_eliminate_products():
-    rng = np.random.default_rng(7)
-    K = PowerMatrix(np.array([[1, 1], [1, 0], [0, 1]]), (1, 1))
-    L = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    g_r = MonomialMap(L, K)
-    samples = rng.uniform(-2, 2, size=(100, 2))
-    fact = eliminate_products(np.eye(3), g_r, samples, 1e-10)
-    y_ref = np.eye(3) @ eval_monomial_map_many(g_r, samples)
-    x_new = eval_monomial_map_many(fact.g, samples)
-    y_new = eval_monomial_map_many(fact.h, x_new.T)
-    diff = np.abs(y_ref - y_new).max(axis=0)
-    preserved = bool((diff <= 1e-10 * (1 + np.abs(y_ref).max(axis=0))).all())
-    reduced = fact.d_x == 2
-
-    K2 = PowerMatrix(np.array([[1, 0], [0, 2]]), (1, 2))
-    g_ind = MonomialMap(np.eye(2), K2)
-    fact2 = eliminate_products(np.eye(2), g_ind, samples, 1e-10)
-    unchanged = fact2.d_x == 2 and fact2.g is g_ind
-    ok = preserved and reduced and unchanged
-    report(
-        "A7", ok,
-        f"d_x 3->2: {reduced}, value preservation <= 1e-10: {preserved}, "
-        f"independent set unchanged: {unchanged}",
-    )
-    assert ok
-
-
 def test_a8_observer_causality():
     rng = np.random.default_rng(8)
     train = generate(linear_spec(30, t_1=24), 21)
     cfg = IdentConfig(
-        r1=0.999, r2=0.999, r3=0.001, r4=0.001,
+        r1=0.999, r2=0.999, r4=0.001,
         t_plus_min=2, t_minus_min=2, t_plus_max=3, t_minus_max=3,
         k_max_y=1, max_total_degree_xy=2,
     )

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polysid import ConfigError, ParseError, deserialize_model, serialize_model
+from polysid import (
+    ConfigError,
+    IdentConfig,
+    ParseError,
+    deserialize_model,
+    identify,
+    serialize_model,
+)
 from polysid.cli import config_from_kv, main
 from polysid.dataio import emit
 from polysid.generate import spec_to_kv, generate
@@ -15,7 +22,6 @@ from conftest import decay_spec, linear_spec, reference_fixture_model
 CONFIG = """\
 r1 = 0.999
 r2 = 0.999
-r3 = 0.001
 r4 = 0.001
 t_plus_min = 2
 t_minus_min = 2
@@ -109,7 +115,7 @@ class TestErrors:
         data = tmp / "train.csv"
         run(["gen", "--spec", spec_path, "--seed", "5", "--out", data])
         bad_cfg = tmp / "bad.cfg"
-        bad_cfg.write_text("r1 = 0.9\nr2 = 0.9\nr4 = 0.001\n")
+        bad_cfg.write_text("r1 = 0.9\nr2 = 0.9\n")
         code = run(["identify", "--data", data, "--config", bad_cfg,
                     "--out-model", tmp / "m.json", "--report", tmp / "r.txt"])
         err = capsys.readouterr().err
@@ -144,7 +150,7 @@ class TestConfig:
     def test_bad_structural_value_rejected_by_resolved(self, line):
         ts = generate(decay_spec(20, t_1=12), 5)
         base = (
-            "r1 = 0.99\nr2 = 0.99\nr3 = 0.01\nr4 = 0.01\n"
+            "r1 = 0.99\nr2 = 0.99\nr4 = 0.01\n"
             "t_plus_max = 2\nt_minus_max = 2\n"
         )
         config_from_kv(base).resolved(ts)
@@ -153,21 +159,33 @@ class TestConfig:
         assert line.split()[0] in str(err.value)
 
     def test_keys_and_types_follow_the_config_fields(self):
-        thresholds = "r1 = 0.9\nr2 = 0.9\nr3 = 0.01\nr4 = 0.01\n"
+        thresholds = "r1 = 0.9\nr2 = 0.9\nr4 = 0.01\n"
         cfg = config_from_kv(
             thresholds
             + "k_max_y = 2\nk_max_x = 1 2\nanchor_t = 5\npool_windows = yes\n"
             "scale_gamma = 2\nmax_total_degree_xy = 3\n"
         )
-        assert (cfg.r3, cfg.k_max_y, cfg.k_max_x) == (0.01, 2, (1, 2))
+        assert (cfg.r4, cfg.k_max_y, cfg.k_max_x) == (0.01, 2, (1, 2))
         assert (cfg.anchor_t, cfg.pool_windows, cfg.scale_gamma) == (5, True, 2.0)
         assert cfg.max_total_degree_xy == 3
-        with pytest.raises(ConfigError, match="threshold 'r3' is mandatory"):
-            config_from_kv(thresholds.replace("r3 = 0.01\n", ""))
+        with pytest.raises(ConfigError, match="threshold 'r4' is mandatory"):
+            config_from_kv(thresholds.replace("r4 = 0.01\n", ""))
         with pytest.raises(ConfigError, match="unknown config keys: colour"):
             config_from_kv(thresholds + "colour = red\n")
         with pytest.raises(ParseError, match="anchor_t"):
             config_from_kv(thresholds + "anchor_t = 2.5\n")
+
+    def test_deprecated_r3_warns_and_changes_nothing(self):
+        ts = generate(decay_spec(20, t_1=12), 5)
+        plain = config_from_kv(CONFIG)
+        with_r3 = [IdentConfig(**{**plain.__dict__, "r3": 0.001}),
+                   config_from_kv(CONFIG + "r3 = 0.001\n")]
+        expected = serialize_model(identify(ts, plain)[0])
+        for cfg in with_r3:
+            assert cfg.r3 == 0.001
+            with pytest.warns(FutureWarning, match="r3 is ignored"):
+                model, _ = identify(ts, cfg)
+            assert serialize_model(model) == expected
 
 
 class TestInspect:

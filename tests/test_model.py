@@ -183,7 +183,7 @@ class TestBurnIn:
     def test_initial_state_matches_manual_lifting(self):
         ts = generate(linear_spec(30), 5)
         cfg = IdentConfig(
-            r1=0.999, r2=0.999, r3=0.001, r4=0.001,
+            r1=0.999, r2=0.999, r4=0.001,
             t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
             k_max_y=1,
         )
@@ -201,7 +201,7 @@ class TestBurnIn:
     def test_replay_matches_training_diagnostics(self):
         ts = generate(linear_spec(25), 31)
         cfg = IdentConfig(
-            r1=0.999, r2=0.999, r3=0.001, r4=0.001,
+            r1=0.999, r2=0.999, r4=0.001,
             t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
             k_max_y=1, pool_windows=False, scale_outputs=False,
         )

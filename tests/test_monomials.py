@@ -16,7 +16,6 @@ from polysid import (
     PowerMatrix,
     build_data_matrix,
     enumerate_power_matrix,
-    lex_compare,
     partition_power_matrix,
 )
 from polysid import TimeSeriesSet, predict_one_step, serialize_model
@@ -29,41 +28,6 @@ APPENDIX_K = np.array([[2, 1], [2, 0], [1, 1], [1, 0], [0, 1], [0, 0]])
 
 def appendix_matrix() -> PowerMatrix:
     return PowerMatrix(APPENDIX_K, (2, 1))
-
-
-class TestLexCompare:
-    def test_examples(self):
-        assert lex_compare((2, 1), (2, 0)) == 1
-        assert lex_compare((1, 0), (1, 0)) == 0
-        assert lex_compare((1, 3), (2, 0)) == -1
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            lex_compare((1, 2), (1, 2, 3))
-
-    def test_total_order_properties(self, rng):
-        vecs = rng.integers(0, 4, size=(60, 3))
-        for _ in range(300):
-            a, b, c = vecs[rng.integers(0, 60, size=3)]
-            ab = lex_compare(a, b)
-            # antisymmetry
-            assert ab == -lex_compare(b, a)
-            # totality: equal iff identical
-            assert (ab == 0) == bool(np.array_equal(a, b))
-            # transitivity
-            if ab >= 0 and lex_compare(b, c) >= 0:
-                assert lex_compare(a, c) >= 0
-
-    def test_matches_tuple_order(self, rng):
-        for _ in range(200):
-            a = tuple(rng.integers(0, 5, size=4))
-            b = tuple(rng.integers(0, 5, size=4))
-            # The oracle compares Python ints: comparing tuples of numpy ints
-            # yields numpy bools, which numpy refuses to subtract.
-            # lex_compare still gets the numpy-int tuples.
-            pa, pb = tuple(map(int, a)), tuple(map(int, b))
-            expected = (pa > pb) - (pa < pb)
-            assert lex_compare(a, b) == expected
 
 
 class TestEnumerate:
@@ -181,6 +145,22 @@ class TestPowerMatrixInvariants:
     def test_malformed_entries_raise_invalid_input(self, K, k_max):
         with pytest.raises(InvalidInputError):
             PowerMatrix(K, k_max)
+
+    def test_value_equality_and_hash(self):
+        pm = appendix_matrix()
+        same = PowerMatrix(APPENDIX_K.copy(), (2, 1))
+        assert pm == same and not pm != same
+        assert hash(pm) == hash(same)
+        assert {pm: 1}[same] == 1
+        other_rows = PowerMatrix(APPENDIX_K[1:], (2, 1))
+        other_bound = PowerMatrix(APPENDIX_K, (3, 1))
+        # Same shape and bound as other_bound, one row different.
+        other_entries = PowerMatrix(np.vstack([[[3, 1]], APPENDIX_K[:-1]]), (3, 1))
+        for other in (other_rows, other_bound, other_entries):
+            assert pm != other and not pm == other
+        assert other_bound != other_entries
+        assert len({pm, same, other_rows, other_bound, other_entries}) == 4
+        assert pm != APPENDIX_K.tolist()
 
 
 def eval_at(x, pm: PowerMatrix) -> np.ndarray:

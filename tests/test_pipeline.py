@@ -17,6 +17,7 @@ from polysid import (
     enumerate_power_matrix,
     generate,
     identify,
+    identity_power_matrix,
     predict_with_burn_in,
     serialize_model,
     svd_trunc,
@@ -87,7 +88,7 @@ class TestTimeSeriesSet:
 
 def small_decay_config(**overrides) -> IdentConfig:
     base = dict(
-        r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
+        r1=0.9999, r2=0.9999, r4=0.001,
         t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
         k_max_y=1,
     )
@@ -129,10 +130,17 @@ class TestIdentify:
         full = {tuple(r) for r in enumerate_power_matrix(3, (1, 1, 1)).K}
         assert {tuple(r) for r in model.f_o.K.K} <= full
 
+    def test_state_map_is_the_pruned_generators(self):
+        ts = generate(polynomial_spec(60), 11)
+        model, diag = identify(ts, small_decay_config(t_plus_max=3, t_minus_max=3))
+        assert model.n == diag.n1 == model.g_io.m
+        assert model.h_o.K == identity_power_matrix(model.n)
+        assert model.h_o.L.shape == (ts.d_y, model.n)
+
     def test_model_class_closure(self):
         train = generate(linear_spec(50), 3)
         cfg = IdentConfig(
-            r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
+            r1=0.9999, r2=0.9999, r4=0.001,
             t_plus_max=4, t_minus_max=4, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=5.0,
         )
@@ -186,7 +194,7 @@ class TestIdentify:
         levels = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
         ts = TimeSeriesSet(np.broadcast_to(levels, (40, 1, 8)).copy())
         cfg = IdentConfig(
-            r1=0.99, r2=0.99, r3=0.01, r4=0.01,
+            r1=0.99, r2=0.99, r4=0.01,
             t_plus_min=1, t_minus_min=1, t_plus_max=8, t_minus_max=8,
             k_max_y=1,
         )
@@ -217,7 +225,7 @@ class TestIdentify:
         # degree-2 dictionary 92 and the largest past dictionary 16.
         train = generate(polynomial_spec(60), 11)
         cfg = dict(
-            r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
+            r1=0.9999, r2=0.9999, r4=0.001,
             t_plus_max=4, t_minus_max=4, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=2.0,
         )
@@ -236,7 +244,7 @@ class TestIdentify:
 
     def test_resolved_fills_every_default(self, rng):
         ts = TimeSeriesSet(rng.standard_normal((20, 2, 3)))
-        cfg = IdentConfig(r1=0.9, r2=0.9, r3=0.01, r4=0.01, k_max_y2=(1, 2))
+        cfg = IdentConfig(r1=0.9, r2=0.9, r4=0.01, k_max_y2=(1, 2))
         res = cfg.resolved(ts)
         assert type(res) is IdentConfig
         assert res.t_plus_max == res.t_minus_max == 8
@@ -246,7 +254,7 @@ class TestIdentify:
         assert res.resolved(ts) == res
         assert cfg.t_plus_max is None and cfg.anchor_t is None
         res = IdentConfig(
-            r1=0.9, r2=0.9, r3=0.01, r4=0.01, t_plus_max=4, t_minus_max=3
+            r1=0.9, r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=3
         ).resolved(ts)
         assert (res.t_plus_max, res.t_minus_max, res.anchor_t) == (4, 3, 4)
         assert res.resolved(ts) == res
@@ -260,7 +268,7 @@ class TestIdentify:
         train = generate(polynomial_spec(60), 11)
         held = generate(polynomial_spec(10), 1999)
         cfg = IdentConfig(
-            r1=0.9999, r2=0.9999, r3=0.001, r4=0.001,
+            r1=0.9999, r2=0.9999, r4=0.001,
             t_plus_max=4, t_minus_max=4, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=2.0,
         )
