@@ -38,7 +38,6 @@ from .monomials import (
     build_data_matrix,
     enumerate_power_matrix,
     identity_power_matrix,
-    partition_power_matrix,
 )
 from .numred import SvdTruncResult, TruncationTable, lk_reduce, mdtrunc, svd_trunc
 from .pipeline import IdentConfig, IdentDiagnostics, build_window_vectors, identify
@@ -79,7 +78,6 @@ __all__ = [
     "initial_state_from_past",
     "lk_reduce",
     "mdtrunc",
-    "partition_power_matrix",
     "predict_one_step",
     "predict_with_burn_in",
     "serialize_model",

@@ -39,7 +39,7 @@ def config_from_kv(text: str, origin: str = "<config>") -> IdentConfig:
     type; an ``int | Sequence[int]`` bound takes one or several integers.
     The thresholds r1, r2 and r4 are mandatory; structural parameters fall
     back to their defaults (echoed into the identification report).  The
-    deprecated ``r3`` is still accepted and ignored.
+    deprecated ``r3`` and ``block_limit`` are still accepted and ignored.
     """
     kv = dataio.parse_kv(text, origin)
     fields = dataclasses.fields(IdentConfig)
@@ -73,20 +73,16 @@ def render_report(diag: IdentDiagnostics) -> str:
     lines.append(f"columns = {diag.n_columns}")
     lines.append(f"chosen_t_plus = {diag.chosen_t_plus}")
     lines.append(f"chosen_t_minus = {diag.chosen_t_minus}")
-    lines.append("t_plus t_minus block n1 rows_presented rows_kept")
+    lines.append("t_plus t_minus n1 rows_presented rows_kept")
     for rec in diag.reductions:
         lines.append(
-            f"{rec.t_plus} {rec.t_minus} {rec.block_index}/{rec.block_count} "
-            f"{rec.n1} {rec.rows_presented} {rec.rows_kept}"
+            f"{rec.t_plus} {rec.t_minus} {rec.n1} {rec.rows_presented} {rec.rows_kept}"
         )
     lines.append("")
 
     lines.append("TABLE1")
     for rec in diag.reductions:
-        lines.append(
-            f"# t_plus={rec.t_plus} t_minus={rec.t_minus} "
-            f"block={rec.block_index}/{rec.block_count}"
-        )
+        lines.append(f"# t_plus={rec.t_plus} t_minus={rec.t_minus}")
         lines.append(rec.table1.to_text())
     lines.append("")
 

@@ -35,9 +35,12 @@ DOCUMENT_FORMAT = "polysid-model"
 DOCUMENT_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputScaling:
-    """Per-dimension affine output transform ``y_scaled = (y - mean) / std``."""
+    """Per-dimension affine output transform ``y_scaled = (y - mean) / std``.
+
+    Two transforms are equal when their means and deviations are.
+    """
 
     mean: np.ndarray
     std: np.ndarray
@@ -54,6 +57,11 @@ class OutputScaling:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OutputScaling):
+            return NotImplemented
+        return np.array_equal(self.mean, other.mean) and np.array_equal(self.std, other.std)
+
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Raw outputs to scaled units; broadcasts over trailing axes."""
         extra = (None,) * (y.ndim - 1)
@@ -64,7 +72,7 @@ class OutputScaling:
         return y_scaled * self.std[(slice(None),) + extra] + self.mean[(slice(None),) + extra]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObserverModel:
     """Discrete-time polynomial observer system.
 
@@ -80,6 +88,8 @@ class ObserverModel:
             initial-state computation from measured history.
         t_minus: Past-window length expected by ``g_io``.
         meta: Free-form provenance (config echo, horizons, anchor).
+
+    Two models are equal when every attribute is.
     """
 
     n: int
@@ -122,6 +132,14 @@ class ObserverModel:
         X0 = X0.copy()
         X0.setflags(write=False)
         object.__setattr__(self, "X0", X0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObserverModel):
+            return NotImplemented
+        rest = ("n", "d_y", "f_o", "h_o", "scaling", "g_io", "t_minus", "meta")
+        return np.array_equal(self.X0, other.X0) and all(
+            getattr(self, name) == getattr(other, name) for name in rest
+        )
 
 
 @dataclass(frozen=True)

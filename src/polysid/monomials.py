@@ -138,10 +138,6 @@ class PowerMatrix:
         """Return the sub-matrix of the given rows, preserving their order."""
         return PowerMatrix(self.K[np.asarray(indices, dtype=np.intp)], self.k_max)
 
-    def row_degrees(self) -> np.ndarray:
-        """Total degree of each row."""
-        return self.K.sum(axis=1)
-
     @cached_property
     def chain_plan(self) -> tuple[int, list[tuple[int, int, int, int]], list[int]]:
         """The product chain :func:`build_data_matrix` evaluates, planned once.
@@ -340,39 +336,6 @@ def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
         else:
             np.multiply(W[parent], tables[j][e], out=W[row])
     return W[: pm.d_v]
-
-
-def partition_power_matrix(pm: PowerMatrix, block_limit: int) -> list[PowerMatrix]:
-    """Split a power matrix into row blocks of at most ``block_limit`` rows.
-
-    Blocks are emitted lowest-order first: rows are ranked by ascending total
-    degree with ties broken by ascending lexicographic order, then chunked.
-    Within each block rows keep the decreasing-lex power-matrix invariant.
-    The concatenation of all blocks is a permutation of the input rows.
-    """
-    if block_limit < 1:
-        raise InvalidInputError(f"block_limit must be positive, got {block_limit}")
-    K = pm.K
-    deg = pm.row_degrees()
-    # np.lexsort: last key is primary.  Ascending degree, then ascending lex.
-    keys = tuple(K[:, j] for j in reversed(range(pm.n))) + (deg,)
-    order = np.lexsort(keys)
-    blocks = []
-    for start in range(0, pm.d_v, block_limit):
-        chunk = K[order[start : start + block_limit]]
-        desc = chunk[np.lexsort(tuple(chunk[:, j] for j in reversed(range(pm.n))))][::-1]
-        blocks.append(PowerMatrix(desc, pm.k_max))
-    return blocks
-
-
-def merge_power_matrices(a: PowerMatrix, b: PowerMatrix) -> PowerMatrix:
-    """Union of two power matrices over the same variables, sorted and deduplicated."""
-    if a.n != b.n:
-        raise InvalidInputError(
-            f"cannot merge power matrices over {a.n} and {b.n} variables"
-        )
-    k_max = tuple(max(x, y) for x, y in zip(a.k_max, b.k_max))
-    return PowerMatrix.from_rows(np.vstack([a.K, b.K]), k_max)
 
 
 def monomial_name(k: Sequence[int], var_names: Sequence[str]) -> str:

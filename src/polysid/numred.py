@@ -25,12 +25,13 @@ from .monomials import PowerMatrix
 SINGULAR_VALUE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncationTable:
     """Cumulative mass fractions of a descending nonnegative diagonal.
 
     Entry ``j`` (1-based) holds ``sum(D[:j]) / sum(D)``; fractions are
-    nondecreasing and the final entry equals 1 exactly.
+    nondecreasing and the final entry equals 1 exactly.  Two tables are
+    equal when their fractions are.
     """
 
     fractions: np.ndarray
@@ -39,6 +40,11 @@ class TruncationTable:
         fr = np.asarray(self.fractions, dtype=float)
         fr.setflags(write=False)
         object.__setattr__(self, "fractions", fr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruncationTable):
+            return NotImplemented
+        return np.array_equal(self.fractions, other.fractions)
 
     def __len__(self) -> int:
         return self.fractions.size

@@ -19,9 +19,18 @@ training sets, the 21 identifications of the test suite, and 45 linear,
 polynomial and pooled sets at 0 to 5% output noise), so it was removed.
 
 An outer loop grows the future/past window lengths step by step, monitoring
-the retained rank; when the past dictionary is large it is consumed in
-ascending-order blocks, accumulating surviving generators.  The model is
-built from the window matrices of the last window lengths tried.
+the retained rank.  Each step lifts the full past dictionary once, with one
+truncated SVD and one pruning.  This departs from the paper too, which
+feeds a large past dictionary to the SVD in ascending-degree blocks, each
+merged with the generators that survived pruning of the blocks before it.
+The pruning never dropped a row of a block before the last, so the last
+merged block was the full dictionary in the same order and gave the same
+model.  An implementation of the blocks left every model it was measured on
+unchanged (24 pooled benchmark training sets, 2 smaller pooled sets,
+the linear and polynomial acceptance sets at block limits 2, 4 and 8,
+3 pooled sets at 0.1 to 1% output noise, and a two-output polynomial
+system at block limits 16 to 128), so it was removed.  The model is built
+from the window matrices of the last window lengths tried.
 """
 
 from __future__ import annotations
@@ -47,15 +56,13 @@ from .monomials import (
     build_data_matrix,
     enumerate_power_matrix,
     identity_power_matrix,
-    merge_power_matrices,
-    partition_power_matrix,
 )
-from .numred import TruncationTable, lk_reduce, svd_trunc
+from .numred import SvdTruncResult, TruncationTable, lk_reduce, svd_trunc
 from .series import TimeSeriesSet
 
-# The removed elimination stage; never called, kept while the benchmark's
-# tracer still patches this name.
-eliminate_products = None
+# The removed elimination stage and block path; never called, kept while the
+# benchmark's tracer still patches these names.
+eliminate_products = partition_power_matrix = merge_power_matrices = None
 
 
 def _past_windows(Y: np.ndarray, anchors, length: int) -> np.ndarray:
@@ -119,6 +126,13 @@ def _as_bound_vector(value, length: int, name: str) -> tuple[int, ...]:
     return bounds
 
 
+#: Deprecated ``IdentConfig`` fields, each with why it is ignored.
+_IGNORED_FIELDS = (
+    ("r3", "generator-product elimination was removed"),
+    ("block_limit", "the past dictionary is reduced in one pass"),
+)
+
+
 @dataclass
 class IdentConfig:
     """Parameters of the identification pipeline.
@@ -140,8 +154,6 @@ class IdentConfig:
             length ``n``).
         k_max_y2: Per-output exponent bound of the dynamics lifting (scalar
             or length ``d_y``).
-        block_limit: Past dictionaries above this row count are consumed in
-            ascending-order blocks.
         anchor_t: Anchor time; defaults to ``t_minus_max + 1``.
         pool_windows: Pool every admissible anchor as extra data columns;
             ``None`` enables pooling automatically when the series count is
@@ -162,8 +174,12 @@ class IdentConfig:
             dictionary, the past lifting and the (state, output) lifting,
             checked on the true row count before allocation.
         r3: Deprecated and ignored: the tolerance of the removed
-            generator-product elimination.  Setting it warns with a
-            ``FutureWarning``; the resolved config sets it to ``None``.
+            generator-product elimination.
+        block_limit: Deprecated and ignored: the past dictionary row count
+            above which the removed block path split the dictionary.
+
+    Setting a deprecated field warns with a ``FutureWarning``; the resolved
+    config sets it to ``None``.
     """
 
     r1: float
@@ -176,7 +192,6 @@ class IdentConfig:
     k_max_y: int | Sequence[int] = 1
     k_max_x: int | Sequence[int] = 1
     k_max_y2: int | Sequence[int] = 1
-    block_limit: int = 500
     anchor_t: int | None = None
     pool_windows: bool | None = None
     max_total_degree_xy: int | None = None
@@ -184,6 +199,7 @@ class IdentConfig:
     scale_gamma: float = 1.0
     row_cap: int = DEFAULT_ROW_CAP
     r3: float | None = None
+    block_limit: int | None = None
 
     def resolved(self, ts: TimeSeriesSet) -> "IdentConfig":
         """Validate against a data set and return a copy with every default filled in.
@@ -196,12 +212,9 @@ class IdentConfig:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1), got {v}")
-        if self.r3 is not None:
-            warnings.warn(
-                "r3 is ignored: generator-product elimination was removed",
-                FutureWarning,
-                stacklevel=2,
-            )
+        for name, reason in _IGNORED_FIELDS:
+            if getattr(self, name) is not None:
+                warnings.warn(f"{name} is ignored: {reason}", FutureWarning, stacklevel=2)
         t_plus_max = 8 if self.t_plus_max is None else self.t_plus_max
         t_minus_max = 8 if self.t_minus_max is None else self.t_minus_max
         if not (1 <= self.t_plus_min <= t_plus_max):
@@ -212,8 +225,6 @@ class IdentConfig:
             raise ConfigError(
                 f"need 1 <= t_minus_min <= t_minus_max, got {self.t_minus_min}..{t_minus_max}"
             )
-        if self.block_limit < 1:
-            raise ConfigError("block_limit must be positive")
         if self.row_cap < 1:
             raise ConfigError(f"row_cap must be positive, got {self.row_cap}")
         if self.max_total_degree_xy is not None and self.max_total_degree_xy < 0:
@@ -241,7 +252,7 @@ class IdentConfig:
             )
         return replace(
             self,
-            r3=None,
+            **{name: None for name, _ in _IGNORED_FIELDS},
             t_plus_max=t_plus_max,
             t_minus_max=t_minus_max,
             anchor_t=anchor,
@@ -261,12 +272,10 @@ class IdentConfig:
 
 @dataclass(frozen=True)
 class ReductionRecord:
-    """Diagnostics of one (window, block) reduction cycle."""
+    """Diagnostics of the past-to-future reduction at one window step."""
 
     t_plus: int
     t_minus: int
-    block_index: int
-    block_count: int
     rows_presented: int
     rows_kept: int
     n1: int
@@ -309,59 +318,25 @@ def eval_many_checked(M: MonomialMap, samples, what: str) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class _CycleResult:
-    C_vplus: np.ndarray
-    L_g: np.ndarray
-    K_g: PowerMatrix
-    n1: int
+def _reduce_past(
+    Yplus: np.ndarray, Yminus: np.ndarray, K_past: PowerMatrix, cfg: IdentConfig
+) -> tuple[SvdTruncResult, MonomialMap]:
+    """Regress the future windows on the lifted past ones and prune the generators.
 
-
-def _reduction_cycles(
-    Yplus: np.ndarray,
-    Yminus_samples: np.ndarray,
-    K_full: PowerMatrix,
-    t_plus: int,
-    t_minus: int,
-    cfg: IdentConfig,
-    diag: IdentDiagnostics,
-) -> _CycleResult:
-    """Run the lifting / SVD / pruning cycles for one window length over ``K_full``."""
-    if K_full.d_v > cfg.block_limit:
-        blocks = partition_power_matrix(K_full, cfg.block_limit)
-    else:
-        blocks = [K_full]
-
-    K_kept: PowerMatrix | None = None
-    result: _CycleResult | None = None
-    for b_idx, block in enumerate(blocks):
-        K_work = block if K_kept is None else merge_power_matrices(K_kept, block)
-        V_minus = build_data_matrix(Yminus_samples, K_work)
-        _check_finite("the lifted past windows", V_minus)
-        res1 = svd_trunc(Yplus, V_minus, cfg.r1)
-        if Yplus.shape[1] <= res1.n:
-            raise RankDeficiencyError(
-                f"{Yplus.shape[1]} data columns for retained rank {res1.n}; "
-                "supply more series or enable window pooling\n"
-                f"singular value mass table:\n{res1.table.to_text()}"
-            )
-        L_g, K_g, _ = lk_reduce(res1.L, K_work, cfg.r4)
-        diag.reductions.append(
-            ReductionRecord(
-                t_plus=t_plus,
-                t_minus=t_minus,
-                block_index=b_idx + 1,
-                block_count=len(blocks),
-                rows_presented=K_work.d_v,
-                rows_kept=K_g.d_v,
-                n1=res1.n,
-                table1=res1.table,
-            )
+    Returns the truncated-SVD result and the pruned generators, the state
+    map ``x = g(y_minus)``.
+    """
+    V_minus = build_data_matrix(Yminus.T, K_past)
+    _check_finite("the lifted past windows", V_minus)
+    res1 = svd_trunc(Yplus, V_minus, cfg.r1)
+    if Yplus.shape[1] <= res1.n:
+        raise RankDeficiencyError(
+            f"{Yplus.shape[1]} data columns for retained rank {res1.n}; "
+            "supply more series or enable window pooling\n"
+            f"singular value mass table:\n{res1.table.to_text()}"
         )
-        K_kept = K_g
-        result = _CycleResult(C_vplus=res1.C, L_g=L_g, K_g=K_g, n1=res1.n)
-    assert result is not None
-    return result
+    L_g, K_g, _ = lk_reduce(res1.L, K_past, cfg.r4)
+    return res1, MonomialMap(L_g, K_g)
 
 
 def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentDiagnostics]:
@@ -369,9 +344,9 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
 
     The pipeline, in order: window construction around the anchor time (with
     optional anchor pooling); monomial lifting of past windows with the
-    future side kept linear; block-wise truncated-SVD regression of the
-    future on the lifted past with column pruning, whose pruned generators
-    are the state map ``x = g(y_minus)``; the output map ``h_o``, linear in
+    future side kept linear; truncated-SVD regression of the future on the
+    lifted past with column pruning, whose pruned generators are the state
+    map ``x = g(y_minus)``; the output map ``h_o``, linear in
     the state, from the current-output rows of the future map; next-state
     evaluation on shifted windows; monomial lifting of the (state, output)
     pair; truncated-SVD regression of the next state with column pruning;
@@ -380,8 +355,10 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     retained rank plateaus; the returned model comes from the final windows.
 
     The paper's generator factorization is deliberately left out: it
-    changed none of the 226 models it was measured on (see the module
-    docstring).
+    changed none of the 226 models it was measured on.  So is its blocked
+    reduction of large past dictionaries: each window step reduces the full
+    dictionary in one pass, which gave the same model on every set the
+    blocks were measured on (see the module docstring).
 
     Returns:
         The identified model and the full diagnostics.
@@ -414,7 +391,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         t_plus = min(cfg.t_plus_min + step, cfg.t_plus_max)
         t_minus = min(cfg.t_minus_min + step, cfg.t_minus_max)
         try:
-            K_full = enumerate_power_matrix(
+            K_past = enumerate_power_matrix(
                 t_minus * ts.d_y, cfg.k_max_y * t_minus, cap=cfg.row_cap
             )
         except CapacityError as exc:
@@ -422,7 +399,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         pooled = (
             cfg.pool_windows
             if cfg.pool_windows is not None
-            else ts.s < 4 * K_full.d_v
+            else ts.s < 4 * K_past.d_v
         )
         anchors = (
             np.arange(t_minus + 1, work.t_1 - t_plus + 2)
@@ -431,8 +408,18 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         )
         Yplus = _past_windows(work.Y, anchors + t_plus, t_plus)
         Yminus = _past_windows(work.Y, anchors, t_minus)
-        final = _reduction_cycles(Yplus, Yminus.T, K_full, t_plus, t_minus, cfg, diag)
-        n1_history.append(final.n1)
+        res1, g_io = _reduce_past(Yplus, Yminus, K_past, cfg)
+        diag.reductions.append(
+            ReductionRecord(
+                t_plus=t_plus,
+                t_minus=t_minus,
+                rows_presented=K_past.d_v,
+                rows_kept=g_io.K.d_v,
+                n1=res1.n,
+                table1=res1.table,
+            )
+        )
+        n1_history.append(res1.n)
         if (
             len(n1_history) >= 3
             and n1_history[-1] == n1_history[-2] == n1_history[-3]
@@ -443,16 +430,15 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     diag.chosen_t_plus, diag.chosen_t_minus = t_plus, t_minus
     diag.pooled = pooled
     diag.anchors = anchors.tolist()
-    diag.n1 = final.n1
+    diag.n1 = res1.n
     diag.n_columns = Yplus.shape[1]
 
     # The pruned generators are the state map.  The output map takes the
     # rows of the future map that give the current output, the bottom block
     # of the future stack.
-    g_io = MonomialMap(final.L_g, final.K_g)
     n = g_io.m
     d_y = ts.d_y
-    h_o = MonomialMap(final.C_vplus[-d_y:], identity_power_matrix(n)).drop_zero_columns()
+    h_o = MonomialMap(res1.C[-d_y:], identity_power_matrix(n)).drop_zero_columns()
 
     X_t = eval_many_checked(g_io, Yminus.T, "the state samples")
 

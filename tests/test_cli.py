@@ -175,15 +175,18 @@ class TestConfig:
         with pytest.raises(ParseError, match="anchor_t"):
             config_from_kv(thresholds + "anchor_t = 2.5\n")
 
-    def test_deprecated_r3_warns_and_changes_nothing(self):
+    @pytest.mark.parametrize(
+        "name, value", [("r3", 0.001), ("block_limit", 2)], ids=["r3", "block_limit"]
+    )
+    def test_deprecated_r3_warns_and_changes_nothing(self, name, value):
         ts = generate(decay_spec(20, t_1=12), 5)
         plain = config_from_kv(CONFIG)
-        with_r3 = [IdentConfig(**{**plain.__dict__, "r3": 0.001}),
-                   config_from_kv(CONFIG + "r3 = 0.001\n")]
+        with_value = [IdentConfig(**{**plain.__dict__, name: value}),
+                      config_from_kv(CONFIG + f"{name} = {value}\n")]
         expected = serialize_model(identify(ts, plain)[0])
-        for cfg in with_r3:
-            assert cfg.r3 == 0.001
-            with pytest.warns(FutureWarning, match="r3 is ignored"):
+        for cfg in with_value:
+            assert getattr(cfg, name) == value
+            with pytest.warns(FutureWarning, match=f"{name} is ignored"):
                 model, _ = identify(ts, cfg)
             assert serialize_model(model) == expected
 

@@ -69,7 +69,7 @@ SPEC_TEXT = spec_to_kv(linear_spec(4, t_1=6))
 SPEC_KEYS = [line.split("=")[0].strip() for line in SPEC_TEXT.splitlines()]
 CONFIG_KEYS = [
     "r1", "r2", "r3", "r4", "t_plus_min", "t_minus_max", "k_max_y", "k_max_x",
-    "pool_windows", "scale_gamma", "max_total_degree_xy", "anchor_t",
+    "pool_windows", "scale_gamma", "max_total_degree_xy", "anchor_t", "block_limit",
 ]
 #: Numbers, with the edges of int64 and of float64 drawn often.
 numbers = st.integers() | st.floats() | st.sampled_from([2**63, -(2**63) - 1, 10**400])

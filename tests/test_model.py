@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -214,6 +216,29 @@ class TestBurnIn:
         model = decay_model()
         with pytest.raises(InvalidInputError):
             predict_with_burn_in(model, TimeSeriesSet(rng.standard_normal((5, 1, 1))))
+
+
+class TestValueEquality:
+    def test_output_scaling(self):
+        scaling = OutputScaling([0.0, 1.0], [1.0, 2.0])
+        assert scaling == OutputScaling(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        assert scaling != OutputScaling([0.5, 1.0], [1.0, 2.0])
+        assert scaling != OutputScaling([0.0, 1.0], [1.0, 3.0])
+        assert scaling != [[0.0, 1.0], [1.0, 2.0]]
+        with pytest.raises(TypeError):
+            hash(scaling)
+
+    def test_observer_model(self):
+        model = reference_fixture_model()
+        assert model == copy.deepcopy(model)
+        assert model == deserialize_model(serialize_model(model))
+        assert model != dataclasses.replace(model, X0=model.X0 + 1e-12)
+        assert model != dataclasses.replace(model, meta={"t_minus": 1})
+        scaled = dataclasses.replace(model, scaling=OutputScaling([0.0], [2.0]))
+        assert scaled != model
+        assert scaled == copy.deepcopy(scaled)
+        with pytest.raises(TypeError):
+            hash(model)
 
 
 class TestSerialization:

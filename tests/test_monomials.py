@@ -16,10 +16,9 @@ from polysid import (
     PowerMatrix,
     build_data_matrix,
     enumerate_power_matrix,
-    partition_power_matrix,
 )
 from polysid import TimeSeriesSet, predict_one_step, serialize_model
-from polysid.monomials import merge_power_matrices, monomial_name
+from polysid.monomials import monomial_name
 
 from conftest import random_model
 
@@ -85,7 +84,7 @@ class TestEnumerate:
         full = enumerate_power_matrix(len(k_max), k_max)
         for max_degree in range(sum(k_max) + 3):
             pm = enumerate_power_matrix(len(k_max), k_max, max_degree=max_degree)
-            expected = full.K[full.row_degrees() <= max_degree]
+            expected = full.K[full.K.sum(axis=1) <= max_degree]
             assert np.array_equal(pm.K, expected)
             assert pm.k_max == full.k_max
 
@@ -94,7 +93,7 @@ class TestEnumerate:
         # degree-2 set has 1 + 24 + C(24, 2) = 301.
         pm = enumerate_power_matrix(24, (1,) * 24, max_degree=2)
         assert pm.d_v == 301
-        assert (pm.row_degrees() <= 2).all()
+        assert (pm.K.sum(axis=1) <= 2).all()
 
     def test_capacity_checks_true_count(self):
         # 1 + 5 + 15 = 21 rows of degree <= 2 over (2,)*5; the box has 243.
@@ -379,58 +378,6 @@ class TestChainPlan:
         predict_one_step(model, TimeSeriesSet(Y), model.X0)
         assert "chain_plan" in vars(model.f_o.K)
         assert serialize_model(model) == doc
-
-
-class TestPartition:
-    def test_reference_split(self):
-        blocks = partition_power_matrix(appendix_matrix(), 3)
-        assert len(blocks) == 2
-        assert {tuple(r) for r in blocks[0].K} == {(0, 0), (0, 1), (1, 0)}
-        assert {tuple(r) for r in blocks[1].K} == {(1, 1), (2, 0), (2, 1)}
-
-    def test_large_limit_single_block(self):
-        blocks = partition_power_matrix(appendix_matrix(), 6)
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0].K, APPENDIX_K)
-
-    def test_unit_limit_singletons_ascending(self):
-        blocks = partition_power_matrix(appendix_matrix(), 1)
-        rows = [tuple(b.K[0]) for b in blocks]
-        assert rows == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-
-    def test_partition_is_permutation(self, rng):
-        pm = enumerate_power_matrix(3, (2, 1, 2))
-        for limit in (1, 4, 7, 100):
-            blocks = partition_power_matrix(pm, limit)
-            assert all(b.d_v <= limit for b in blocks)
-            combined = sorted(tuple(r) for b in blocks for r in b.K)
-            assert combined == sorted(tuple(r) for r in pm.K)
-
-    @exact
-    @given(power_matrices(), st.integers(1, 14))
-    def test_blocks_are_a_permutation_of_the_rows(self, pm, limit):
-        blocks = partition_power_matrix(pm, limit)
-        assert all(0 < b.d_v <= limit for b in blocks)
-        assert all(b.k_max == pm.k_max for b in blocks)
-        rows = [tuple(r) for b in blocks for r in b.K.tolist()]
-        assert sorted(rows) == sorted(tuple(r) for r in pm.K.tolist())
-        assert len(rows) == pm.d_v
-
-    def test_blocks_keep_descending_order(self):
-        for block in partition_power_matrix(appendix_matrix(), 4):
-            rows = [tuple(r) for r in block.K]
-            assert rows == sorted(rows, reverse=True)
-
-    def test_bad_limit(self):
-        with pytest.raises(InvalidInputError):
-            partition_power_matrix(appendix_matrix(), 0)
-
-
-def test_merge_power_matrices():
-    a = PowerMatrix(np.array([[1, 0], [0, 0]]), (1, 1))
-    b = PowerMatrix(np.array([[1, 1], [1, 0]]), (1, 1))
-    merged = merge_power_matrices(a, b)
-    assert [tuple(r) for r in merged.K] == [(1, 1), (1, 0), (0, 0)]
 
 
 def test_monomial_name():

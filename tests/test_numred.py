@@ -11,6 +11,7 @@ from polysid import (
     DimensionMismatchError,
     InvalidInputError,
     PowerMatrix,
+    TruncationTable,
     lk_reduce,
     mdtrunc,
     svd_trunc,
@@ -31,6 +32,15 @@ def brute_force_n_r(D, r) -> int:
 
 
 class TestMdtrunc:
+    def test_table_value_equality(self):
+        table = TruncationTable([0.5, 1.0])
+        assert table == TruncationTable(np.array([0.5, 1.0]))
+        assert table == mdtrunc([1.0, 1.0], 0.5)[2]
+        assert table != TruncationTable([0.6, 1.0])
+        assert table != TruncationTable([1.0])
+        with pytest.raises(TypeError):
+            hash(table)
+
     def test_hand_example(self):
         n_r, D_r, table = mdtrunc([3.0, 1.0, 0.5, 0.5], 0.8)
         assert n_r == 2

@@ -181,13 +181,25 @@ class TestIdentify:
         bound = np.linalg.norm(Yplus) * max(float(discarded), 1e-9)
         assert recon <= bound
 
-    def test_diagnostics_record_each_block(self):
+    def test_one_reduction_per_window_step(self, monkeypatch):
+        calls = []
+
+        def counting_svd_trunc(*args):
+            calls.append(args)
+            return svd_trunc(*args)
+
+        monkeypatch.setattr("polysid.pipeline.svd_trunc", counting_svd_trunc)
         ts = generate(linear_spec(30), 13)
-        cfg = small_decay_config(block_limit=2, t_plus_min=2, t_minus_min=2)
+        cfg = small_decay_config(t_plus_min=1, t_minus_min=1, t_plus_max=3, t_minus_max=3)
         _, diag = identify(ts, cfg)
-        final = [r for r in diag.reductions if (r.t_plus, r.t_minus) == (2, 2)]
-        assert len(final) == final[0].block_count
-        assert [r.block_index for r in final] == list(range(1, len(final) + 1))
+        steps = [(r.t_plus, r.t_minus) for r in diag.reductions]
+        assert steps == [(k, k) for k in range(1, len(steps) + 1)]
+        assert steps[-1] == (diag.chosen_t_plus, diag.chosen_t_minus)
+        for r in diag.reductions:
+            past = enumerate_power_matrix(r.t_minus, (1,) * r.t_minus)
+            assert r.rows_presented == past.d_v
+        # one past-to-future SVD per step, then the dynamics regression
+        assert len(calls) == len(steps) + 1
 
     def test_levinson_plateau_stops_early(self):
         # per-series constant data saturates the retained rank immediately
@@ -200,9 +212,7 @@ class TestIdentify:
         )
         _, diag = identify(ts, cfg)
         assert (diag.chosen_t_plus, diag.chosen_t_minus) < (8, 8)
-        iteration_n1 = [
-            r.n1 for r in diag.reductions if r.block_index == r.block_count
-        ]
+        iteration_n1 = [r.n1 for r in diag.reductions]
         assert iteration_n1[-1] == iteration_n1[-2] == iteration_n1[-3]
 
     def test_rank_deficiency_error(self):
