@@ -118,7 +118,7 @@ def _coeff_rows(L: np.ndarray) -> list[str]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = spec_from_kv(Path(args.spec).read_text(), args.spec)
+    spec = spec_from_kv(dataio.read_document(args.spec), args.spec)
     ts = generate(spec, args.seed)
     dataio.emit(ts, args.out)
     print(f"wrote {ts.s} series of length {ts.t_1} (d_y={ts.d_y}) to {args.out}")
@@ -127,7 +127,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_identify(args: argparse.Namespace) -> int:
     ts = dataio.ingest(args.data)
-    cfg = config_from_kv(Path(args.config).read_text(), args.config)
+    cfg = config_from_kv(dataio.read_document(args.config), args.config)
     model, diag = identify(ts, cfg)
     Path(args.out_model).write_text(serialize_model(model) + "\n")
     Path(args.report).write_text(render_report(diag))
@@ -140,13 +140,14 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    model = deserialize_model(Path(args.model).read_text())
+    model = deserialize_model(dataio.read_document(args.model))
     ts = dataio.ingest(args.data)
     report = predict_with_burn_in(model, ts)
     d = model.d_y
     columns = [f"yhat{i + 1}" for i in range(d)] + [f"resid{i + 1}" for i in range(d)]
     values = np.concatenate([report.predictions, report.residuals], axis=1)
-    Path(args.out).write_text(dataio.long_csv_text(columns, values, report.t_start))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        dataio.write_long_csv(fh, columns, values, report.t_start)
     print(
         f"predicted t={report.t_start}..{ts.t_1} for {ts.s} series; max relative "
         f"RMSE {report.max_relative_rmse:.3g}; wrote {args.out}"
@@ -155,7 +156,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model = deserialize_model(Path(args.model).read_text())
+    model = deserialize_model(dataio.read_document(args.model))
     ts = dataio.ingest(args.data)
     report = predict_with_burn_in(model, ts)
     print("dimension rmse relative_rmse")
@@ -165,7 +166,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    model = deserialize_model(Path(args.model).read_text())
+    model = deserialize_model(dataio.read_document(args.model))
     x_names, y_names = _model_var_names(model)
     print(f"n = {model.n}")
     print(f"d_y = {model.d_y}")

@@ -2,37 +2,69 @@
 
 Series files are long-format CSV with header ``series,t,y1,...,y{d_y}``:
 one row per (series, time) pair, times running 1..t_1 without gaps and the
-same length for every series.
+same length for every series.  Both directions stream in chunks of about
+``CHUNK_ROWS`` rows, converting whole columns at a time, so the memory they
+use beyond the arrays of the set is bounded by the chunk.
 
 Config and generator-spec documents are flat ``key = value`` text; vectors
 are comma- or space-separated numbers and matrices separate rows with ``;``.
+Every input file is read as UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from itertools import chain, islice, repeat
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 from .errors import FormatError, ParseError
 from .series import TimeSeriesSet
 
+CHUNK_ROWS = 8192
+"""Records read, or rows written, per chunk of a series file."""
+
+
+def read_document(path: str | Path) -> str:
+    """The text of a key-value or model document.
+
+    Raises:
+        ParseError: If the file is not UTF-8 text.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
 
 def ingest(path: str | Path) -> TimeSeriesSet:
     """Read a series file into memory.
 
-    Series are ordered by ascending series id, times by t.
+    Series are ordered by ascending series id, times by t.  The file is
+    read in chunks of ``CHUNK_ROWS`` records; each chunk is checked and
+    converted column by column, and nothing of size ``t_1 x s`` is
+    allocated before the row count is known to equal ``s * t_1``.
 
     Raises:
-        FormatError: On a malformed header, a gap or duplicate in ``t``
-            (named by series and time), ragged dimensions, or non-numeric
-            values.
+        FormatError: On text that is not UTF-8 or not CSV, a malformed
+            header, a row of the wrong field count or with non-numeric
+            values, a time below 1, a duplicate or a gap in ``t`` (named by
+            series and time), or no data rows.  A file with several faults
+            names one: chunk by chunk in file order, a CSV error in a chunk
+            comes first, then the chunk's first row with the wrong field
+            count, a non-numeric value or ``t < 1``; after the last chunk,
+            the first duplicate in file order, then the first gap in order
+            of series id and time.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        return _ingest_rows(fh, str(path))
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            return _ingest_rows(fh, str(path))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def ingest_text(text: str, origin: str = "<string>") -> TimeSeriesSet:
@@ -66,47 +98,97 @@ def _parse_rows(reader, origin: str) -> TimeSeriesSet:
             f"{','.join(header[2:])}"
         )
 
-    data: dict[int, dict[int, list[float]]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2 + d_y:
-            raise FormatError(
-                f"{origin}:{line_no}: expected {2 + d_y} fields, got {len(row)}"
-            )
-        try:
-            sid = int(row[0])
-            t = int(row[1])
-            values = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            raise FormatError(f"{origin}:{line_no}: {exc}") from exc
-        if t < 1:
-            raise FormatError(f"{origin}:{line_no}: times must start at 1, got t={t}")
-        per_series = data.setdefault(sid, {})
-        if t in per_series:
-            raise FormatError(f"{origin}: duplicate time t={t} in series {sid}")
-        per_series[t] = values
-
-    if not data:
+    chunks = []
+    line_no = 2
+    while chunk := list(islice(reader, CHUNK_ROWS)):
+        columns = _chunk_columns(chunk, line_no, 2 + d_y, origin)
+        line_no += len(chunk)
+        if columns is not None:
+            chunks.append(columns)
+    if not chunks:
         raise FormatError(f"{origin}: no data rows")
-    t_1 = max(max(times) for times in data.values())
-    for sid in sorted(data):
-        times = data[sid]
-        for t in range(1, t_1 + 1):
-            if t not in times:
-                raise FormatError(f"{origin}: missing time t={t} in series {sid}")
+    sid, t, values = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
+    return TimeSeriesSet(_series_array(sid, t, values, origin))
 
-    sids = sorted(data)
-    Y = np.empty((t_1, d_y, len(sids)))
-    for k, sid in enumerate(sids):
-        for t in range(1, t_1 + 1):
-            Y[t - 1, :, k] = data[sid][t]
-    return TimeSeriesSet(Y)
+
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _chunk_columns(chunk: list[list[str]], line_no: int, width: int, origin: str):
+    """``(sid, t, values)`` arrays of one chunk, ``values`` of shape ``(d_y, rows)``.
+
+    Returns None for a chunk of blank rows.  ``line_no`` is the line of the
+    chunk's first record.
+    """
+    rows = chunk
+    if set(map(len, chunk)) != {width}:
+        rows = [row for row in chunk if not _is_blank(row)]
+        if set(map(len, rows)) - {width}:
+            raise _row_fault(chunk, line_no, width, origin)
+        if not rows:
+            return None
+    cells = list(zip(*rows))
+    try:
+        sid, t = _int_column(cells[0]), _int_column(cells[1])
+        values = np.array([np.fromiter(map(float, c), np.float64, len(c)) for c in cells[2:]])
+    except ValueError:
+        raise _row_fault(chunk, line_no, width, origin) from None
+    if t.min() < 1:
+        raise _row_fault(chunk, line_no, width, origin)
+    return sid, t, values
+
+
+def _int_column(cells: tuple[str, ...]) -> np.ndarray:
+    try:
+        return np.fromiter(map(int, cells), np.int64, len(cells))
+    except OverflowError:  # beyond int64: keep Python ints
+        return np.array(list(map(int, cells)), dtype=object)
+
+
+def _row_fault(chunk: list[list[str]], line_no: int, width: int, origin: str) -> FormatError:
+    """The error for the first faulty row of a chunk that failed its checks."""
+    for line_no, row in enumerate(chunk, start=line_no):
+        if _is_blank(row):
+            continue
+        if len(row) != width:
+            return FormatError(f"{origin}:{line_no}: expected {width} fields, got {len(row)}")
+        try:
+            int(row[0])
+            t = int(row[1])
+            [float(v) for v in row[2:]]
+        except ValueError as exc:
+            return FormatError(f"{origin}:{line_no}: {exc}")
+        if t < 1:
+            return FormatError(f"{origin}:{line_no}: times must start at 1, got t={t}")
+    raise AssertionError("a chunk that failed its checks has a faulty row")
+
+
+def _series_array(sid: np.ndarray, t: np.ndarray, values: np.ndarray, origin: str) -> np.ndarray:
+    """``Y[t - 1, dim, series]`` from rows in any order, after the set-wide checks."""
+    order = np.lexsort((t, sid))
+    sid_s, t_s = sid[order], t[order]
+    same_sid = sid_s[1:] == sid_s[:-1]
+    dup = same_sid & (t_s[1:] == t_s[:-1])
+    if dup.any():
+        i = order[1:][dup].min()
+        raise FormatError(f"{origin}: duplicate time t={t[i]} in series {sid[i]}")
+    starts = np.flatnonzero(np.concatenate(([True], ~same_sid)))
+    s, t_1 = starts.size, int(t_s.max())
+    if sid.size != s * t_1:
+        counts = np.diff(np.append(starts, sid.size))
+        g = np.flatnonzero(counts != t_1)[0]
+        times = t_s[starts[g]:starts[g] + counts[g]]
+        gaps = np.flatnonzero(times != np.arange(1, counts[g] + 1))
+        missing = gaps[0] + 1 if gaps.size else counts[g] + 1
+        raise FormatError(f"{origin}: missing time t={missing} in series {sid_s[starts[g]]}")
+    return values[:, order].reshape(-1, s, t_1).transpose(2, 0, 1)
 
 
 def emit(ts: TimeSeriesSet, path: str | Path) -> None:
     """Write a series set as a series file (canonical float formatting)."""
-    Path(path).write_text(emit_text(ts))
+    with Path(path).open("w", encoding="utf-8") as fh:
+        write_long_csv(fh, [f"y{i + 1}" for i in range(ts.d_y)], ts.Y)
 
 
 def emit_text(ts: TimeSeriesSet) -> str:
@@ -114,17 +196,44 @@ def emit_text(ts: TimeSeriesSet) -> str:
 
 
 def long_csv_text(columns: list[str], values: np.ndarray, t_start: int = 1) -> str:
+    """The text :func:`write_long_csv` writes."""
+    out = io.StringIO()
+    write_long_csv(out, columns, values, t_start)
+    return out.getvalue()
+
+
+def write_long_csv(
+    fh: TextIO, columns: list[str], values: np.ndarray, t_start: int = 1
+) -> None:
     """Long-format CSV: header ``series,t,<columns>``, one row per (series, time).
 
     ``values`` has shape ``(steps, len(columns), s)``; step ``i`` of series
     ``k`` is written as series ``k + 1`` at time ``t_start + i``.  Floats use
-    their shortest exact ``repr``.
+    their shortest exact ``repr``.  Rows go out in blocks of whole series,
+    about ``CHUNK_ROWS`` rows each, one ``write`` per block.
     """
-    lines = ["series,t," + ",".join(columns)]
-    for k in range(values.shape[2]):
-        for i, row in enumerate(values[:, :, k].tolist()):
-            lines.append(f"{k + 1},{t_start + i}," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    fh.write("series,t," + ",".join(columns) + "\n")
+    steps, width, s = values.shape
+    if steps == 0:
+        return
+    series_per_block = max(1, CHUNK_ROWS // steps)
+    t_cells = [f"{t_start + i}," for i in range(steps)]
+    # Per row: "k,", "t,", then the cells separated by "," and ended by "\n".
+    stride = max(2 * width + 2, 3)
+    for k0 in range(0, s, series_per_block):
+        block = values[:, :, k0:k0 + series_per_block]
+        n_series = block.shape[2]
+        rows = steps * n_series
+        cells = list(map(repr, block.transpose(2, 0, 1).ravel().tolist()))
+        tokens = [","] * (rows * stride)
+        tokens[0::stride] = list(chain.from_iterable(
+            repeat(f"{k + 1},", steps) for k in range(k0, k0 + n_series)
+        ))
+        tokens[1::stride] = t_cells * n_series
+        for j in range(width):
+            tokens[2 + 2 * j::stride] = cells[j::width]
+        tokens[stride - 1::stride] = ["\n"] * rows
+        fh.write("".join(tokens))
 
 
 # ---------------------------------------------------------------------------

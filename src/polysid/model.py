@@ -142,7 +142,7 @@ class ObserverModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionReport:
     """One-step predictions, residuals and error summaries.
 
@@ -150,6 +150,7 @@ class PredictionReport:
     ``t = t_start .. t_start + T' - 1``.  Residuals are exactly
     ``y(t) - yhat(t | t-1)``.  Relative RMSE divides by the per-dimension
     standard deviation of the measured outputs over the evaluated range.
+    Two reports are equal when all their fields are.
     """
 
     t_start: int
@@ -158,6 +159,14 @@ class PredictionReport:
     rmse: np.ndarray         # (d_y,)
     relative_rmse: np.ndarray  # (d_y,)
     per_series_rmse: np.ndarray  # (s,)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PredictionReport):
+            return NotImplemented
+        arrays = ("predictions", "residuals", "rmse", "relative_rmse", "per_series_rmse")
+        return self.t_start == other.t_start and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
+        )
 
     @property
     def max_relative_rmse(self) -> float:

@@ -97,7 +97,7 @@ def mdtrunc(D, r: float) -> tuple[int, np.ndarray, TruncationTable]:
     return n_r, D_r, TruncationTable(fractions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdTruncResult:
     """Output of the truncated-SVD linear approximation.
 
@@ -109,6 +109,8 @@ class SvdTruncResult:
             ``L @ V_u`` is the reduced state.
         H_star: Full regression matrix ``C @ L``, ``d_vy x d_vu``.
         table: Cumulative-mass table of the positive singular values.
+
+    Two results are equal when all their fields are.
     """
 
     n: int
@@ -117,6 +119,14 @@ class SvdTruncResult:
     L: np.ndarray
     H_star: np.ndarray
     table: TruncationTable
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SvdTruncResult):
+            return NotImplemented
+        return (self.n, self.table) == (other.n, other.table) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("D_n", "C", "L", "H_star")
+        )
 
 
 def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:

@@ -36,7 +36,7 @@ from the window matrices of the last window lengths tried.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -282,9 +282,12 @@ class ReductionRecord:
     table1: TruncationTable
 
 
-@dataclass
+@dataclass(eq=False)
 class IdentDiagnostics:
-    """Everything the pipeline observed on its way to the model."""
+    """Everything the pipeline observed on its way to the model.
+
+    Two diagnostics are equal when all their fields are.
+    """
 
     anchor_t: int = 0
     pooled: bool = False
@@ -301,6 +304,14 @@ class IdentDiagnostics:
     training_rmse_per_series: np.ndarray | None = None
     training_relative_rmse: float = float("nan")
     config_echo: dict = field(default_factory=dict)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IdentDiagnostics):
+            return NotImplemented
+        rest = [f.name for f in fields(self) if f.name != "training_rmse_per_series"]
+        return np.array_equal(
+            self.training_rmse_per_series, other.training_rmse_per_series
+        ) and [getattr(self, name) for name in rest] == [getattr(other, name) for name in rest]
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:

@@ -131,6 +131,39 @@ class TestErrors:
         assert code != 0
         assert "error: IO:" in err
 
+    @pytest.mark.parametrize(
+        "command, bad, code",
+        [
+            ("gen", "spec", "PARSE"),
+            ("identify", "data", "FORMAT"),
+            ("identify", "config", "PARSE"),
+            ("predict", "data", "FORMAT"),
+            ("predict", "model", "PARSE"),
+            ("evaluate", "model", "PARSE"),
+            ("inspect", "model", "PARSE"),
+        ],
+    )
+    def test_non_utf8_input_is_handled(self, workspace, capsys, command, bad, code):
+        tmp, spec_path, cfg_path = workspace
+        data_path, model_path = tmp / "data.csv", tmp / "model.json"
+        emit(generate(decay_spec(400, t_1=12), 1), data_path)
+        model_path.write_text(serialize_model(reference_fixture_model()))
+        path = {"spec": spec_path, "data": data_path, "config": cfg_path, "model": model_path}[bad]
+        text = path.read_bytes()
+        path.write_bytes(text[: len(text) // 2] + b"\xff" + text[len(text) // 2:])
+        argv = {
+            "gen": ["gen", "--spec", spec_path, "--seed", 1, "--out", tmp / "out.csv"],
+            "identify": ["identify", "--data", data_path, "--config", cfg_path,
+                         "--out-model", tmp / "m.json", "--report", tmp / "r.txt"],
+            "predict": ["predict", "--model", model_path, "--data", data_path,
+                        "--out", tmp / "p.csv"],
+            "evaluate": ["evaluate", "--model", model_path, "--data", data_path],
+            "inspect": ["inspect", "--model", model_path],
+        }[command]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {code}: {path}: not UTF-8 text:")
+
 
 class TestConfig:
     @pytest.mark.parametrize(

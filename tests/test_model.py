@@ -240,6 +240,33 @@ class TestValueEquality:
         with pytest.raises(TypeError):
             hash(model)
 
+    @staticmethod
+    def a1_identified():
+        cfg = IdentConfig(
+            r1=0.9999, r2=0.9999, r4=0.001,
+            t_plus_min=1, t_minus_min=1, t_plus_max=4, t_minus_max=4,
+            k_max_y=1, max_total_degree_xy=2, scale_gamma=5.0,
+        )
+        return identify(generate(linear_spec(50, t_1=30), 1), cfg)
+
+    def test_prediction_report(self):
+        model, _ = self.a1_identified()
+        rep = predict_with_burn_in(model, generate(linear_spec(10, t_1=30), 2))
+        assert rep == copy.deepcopy(rep)
+        assert rep != dataclasses.replace(rep, residuals=rep.residuals + 1e-12)
+        assert rep != dataclasses.replace(rep, t_start=rep.t_start + 1)
+        with pytest.raises(TypeError):
+            hash(rep)
+
+    def test_ident_diagnostics(self):
+        _, diag = self.a1_identified()
+        assert diag == copy.deepcopy(diag)
+        assert diag != dataclasses.replace(
+            diag, training_rmse_per_series=diag.training_rmse_per_series * 2
+        )
+        assert diag != dataclasses.replace(diag, training_rmse_per_series=None)
+        assert diag != dataclasses.replace(diag, n1=diag.n1 + 1)
+
 
 class TestSerialization:
     def test_reference_fixture_round_trip(self):

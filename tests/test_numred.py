@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +42,14 @@ class TestMdtrunc:
         assert table != TruncationTable([1.0])
         with pytest.raises(TypeError):
             hash(table)
+
+    def test_svd_result_value_equality(self, rng):
+        res = svd_trunc(rng.standard_normal((3, 20)), rng.standard_normal((4, 20)), 0.99)
+        assert res == copy.deepcopy(res)
+        assert res != dataclasses.replace(res, C=res.C + 1e-12)
+        assert res != dataclasses.replace(res, n=res.n + 1)
+        with pytest.raises(TypeError):
+            hash(res)
 
     def test_hand_example(self):
         n_r, D_r, table = mdtrunc([3.0, 1.0, 0.5, 0.5], 0.8)

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polysid import (
     DivergenceError,
@@ -17,6 +22,7 @@ from polysid import (
     generate,
     identity_power_matrix,
 )
+from polysid import dataio
 from polysid.dataio import (
     emit,
     emit_text,
@@ -24,6 +30,7 @@ from polysid.dataio import (
     ingest_text,
     kv_bool,
     kv_matrix,
+    long_csv_text,
     parse_kv,
 )
 from polysid.generate import spec_from_kv, spec_to_kv
@@ -75,6 +82,101 @@ class TestIngest:
             again = ingest(path)
             assert np.array_equal(again.Y, ts.Y)
             assert emit_text(again) == emit_text(ts)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "<string>: empty file, header row required"),
+            ("sid,t,y1\n1,1,0.5\n", "<string>: header must be 'series,t,y1,...', got sid,t,y1"),
+            ("series,t,a1\n1,1,0.5\n", "<string>: output columns must be y1, got a1"),
+            ("series,t,y1\n1,1,0.5\n1,2\n", "<string>:3: expected 3 fields, got 2"),
+            ("series,t,y1\n1,1,0.5\n1,x,0.6\n",
+             "<string>:3: invalid literal for int() with base 10: 'x'"),
+            ("series,t,y1\n1,1,0.5\n1,2,abc\n",
+             "<string>:3: could not convert string to float: 'abc'"),
+            ("series,t,y1\n1,1,0.5\n1,0,0.6\n", "<string>:3: times must start at 1, got t=0"),
+            ("series,t,y1\n1,1,0.5\n1,2,0.6\n1,1,0.7\n",
+             "<string>: duplicate time t=1 in series 1"),
+            ("series,t,y1\n1,1,0.5\n1,2,0.6\n1,2,0.7\n1,1,0.8\n",
+             "<string>: duplicate time t=2 in series 1"),
+            ("series,t,y1\n2,1,0.5\n2,3,0.7\n2,2,0.6\n1,1,0.5\n1,3,0.7\n",
+             "<string>: missing time t=2 in series 1"),
+            ("series,t,y1\n1,1,0.5\n1,2,0.6\n2,1,0.5\n",
+             "<string>: missing time t=2 in series 2"),
+            ("series,t,y1\n\n", "<string>: no data rows"),
+        ],
+    )
+    def test_fault_messages(self, text, message):
+        with pytest.raises(FormatError) as err:
+            ingest_text(text)
+        assert str(err.value) == message
+
+    def test_far_time_fails_before_allocating(self):
+        with pytest.raises(FormatError, match="^<string>: missing time t=1 in series 1$"):
+            ingest_text("series,t,y1\n1,1000000000000,0.5\n")
+
+    def test_series_ids_beyond_int64(self):
+        ts = ingest_text("series,t,y1\n100000000000000000000,1,0.5\n1,1,0.25\n")
+        assert np.array_equal(ts.Y, [[[0.25, 0.5]]])
+
+    # In chunks of 4 records: the second chunk is blank, the third ends blank.
+    CHUNKED = ["1,1,0.5", "", "1,2,0.6", "  ", "", "", "", "", "1,3,0.7",
+               "2,1,1.5", "2,2,1.6", "", "2,3,1.7", "3,1,2.5", "3,2,2.6", "3,3,2.7"]
+
+    def test_blank_lines_inside_and_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataio, "CHUNK_ROWS", 4)
+        ts = ingest_text("series,t,y1\n" + "\n".join(self.CHUNKED) + "\n")
+        assert np.array_equal(ts.Y[:, 0, :], [[0.5, 1.5, 2.5], [0.6, 1.6, 2.6], [0.7, 1.7, 2.7]])
+
+    @pytest.mark.parametrize("index", [8, 11, 15])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("3,3", "expected 3 fields, got 2"),
+            ("3,3,x", "could not convert string to float: 'x'"),
+            ("3,-2,0.5", "times must start at 1, got t=-2"),
+        ],
+    )
+    def test_faults_after_the_first_chunk_name_their_line(self, monkeypatch, index, row, message):
+        monkeypatch.setattr(dataio, "CHUNK_ROWS", 4)
+        rows = list(self.CHUNKED)
+        rows[index] = row
+        with pytest.raises(FormatError) as err:
+            ingest_text("series,t,y1\n" + "\n".join(rows) + "\n")
+        assert str(err.value) == f"<string>:{index + 2}: {message}"
+
+    def test_emit_golden(self):
+        Y = np.empty((2, 2, 2))
+        Y[:, :, 0] = [[1e-05, 1e16], [-0.0, 5e-324]]
+        Y[:, :, 1] = [[0.5, -2.0], [3.0, 1.25]]
+        assert emit_text(TimeSeriesSet(Y)) == (
+            "series,t,y1,y2\n"
+            "1,1,1e-05,1e+16\n"
+            "1,2,-0.0,5e-324\n"
+            "2,1,0.5,-2.0\n"
+            "2,2,3.0,1.25\n"
+        )
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (3, 2, 0)])
+    def test_long_csv_without_rows_is_the_header(self, shape):
+        assert long_csv_text(["a", "b"], np.zeros(shape), t_start=4) == "series,t,a,b\n"
+
+    def test_long_csv_without_columns(self):
+        assert long_csv_text([], np.zeros((2, 0, 1)), t_start=4) == "series,t,\n1,4,\n1,5,\n"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_shuffled_chunked_round_trip(self, data):
+        d_y = data.draw(st.integers(1, 3))
+        t_1 = data.draw(st.integers(1, 6))
+        s = data.draw(st.integers(1, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        Y = data.draw(arrays(np.float64, (t_1, d_y, s), elements=finite))
+        with mock.patch.object(dataio, "CHUNK_ROWS", data.draw(st.integers(1, 2 * s * t_1))):
+            header, *rows = emit_text(TimeSeriesSet(Y)).splitlines()
+            rows = data.draw(st.permutations(rows))
+            again = ingest_text("\n".join([header, *rows]) + "\n")
+        assert again.Y.tobytes() == Y.tobytes()
 
 
 class TestKeyValueDocs:
