@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import TextIO
@@ -50,14 +51,14 @@ def ingest(path: str | Path) -> TimeSeriesSet:
 
     Raises:
         FormatError: On text that is not UTF-8 or not CSV, a malformed
-            header, a row of the wrong field count or with non-numeric
-            values, a time below 1, a duplicate or a gap in ``t`` (named by
-            series and time), or no data rows.  A file with several faults
-            names one: chunk by chunk in file order, a CSV error in a chunk
-            comes first, then the chunk's first row with the wrong field
-            count, a non-numeric value or ``t < 1``; after the last chunk,
-            the first duplicate in file order, then the first gap in order
-            of series id and time.
+            header, a row of the wrong field count or with a non-numeric or
+            non-finite value, a time below 1, a duplicate or a gap in ``t``
+            (named by series and time), or no data rows.  A file with several
+            faults names one: chunk by chunk in file order, a CSV error in a
+            chunk comes first, then the chunk's first row with the wrong
+            field count, a non-numeric or non-finite value or ``t < 1``;
+            after the last chunk, the first duplicate in file order, then
+            the first gap in order of series id and time.
     """
     path = Path(path)
     try:
@@ -134,7 +135,7 @@ def _chunk_columns(chunk: list[list[str]], line_no: int, width: int, origin: str
         values = np.array([np.fromiter(map(float, c), np.float64, len(c)) for c in cells[2:]])
     except ValueError:
         raise _row_fault(chunk, line_no, width, origin) from None
-    if t.min() < 1:
+    if t.min() < 1 or not np.isfinite(values).all():
         raise _row_fault(chunk, line_no, width, origin)
     return sid, t, values
 
@@ -156,9 +157,12 @@ def _row_fault(chunk: list[list[str]], line_no: int, width: int, origin: str) ->
         try:
             int(row[0])
             t = int(row[1])
-            [float(v) for v in row[2:]]
+            values = [float(v) for v in row[2:]]
         except ValueError as exc:
             return FormatError(f"{origin}:{line_no}: {exc}")
+        bad = [cell for cell, v in zip(row[2:], values) if not math.isfinite(v)]
+        if bad:
+            return FormatError(f"{origin}:{line_no}: non-finite value {bad[0]!r}")
         if t < 1:
             return FormatError(f"{origin}:{line_no}: times must start at 1, got t={t}")
     raise AssertionError("a chunk that failed its checks has a faulty row")

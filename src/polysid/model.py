@@ -6,7 +6,8 @@ An observer model advances its state with the measured output,
 
 so the one-step prediction at time ``t`` depends only on the initial state
 and outputs strictly before ``t``.  Both maps are monomial maps; ``f_o``
-takes the stacked vector ``(x, y)``.
+takes the stacked vector ``(x, y)``.  A model holds no states of the series
+it was identified from; ``g_io`` computes a state from any measured history.
 """
 
 from __future__ import annotations
@@ -62,17 +63,24 @@ class OutputScaling:
             return NotImplemented
         return np.array_equal(self.mean, other.mean) and np.array_equal(self.std, other.std)
 
+    def _columns(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and std broadcasting over outputs ``(d_y,)``, ``(d_y, s)`` or ``(t, d_y, s)``."""
+        if np.ndim(y) == 1:
+            return self.mean, self.std
+        return self.mean[:, None], self.std[:, None]
+
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Raw outputs to scaled units; broadcasts over trailing axes."""
-        extra = (None,) * (y.ndim - 1)
-        return (y - self.mean[(slice(None),) + extra]) / self.std[(slice(None),) + extra]
+        """Raw outputs to scaled units."""
+        mean, std = self._columns(y)
+        return (y - mean) / std
 
     def invert(self, y_scaled: np.ndarray) -> np.ndarray:
-        extra = (None,) * (y_scaled.ndim - 1)
-        return y_scaled * self.std[(slice(None),) + extra] + self.mean[(slice(None),) + extra]
+        """Scaled outputs to raw units."""
+        mean, std = self._columns(y_scaled)
+        return y_scaled * std + mean
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ObserverModel:
     """Discrete-time polynomial observer system.
 
@@ -81,7 +89,6 @@ class ObserverModel:
         d_y: Output dimension.
         f_o: Dynamics map over ``n + d_y`` variables ``(x, y)`` with ``n`` outputs.
         h_o: Output map over ``n`` state variables with ``d_y`` outputs.
-        X0: Per-series initial states from training, shape ``(n, s)``.
         scaling: Optional affine output transform applied during training;
             prediction consumes and reports raw units transparently.
         g_io: Optional past-window lifting ``x = g_io(y_minus)`` enabling
@@ -96,7 +103,6 @@ class ObserverModel:
     d_y: int
     f_o: MonomialMap
     h_o: MonomialMap
-    X0: np.ndarray
     scaling: OutputScaling | None = None
     g_io: MonomialMap | None = None
     t_minus: int | None = None
@@ -115,11 +121,6 @@ class ObserverModel:
                 f"h_o must map {self.n} -> {self.d_y} variables, "
                 f"got {self.h_o.n_vars} -> {self.h_o.m}"
             )
-        X0 = np.asarray(self.X0, dtype=float)
-        if X0.ndim != 2 or X0.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"X0 must have shape ({self.n}, s), got {X0.shape}"
-            )
         if self.g_io is not None:
             if self.g_io.m != self.n:
                 raise DimensionMismatchError("g_io output dimension must equal n")
@@ -129,17 +130,6 @@ class ObserverModel:
                 )
         if self.scaling is not None and self.scaling.mean.size != self.d_y:
             raise DimensionMismatchError("scaling dimension must equal d_y")
-        X0 = X0.copy()
-        X0.setflags(write=False)
-        object.__setattr__(self, "X0", X0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObserverModel):
-            return NotImplemented
-        rest = ("n", "d_y", "f_o", "h_o", "scaling", "g_io", "t_minus", "meta")
-        return np.array_equal(self.X0, other.X0) and all(
-            getattr(self, name) == getattr(other, name) for name in rest
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,16 +247,13 @@ def predict_one_step(
     if not 1 <= t_start <= ts.t_1:
         raise InvalidInputError(f"t_start {t_start} outside 1..{ts.t_1}")
 
-    Ys = model.scaling.apply(ts.Y.transpose(1, 0, 2)).transpose(1, 0, 2) if model.scaling else ts.Y
-    predicted_scaled = run_observer(
-        model.f_o, model.h_o, x, ts.t_1 - t_start + 1, lambda i, _: Ys[t_start - 1 + i], t_start
-    )
-    predicted = (
-        model.scaling.invert(predicted_scaled.transpose(1, 0, 2)).transpose(1, 0, 2)
-        if model.scaling
-        else predicted_scaled
-    )
     measured = ts.Y[t_start - 1 :]
+    scaling = model.scaling
+    # Scaled step by step, so no scaled copy of the whole set is held.
+    feedback = (lambda i, _: scaling.apply(measured[i])) if scaling else (lambda i, _: measured[i])
+    predicted = run_observer(model.f_o, model.h_o, x, len(measured), feedback, t_start)
+    if scaling:
+        predicted = scaling.invert(predicted)
     return _summarize(t_start, measured, predicted)
 
 
@@ -280,6 +267,10 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
 
     Returns:
         State column(s) at the time immediately after the window.
+
+    The states of an identified model's training series ``ts`` at its
+    anchor time ``a = model.meta["anchor_t"]`` are
+    ``initial_state_from_past(model, ts.Y[a - 1 - model.t_minus : a - 1])``.
 
     Raises:
         InvalidInputError: If the model carries no past lifting.
@@ -295,7 +286,7 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
             f"past window must have shape ({model.t_minus}, {model.d_y}, s), got {Y.shape}"
         )
     if model.scaling is not None:
-        Y = model.scaling.apply(Y.transpose(1, 0, 2)).transpose(1, 0, 2)
+        Y = model.scaling.apply(Y)
     # Stack most recent output first, matching the past-window convention.
     window = Y[::-1].reshape(model.t_minus * model.d_y, Y.shape[2])
     x = eval_monomial_map_many(model.g_io, window.T)
@@ -378,7 +369,6 @@ def serialize_model(model: ObserverModel) -> str:
         "d_y": model.d_y,
         "f_o": _encode_map(model.f_o),
         "h_o": _encode_map(model.h_o),
-        "X0": model.X0.tolist(),
         "g_io": None if model.g_io is None else _encode_map(model.g_io),
         "t_minus": model.t_minus,
         "scaling": None
@@ -408,7 +398,6 @@ def deserialize_model(text: str) -> ObserverModel:
     try:
         n = _integer(doc["n"], "n")
         d_y = _integer(doc["d_y"], "d_y")
-        X0 = np.asarray(doc["X0"], dtype=float).reshape(n, -1)
         f_doc, h_doc = doc["f_o"], doc["h_o"]
         t_minus = None if doc.get("t_minus") is None else _integer(doc["t_minus"], "t_minus")
         sc = doc.get("scaling")
@@ -429,7 +418,6 @@ def deserialize_model(text: str) -> ObserverModel:
             d_y=d_y,
             f_o=f_o,
             h_o=h_o,
-            X0=X0,
             scaling=None if mean_std is None else OutputScaling(*mean_std),
             g_io=g_io,
             t_minus=t_minus,

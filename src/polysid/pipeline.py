@@ -371,6 +371,9 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     dictionary in one pass, which gave the same model on every set the
     blocks were measured on (see the module docstring).
 
+    The model carries no states of the training series;
+    ``initial_state_from_past`` recomputes them from their anchor windows.
+
     Returns:
         The identified model and the full diagnostics.
 
@@ -391,7 +394,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         std = ts.Y.std(axis=(0, 2))
         std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
         scaling = OutputScaling(mean, std)
-        work = TimeSeriesSet((ts.Y - mean[None, :, None]) / std[None, :, None])
+        work = TimeSeriesSet(scaling.apply(ts.Y))
 
     # Outer loop: grow both window lengths by one per iteration, clamped at
     # their maxima, until both reach them; stop early after two consecutive
@@ -488,10 +491,6 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     diag.f_monomials_after = K_f.d_v
     f_o = MonomialMap(L_f, K_f)
 
-    # Per-series initial states at the canonical anchor.
-    Ym_anchor = _past_windows(work.Y, [cfg.anchor_t], t_minus)
-    X0 = eval_many_checked(g_io, Ym_anchor.T, "the anchor states")
-
     # Training residuals: one-step output error at every pooled column.
     y_hat = eval_many_checked(h_o, X_t.T, "the training predictions")
     resid = y_now - y_hat
@@ -513,7 +512,6 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         d_y=d_y,
         f_o=f_o,
         h_o=h_o,
-        X0=X0,
         scaling=scaling,
         g_io=g_io,
         t_minus=t_minus,

@@ -9,11 +9,12 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesSet:
     """A set of ``s`` output series of dimension ``d_y`` and length ``t_1``.
 
     Values are indexed ``Y[t - 1, dim, series]`` for times ``t = 1..t_1``.
+    Two sets are equal when their arrays are.
     """
 
     Y: np.ndarray
@@ -31,6 +32,11 @@ class TimeSeriesSet:
         Y = Y.copy()
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TimeSeriesSet):
+            return NotImplemented
+        return np.array_equal(self.Y, other.Y)
 
     @property
     def t_1(self) -> int:

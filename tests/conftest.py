@@ -77,7 +77,7 @@ def reference_fixture_model() -> ObserverModel:
     )
     f_o = MonomialMap(L_f, PowerMatrix(K_f, (1, 1, 1)))
     h_o = MonomialMap(np.array([[-0.0225, 0.0336]]), identity_power_matrix(2))
-    return ObserverModel(n=2, d_y=1, f_o=f_o, h_o=h_o, X0=np.zeros((2, 1)))
+    return ObserverModel(n=2, d_y=1, f_o=f_o, h_o=h_o)
 
 
 def random_power_matrix(rng: np.random.Generator, n: int, k_max_hi: int = 2) -> PowerMatrix:
@@ -92,7 +92,6 @@ def random_power_matrix(rng: np.random.Generator, n: int, k_max_hi: int = 2) -> 
 def random_model(rng: np.random.Generator) -> ObserverModel:
     n = int(rng.integers(1, 4))
     d_y = int(rng.integers(1, 3))
-    s = int(rng.integers(1, 5))
     # Gaussian coefficients make all-zero columns a probability-zero event.
     K_f = random_power_matrix(rng, n + d_y)
     f_o = MonomialMap(rng.standard_normal((n, K_f.d_v)), K_f)
@@ -112,7 +111,6 @@ def random_model(rng: np.random.Generator) -> ObserverModel:
         d_y=d_y,
         f_o=f_o,
         h_o=h_o,
-        X0=rng.standard_normal((n, s)),
         scaling=scaling,
         g_io=g_io,
         t_minus=t_minus,

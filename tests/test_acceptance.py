@@ -204,7 +204,6 @@ def test_a9_serialization_round_trip():
             and back.f_o.K.k_max == model.f_o.K.k_max
             and np.array_equal(back.h_o.L, model.h_o.L)
             and np.array_equal(back.h_o.K.K, model.h_o.K.K)
-            and np.array_equal(back.X0, model.X0)
             and (back.scaling is None) == (model.scaling is None)
             and (back.g_io is None) == (model.g_io is None)
         )

@@ -97,8 +97,7 @@ class TestErrors:
         f_o = MonomialMap(np.array([[0.5, 0.1]]), identity_power_matrix(2))
         h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
         g_io = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[1]]), (1,)))
-        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o, X0=np.ones((1, 1)),
-                              g_io=g_io, t_minus=1)
+        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o, g_io=g_io, t_minus=1)
         model_path = tmp_path / "model.json"
         model_path.write_text(serialize_model(model))
         data = tmp_path / "data.csv"

@@ -198,7 +198,6 @@ def models(draw):
         d_y=base.d_y,
         f_o=redraw(base.f_o),
         h_o=redraw(base.h_o),
-        X0=draw(arrays(float, base.X0.shape, elements=finite)),
         scaling=scaling,
         g_io=None if base.g_io is None else redraw(base.g_io),
         t_minus=base.t_minus,
@@ -213,4 +212,3 @@ def test_serialization_round_trip(model):
     back = deserialize_model(doc)
     assert serialize_model(back) == doc
     assert np.array_equal(back.f_o.L, model.f_o.L)
-    assert np.array_equal(back.X0, model.X0)

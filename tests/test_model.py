@@ -40,13 +40,13 @@ def zero_output_model(n: int = 2, d_y: int = 1) -> ObserverModel:
     h_o = MonomialMap(
         np.zeros((d_y, 0)), PowerMatrix(np.zeros((0, n), dtype=int), (0,) * n)
     )
-    return ObserverModel(n=n, d_y=d_y, f_o=f_o, h_o=h_o, X0=np.zeros((n, 1)))
+    return ObserverModel(n=n, d_y=d_y, f_o=f_o, h_o=h_o)
 
 
 def decay_model() -> ObserverModel:
     f_o = MonomialMap(np.array([[0.5]]), PowerMatrix(np.array([[1, 0]]), (1, 0)))
     h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
-    return ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o, X0=np.ones((1, 1)))
+    return ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o)
 
 
 class TestPredictOneStep:
@@ -75,8 +75,7 @@ class TestPredictOneStep:
         )
         h_o = MonomialMap(rng.standard_normal((d_y, n)), identity_power_matrix(n))
         scaling = OutputScaling(0.1 * rng.standard_normal(d_y), rng.uniform(0.5, 2.0, d_y))
-        model = ObserverModel(n=n, d_y=d_y, f_o=f_o, h_o=h_o, X0=np.zeros((n, s)),
-                              scaling=scaling)
+        model = ObserverModel(n=n, d_y=d_y, f_o=f_o, h_o=h_o, scaling=scaling)
         ts = TimeSeriesSet(0.3 * rng.standard_normal((T, d_y, s)))
         x0 = 0.2 * rng.standard_normal((n, s))
         rep = predict_one_step(model, ts, x0)
@@ -93,7 +92,7 @@ class TestPredictOneStep:
         f_o = MonomialMap(
             np.array([[0.4, 0.3]]), identity_power_matrix(2)
         )  # state feeds on measured output
-        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=model.h_o, X0=np.ones((1, 1)))
+        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=model.h_o)
         Y = rng.standard_normal((8, 1, 1))
         base = predict_one_step(model, TimeSeriesSet(Y), np.array([[1.0]]))
         cut = 4
@@ -115,7 +114,7 @@ class TestPredictOneStep:
         f_scaled = MonomialMap(np.hstack([A, B]), identity_power_matrix(n + d_y))
         h_scaled = MonomialMap(C, identity_power_matrix(n))
         scaled = ObserverModel(
-            n=n, d_y=d_y, f_o=f_scaled, h_o=h_scaled, X0=np.zeros((n, 1)),
+            n=n, d_y=d_y, f_o=f_scaled, h_o=h_scaled,
             scaling=OutputScaling(mean, std),
         )
         # raw units: x+ = A x + (B/std) y - B mean/std, yhat = std C x + mean
@@ -141,7 +140,7 @@ class TestPredictOneStep:
             L_h[:, colsh[tuple(e)]] = std[:, None] * C[:, [i]]
         L_h[:, colsh[tuple(np.zeros(n, dtype=int))]] = mean[:, None]
         raw = ObserverModel(
-            n=n, d_y=d_y, f_o=f_raw, h_o=MonomialMap(L_h, K_h), X0=np.zeros((n, 1))
+            n=n, d_y=d_y, f_o=f_raw, h_o=MonomialMap(L_h, K_h)
         )
         ts = TimeSeriesSet(0.7 + 0.5 * rng.standard_normal((7, 1, 3)))
         x0 = rng.standard_normal((n, 3))
@@ -155,7 +154,7 @@ class TestPredictOneStep:
     def test_divergence_names_series_and_time(self):
         f_o = MonomialMap(np.array([[10.0, 0.0]]), identity_power_matrix(2))
         h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
-        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o, X0=np.ones((1, 1)))
+        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o)
         ts = TimeSeriesSet(np.ones((40, 1, 2)))
         with pytest.raises(DivergenceError) as err:
             predict_one_step(model, ts, np.array([[1.0, 1.0]]))
@@ -193,7 +192,7 @@ class TestBurnIn:
         hold = generate(linear_spec(3), 77)
         window = hold.Y[: model.t_minus]  # (t_minus, d_y, s)
         x = initial_state_from_past(model, window)
-        scaled = model.scaling.apply(window.transpose(1, 0, 2)).transpose(1, 0, 2)
+        scaled = model.scaling.apply(window)
         stacked = scaled[::-1].reshape(model.t_minus * model.d_y, hold.s)
         expected = model.g_io.L @ np.vstack(
             [np.prod(stacked.T ** model.g_io.K.K[j], axis=1) for j in range(model.g_io.K.d_v)]
@@ -208,7 +207,9 @@ class TestBurnIn:
             k_max_y=1, pool_windows=False, scale_outputs=False,
         )
         model, diag = identify(ts, cfg)
-        rep = predict_one_step(model, ts, model.X0, t_start=diag.anchor_t)
+        a = model.meta["anchor_t"]
+        x0 = initial_state_from_past(model, ts.Y[a - 1 - model.t_minus : a - 1])
+        rep = predict_one_step(model, ts, x0, t_start=diag.anchor_t)
         anchor_abs_resid = np.abs(rep.residuals[0, 0, :])
         assert anchor_abs_resid == pytest.approx(diag.training_rmse_per_series, abs=1e-12)
 
@@ -228,11 +229,33 @@ class TestValueEquality:
         with pytest.raises(TypeError):
             hash(scaling)
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3)], ids=["d_y", "d_y-s", "t-d_y-s"])
+    def test_output_scaling_layouts(self, rng, shape):
+        scaling = OutputScaling([0.5, -1.0], [2.0, 0.25])
+        y = rng.standard_normal(shape)
+        applied, inverted = np.empty(shape), np.empty(shape)
+        for d, (mean, std) in enumerate(zip(scaling.mean, scaling.std)):
+            at = (slice(None),) * (len(shape) == 3) + (d,)  # the output axis
+            applied[at] = (y[at] - mean) / std
+            inverted[at] = y[at] * std + mean
+        assert np.array_equal(scaling.apply(y), applied)
+        assert np.array_equal(scaling.invert(y), inverted)
+
+    def test_time_series_set(self, rng):
+        Y = rng.standard_normal((3, 2, 2))
+        ts = TimeSeriesSet(Y)
+        assert ts == TimeSeriesSet(Y.copy())
+        assert ts != TimeSeriesSet(Y + 1e-12)
+        assert ts != TimeSeriesSet(Y[:2])
+        with pytest.raises(TypeError):
+            hash(ts)
+
     def test_observer_model(self):
         model = reference_fixture_model()
         assert model == copy.deepcopy(model)
         assert model == deserialize_model(serialize_model(model))
-        assert model != dataclasses.replace(model, X0=model.X0 + 1e-12)
+        nudged = MonomialMap(model.f_o.L + 1e-12, model.f_o.K)
+        assert model != dataclasses.replace(model, f_o=nudged)
         assert model != dataclasses.replace(model, meta={"t_minus": 1})
         scaled = dataclasses.replace(model, scaling=OutputScaling([0.0], [2.0]))
         assert scaled != model
@@ -279,7 +302,6 @@ class TestSerialization:
         assert back.f_o.K.k_max == model.f_o.K.k_max
         assert np.array_equal(back.h_o.L, model.h_o.L)
         assert np.array_equal(back.h_o.K.K, model.h_o.K.K)
-        assert np.array_equal(back.X0, model.X0)
 
     def test_random_round_trips(self, rng):
         for _ in range(100):
@@ -290,7 +312,6 @@ class TestSerialization:
             assert np.array_equal(back.f_o.K.K, model.f_o.K.K)
             assert np.array_equal(back.h_o.L, model.h_o.L)
             assert np.array_equal(back.h_o.K.K, model.h_o.K.K)
-            assert np.array_equal(back.X0, model.X0)
             assert (back.scaling is None) == (model.scaling is None)
             if model.scaling is not None:
                 assert np.array_equal(back.scaling.mean, model.scaling.mean)
@@ -300,6 +321,13 @@ class TestSerialization:
                 assert np.array_equal(back.g_io.L, model.g_io.L)
                 assert np.array_equal(back.g_io.K.K, model.g_io.K.K)
                 assert back.t_minus == model.t_minus
+
+    def test_ignores_training_states_of_older_documents(self):
+        model = reference_fixture_model()
+        doc = json.loads(serialize_model(model))
+        assert "X0" not in doc
+        doc["X0"] = [[0.25, -0.5], [1.0, 2.0]]
+        assert deserialize_model(json.dumps(doc)) == model
 
     def test_rejects_zero_coefficient_column(self):
         model = reference_fixture_model()
@@ -311,14 +339,14 @@ class TestSerialization:
     def test_zero_coefficient_column_round_trips(self):
         f_o = MonomialMap(np.array([[10.0, 0.0]]), identity_power_matrix(2))
         h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
-        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o, X0=np.full((1, 2), 0.01))
+        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o)
         doc = serialize_model(model)
         back = deserialize_model(doc)
         assert back.f_o.K.d_v == 1
         ts = TimeSeriesSet(np.arange(12.0).reshape(6, 1, 2))
         assert np.array_equal(
-            predict_one_step(back, ts, back.X0).predictions,
-            predict_one_step(model, ts, model.X0).predictions,
+            predict_one_step(back, ts, np.full((1, 2), 0.01)).predictions,
+            predict_one_step(model, ts, np.full((1, 2), 0.01)).predictions,
         )
         assert serialize_model(back) == doc
 

@@ -374,8 +374,8 @@ class TestChainPlan:
         rng = np.random.default_rng(11)
         model = random_model(rng)
         doc = serialize_model(model)
-        Y = rng.standard_normal((6, model.d_y, model.X0.shape[1]))
-        predict_one_step(model, TimeSeriesSet(Y), model.X0)
+        Y = rng.standard_normal((6, model.d_y, 3))
+        predict_one_step(model, TimeSeriesSet(Y), rng.standard_normal((model.n, 3)))
         assert "chain_plan" in vars(model.f_o.K)
         assert serialize_model(model) == doc
 

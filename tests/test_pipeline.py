@@ -18,6 +18,7 @@ from polysid import (
     generate,
     identify,
     identity_power_matrix,
+    initial_state_from_past,
     predict_with_burn_in,
     serialize_model,
     svd_trunc,
@@ -152,10 +153,11 @@ class TestIdentify:
         model, diag = identify(ts, small_decay_config())
         # reconstruct the scaled anchor window and re-evaluate the state map
         t = diag.anchor_t
-        scaled = TimeSeriesSet(model.scaling.apply(ts.Y.transpose(1, 0, 2)).transpose(1, 0, 2))
+        scaled = TimeSeriesSet(model.scaling.apply(ts.Y))
         _, Ym = build_window_vectors(scaled, t, diag.chosen_t_plus, diag.chosen_t_minus)
         X = eval_monomial_map_many(model.g_io, Ym.T)
-        assert np.array_equal(X, model.X0)
+        x0 = initial_state_from_past(model, ts.Y[t - 1 - model.t_minus : t - 1])
+        assert np.array_equal(X, x0)
 
     def test_determinism(self):
         ts = generate(linear_spec(25), 11)

@@ -95,6 +95,9 @@ class TestIngest:
             ("series,t,y1\n1,1,0.5\n1,2,abc\n",
              "<string>:3: could not convert string to float: 'abc'"),
             ("series,t,y1\n1,1,0.5\n1,0,0.6\n", "<string>:3: times must start at 1, got t=0"),
+            ("series,t,y1\n1,1,0.5\n1,2,nan\n", "<string>:3: non-finite value 'nan'"),
+            ("series,t,y1,y2\n1,1,0.5,inf\n", "<string>:2: non-finite value 'inf'"),
+            ("series,t,y1\n1,1,0.5\n1,0,-inf\n", "<string>:3: non-finite value '-inf'"),
             ("series,t,y1\n1,1,0.5\n1,2,0.6\n1,1,0.7\n",
              "<string>: duplicate time t=1 in series 1"),
             ("series,t,y1\n1,1,0.5\n1,2,0.6\n1,2,0.7\n1,1,0.8\n",
@@ -135,6 +138,9 @@ class TestIngest:
             ("3,3", "expected 3 fields, got 2"),
             ("3,3,x", "could not convert string to float: 'x'"),
             ("3,-2,0.5", "times must start at 1, got t=-2"),
+            ("3,3,nan", "non-finite value 'nan'"),
+            ("3,3,inf", "non-finite value 'inf'"),
+            ("3,3,-inf", "non-finite value '-inf'"),
         ],
     )
     def test_faults_after_the_first_chunk_name_their_line(self, monkeypatch, index, row, message):
