@@ -27,7 +27,7 @@ from .errors import (
 )
 from .genred import MonomialMap, eval_monomial_map_many
 from .monomials import PowerMatrix
-from .series import TimeSeriesSet
+from .series import TimeSeriesSet, past_windows
 
 #: Any state component beyond this magnitude aborts the observer recursion.
 STATE_OVERFLOW_GUARD = 1e12
@@ -195,17 +195,18 @@ def run_observer(
 
     Raises:
         DivergenceError: Naming the series and time at which a state
-            component first exceeds ``STATE_OVERFLOW_GUARD``.
+            component first exceeds ``STATE_OVERFLOW_GUARD`` or is NaN.
     """
     yhat = np.empty((steps, h.m, x.shape[1]))
     for i in range(steps):
         yhat[i] = eval_monomial_map_many(h, x.T)
         x = eval_monomial_map_many(f, np.vstack([x, feedback(i, yhat[i])]).T)
         worst = np.abs(x).max(axis=0)
-        if (worst > STATE_OVERFLOW_GUARD).any():
+        # NaN (say ``inf - inf``) fails every comparison: test for "within".
+        if not (worst <= STATE_OVERFLOW_GUARD).all():
             raise DivergenceError(
                 f"state diverged in series {int(worst.argmax()) + 1} after time "
-                f"{t_start + i} (|x| > {STATE_OVERFLOW_GUARD:g})"
+                f"{t_start + i} (|x| > {STATE_OVERFLOW_GUARD:g} or NaN)"
             )
     return yhat
 
@@ -287,8 +288,8 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
         )
     if model.scaling is not None:
         Y = model.scaling.apply(Y)
-    # Stack most recent output first, matching the past-window convention.
-    window = Y[::-1].reshape(model.t_minus * model.d_y, Y.shape[2])
+    # The window before time t_minus + 1 is all of Y, most recent first.
+    window = past_windows(Y, [model.t_minus + 1], model.t_minus)
     x = eval_monomial_map_many(model.g_io, window.T)
     return x[:, 0] if squeeze else x
 
@@ -339,12 +340,19 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
+def _real(value: Any, what: str) -> float:
+    """A JSON number; never a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _decode_map(obj: dict, where: str) -> MonomialMap:
     try:
         n_vars = _integer(obj["n_vars"], f"{where}: n_vars")
         k_max = tuple(_integer(v, f"{where}: k_max entry") for v in obj["k_max"])
         K_rows = [[_integer(v, f"{where}: exponent") for v in row] for row in obj["K"]]
-        L_rows = obj["L"]
+        L_rows = [[_real(v, f"{where}: coefficient") for v in row] for row in obj["L"]]
         K = np.asarray(K_rows, dtype=np.int64).reshape(len(K_rows), n_vars)
         L = np.asarray(L_rows, dtype=float).reshape(len(L_rows), len(K_rows))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -402,9 +410,10 @@ def deserialize_model(text: str) -> ObserverModel:
         t_minus = None if doc.get("t_minus") is None else _integer(doc["t_minus"], "t_minus")
         sc = doc.get("scaling")
         mean_std = None if sc is None else (
-            np.asarray(sc["mean"], dtype=float), np.asarray(sc["std"], dtype=float)
+            np.asarray([_real(v, "scaling mean") for v in sc["mean"]]),
+            np.asarray([_real(v, "scaling std") for v in sc["std"]]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model document: {exc}") from exc
     f_o = _decode_map(f_doc, "f_o")
     h_o = _decode_map(h_doc, "h_o")
@@ -412,6 +421,9 @@ def deserialize_model(text: str) -> ObserverModel:
         if not M.is_nontrivial():
             raise ValidationError(f"{name} has an all-zero coefficient column")
     g_io = None if doc.get("g_io") is None else _decode_map(doc["g_io"], "g_io")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValidationError(f"meta must be an object, got {meta!r}")
     try:
         return ObserverModel(
             n=n,
@@ -421,7 +433,7 @@ def deserialize_model(text: str) -> ObserverModel:
             scaling=None if mean_std is None else OutputScaling(*mean_std),
             g_io=g_io,
             t_minus=t_minus,
-            meta=doc.get("meta", {}),
+            meta=meta,
         )
     except InvalidInputError as exc:
         raise ValidationError(str(exc)) from exc

@@ -9,13 +9,13 @@ evaluates to 1 everywhere.
 
 Monomial vectors are evaluated by :func:`build_data_matrix` along a
 *product chain*: every row is its *parent* (the same row with its last
-nonzero exponent set to 0) times one power of one variable, so a row costs
-one multiply.  The chain is planned once per :class:`PowerMatrix` and cached
-on it; parents missing from ``K`` become auxiliary rows, so sets that are
-not downward-closed evaluate too.  Factors are multiplied in increasing
-variable order, left to right, so every value is bit-identical to the
-per-variable product ``V *= x[j] ** K[:, j]`` over ``j = 0..n-1`` and does
-not depend on which other rows a set contains.
+nonzero exponent lowered by one) times one variable, so a row costs one
+multiply.  The chain is planned once per :class:`PowerMatrix` and cached on
+it; parents missing from ``K`` become auxiliary rows, so sets that are not
+downward-closed evaluate too.  Each value is thus the product of its
+factors from left to right, each variable repeated by its exponent, in
+increasing variable order.  It depends neither on which other rows a set
+contains nor on how many samples are evaluated together.
 """
 
 from __future__ import annotations
@@ -139,45 +139,43 @@ class PowerMatrix:
         return PowerMatrix(self.K[np.asarray(indices, dtype=np.intp)], self.k_max)
 
     @cached_property
-    def chain_plan(self) -> tuple[int, list[tuple[int, int, int, int]], list[int]]:
+    def chain_plan(self) -> tuple[int, list[tuple[int, int, int]]]:
         """The product chain :func:`build_data_matrix` evaluates, planned once.
 
-        Returns ``(rows, steps, top)``.  Chain rows ``0..d_v-1`` are the rows of
+        Returns ``(rows, steps)``.  Chain rows ``0..d_v-1`` are the rows of
         ``K``; rows from ``d_v`` on are auxiliary parents missing from ``K``.
-        Each step ``(row, parent, j, e)`` sets ``row = parent * x[j] ** e``,
-        where ``j`` is the row's last nonzero variable, ``e`` its exponent
-        there, and ``parent`` the same row with that exponent set to 0, or
-        ``-1`` when that is the constant monomial.  The constant row itself
-        is the step ``(row, -1, -1, 0)``.  Steps run in ascending total
-        degree, so every parent is computed before its children.  ``top[j]``
-        is the largest exponent of variable ``j`` in ``K``.  The plan
-        is cached on the instance and is not a dataclass field, so it takes
-        no part in ``==``, ``repr`` or ``dataclasses.replace``.
+        Each step ``(row, parent, j)`` sets ``row = parent * x[j]``, where
+        ``j`` is the row's last nonzero variable and ``parent`` the same row
+        with that exponent lowered by one, or ``-1`` when that is the
+        constant monomial.  The constant row itself is the step
+        ``(row, -1, -1)``.  Steps run in ascending total degree, so every
+        parent is computed before its children.  The plan is cached on the
+        instance and is not a dataclass field, so it takes no part in
+        ``==``, ``repr`` or ``dataclasses.replace``.
         """
         rows = [tuple(r) for r in self.K.tolist()]
         index = {r: i for i, r in enumerate(rows)}
-        links: list[tuple[int, int, int]] = []
+        links: list[tuple[int, int]] = []
         # ``rows`` grows while it is scanned: each auxiliary parent appended
         # here is linked to its own parent later in the same loop.
         for row in rows:
             nonzero = [j for j, e in enumerate(row) if e]
             if not nonzero:
-                links.append((-1, -1, 0))
+                links.append((-1, -1))
                 continue
             j = nonzero[-1]
-            parent = row[:j] + (0,) * (len(row) - j)
-            if len(nonzero) == 1:
+            parent = row[:j] + (row[j] - 1,) + row[j + 1 :]
+            if not any(parent):
                 p = -1
             elif parent in index:
                 p = index[parent]
             else:
                 p = index[parent] = len(rows)
                 rows.append(parent)
-            links.append((p, j, row[j]))
+            links.append((p, j))
         degree = [sum(r) for r in rows]
         order = sorted(range(len(rows)), key=degree.__getitem__)
-        top = self.K.max(axis=0).tolist() if self.d_v else [0] * self.n
-        return len(rows), [(i, *links[i]) for i in order], top
+        return len(rows), [(i, *links[i]) for i in order]
 
 
 def identity_power_matrix(n: int) -> PowerMatrix:
@@ -292,15 +290,11 @@ def _as_sample_matrix(samples, n: int) -> np.ndarray:
 def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
     """Evaluate the monomial vector at every sample.
 
-    Rows are computed along ``pm.chain_plan``, one multiply per row: a row
-    is its parent row (the row with its last nonzero exponent set to 0)
-    times ``x[j] ** e``.  Parents missing from ``K`` are computed as
-    auxiliary rows and dropped from the result.  Each row is thus the
-    product of its factors ``x[j] ** K[i, j]`` in increasing ``j``, left to
-    right, exactly as the per-variable product ``V *= x[j] ** K[:, j]``
-    computes it.  First powers are the samples themselves; higher powers
-    come from numpy's ``pow`` over the table ``x[j] ** np.arange(k + 1)``,
-    not from repeated multiplication, whose last bit can differ.
+    Rows are computed along ``pm.chain_plan``, one multiply by a variable
+    per row, so each value is the left-to-right product of its factors:
+    ``x[j]`` repeated ``K[i, j]`` times, in increasing ``j``.  No power is
+    taken, and a sample's column is the same bit for bit whatever other
+    samples share the batch.
 
     Args:
         samples: Array-like of shape ``(s, n)`` (or a list of ``n``-vectors)
@@ -317,24 +311,16 @@ def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
         DimensionMismatchError: If the sample dimension is not ``pm.n``.
     """
     X = _as_sample_matrix(samples, pm.n)
-    rows, steps, top = pm.chain_plan
+    rows, steps = pm.chain_plan
     XT = np.ascontiguousarray(X.T)
-    # tables[j][e] is x[j] ** e.  ``pow(x, 1)`` is x exactly (the result is
-    # representable), so no table is built for k == 1.  numpy picks its
-    # ``pow`` code path from the operands' shapes and the paths round
-    # differently, so higher powers keep the full ``(k + 1, s)`` table shape.
-    tables = []
-    for j, k in enumerate(top):
-        powers = X[:, j][None, :] ** np.arange(k + 1, dtype=np.int64)[:, None] if k > 1 else ()
-        tables.append([None, XT[j], *powers[2:]])
     W = np.empty((rows, X.shape[0]))
-    for row, parent, j, e in steps:
+    for row, parent, j in steps:
         if j < 0:
             W[row] = 1.0
         elif parent < 0:
-            W[row] = tables[j][e]
+            W[row] = XT[j]
         else:
-            np.multiply(W[parent], tables[j][e], out=W[row])
+            np.multiply(W[parent], XT[j], out=W[row])
     return W[: pm.d_v]
 
 

@@ -58,23 +58,11 @@ from .monomials import (
     identity_power_matrix,
 )
 from .numred import SvdTruncResult, TruncationTable, lk_reduce, svd_trunc
-from .series import TimeSeriesSet
+from .series import TimeSeriesSet, past_windows
 
 # The removed elimination stage and block path; never called, kept while the
 # benchmark's tracer still patches these names.
 eliminate_products = partition_power_matrix = merge_power_matrices = None
-
-
-def _past_windows(Y: np.ndarray, anchors, length: int) -> np.ndarray:
-    """Output windows ending just before each anchor, one column per (anchor, series).
-
-    The column block of anchor ``a`` stacks ``y(a - 1)`` down to
-    ``y(a - length)`` (most recent first); blocks follow ``anchors`` and
-    columns within a block follow the series.  ``Y`` is indexed
-    ``Y[t - 1, dim, series]``; callers keep every window inside it.
-    """
-    times = np.asarray(anchors)[None, :] - 2 - np.arange(length)[:, None]
-    return Y[times].transpose(0, 2, 1, 3).reshape(length * Y.shape[1], -1)
 
 
 def build_window_vectors(
@@ -100,7 +88,7 @@ def build_window_vectors(
             f"window (t={t}, t_plus={t_plus}, t_minus={t_minus}) exceeds series "
             f"bounds 1..{ts.t_1}"
         )
-    return _past_windows(ts.Y, [t + t_plus], t_plus), _past_windows(ts.Y, [t], t_minus)
+    return past_windows(ts.Y, [t + t_plus], t_plus), past_windows(ts.Y, [t], t_minus)
 
 
 def _bound_entries(value, name: str) -> tuple[int, ...]:
@@ -420,8 +408,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
             if pooled
             else np.array([cfg.anchor_t])
         )
-        Yplus = _past_windows(work.Y, anchors + t_plus, t_plus)
-        Yminus = _past_windows(work.Y, anchors, t_minus)
+        Yplus = past_windows(work.Y, anchors + t_plus, t_plus)
+        Yminus = past_windows(work.Y, anchors, t_minus)
         res1, g_io = _reduce_past(Yplus, Yminus, K_past, cfg)
         diag.reductions.append(
             ReductionRecord(
@@ -457,7 +445,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     X_t = eval_many_checked(g_io, Yminus.T, "the state samples")
 
     # Next-state values from the past windows one step later.
-    Yminus_next = _past_windows(work.Y, anchors + 1, t_minus)
+    Yminus_next = past_windows(work.Y, anchors + 1, t_minus)
     X_next = eval_many_checked(g_io, Yminus_next.T, "the next-state samples")
 
     # Lift the (state, output) pair.

@@ -49,3 +49,15 @@ class TimeSeriesSet:
     @property
     def s(self) -> int:
         return self.Y.shape[2]
+
+
+def past_windows(Y: np.ndarray, anchors, length: int) -> np.ndarray:
+    """Output windows ending just before each anchor, one column per (anchor, series).
+
+    The column block of anchor ``a`` stacks ``y(a - 1)`` down to
+    ``y(a - length)`` (most recent first); blocks follow ``anchors`` and
+    columns within a block follow the series.  ``Y`` is indexed
+    ``Y[t - 1, dim, series]``; callers keep every window inside it.
+    """
+    times = np.asarray(anchors)[None, :] - 2 - np.arange(length)[:, None]
+    return Y[times].transpose(0, 2, 1, 3).reshape(length * Y.shape[1], -1)

@@ -161,6 +161,18 @@ class TestPredictOneStep:
         msg = str(err.value)
         assert "series" in msg and "time" in msg
 
+    def test_nan_state_counts_as_divergence(self):
+        # x^26 - x^25 * y is inf - inf = NaN at x = y = 1e12, in series 2
+        # only; NaN fails every comparison with the guard.
+        K_f = PowerMatrix(np.array([[26, 0], [25, 1]]), (26, 1))
+        f_o = MonomialMap(np.array([[1.0, -1.0]]), K_f)
+        h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
+        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o)
+        ts = TimeSeriesSet(np.full((3, 1, 3), 1e12))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            predict_one_step(model, ts, np.array([[1.0, 1e12, 1.0]]))
+        assert "series 2 after time 1" in str(err.value)
+
     def test_dimension_mismatch(self, rng):
         model = decay_model()
         ts = TimeSeriesSet(rng.standard_normal((4, 2, 1)))
@@ -375,11 +387,19 @@ class TestSerialization:
             lambda doc: doc["f_o"]["k_max"].__setitem__(0, 1.5),
             lambda doc: doc["f_o"]["K"][0].__setitem__(0, 1.4),
             lambda doc: doc["f_o"]["K"][0].__setitem__(0, True),
+            lambda doc: doc["f_o"]["L"][0].__setitem__(0, "0.5"),
+            lambda doc: doc["h_o"]["L"][0].__setitem__(1, True),
+            lambda doc: doc.update(scaling={"mean": [0.0], "std": ["2"]}),
+            lambda doc: doc.update(scaling={"mean": [False], "std": [2.0]}),
+            lambda doc: doc.update(scaling={"mean": [10**400], "std": [2.0]}),
+            lambda doc: doc.update(meta="x"),
         ],
         ids=["ragged-K", "n_vars-vs-K", "missing-f_o", "scaling-without-std",
              "non-integer-t_minus", "fractional-t_minus", "boolean-t_minus",
              "fractional-n", "boolean-d_y", "fractional-n_vars",
-             "fractional-k_max", "fractional-K", "boolean-K"],
+             "fractional-k_max", "fractional-K", "boolean-K",
+             "string-L", "boolean-L", "string-std",
+             "boolean-mean", "huge-integer-mean", "string-meta"],
     )
     def test_malformed_document_raises_validation_error(self, corrupt):
         doc = json.loads(serialize_model(reference_fixture_model()))

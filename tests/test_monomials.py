@@ -263,18 +263,17 @@ class TestBuildDataMatrix:
             build_data_matrix(samples, appendix_matrix())
 
 
-def per_variable_oracle(samples, pm: PowerMatrix) -> np.ndarray:
-    """The evaluator before the product chain: one full pass per variable."""
+def product_oracle(samples, pm: PowerMatrix) -> np.ndarray:
+    """Each row's factors multiplied from left to right, starting from ones:
+    every variable repeated by its exponent, in increasing variable order."""
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    s = X.shape[0]
-    K = pm.K
-    V = np.ones((pm.d_v, s))
-    for j in range(pm.n):
-        mx = int(K[:, j].max()) if pm.d_v else 0
-        table = X[:, j][None, :] ** np.arange(mx + 1, dtype=np.int64)[:, None]
-        V *= table[K[:, j], :]
+    V = np.ones((pm.d_v, X.shape[0]))
+    for i, row in enumerate(pm.K.tolist()):
+        for j, e in enumerate(row):
+            for _ in range(e):
+                V[i] *= X[:, j]
     return V
 
 
@@ -300,27 +299,28 @@ def draw_samples(seed: int, s: int, n: int) -> np.ndarray:
 
 
 class TestChainPlan:
-    """The product chain against the per-variable loop it replaced, bit for bit."""
+    """The product chain against a naive left-to-right product, bit for bit."""
 
     @exact
     @given(power_matrices(), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_matches_per_variable_oracle(self, pm, s, seed):
+    def test_matches_product_oracle(self, pm, s, seed):
         X = draw_samples(seed, s, pm.n)
-        assert np.array_equal(build_data_matrix(X, pm), per_variable_oracle(X, pm))
+        assert np.array_equal(build_data_matrix(X, pm), product_oracle(X, pm))
 
-    @exact
-    @given(power_matrices(max_vars=3), st.integers(0, 2**32 - 1))
-    def test_reused_across_sample_counts(self, pm, seed):
-        # 9000 samples exceed numpy's 8192-element buffer, where ``pow``
-        # takes another path than on short rows.
-        for s in (1, 2, 17, 9000, 5):
-            X = draw_samples(seed + s, s, pm.n)
-            assert np.array_equal(build_data_matrix(X, pm), per_variable_oracle(X, pm))
+    def test_independent_of_batch_size(self):
+        # 9000 samples exceed numpy's 8192-element buffer, beyond which
+        # numpy's ``pow`` rounds squares differently than on short rows.
+        pm = enumerate_power_matrix(3, (2, 3, 4), max_degree=5)
+        X = draw_samples(9000, 9000, pm.n)
+        V = build_data_matrix(X, pm)
+        for k in range(X.shape[0]):
+            assert np.array_equal(V[:, k], build_data_matrix(X[k], pm)[:, 0])
+        assert np.array_equal(V, product_oracle(X, pm))
 
     def test_single_sample_as_vector(self):
         pm = PowerMatrix(np.array([[4, 1], [0, 3]]), (4, 3))
         x = np.array([1.1, -0.7])
-        assert np.array_equal(build_data_matrix(x, pm), per_variable_oracle(x, pm))
+        assert np.array_equal(build_data_matrix(x, pm), product_oracle(x, pm))
 
     def test_empty_matrix(self):
         pm = PowerMatrix(np.zeros((0, 2), dtype=np.int64), (1, 1))
@@ -331,24 +331,25 @@ class TestChainPlan:
         edges = np.array([0.0, -0.0, 5e-324, 2.0**-1022, 1.0, -1.0, 2.0**200, -(2.0**-300)])
         X = np.column_stack([edges, edges[::-1]])
         V = build_data_matrix(X, pm)
-        oracle = per_variable_oracle(X, pm)
+        oracle = product_oracle(X, pm)
         assert np.array_equal(V, oracle)
         assert np.array_equal(np.signbit(V), np.signbit(oracle))
 
     def test_missing_parents_become_auxiliary_rows(self):
         pm = PowerMatrix(np.array([[2, 1, 3]]), (2, 1, 3))
-        rows, steps, top = pm.chain_plan
-        # (2,1,3) <- (2,1,0) <- (2,0,0) <- constant: two auxiliary rows.
-        assert rows == 3 and top == [2, 1, 3]
-        assert [(j, e) for _, _, j, e in steps] == [(0, 2), (1, 1), (2, 3)]
+        rows, steps = pm.chain_plan
+        # (2,1,3) <- (2,1,2) <- (2,1,1) <- (2,1,0) <- (2,0,0) <- (1,0,0)
+        # <- constant: five auxiliary rows, one multiply by a variable each.
+        assert rows == 6
+        assert steps == [(5, -1, 0), (4, 5, 0), (3, 4, 1), (2, 3, 2), (1, 2, 2), (0, 1, 2)]
         x = np.array([[1.3, -0.4, 2.2]])
-        assert np.array_equal(build_data_matrix(x, pm), per_variable_oracle(x, pm))
+        assert np.array_equal(build_data_matrix(x, pm), product_oracle(x, pm))
 
     def test_every_parent_precedes_its_children(self):
         pm = PowerMatrix.from_rows([(3, 0, 1), (1, 2, 2), (0, 0, 4), (0, 0, 0), (2, 2, 0)])
-        rows, steps, _ = pm.chain_plan
+        rows, steps = pm.chain_plan
         done = set()
-        for row, parent, _, _ in steps:
+        for row, parent, _ in steps:
             assert parent < 0 or parent in done
             done.add(row)
         assert done == set(range(rows))
