@@ -1,0 +1,38 @@
+"""Value equality and read-only arrays for the records that hold numpy arrays."""
+
+from dataclasses import fields
+
+import numpy as np
+
+
+class ArrayRecord:
+    """Value equality for a dataclass, declared ``eq=False``, with array fields.
+
+    Records of one type are equal when the fields holding an array on either
+    side are ``np.array_equal`` and the other fields, as one list, are equal;
+    a list compares items by identity first, so a shared NaN default is
+    equal to itself.  Records are unhashable unless a class defines
+    ``__hash__``.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        arrays, mine, theirs = [], [], []
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                arrays.append((a, b))
+            else:
+                mine.append(a)
+                theirs.append(b)
+        return mine == theirs and all(np.array_equal(a, b) for a, b in arrays)
+
+
+def readonly_copy(a, dtype=None) -> np.ndarray:
+    """A new read-only C-ordered array of ``a``'s values, never the caller's array."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out

@@ -113,10 +113,6 @@ def _model_var_names(model: ObserverModel) -> tuple[list[str], list[str]]:
     return x_names, y_names
 
 
-def _coeff_rows(L: np.ndarray) -> list[str]:
-    return ["(" + ", ".join(repr(float(v)) for v in row) + ")" for row in L]
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = spec_from_kv(dataio.read_document(args.spec), args.spec)
     ts = generate(spec, args.seed)
@@ -170,16 +166,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     x_names, y_names = _model_var_names(model)
     print(f"n = {model.n}")
     print(f"d_y = {model.d_y}")
-    h_basis = ", ".join(monomial_name(k, x_names) for k in model.h_o.K.K)
-    print(f"h_o basis: {h_basis}")
-    print("h_o coefficients:")
-    for row in _coeff_rows(model.h_o.L):
-        print(f"  {row}")
-    f_basis = ", ".join(monomial_name(k, x_names + y_names) for k in model.f_o.K.K)
-    print(f"f_o basis: {f_basis}")
-    print("f_o coefficients:")
-    for row in _coeff_rows(model.f_o.L):
-        print(f"  {row}")
+    for name, M, var_names in (("h_o", model.h_o, x_names), ("f_o", model.f_o, x_names + y_names)):
+        print(f"{name} basis: {', '.join(monomial_name(k, var_names) for k in M.K.K)}")
+        print(f"{name} coefficients:")
+        for row in M.L:
+            print("  (" + ", ".join(repr(float(v)) for v in row) + ")")
     if model.scaling is not None:
         print("output scaling:")
         print(f"  mean: {tuple(float(v) for v in model.scaling.mean)}")

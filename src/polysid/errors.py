@@ -26,7 +26,7 @@ class DimensionMismatchError(InvalidInputError):
 
 
 class CapacityError(PolysidError):
-    """A monomial enumeration would exceed the configured row cap."""
+    """A monomial enumeration would exceed the row cap, or arrays the memory."""
 
     code = "CAPACITY"
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import format_matrix, kv_float, kv_float_vector, kv_int, kv_matrix, parse_kv
-from .errors import DimensionMismatchError, InvalidInputError, ParseError
+from .errors import CapacityError, DimensionMismatchError, InvalidInputError, ParseError
 # ``eval_monomial_map_many`` is not called here; the name stays because
 # bench/tracing.py patches it on this module.
 from .genred import MonomialMap, eval_monomial_map_many  # noqa: F401
@@ -79,12 +79,19 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
     Raises:
         DivergenceError: If a trajectory leaves the guard region; choose
             smaller coefficients or a smaller initial-state box.
+        CapacityError: If the states or series do not fit in memory.
     """
     rng = np.random.default_rng(seed)
     lo = np.asarray(spec.x0_min, dtype=float)
     hi = np.asarray(spec.x0_max, dtype=float)
-    x = lo[:, None] + (hi - lo)[:, None] * rng.random((spec.n, spec.s))
-    Y = np.empty((spec.t_1, spec.d_y, spec.s))
+    try:
+        x = lo[:, None] + (hi - lo)[:, None] * rng.random((spec.n, spec.s))
+        Y = np.empty((spec.t_1, spec.d_y, spec.s))
+    except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
+        raise CapacityError(
+            f"cannot allocate t_1={spec.t_1}, d_y={spec.d_y}, s={spec.s} "
+            f"series samples: {exc}"
+        ) from exc
 
     def noisy(i: int, y: np.ndarray) -> np.ndarray:
         if spec.noise_std > 0:

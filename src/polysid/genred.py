@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import ArrayRecord, readonly_copy
 from .errors import DimensionMismatchError, InvalidInputError
 from .monomials import PowerMatrix, build_data_matrix
 
 
 @dataclass(frozen=True, eq=False)
-class MonomialMap:
+class MonomialMap(ArrayRecord):
     """Vector polynomial map ``x -> L @ x**K``.
 
     Attributes:
@@ -34,7 +35,7 @@ class MonomialMap:
     K: PowerMatrix
 
     def __post_init__(self) -> None:
-        L = np.asarray(self.L, dtype=float)
+        L = readonly_copy(self.L, float)
         if L.ndim != 2:
             raise InvalidInputError(f"coefficient matrix must be 2-D, got {L.shape}")
         if L.shape[1] != self.K.d_v:
@@ -43,14 +44,7 @@ class MonomialMap:
             )
         if not np.isfinite(L).all():
             raise InvalidInputError("coefficient matrix contains non-finite entries")
-        L = L.copy()
-        L.setflags(write=False)
         object.__setattr__(self, "L", L)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialMap):
-            return NotImplemented
-        return self.K == other.K and np.array_equal(self.L, other.L)
 
     @property
     def n_vars(self) -> int:

@@ -18,10 +18,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ._records import ArrayRecord, readonly_copy
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
     InvalidInputError,
+    NumericalOverflowError,
     ParseError,
     ValidationError,
 )
@@ -37,7 +39,7 @@ DOCUMENT_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
-class OutputScaling:
+class OutputScaling(ArrayRecord):
     """Per-dimension affine output transform ``y_scaled = (y - mean) / std``.
 
     Two transforms are equal when their means and deviations are.
@@ -47,21 +49,14 @@ class OutputScaling:
     std: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        std = np.asarray(self.std, dtype=float)
+        mean = readonly_copy(self.mean, float)
+        std = readonly_copy(self.std, float)
         if mean.shape != std.shape or mean.ndim != 1:
             raise InvalidInputError("scaling mean and std must be equal-length vectors")
         if (std <= 0).any() or not np.isfinite(std).all() or not np.isfinite(mean).all():
             raise InvalidInputError("scaling std must be finite and positive")
-        mean.setflags(write=False)
-        std.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OutputScaling):
-            return NotImplemented
-        return np.array_equal(self.mean, other.mean) and np.array_equal(self.std, other.std)
 
     def _columns(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and std broadcasting over outputs ``(d_y,)``, ``(d_y, s)`` or ``(t, d_y, s)``."""
@@ -133,7 +128,7 @@ class ObserverModel:
 
 
 @dataclass(frozen=True, eq=False)
-class PredictionReport:
+class PredictionReport(ArrayRecord):
     """One-step predictions, residuals and error summaries.
 
     Times are 1-based within the evaluated series; predictions cover
@@ -149,14 +144,6 @@ class PredictionReport:
     rmse: np.ndarray         # (d_y,)
     relative_rmse: np.ndarray  # (d_y,)
     per_series_rmse: np.ndarray  # (s,)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PredictionReport):
-            return NotImplemented
-        arrays = ("predictions", "residuals", "rmse", "relative_rmse", "per_series_rmse")
-        return self.t_start == other.t_start and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
-        )
 
     @property
     def max_relative_rmse(self) -> float:
@@ -198,16 +185,18 @@ def run_observer(
             component first exceeds ``STATE_OVERFLOW_GUARD`` or is NaN.
     """
     yhat = np.empty((steps, h.m, x.shape[1]))
-    for i in range(steps):
-        yhat[i] = eval_monomial_map_many(h, x.T)
-        x = eval_monomial_map_many(f, np.vstack([x, feedback(i, yhat[i])]).T)
-        worst = np.abs(x).max(axis=0)
-        # NaN (say ``inf - inf``) fails every comparison: test for "within".
-        if not (worst <= STATE_OVERFLOW_GUARD).all():
-            raise DivergenceError(
-                f"state diverged in series {int(worst.argmax()) + 1} after time "
-                f"{t_start + i} (|x| > {STATE_OVERFLOW_GUARD:g} or NaN)"
-            )
+    # An overflowing state is reported by the guard, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            yhat[i] = eval_monomial_map_many(h, x.T)
+            x = eval_monomial_map_many(f, np.vstack([x, feedback(i, yhat[i])]).T)
+            worst = np.abs(x).max(axis=0)
+            # NaN (say ``inf - inf``) fails every comparison: test for "within".
+            if not (worst <= STATE_OVERFLOW_GUARD).all():
+                raise DivergenceError(
+                    f"state diverged in series {int(worst.argmax()) + 1} after time "
+                    f"{t_start + i} (|x| > {STATE_OVERFLOW_GUARD:g} or NaN)"
+                )
     return yhat
 
 
@@ -275,6 +264,8 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
 
     Raises:
         InvalidInputError: If the model carries no past lifting.
+        NumericalOverflowError: Naming the first series whose state is not
+            finite: its past outputs overflow the lifting.
     """
     if model.g_io is None or model.t_minus is None:
         raise InvalidInputError("model does not store a past-output lifting")
@@ -290,7 +281,14 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
         Y = model.scaling.apply(Y)
     # The window before time t_minus + 1 is all of Y, most recent first.
     window = past_windows(Y, [model.t_minus + 1], model.t_minus)
-    x = eval_monomial_map_many(model.g_io, window.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = eval_monomial_map_many(model.g_io, window.T)
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise NumericalOverflowError(
+            f"the state of series {int(finite.argmin()) + 1} is not finite: its "
+            "past outputs overflow the past lifting"
+        )
     return x[:, 0] if squeeze else x
 
 

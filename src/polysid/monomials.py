@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._records import ArrayRecord, readonly_copy
 from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 
 #: Default cap on enumerated monomial rows; full enumerations grow
@@ -50,7 +51,7 @@ def _check_rows_strictly_decreasing(K: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PowerMatrix:
+class PowerMatrix(ArrayRecord):
     """Integer exponent matrix indexing a monomial vector.
 
     Attributes:
@@ -79,9 +80,7 @@ class PowerMatrix:
                 raise InvalidInputError("power matrix entries must be integers")
             if K.size and np.abs(K).max() >= 2.0**63:
                 raise InvalidInputError("power matrix entries exceed the int64 range")
-            K = K.astype(np.int64)
-        else:
-            K = K.astype(np.int64, copy=True)
+        K = readonly_copy(K, np.int64)
         if K.size and K.min() < 0:
             raise InvalidInputError("power matrix entries must be nonnegative")
         try:
@@ -97,14 +96,8 @@ class PowerMatrix:
         if K.size and (K > np.asarray(k_max)[None, :]).any():
             raise InvalidInputError("power matrix entry exceeds its k_max bound")
         _check_rows_strictly_decreasing(K)
-        K.setflags(write=False)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "k_max", k_max)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerMatrix):
-            return NotImplemented
-        return self.k_max == other.k_max and np.array_equal(self.K, other.K)
 
     def __hash__(self) -> int:
         return hash((self.k_max, self.K.shape, self.K.tobytes()))

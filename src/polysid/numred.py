@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import ArrayRecord, readonly_copy
 from .errors import DimensionMismatchError, InvalidInputError
 from .monomials import PowerMatrix
 
@@ -26,7 +27,7 @@ SINGULAR_VALUE_EPS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class TruncationTable:
+class TruncationTable(ArrayRecord):
     """Cumulative mass fractions of a descending nonnegative diagonal.
 
     Entry ``j`` (1-based) holds ``sum(D[:j]) / sum(D)``; fractions are
@@ -37,14 +38,7 @@ class TruncationTable:
     fractions: np.ndarray
 
     def __post_init__(self) -> None:
-        fr = np.asarray(self.fractions, dtype=float)
-        fr.setflags(write=False)
-        object.__setattr__(self, "fractions", fr)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncationTable):
-            return NotImplemented
-        return np.array_equal(self.fractions, other.fractions)
+        object.__setattr__(self, "fractions", readonly_copy(self.fractions, float))
 
     def __len__(self) -> int:
         return self.fractions.size
@@ -98,7 +92,7 @@ def mdtrunc(D, r: float) -> tuple[int, np.ndarray, TruncationTable]:
 
 
 @dataclass(frozen=True, eq=False)
-class SvdTruncResult:
+class SvdTruncResult(ArrayRecord):
     """Output of the truncated-SVD linear approximation.
 
     Attributes:
@@ -119,14 +113,6 @@ class SvdTruncResult:
     L: np.ndarray
     H_star: np.ndarray
     table: TruncationTable
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SvdTruncResult):
-            return NotImplemented
-        return (self.n, self.table) == (other.n, other.table) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("D_n", "C", "L", "H_star")
-        )
 
 
 def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
@@ -209,4 +195,4 @@ def lk_reduce(
     if max_norm == 0.0:
         raise InvalidInputError("coefficient matrix has no nonzero column")
     kept = np.flatnonzero(norms > r * max_norm)
-    return M[:, kept].copy(), pm.select_rows(kept), [int(j) for j in kept]
+    return M[:, kept], pm.select_rows(kept), [int(j) for j in kept]

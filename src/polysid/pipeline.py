@@ -36,11 +36,12 @@ from the window matrices of the last window lengths tried.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
+from ._records import ArrayRecord
 from .errors import (
     CapacityError,
     ConfigError,
@@ -66,29 +67,33 @@ eliminate_products = partition_power_matrix = merge_power_matrices = None
 
 
 def build_window_vectors(
-    ts: TimeSeriesSet, t: int, t_plus: int, t_minus: int
+    ts: TimeSeriesSet, t, t_plus: int, t_minus: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack future and past output windows around time ``t`` for every series.
 
     Column ``k`` of the future matrix stacks ``y(t + t_plus - 1, k)`` down to
     ``y(t, k)``; column ``k`` of the past matrix stacks ``y(t - 1, k)`` down
-    to ``y(t - t_minus, k)`` (most recent first).
+    to ``y(t - t_minus, k)`` (most recent first).  ``t`` may also be an
+    array of anchor times: each anchor then gives a block of ``s`` columns,
+    in anchor order.
 
     Returns:
-        ``(Yplus, Yminus)`` of shapes ``(t_plus * d_y, s)`` and
-        ``(t_minus * d_y, s)``.
+        ``(Yplus, Yminus)`` of shapes ``(t_plus * d_y, a * s)`` and
+        ``(t_minus * d_y, a * s)`` for ``a`` anchor times.
 
     Raises:
         InvalidInputError: If a window would leave the series bounds.
     """
     if t_plus < 1 or t_minus < 1:
         raise InvalidInputError("window lengths must be positive")
-    if t - t_minus < 1 or t + t_plus - 1 > ts.t_1:
+    anchors = np.atleast_1d(t)
+    outside = (anchors - t_minus < 1) | (anchors + t_plus - 1 > ts.t_1)
+    if outside.any():
         raise InvalidInputError(
-            f"window (t={t}, t_plus={t_plus}, t_minus={t_minus}) exceeds series "
-            f"bounds 1..{ts.t_1}"
+            f"window (t={anchors[outside][0]}, t_plus={t_plus}, t_minus={t_minus}) "
+            f"exceeds series bounds 1..{ts.t_1}"
         )
-    return past_windows(ts.Y, [t + t_plus], t_plus), past_windows(ts.Y, [t], t_minus)
+    return past_windows(ts.Y, anchors + t_plus, t_plus), past_windows(ts.Y, anchors, t_minus)
 
 
 def _bound_entries(value, name: str) -> tuple[int, ...]:
@@ -144,8 +149,11 @@ class IdentConfig:
             or length ``d_y``).
         anchor_t: Anchor time; defaults to ``t_minus_max + 1``.
         pool_windows: Pool every admissible anchor as extra data columns;
-            ``None`` enables pooling automatically when the series count is
-            small relative to the dictionary.
+            ``None`` pools when the series count ``s`` is below four times
+            the past dictionary size ``d_v``.  That rule is decided afresh
+            at every window step from that step's dictionary, so pooling can
+            switch on partway through the schedule;
+            ``IdentDiagnostics.pooled`` reports the last step only.
         max_total_degree_xy: Optional total-degree cap on the (state, output)
             dictionary (nonnegative); the bounded monomial set may be any
             subset of the full enumeration, and low-degree subsets keep the
@@ -154,7 +162,7 @@ class IdentConfig:
             ``row_cap``.  ``None`` uses the full bounded set.
         scale_outputs: Standardize each output dimension before lifting and
             fold the transform into the model.
-        scale_gamma: Extra gain (positive) on the scaling divisor: outputs
+        scale_gamma: Extra gain (finite, positive) on the scaling divisor: outputs
             are divided by ``scale_gamma * std``, so values below 1 inflate
             the working amplitude.  Larger amplitudes weight high-degree
             monomial directions more heavily in the truncated SVDs.
@@ -219,8 +227,8 @@ class IdentConfig:
             raise ConfigError(
                 f"max_total_degree_xy={self.max_total_degree_xy} empties the dictionary"
             )
-        if not self.scale_gamma > 0:
-            raise ConfigError(f"scale_gamma must be positive, got {self.scale_gamma}")
+        if not 0 < self.scale_gamma < np.inf:
+            raise ConfigError(f"scale_gamma must be finite and positive, got {self.scale_gamma}")
         # k_max_x has one entry per state, known only after the reductions;
         # its length is checked then, its entries now.
         _bound_entries(self.k_max_x, "k_max_x")
@@ -271,7 +279,7 @@ class ReductionRecord:
 
 
 @dataclass(eq=False)
-class IdentDiagnostics:
+class IdentDiagnostics(ArrayRecord):
     """Everything the pipeline observed on its way to the model.
 
     Two diagnostics are equal when all their fields are.
@@ -292,14 +300,6 @@ class IdentDiagnostics:
     training_rmse_per_series: np.ndarray | None = None
     training_relative_rmse: float = float("nan")
     config_echo: dict = field(default_factory=dict)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IdentDiagnostics):
-            return NotImplemented
-        rest = [f.name for f in fields(self) if f.name != "training_rmse_per_series"]
-        return np.array_equal(
-            self.training_rmse_per_series, other.training_rmse_per_series
-        ) and [getattr(self, name) for name in rest] == [getattr(other, name) for name in rest]
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -352,6 +352,10 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     and assembly of the observer model.  The outer loop grows the window
     lengths from their minima to their maxima, stopping early when the
     retained rank plateaus; the returned model comes from the final windows.
+    With ``cfg.pool_windows`` unset, each window step decides pooling afresh:
+    it pools when ``s < 4 d_v`` for that step's past dictionary size ``d_v``.
+    Pooling can therefore switch on partway through the schedule, and
+    ``IdentDiagnostics.pooled`` reports the last step only.
 
     The paper's generator factorization is deliberately left out: it
     changed none of the 226 models it was measured on.  So is its blocked
@@ -408,8 +412,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
             if pooled
             else np.array([cfg.anchor_t])
         )
-        Yplus = past_windows(work.Y, anchors + t_plus, t_plus)
-        Yminus = past_windows(work.Y, anchors, t_minus)
+        Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
         res1, g_io = _reduce_past(Yplus, Yminus, K_past, cfg)
         diag.reductions.append(
             ReductionRecord(
@@ -482,13 +485,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     # Training residuals: one-step output error at every pooled column.
     y_hat = eval_many_checked(h_o, X_t.T, "the training predictions")
     resid = y_now - y_hat
-    n_anchors = len(anchors)
-    per_series = np.sqrt(
-        np.mean(
-            resid.reshape(d_y, n_anchors, ts.s) ** 2,
-            axis=(0, 1),
-        )
-    )
+    per_series = np.sqrt(np.mean(resid.reshape(d_y, len(anchors), ts.s) ** 2, axis=(0, 1)))
     y_std = y_now.std()
     diag.training_rmse_per_series = per_series
     diag.training_relative_rmse = float(

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import ArrayRecord, readonly_copy
 from .errors import InvalidInputError
 
 
 @dataclass(frozen=True, eq=False)
-class TimeSeriesSet:
+class TimeSeriesSet(ArrayRecord):
     """A set of ``s`` output series of dimension ``d_y`` and length ``t_1``.
 
     Values are indexed ``Y[t - 1, dim, series]`` for times ``t = 1..t_1``.
@@ -20,7 +21,7 @@ class TimeSeriesSet:
     Y: np.ndarray
 
     def __post_init__(self) -> None:
-        Y = np.asarray(self.Y, dtype=float)
+        Y = readonly_copy(self.Y, float)
         if Y.ndim != 3:
             raise InvalidInputError(
                 f"time series array must have shape (t_1, d_y, s), got {Y.shape}"
@@ -29,14 +30,7 @@ class TimeSeriesSet:
             raise InvalidInputError("t_1, d_y and s must all be at least 1")
         if not np.isfinite(Y).all():
             raise InvalidInputError("time series contain non-finite values")
-        Y = Y.copy()
-        Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeriesSet):
-            return NotImplemented
-        return np.array_equal(self.Y, other.Y)
 
     @property
     def t_1(self) -> int:

@@ -164,6 +164,18 @@ class TestErrors:
         assert err.startswith(f"error: {code}: {path}: not UTF-8 text:")
 
 
+class TestGen:
+    @pytest.mark.parametrize("t_1", [10**14, 10**18], ids=["memory", "too-big"])
+    def test_unallocatable_series_is_a_capacity_error(self, tmp_path, capsys, t_1):
+        # Both sizes exceed the 47-bit user address space, so nothing is allocated.
+        spec_path = tmp_path / "huge.spec"
+        spec_path.write_text(spec_to_kv(decay_spec(5, t_1=t_1)))
+        assert run(["gen", "--spec", spec_path, "--seed", "1", "--out", tmp_path / "y.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CAPACITY: ")
+        assert f"t_1={t_1}, d_y=1, s=5" in err
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "line",
@@ -177,6 +189,7 @@ class TestConfig:
             "row_cap = 0",
             "scale_gamma = 0",
             "scale_gamma = -1",
+            "scale_gamma = inf",
         ],
     )
     def test_bad_structural_value_rejected_by_resolved(self, line):

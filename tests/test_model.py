@@ -15,6 +15,7 @@ from polysid import (
     IdentConfig,
     InvalidInputError,
     MonomialMap,
+    NumericalOverflowError,
     ObserverModel,
     OutputScaling,
     ParseError,
@@ -169,7 +170,7 @@ class TestPredictOneStep:
         h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
         model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o)
         ts = TimeSeriesSet(np.full((3, 1, 3), 1e12))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err:
             predict_one_step(model, ts, np.array([[1.0, 1e12, 1.0]]))
         assert "series 2 after time 1" in str(err.value)
 
@@ -225,6 +226,15 @@ class TestBurnIn:
         anchor_abs_resid = np.abs(rep.residuals[0, 0, :])
         assert anchor_abs_resid == pytest.approx(diag.training_rmse_per_series, abs=1e-12)
 
+    def test_overflowing_history_names_the_series(self):
+        # Raised before the observer runs, with no numpy warning (pytest's
+        # warning filters make one an error).
+        model, _ = TestValueEquality.a1_identified()
+        Y = generate(linear_spec(3, t_1=30), 2).Y.copy()
+        Y[:, :, 1] = 1e300
+        with pytest.raises(NumericalOverflowError, match="state of series 2 is not finite"):
+            predict_with_burn_in(model, TimeSeriesSet(Y))
+
     def test_burn_in_requires_lifting(self, rng):
         model = decay_model()
         with pytest.raises(InvalidInputError):
@@ -240,6 +250,14 @@ class TestValueEquality:
         assert scaling != [[0.0, 1.0], [1.0, 2.0]]
         with pytest.raises(TypeError):
             hash(scaling)
+
+    def test_output_scaling_copies_its_arrays(self):
+        mean, std = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        scaling = OutputScaling(mean, std)
+        assert mean.flags.writeable and std.flags.writeable
+        assert not (scaling.mean.flags.writeable or scaling.std.flags.writeable)
+        mean[0], std[0] = 0.5, 3.0
+        assert scaling == OutputScaling([0.0, 1.0], [1.0, 2.0])
 
     @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3)], ids=["d_y", "d_y-s", "t-d_y-s"])
     def test_output_scaling_layouts(self, rng, shape):

@@ -43,6 +43,14 @@ class TestMdtrunc:
         with pytest.raises(TypeError):
             hash(table)
 
+    def test_table_copies_the_fractions(self):
+        fractions = np.array([0.5, 1.0])
+        table = TruncationTable(fractions)
+        assert fractions.flags.writeable
+        assert not table.fractions.flags.writeable
+        fractions[0] = 0.25
+        assert table == TruncationTable([0.5, 1.0])
+
     def test_svd_result_value_equality(self, rng):
         res = svd_trunc(rng.standard_normal((3, 20)), rng.standard_normal((4, 20)), 0.99)
         assert res == copy.deepcopy(res)

@@ -58,6 +58,18 @@ class TestBuildWindowVectors:
         with pytest.raises(InvalidInputError):
             build_window_vectors(ts, 2, 1, 2)
 
+    def test_array_of_anchors(self, rng):
+        ts = TimeSeriesSet(rng.standard_normal((10, 2, 3)))
+        anchors = np.array([3, 5, 8])
+        Yplus, Yminus = build_window_vectors(ts, anchors, 2, 2)
+        assert Yplus.shape == Yminus.shape == (4, 9)
+        for i, a in enumerate(anchors):
+            plus, minus = build_window_vectors(ts, int(a), 2, 2)
+            assert np.array_equal(Yplus[:, 3 * i : 3 * i + 3], plus)
+            assert np.array_equal(Yminus[:, 3 * i : 3 * i + 3], minus)
+        with pytest.raises(InvalidInputError, match="t=9"):
+            build_window_vectors(ts, np.array([3, 9]), 3, 2)
+
     def test_shift_relation(self, rng):
         Y = rng.standard_normal((10, 2, 4))
         ts = TimeSeriesSet(Y)
