@@ -23,12 +23,6 @@ from .monomials import monomial_name
 from .pipeline import IdentConfig, IdentDiagnostics, identify
 
 
-def _kv_bound(raw: str, key: str) -> int | tuple[int, ...]:
-    """An exponent bound: a single integer is a scalar, several a vector."""
-    vec = dataio.kv_int_vector(raw, key)
-    return vec[0] if len(vec) == 1 else vec
-
-
 _KV_PARSERS = {bool: dataio.kv_bool, int: dataio.kv_int, float: dataio.kv_float}
 
 
@@ -36,10 +30,11 @@ def config_from_kv(text: str, origin: str = "<config>") -> IdentConfig:
     """Build an IdentConfig from a flat key-value document.
 
     The keys are the fields of :class:`IdentConfig`, each parsed by its
-    type; an ``int | Sequence[int]`` bound takes one or several integers.
-    The thresholds r1, r2 and r4 are mandatory; structural parameters fall
-    back to their defaults (echoed into the identification report).  The
-    deprecated ``r3`` and ``block_limit`` are still accepted and ignored.
+    type: one boolean, integer or number per key, so an exponent bound is a
+    single integer.  The thresholds r1, r2 and r4 are mandatory; structural
+    parameters fall back to their defaults (echoed into the identification
+    report).  The deprecated ``r3`` and ``block_limit`` are still accepted
+    and ignored.
     """
     kv = dataio.parse_kv(text, origin)
     fields = dataclasses.fields(IdentConfig)
@@ -53,9 +48,8 @@ def config_from_kv(text: str, origin: str = "<config>") -> IdentConfig:
     hints = typing.get_type_hints(IdentConfig)
     kwargs = {}
     for key, raw in kv.items():
-        kinds = [k for k in typing.get_args(hints[key]) or (hints[key],) if k is not type(None)]
-        parse = _KV_PARSERS[kinds[0]] if len(kinds) == 1 else _kv_bound
-        kwargs[key] = parse(raw, key)
+        kind = next(k for k in typing.get_args(hints[key]) or (hints[key],) if k is not type(None))
+        kwargs[key] = _KV_PARSERS[kind](raw, key)
     return IdentConfig(**kwargs)
 
 

@@ -6,8 +6,10 @@ same length for every series.  Both directions stream in chunks of about
 ``CHUNK_ROWS`` rows, converting whole columns at a time, so the memory they
 use beyond the arrays of the set is bounded by the chunk.
 
-Config and generator-spec documents are flat ``key = value`` text; vectors
-are comma- or space-separated numbers and matrices separate rows with ``;``.
+Config and generator-spec documents are flat ``key = value`` text.  A config
+value is one boolean, integer or number.  Spec documents also hold vectors,
+comma- or space-separated numbers, and matrices, whose rows are separated
+by ``;``.
 Every input file is read as UTF-8.
 """
 
@@ -289,13 +291,6 @@ def kv_bool(raw: str, key: str) -> bool:
 
 def _split_fields(raw: str) -> list[str]:
     return [f for f in raw.replace(",", " ").split() if f]
-
-
-def kv_int_vector(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(f) for f in _split_fields(raw))
-    except ValueError as exc:
-        raise ParseError(f"key {key!r}: {exc}") from exc
 
 
 def kv_float_vector(raw: str, key: str) -> tuple[float, ...]:

@@ -84,22 +84,21 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
     rng = np.random.default_rng(seed)
     lo = np.asarray(spec.x0_min, dtype=float)
     hi = np.asarray(spec.x0_max, dtype=float)
+
+    def noisy(i: int, y: np.ndarray) -> np.ndarray:
+        # In place: ``y`` is row ``i`` of the outputs run_observer returns.
+        if spec.noise_std > 0:
+            y += spec.noise_std * rng.standard_normal(y.shape)
+        return y
+
     try:
         x = lo[:, None] + (hi - lo)[:, None] * rng.random((spec.n, spec.s))
-        Y = np.empty((spec.t_1, spec.d_y, spec.s))
+        Y = run_observer(spec.f, spec.h, x, spec.t_1, noisy)
     except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
         raise CapacityError(
             f"cannot allocate t_1={spec.t_1}, d_y={spec.d_y}, s={spec.s} "
             f"series samples: {exc}"
         ) from exc
-
-    def noisy(i: int, y: np.ndarray) -> np.ndarray:
-        if spec.noise_std > 0:
-            y = y + spec.noise_std * rng.standard_normal(y.shape)
-        Y[i] = y
-        return y
-
-    run_observer(spec.f, spec.h, x, spec.t_1, noisy)
     return TimeSeriesSet(Y)
 
 

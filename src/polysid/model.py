@@ -178,7 +178,8 @@ def run_observer(
 
     Step ``i`` is time ``t_start + i`` and each column of ``x`` one series.
     ``feedback`` gives the outputs that drive the state: the measured ones
-    for prediction, the noisy ones for simulation.
+    for prediction, the noisy ones for simulation.  It receives row ``i`` of
+    the returned array, which it may change in place.
 
     Raises:
         DivergenceError: Naming the series and time at which a state
@@ -222,6 +223,8 @@ def predict_one_step(
     Raises:
         DivergenceError: If any state component exceeds the overflow guard;
             the message names the series and time step.
+        NumericalOverflowError: If a measured output overflows the output
+            scaling; the message names the series and time.
     """
     if ts.d_y != model.d_y:
         raise DimensionMismatchError(
@@ -239,8 +242,19 @@ def predict_one_step(
 
     measured = ts.Y[t_start - 1 :]
     scaling = model.scaling
-    # Scaled step by step, so no scaled copy of the whole set is held.
-    feedback = (lambda i, _: scaling.apply(measured[i])) if scaling else (lambda i, _: measured[i])
+
+    def scaled(i: int, _) -> np.ndarray:
+        # Step by step, so no scaled copy of the whole set is held.
+        y = scaling.apply(measured[i])
+        if not np.isfinite(y).all():
+            series = int(np.isfinite(y).all(axis=0).argmin()) + 1
+            raise NumericalOverflowError(
+                f"the output of series {series} at time {t_start + i} overflows "
+                "the output scaling"
+            )
+        return y
+
+    feedback = scaled if scaling else (lambda i, _: measured[i])
     predicted = run_observer(model.f_o, model.h_o, x, len(measured), feedback, t_start)
     if scaling:
         predicted = scaling.invert(predicted)
@@ -265,7 +279,7 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
     Raises:
         InvalidInputError: If the model carries no past lifting.
         NumericalOverflowError: Naming the first series whose state is not
-            finite: its past outputs overflow the lifting.
+            finite: its past outputs overflow the scaling or the lifting.
     """
     if model.g_io is None or model.t_minus is None:
         raise InvalidInputError("model does not store a past-output lifting")
@@ -277,17 +291,19 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
         raise DimensionMismatchError(
             f"past window must have shape ({model.t_minus}, {model.d_y}, s), got {Y.shape}"
         )
-    if model.scaling is not None:
-        Y = model.scaling.apply(Y)
-    # The window before time t_minus + 1 is all of Y, most recent first.
-    window = past_windows(Y, [model.t_minus + 1], model.t_minus)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = eval_monomial_map_many(model.g_io, window.T)
-    finite = np.isfinite(x).all(axis=0)
+        if model.scaling is not None:
+            Y = model.scaling.apply(Y)
+        # The window before time t_minus + 1 is all of Y, most recent first.
+        window = past_windows(Y, [model.t_minus + 1], model.t_minus)
+        finite = np.isfinite(window).all(axis=0)
+        if finite.all():
+            x = eval_monomial_map_many(model.g_io, window.T)
+            finite = np.isfinite(x).all(axis=0)
     if not finite.all():
         raise NumericalOverflowError(
             f"the state of series {int(finite.argmin()) + 1} is not finite: its "
-            "past outputs overflow the past lifting"
+            "past outputs overflow the output scaling or the past lifting"
         )
     return x[:, 0] if squeeze else x
 

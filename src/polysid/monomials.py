@@ -11,10 +11,10 @@ Monomial vectors are evaluated by :func:`build_data_matrix` along a
 *product chain*: every row is its *parent* (the same row with its last
 nonzero exponent lowered by one) times one variable, so a row costs one
 multiply.  The chain is planned once per :class:`PowerMatrix` and cached on
-it; parents missing from ``K`` become auxiliary rows, so sets that are not
-downward-closed evaluate too.  Each value is thus the product of its
-factors from left to right, each variable repeated by its exponent, in
-increasing variable order.  It depends neither on which other rows a set
+it; parents missing from ``K`` become auxiliary rows, up to
+``DEFAULT_ROW_CAP`` of them, so sets that are not downward-closed evaluate
+too.  Each value is thus the product of its factors from left to right,
+each variable repeated by its exponent, in increasing variable order.  It depends neither on which other rows a set
 contains nor on how many samples are evaluated together.
 """
 
@@ -26,12 +26,14 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from ._records import ArrayRecord, readonly_copy
 from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 
 #: Default cap on enumerated monomial rows; full enumerations grow
-#: exponentially in the number of variables.
+#: exponentially in the number of variables.  Also the cap on the auxiliary
+#: rows of a product chain.
 DEFAULT_ROW_CAP = 1_000_000
 
 
@@ -114,7 +116,7 @@ class PowerMatrix(ArrayRecord):
 
     @classmethod
     def from_rows(
-        cls, rows: Iterable[Sequence[int]] | np.ndarray, k_max: Sequence[int] | None = None
+        cls, rows: Iterable[Iterable[int]] | np.ndarray, k_max: Iterable[int] | None = None
     ) -> "PowerMatrix":
         """Build a power matrix from rows in any order, sorting and deduplicating.
 
@@ -127,7 +129,7 @@ class PowerMatrix(ArrayRecord):
             k_max = tuple(int(v) for v in K.max(axis=0)) if K.size else (0,) * K.shape[1]
         return cls(K, tuple(int(v) for v in k_max))
 
-    def select_rows(self, indices: Sequence[int]) -> "PowerMatrix":
+    def select_rows(self, indices: npt.ArrayLike) -> "PowerMatrix":
         """Return the sub-matrix of the given rows, preserving their order."""
         return PowerMatrix(self.K[np.asarray(indices, dtype=np.intp)], self.k_max)
 
@@ -145,7 +147,21 @@ class PowerMatrix(ArrayRecord):
         parent is computed before its children.  The plan is cached on the
         instance and is not a dataclass field, so it takes no part in
         ``==``, ``repr`` or ``dataclasses.replace``.
+
+        Raises:
+            CapacityError: If the chain needs more than ``DEFAULT_ROW_CAP``
+                auxiliary rows (exponents far beyond any enumerated bound);
+                downward-closed sets, enumerated ones among them, need none.
         """
+        top = int(self.K.max(initial=0))
+        too_long = CapacityError(
+            f"the product chain needs more than {DEFAULT_ROW_CAP} auxiliary rows "
+            f"(largest exponent {top})"
+        )
+        # A row of degree d has d - 1 distinct nonconstant ancestors, at most
+        # d_v - 1 of them in K, so a huge exponent fails before the scan.
+        if top - self.d_v > DEFAULT_ROW_CAP:
+            raise too_long
         rows = [tuple(r) for r in self.K.tolist()]
         index = {r: i for i, r in enumerate(rows)}
         links: list[tuple[int, int]] = []
@@ -165,6 +181,8 @@ class PowerMatrix(ArrayRecord):
             else:
                 p = index[parent] = len(rows)
                 rows.append(parent)
+                if p - self.d_v >= DEFAULT_ROW_CAP:
+                    raise too_long
             links.append((p, j))
         degree = [sum(r) for r in rows]
         order = sorted(range(len(rows)), key=degree.__getitem__)
@@ -178,7 +196,7 @@ def identity_power_matrix(n: int) -> PowerMatrix:
     return PowerMatrix(np.eye(n, dtype=np.int64), (1,) * n)
 
 
-def _count_rows(bounds: Sequence[int], max_degree: int) -> int:
+def _count_rows(bounds: tuple[int, ...], max_degree: int) -> int:
     """Count the power vectors with ``k[j] <= bounds[j]`` and degree <= ``max_degree``.
 
     ``counts[d]`` holds how many vectors over the variables seen so far have
@@ -197,7 +215,7 @@ def _count_rows(bounds: Sequence[int], max_degree: int) -> int:
 
 def enumerate_power_matrix(
     n: int,
-    k_max: Sequence[int],
+    k_max: Iterable[int],
     cap: int = DEFAULT_ROW_CAP,
     max_degree: int | None = None,
 ) -> PowerMatrix:
@@ -317,7 +335,7 @@ def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
     return W[: pm.d_v]
 
 
-def monomial_name(k: Sequence[int], var_names: Sequence[str]) -> str:
+def monomial_name(k: Iterable[int], var_names: Sequence[str]) -> str:
     """Human-readable monomial, e.g. ``x1*x2^2*y``; the constant prints as ``1``."""
     parts = []
     for name, e in zip(var_names, k):

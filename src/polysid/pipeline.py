@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -96,29 +95,6 @@ def build_window_vectors(
     return past_windows(ts.Y, anchors + t_plus, t_plus), past_windows(ts.Y, anchors, t_minus)
 
 
-def _bound_entries(value, name: str) -> tuple[int, ...]:
-    """Entries of a scalar or vector exponent bound, checked nonempty and nonnegative."""
-    scalar = isinstance(value, (int, np.integer))
-    bounds = (int(value),) if scalar else tuple(int(v) for v in value)
-    if not bounds:
-        raise ConfigError(f"{name} must not be empty")
-    if any(b < 0 for b in bounds):
-        raise ConfigError(f"{name} entries must be nonnegative, got {list(bounds)}")
-    return bounds
-
-
-def _as_bound_vector(value, length: int, name: str) -> tuple[int, ...]:
-    """Accept a scalar bound (broadcast) or an explicit per-variable vector."""
-    bounds = _bound_entries(value, name)
-    if isinstance(value, (int, np.integer)):
-        return bounds * length
-    if len(bounds) != length:
-        raise ConfigError(
-            f"{name} has length {len(bounds)} but {length} entries are required"
-        )
-    return bounds
-
-
 #: Deprecated ``IdentConfig`` fields, each with why it is ignored.
 _IGNORED_FIELDS = (
     ("r3", "generator-product elimination was removed"),
@@ -132,21 +108,19 @@ class IdentConfig:
 
     The three thresholds ``r1``, ``r2`` and ``r4`` are mandatory; structural
     parameters carry defaults.
-    ``k_max_x`` may be a scalar because the state dimension is only known at
-    run time; scalars are broadcast per variable.
 
     Attributes:
         r1: Mass-fraction threshold of the past-to-future SVD truncation.
         r2: Mass-fraction threshold of the dynamics SVD truncation.
         r4: Column-pruning threshold of the LK-reductions.
         t_plus_min / t_minus_min: Initial future/past window lengths.
-        t_plus_max / t_minus_max: Final window lengths (default 8).
-        k_max_y: Per-output exponent bound of the past lifting (scalar or
-            length ``d_y``).
-        k_max_x: Per-state exponent bound of the dynamics lifting (scalar or
-            length ``n``).
-        k_max_y2: Per-output exponent bound of the dynamics lifting (scalar
-            or length ``d_y``).
+        t_plus_max / t_minus_max: Final window lengths.
+        k_max_y: Exponent bound (nonnegative) of every past output in the
+            past lifting, ``t_minus * d_y`` variables.
+        k_max_x: Exponent bound (nonnegative) of every state in the
+            dynamics lifting.
+        k_max_y2: Exponent bound (nonnegative) of every current output in
+            the dynamics lifting.
         anchor_t: Anchor time; defaults to ``t_minus_max + 1``.
         pool_windows: Pool every admissible anchor as extra data columns;
             ``None`` pools when the series count ``s`` is below four times
@@ -183,11 +157,11 @@ class IdentConfig:
     r4: float
     t_plus_min: int = 1
     t_minus_min: int = 1
-    t_plus_max: int | None = None
-    t_minus_max: int | None = None
-    k_max_y: int | Sequence[int] = 1
-    k_max_x: int | Sequence[int] = 1
-    k_max_y2: int | Sequence[int] = 1
+    t_plus_max: int = 8
+    t_minus_max: int = 8
+    k_max_y: int = 1
+    k_max_x: int = 1
+    k_max_y2: int = 1
     anchor_t: int | None = None
     pool_windows: bool | None = None
     max_total_degree_xy: int | None = None
@@ -200,9 +174,8 @@ class IdentConfig:
     def resolved(self, ts: TimeSeriesSet) -> "IdentConfig":
         """Validate against a data set and return a copy with every default filled in.
 
-        The copy sets both window maxima and ``anchor_t``, and gives
-        ``k_max_y`` and ``k_max_y2`` as ``d_y``-length tuples; resolving it
-        again returns an equal config.
+        The copy sets ``anchor_t`` and gives the exponent bounds as Python
+        ``int``s; resolving it again returns an equal config.
         """
         for name in ("r1", "r2", "r4"):
             v = getattr(self, name)
@@ -211,16 +184,10 @@ class IdentConfig:
         for name, reason in _IGNORED_FIELDS:
             if getattr(self, name) is not None:
                 warnings.warn(f"{name} is ignored: {reason}", FutureWarning, stacklevel=2)
-        t_plus_max = 8 if self.t_plus_max is None else self.t_plus_max
-        t_minus_max = 8 if self.t_minus_max is None else self.t_minus_max
-        if not (1 <= self.t_plus_min <= t_plus_max):
-            raise ConfigError(
-                f"need 1 <= t_plus_min <= t_plus_max, got {self.t_plus_min}..{t_plus_max}"
-            )
-        if not (1 <= self.t_minus_min <= t_minus_max):
-            raise ConfigError(
-                f"need 1 <= t_minus_min <= t_minus_max, got {self.t_minus_min}..{t_minus_max}"
-            )
+        for side in ("plus", "minus"):
+            lo, hi = getattr(self, f"t_{side}_min"), getattr(self, f"t_{side}_max")
+            if not 1 <= lo <= hi:
+                raise ConfigError(f"need 1 <= t_{side}_min <= t_{side}_max, got {lo}..{hi}")
         if self.row_cap < 1:
             raise ConfigError(f"row_cap must be positive, got {self.row_cap}")
         if self.max_total_degree_xy is not None and self.max_total_degree_xy < 0:
@@ -229,41 +196,38 @@ class IdentConfig:
             )
         if not 0 < self.scale_gamma < np.inf:
             raise ConfigError(f"scale_gamma must be finite and positive, got {self.scale_gamma}")
-        # k_max_x has one entry per state, known only after the reductions;
-        # its length is checked then, its entries now.
-        _bound_entries(self.k_max_x, "k_max_x")
-        anchor = self.anchor_t if self.anchor_t is not None else t_minus_max + 1
-        if anchor - t_minus_max < 1:
+        bounds = {}
+        for name in ("k_max_y", "k_max_x", "k_max_y2"):
+            k = getattr(self, name)
+            if not isinstance(k, (int, np.integer)) or k < 0:
+                raise ConfigError(f"{name} must be a nonnegative integer, got {k!r}")
+            bounds[name] = int(k)
+        anchor = self.anchor_t if self.anchor_t is not None else self.t_minus_max + 1
+        if anchor - self.t_minus_max < 1:
             raise ConfigError(
-                f"anchor time {anchor} leaves no room for a past window of {t_minus_max}"
+                f"anchor time {anchor} leaves no room for a past window of "
+                f"{self.t_minus_max}"
             )
         if anchor > ts.t_1 / 2:
             raise ConfigError(
                 f"anchor time {anchor} must not exceed half the series length "
                 f"({ts.t_1}/2)"
             )
-        if anchor + t_plus_max - 1 > ts.t_1:
+        if anchor + self.t_plus_max - 1 > ts.t_1:
             raise ConfigError(
-                f"anchor time {anchor} leaves no room for a future window of {t_plus_max}"
+                f"anchor time {anchor} leaves no room for a future window of "
+                f"{self.t_plus_max}"
             )
         return replace(
             self,
             **{name: None for name, _ in _IGNORED_FIELDS},
-            t_plus_max=t_plus_max,
-            t_minus_max=t_minus_max,
+            **bounds,
             anchor_t=anchor,
-            k_max_y=_as_bound_vector(self.k_max_y, ts.d_y, "k_max_y"),
-            k_max_y2=_as_bound_vector(self.k_max_y2, ts.d_y, "k_max_y2"),
         )
 
     def echo(self) -> dict:
         """Effective configuration as a flat dict (for reports and provenance)."""
-        def plain(v):
-            if isinstance(v, tuple):
-                return list(v)
-            return v
-
-        return {k: plain(v) for k, v in self.__dict__.items()}
+        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -398,7 +362,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         t_minus = min(cfg.t_minus_min + step, cfg.t_minus_max)
         try:
             K_past = enumerate_power_matrix(
-                t_minus * ts.d_y, cfg.k_max_y * t_minus, cap=cfg.row_cap
+                t_minus * ts.d_y, (cfg.k_max_y,) * (t_minus * ts.d_y), cap=cfg.row_cap
             )
         except CapacityError as exc:
             raise CapacityError(f"past monomial lifting: {exc}") from exc
@@ -452,11 +416,13 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     X_next = eval_many_checked(g_io, Yminus_next.T, "the next-state samples")
 
     # Lift the (state, output) pair.
-    k_max_x = _as_bound_vector(cfg.k_max_x, n, "k_max_x")
     y_now = Yplus[-d_y:]  # y(t) at every anchor, the bottom of the future stack
     try:
         K_xy = enumerate_power_matrix(
-            n + d_y, k_max_x + cfg.k_max_y2, cfg.row_cap, cfg.max_total_degree_xy
+            n + d_y,
+            (cfg.k_max_x,) * n + (cfg.k_max_y2,) * d_y,
+            cfg.row_cap,
+            cfg.max_total_degree_xy,
         )
     except CapacityError as exc:
         raise CapacityError(

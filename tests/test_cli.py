@@ -8,9 +8,13 @@ import pytest
 from polysid import (
     ConfigError,
     IdentConfig,
+    MonomialMap,
+    ObserverModel,
     ParseError,
+    PowerMatrix,
     deserialize_model,
     identify,
+    identity_power_matrix,
     serialize_model,
 )
 from polysid.cli import config_from_kv, main
@@ -176,16 +180,42 @@ class TestGen:
         assert f"t_1={t_1}, d_y=1, s=5" in err
 
 
+class TestHostileExponents:
+    """An exponent of 2**62 would need 2**62 - 1 auxiliary rows to evaluate."""
+
+    E = 2**62
+
+    def test_predict_is_a_capacity_error(self, tmp_path, capsys):
+        identity = identity_power_matrix(1)
+        f_o = MonomialMap(np.array([[0.5]]), PowerMatrix(np.array([[self.E, 0]]), (self.E, 0)))
+        model = ObserverModel(
+            n=1, d_y=1, f_o=f_o, h_o=MonomialMap(np.ones((1, 1)), identity),
+            g_io=MonomialMap(np.ones((1, 1)), identity), t_minus=1,
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_text(serialize_model(model))
+        data = tmp_path / "data.csv"
+        emit(generate(decay_spec(100), 3), data)
+        argv = ["predict", "--model", model_path, "--data", data, "--out", tmp_path / "p.csv"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: CAPACITY: ")
+
+    def test_gen_is_a_capacity_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "hostile.spec"
+        spec_path.write_text(
+            spec_to_kv(decay_spec(100)).replace("f_K = 1 0", f"f_K = {self.E} 0")
+        )
+        assert run(["gen", "--spec", spec_path, "--seed", "1", "--out", tmp_path / "y.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: CAPACITY: ")
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "line",
         [
             "max_total_degree_xy = -1",
             "k_max_x = -1",
-            "k_max_x = 1 -1",
-            "k_max_y =",
-            "k_max_x =",
-            "k_max_y2 =",
+            "k_max_y2 = -2",
             "row_cap = 0",
             "scale_gamma = 0",
             "scale_gamma = -1",
@@ -203,14 +233,31 @@ class TestConfig:
             config_from_kv(base + line + "\n").resolved(ts)
         assert line.split()[0] in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line", ["k_max_x = 1 -1", "k_max_y = 1, 1", "k_max_y =", "k_max_x =", "k_max_y2 ="]
+    )
+    def test_bound_takes_one_integer(self, line):
+        base = "r1 = 0.99\nr2 = 0.99\nr4 = 0.01\n"
+        with pytest.raises(ParseError) as err:
+            config_from_kv(base + line + "\n")
+        assert repr(line.split()[0]) in str(err.value)
+
+    @pytest.mark.parametrize("bound", [(1, 2), [1], 1.0, "1"])
+    def test_bound_given_as_non_integer_is_a_config_error(self, bound):
+        ts = generate(decay_spec(20, t_1=12), 5)
+        for name in ("k_max_y", "k_max_x", "k_max_y2"):
+            cfg = IdentConfig(r1=0.99, r2=0.99, r4=0.01, **{name: bound})
+            with pytest.raises(ConfigError, match=f"{name} must be a nonnegative integer"):
+                cfg.resolved(ts)
+
     def test_keys_and_types_follow_the_config_fields(self):
         thresholds = "r1 = 0.9\nr2 = 0.9\nr4 = 0.01\n"
         cfg = config_from_kv(
             thresholds
-            + "k_max_y = 2\nk_max_x = 1 2\nanchor_t = 5\npool_windows = yes\n"
+            + "k_max_y = 2\nk_max_x = 3\nanchor_t = 5\npool_windows = yes\n"
             "scale_gamma = 2\nmax_total_degree_xy = 3\n"
         )
-        assert (cfg.r4, cfg.k_max_y, cfg.k_max_x) == (0.01, 2, (1, 2))
+        assert (cfg.r4, cfg.k_max_y, cfg.k_max_x) == (0.01, 2, 3)
         assert (cfg.anchor_t, cfg.pool_windows, cfg.scale_gamma) == (5, True, 2.0)
         assert cfg.max_total_degree_xy == 3
         with pytest.raises(ConfigError, match="threshold 'r4' is mandatory"):

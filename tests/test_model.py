@@ -235,6 +235,30 @@ class TestBurnIn:
         with pytest.raises(NumericalOverflowError, match="state of series 2 is not finite"):
             predict_with_burn_in(model, TimeSeriesSet(Y))
 
+    @staticmethod
+    def half_std_model() -> ObserverModel:
+        """x(t+1) = 0.5 x + 0.1 y, yhat = x, x = y(t-1): scaling std 0.5, t_minus 1."""
+        f_o = MonomialMap(np.array([[0.5, 0.1]]), identity_power_matrix(2))
+        h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
+        return ObserverModel(
+            n=1, d_y=1, f_o=f_o, h_o=h_o,
+            scaling=OutputScaling(np.zeros(1), np.full(1, 0.5)),
+            g_io=MonomialMap(np.array([[1.0]]), identity_power_matrix(1)),
+            t_minus=1,
+        )
+
+    def test_scaling_overflow_in_history_names_the_series(self):
+        Y = np.full((5, 1, 3), 0.25)
+        Y[0, 0, 1] = 1e308  # the past window of series 2; twice it overflows
+        with pytest.raises(NumericalOverflowError, match="state of series 2 is not finite"):
+            predict_with_burn_in(self.half_std_model(), TimeSeriesSet(Y))
+
+    def test_scaling_overflow_after_history_names_series_and_time(self):
+        Y = np.full((5, 1, 3), 0.25)
+        Y[2, 0, 1] = 1e308  # series 2 at time 3
+        with pytest.raises(NumericalOverflowError, match="series 2 at time 3 overflows"):
+            predict_with_burn_in(self.half_std_model(), TimeSeriesSet(Y))
+
     def test_burn_in_requires_lifting(self, rng):
         model = decay_model()
         with pytest.raises(InvalidInputError):

@@ -345,6 +345,19 @@ class TestChainPlan:
         x = np.array([[1.3, -0.4, 2.2]])
         assert np.array_equal(build_data_matrix(x, pm), product_oracle(x, pm))
 
+    def test_auxiliary_rows_beyond_the_cap_raise(self, monkeypatch):
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 10)
+        # (6,5) has ten nonconstant ancestors, (6,6) eleven: only the second
+        # passes the cap, found while scanning since no exponent exceeds it.
+        assert PowerMatrix(np.array([[6, 5]]), (6, 6)).chain_plan[0] == 11
+        with pytest.raises(CapacityError, match="more than 10 auxiliary rows"):
+            PowerMatrix(np.array([[6, 6]]), (6, 6)).chain_plan
+
+    def test_huge_exponent_fails_before_the_scan(self):
+        pm = PowerMatrix(np.array([[2**62, 0], [0, 1]]), (2**62, 1))
+        with pytest.raises(CapacityError, match="largest exponent 4611686018427387904"):
+            build_data_matrix(np.ones((3, 2)), pm)
+
     def test_every_parent_precedes_its_children(self):
         pm = PowerMatrix.from_rows([(3, 0, 1), (1, 2, 2), (0, 0, 4), (0, 0, 0), (2, 2, 0)])
         rows, steps = pm.chain_plan

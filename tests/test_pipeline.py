@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from polysid import (
     CapacityError,
     ConfigError,
+    GeneratorSpec,
     IdentConfig,
     InvalidInputError,
+    MonomialMap,
+    PowerMatrix,
     RankDeficiencyError,
     TimeSeriesSet,
     build_data_matrix,
@@ -122,7 +127,30 @@ class TestIdentify:
         echo = model.meta["config"]
         assert echo == diag.config_echo
         assert echo["anchor_t"] == diag.anchor_t == model.meta["anchor_t"] == 3
-        assert echo["k_max_y"] == echo["k_max_y2"] == [1]
+        assert echo["k_max_y"] == echo["k_max_y2"] == 1
+
+    def test_two_output_system(self):
+        # A2's dynamics over (x1, x2, y1, y2), independent of y2, seen
+        # through two outputs.
+        def two_output_spec(s: int) -> GeneratorSpec:
+            base = polynomial_spec(s, t_1=30)
+            K = np.column_stack([base.f.K.K, np.zeros(base.f.K.d_v, dtype=int)])
+            f = MonomialMap(base.f.L, PowerMatrix(K, (1, 1, 1, 0)))
+            h = MonomialMap(np.array([[0.7, 0.3], [0.2, -0.5]]), identity_power_matrix(2))
+            return dataclasses.replace(base, d_y=2, f=f, h=h)
+
+        train, held = generate(two_output_spec(100), 11), generate(two_output_spec(20), 12)
+        cfg = IdentConfig(
+            r1=0.9999, r2=0.9999, r4=0.001,
+            t_plus_max=3, t_minus_max=3, k_max_y=1,
+            max_total_degree_xy=2, scale_gamma=2.0,
+        )
+        model, diag = identify(train, cfg)
+        assert predict_with_burn_in(model, held).max_relative_rmse <= 0.05
+        # One k_max_y bounds all t_minus * d_y past variables: 2, 4, 6 of them.
+        assert [r.rows_presented for r in diag.reductions] == [4, 16, 64]
+        assert model.g_io.n_vars == model.t_minus * 2
+        assert model.meta["config"]["k_max_y"] == model.meta["config"]["k_max_y2"] == 1
 
     def test_constant_series(self):
         Y = np.full((10, 1, 6), 3.25)
@@ -268,15 +296,15 @@ class TestIdentify:
 
     def test_resolved_fills_every_default(self, rng):
         ts = TimeSeriesSet(rng.standard_normal((20, 2, 3)))
-        cfg = IdentConfig(r1=0.9, r2=0.9, r4=0.01, k_max_y2=(1, 2))
+        cfg = IdentConfig(r1=0.9, r2=0.9, r4=0.01, k_max_y2=np.int64(2))
         res = cfg.resolved(ts)
         assert type(res) is IdentConfig
         assert res.t_plus_max == res.t_minus_max == 8
         assert res.anchor_t == res.t_minus_max + 1
-        assert res.k_max_y == (1, 1) and res.k_max_y2 == (1, 2)
-        assert res.k_max_x == 1  # one entry per state, broadcast later
+        assert (res.k_max_y, res.k_max_x, res.k_max_y2) == (1, 1, 2)
+        assert type(res.k_max_y2) is int
         assert res.resolved(ts) == res
-        assert cfg.t_plus_max is None and cfg.anchor_t is None
+        assert cfg.anchor_t is None
         res = IdentConfig(
             r1=0.9, r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=3
         ).resolved(ts)
