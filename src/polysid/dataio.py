@@ -6,6 +6,14 @@ same length for every series.  Both directions stream in chunks of about
 ``CHUNK_ROWS`` rows, converting whole columns at a time, so the memory they
 use beyond the arrays of the set is bounded by the chunk.
 
+Reading takes the header record with ``csv.reader`` and the data lines with
+numpy's C parser (``np.loadtxt``), which reads plain ASCII numbers such as
+those :func:`emit` writes.  If it rejects a chunk, or the chunk fails a
+check, the file is read again from the top by the ``csv.reader`` record
+parser.  That parser reads quoted fields and every spelling ``int`` and
+``float`` accept, and it alone names a file's fault, so every message and
+line number is the same as with the record parser alone.
+
 Config and generator-spec documents are flat ``key = value`` text.  A config
 value is one boolean, integer or number.  Spec documents also hold vectors,
 comma- or space-separated numbers, and matrices, whose rows are separated
@@ -18,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import TextIO
@@ -28,7 +37,14 @@ from .errors import FormatError, ParseError
 from .series import TimeSeriesSet
 
 CHUNK_ROWS = 8192
-"""Records read, or rows written, per chunk of a series file."""
+"""Lines or records read, or rows written, per chunk of a series file."""
+
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+"""Characters numpy's parser strips as whitespace but ``int`` and ``float`` do not.
+
+Outside ASCII its integer parser also reads some characters, such as
+U+10112, as digits.
+"""
 
 
 def read_document(path: str | Path) -> str:
@@ -47,9 +63,13 @@ def ingest(path: str | Path) -> TimeSeriesSet:
     """Read a series file into memory.
 
     Series are ordered by ascending series id, times by t.  The file is
-    read in chunks of ``CHUNK_ROWS`` records; each chunk is checked and
-    converted column by column, and nothing of size ``t_1 x s`` is
-    allocated before the row count is known to equal ``s * t_1``.
+    read in chunks of ``CHUNK_ROWS`` lines by numpy's C parser; each chunk
+    is checked and converted column by column, and nothing of size
+    ``t_1 x s`` is allocated before the row count is known to equal
+    ``s * t_1``.  A file that the C parser rejects, or with a chunk that
+    fails a check, is read again from its start by ``csv.reader``, in
+    chunks of ``CHUNK_ROWS`` records, which gives the same set or the
+    fault below; line numbers in messages count records.
 
     Raises:
         FormatError: On text that is not UTF-8 or not CSV, a malformed
@@ -75,15 +95,27 @@ def ingest_text(text: str, origin: str = "<string>") -> TimeSeriesSet:
     return _ingest_rows(io.StringIO(text), origin)
 
 
-def _ingest_rows(lines, origin: str) -> TimeSeriesSet:
+def _ingest_rows(lines: TextIO, origin: str) -> TimeSeriesSet:
+    """The series set in ``lines``, a seekable text stream at its start."""
     reader = csv.reader(lines)
     try:
-        return _parse_rows(reader, origin)
+        d_y = _read_header(reader, origin)
+        chunks = _loadtxt_chunks(lines, d_y)
+        if not chunks:  # rejected, or no data lines: the record parser decides
+            lines.seek(0)
+            reader = csv.reader(lines)
+            next(reader)
+            chunks = _record_chunks(reader, d_y, origin)
     except csv.Error as exc:
         raise FormatError(f"{origin}:{reader.line_num}: {exc}") from exc
+    if not chunks:
+        raise FormatError(f"{origin}: no data rows")
+    sid, t, values = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
+    return TimeSeriesSet(_series_array(sid, t, values, origin))
 
 
-def _parse_rows(reader, origin: str) -> TimeSeriesSet:
+def _read_header(reader, origin: str) -> int:
+    """Check the header record and return the output dimension ``d_y``."""
     try:
         header = next(reader)
     except StopIteration:
@@ -100,7 +132,40 @@ def _parse_rows(reader, origin: str) -> TimeSeriesSet:
             f"{origin}: output columns must be {','.join(expected)}, got "
             f"{','.join(header[2:])}"
         )
+    return d_y
 
+
+def _loadtxt_chunks(lines: TextIO, d_y: int) -> list | None:
+    """``(sid, t, values)`` chunks of the data lines from numpy's C parser.
+
+    Returns None as soon as a chunk holds a character outside ASCII or one
+    of ``_SEPARATORS``, the parser rejects it or warns (numpy 1.23 only
+    warns on a float in an integer column), or it has ``t < 1`` or a
+    non-finite value.  The parser takes no quoted fields, no
+    whitespace-only lines and no ids beyond int64.  On ASCII without
+    ``_SEPARATORS`` it accepts no field that ``int`` or ``float`` rejects,
+    and the values it reads equal theirs.
+    """
+    dtype = np.dtype([("sid", np.int64), ("t", np.int64), ("y", np.float64, (d_y,))])
+    chunks = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            while chunk := list(islice(lines, CHUNK_ROWS)):
+                text = "".join(chunk)
+                if not text.isascii() or any(c in text for c in _SEPARATORS):
+                    return None
+                rows = np.loadtxt(chunk, dtype, delimiter=",", comments=None, ndmin=1)
+                if rows["t"].min() < 1 or not np.isfinite(rows["y"]).all():
+                    return None
+                chunks.append((rows["sid"], rows["t"], rows["y"].T))
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            return None
+    return chunks
+
+
+def _record_chunks(reader, d_y: int, origin: str) -> list:
+    """``(sid, t, values)`` chunks of the data records from ``csv.reader``."""
     chunks = []
     line_no = 2
     while chunk := list(islice(reader, CHUNK_ROWS)):
@@ -108,10 +173,7 @@ def _parse_rows(reader, origin: str) -> TimeSeriesSet:
         line_no += len(chunk)
         if columns is not None:
             chunks.append(columns)
-    if not chunks:
-        raise FormatError(f"{origin}: no data rows")
-    sid, t, values = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
-    return TimeSeriesSet(_series_array(sid, t, values, origin))
+    return chunks
 
 
 def _is_blank(row: list[str]) -> bool:

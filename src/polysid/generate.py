@@ -77,10 +77,13 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
     seed always produce the same series.
 
     Raises:
+        InvalidInputError: If ``seed`` is not a nonnegative integer.
         DivergenceError: If a trajectory leaves the guard region; choose
             smaller coefficients or a smaller initial-state box.
         CapacityError: If the states or series do not fit in memory.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     lo = np.asarray(spec.x0_min, dtype=float)
     hi = np.asarray(spec.x0_max, dtype=float)

@@ -35,6 +35,7 @@ from the window matrices of the last window lengths tried.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -93,6 +94,22 @@ def build_window_vectors(
             f"exceeds series bounds 1..{ts.t_1}"
         )
     return past_windows(ts.Y, anchors + t_plus, t_plus), past_windows(ts.Y, anchors, t_minus)
+
+
+#: Least value of each integer ``IdentConfig`` field.
+_INT_LEAST = {
+    "t_plus_min": 1, "t_minus_min": 1, "t_plus_max": 1, "t_minus_max": 1,
+    "k_max_y": 0, "k_max_x": 0, "k_max_y2": 0,
+    "anchor_t": 1, "max_total_degree_xy": 0, "row_cap": 1,
+}
+
+
+#: ``IdentConfig`` fields that may be None.
+_AUTO_FIELDS = ("anchor_t", "pool_windows", "max_total_degree_xy")
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 #: Deprecated ``IdentConfig`` fields, each with why it is ignored.
@@ -174,56 +191,57 @@ class IdentConfig:
     def resolved(self, ts: TimeSeriesSet) -> "IdentConfig":
         """Validate against a data set and return a copy with every default filled in.
 
-        The copy sets ``anchor_t`` and gives the exponent bounds as Python
-        ``int``s; resolving it again returns an equal config.
+        The copy sets ``anchor_t`` and gives every integer field as a
+        Python ``int``; resolving it again returns an equal config.
+
+        Raises:
+            ConfigError: Naming the first field of the wrong type or out of
+                range, or if the windows do not fit the series.
         """
         for name in ("r1", "r2", "r4"):
             v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {v}")
+            if not (_is_real(v) and 0.0 < v < 1.0):
+                raise ConfigError(f"{name} must lie in (0, 1), got {v!r}")
         for name, reason in _IGNORED_FIELDS:
             if getattr(self, name) is not None:
                 warnings.warn(f"{name} is ignored: {reason}", FutureWarning, stacklevel=2)
+        if not (_is_real(self.scale_gamma) and 0 < self.scale_gamma < np.inf):
+            raise ConfigError(f"scale_gamma must be finite and positive, got {self.scale_gamma!r}")
+        for name in ("scale_outputs", "pool_windows"):
+            v = getattr(self, name)
+            if not (isinstance(v, (bool, np.bool_)) or v is None and name in _AUTO_FIELDS):
+                raise ConfigError(f"{name} must be a boolean, got {v!r}")
+        ints = {}
+        for name, least in _INT_LEAST.items():
+            v = getattr(self, name)
+            if v is None and name in _AUTO_FIELDS:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                kind = "nonnegative" if least == 0 else "positive"
+                raise ConfigError(f"{name} must be a {kind} integer, got {v!r}")
+            ints[name] = int(v)
         for side in ("plus", "minus"):
-            lo, hi = getattr(self, f"t_{side}_min"), getattr(self, f"t_{side}_max")
-            if not 1 <= lo <= hi:
+            lo, hi = ints[f"t_{side}_min"], ints[f"t_{side}_max"]
+            if lo > hi:
                 raise ConfigError(f"need 1 <= t_{side}_min <= t_{side}_max, got {lo}..{hi}")
-        if self.row_cap < 1:
-            raise ConfigError(f"row_cap must be positive, got {self.row_cap}")
-        if self.max_total_degree_xy is not None and self.max_total_degree_xy < 0:
-            raise ConfigError(
-                f"max_total_degree_xy={self.max_total_degree_xy} empties the dictionary"
-            )
-        if not 0 < self.scale_gamma < np.inf:
-            raise ConfigError(f"scale_gamma must be finite and positive, got {self.scale_gamma}")
-        bounds = {}
-        for name in ("k_max_y", "k_max_x", "k_max_y2"):
-            k = getattr(self, name)
-            if not isinstance(k, (int, np.integer)) or k < 0:
-                raise ConfigError(f"{name} must be a nonnegative integer, got {k!r}")
-            bounds[name] = int(k)
-        anchor = self.anchor_t if self.anchor_t is not None else self.t_minus_max + 1
-        if anchor - self.t_minus_max < 1:
+        t_minus_max, t_plus_max = ints["t_minus_max"], ints["t_plus_max"]
+        anchor = ints.setdefault("anchor_t", t_minus_max + 1)
+        if anchor - t_minus_max < 1:
             raise ConfigError(
                 f"anchor time {anchor} leaves no room for a past window of "
-                f"{self.t_minus_max}"
+                f"{t_minus_max}"
             )
         if anchor > ts.t_1 / 2:
             raise ConfigError(
                 f"anchor time {anchor} must not exceed half the series length "
                 f"({ts.t_1}/2)"
             )
-        if anchor + self.t_plus_max - 1 > ts.t_1:
+        if anchor + t_plus_max - 1 > ts.t_1:
             raise ConfigError(
                 f"anchor time {anchor} leaves no room for a future window of "
-                f"{self.t_plus_max}"
+                f"{t_plus_max}"
             )
-        return replace(
-            self,
-            **{name: None for name, _ in _IGNORED_FIELDS},
-            **bounds,
-            anchor_t=anchor,
-        )
+        return replace(self, **{name: None for name, _ in _IGNORED_FIELDS}, **ints)
 
     def echo(self) -> dict:
         """Effective configuration as a flat dict (for reports and provenance)."""

@@ -179,6 +179,14 @@ class TestGen:
         assert err.startswith("error: CAPACITY: ")
         assert f"t_1={t_1}, d_y=1, s=5" in err
 
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys):
+        spec_path = tmp_path / "decay.spec"
+        spec_path.write_text(spec_to_kv(decay_spec(5)))
+        assert run(["gen", "--spec", spec_path, "--seed", "-1", "--out", tmp_path / "y.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: INVALID_INPUT: seed must be a nonnegative integer, got -1\n"
+        assert not (tmp_path / "y.csv").exists()
+
 
 class TestHostileExponents:
     """An exponent of 2**62 would need 2**62 - 1 auxiliary rows to evaluate."""

@@ -1,4 +1,5 @@
-"""Property tests: outside input raises only PolysidError; models round-trip.
+"""Property tests: outside input raises only PolysidError; models round-trip;
+series files read the same with and without numpy's parser.
 
 Examples are derandomized so that every run checks the same inputs.
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -21,6 +23,7 @@ from polysid import (
     deserialize_model,
     serialize_model,
 )
+from polysid import dataio
 from polysid.cli import config_from_kv
 from polysid.dataio import ingest_text
 from polysid.generate import spec_from_kv, spec_to_kv
@@ -103,14 +106,74 @@ def test_ingest_arbitrary_text(text):
     only_polysid_errors(ingest_text, text)
 
 
-@fuzz
-@given(
-    st.lists(
-        st.text(alphabet="0123456789,.-+e nainf\r\x00\"", max_size=16), max_size=6
-    )
+#: Lines of a series file: text from the CSV alphabet.
+near_csv_lines = st.text(alphabet="0123456789,.-+e nainf\r\x00\"", max_size=16)
+#: Fields of a series file: numbers, and spellings that ``int`` or ``float``
+#: and numpy's parser read differently.
+csv_fields = (
+    st.integers(-1, 3).map(str)
+    | finite.map(repr)
+    | st.sampled_from([
+        " 1", "+1", "01", "1_0", '"1"', "1.0", "\uff11", "9" * 20, "nan", "-inf",
+        "1e400", "1e-400", "0x1", "", " ", "\xa0", "\x1c1", "1\x1f", "\U00010112",
+    ])
 )
+#: Lines of a series file with one or two outputs, mostly malformed.
+csv_lines = (
+    near_csv_lines
+    | st.lists(csv_fields, min_size=3, max_size=4).map(",".join)
+    | st.sampled_from(["", "  ", "\t"])
+)
+
+
+@st.composite
+def series_files(draw):
+    """A valid series file in shuffled order, then up to three edits.
+
+    An edit replaces one field by a drawn one, or inserts or replaces a line.
+    """
+    d_y = draw(st.integers(1, 2))
+    s, t_1 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [
+        [str(k), str(t), *map(repr, draw(st.lists(finite, min_size=d_y, max_size=d_y)))]
+        for k in range(1, s + 1)
+        for t in range(1, t_1 + 1)
+    ]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["field", "insert", "replace"]))
+        if edit == "field":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(csv_fields)
+        else:
+            rows[i:i + (edit == "replace")] = [[draw(csv_lines)]]
+    header = ",".join(["series", "t", *(f"y{j + 1}" for j in range(d_y))])
+    return [header, *map(",".join, rows)]
+
+
+@fuzz
+@given(st.lists(near_csv_lines, max_size=6))
 def test_ingest_near_csv(rows):
     only_polysid_errors(ingest_text, "series,t,y1\n" + "\n".join(rows))
+
+
+def _ingest_outcome(text: str):
+    try:
+        ts = ingest_text(text)
+    except PolysidError as exc:
+        return type(exc), str(exc)
+    return ts.Y.shape, ts.Y.tobytes()
+
+
+@fuzz
+@given(series_files(), st.sampled_from(["\n", "\r\n"]), st.integers(1, 3))
+def test_ingest_matches_the_record_parser(lines, newline, chunk_rows):
+    text = newline.join(lines) + newline
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "CHUNK_ROWS", chunk_rows)
+        both = _ingest_outcome(text)
+        mp.setattr(dataio, "_loadtxt_chunks", lambda lines, d_y: None)
+        assert both == _ingest_outcome(text)
 
 
 @fuzz

@@ -316,6 +316,28 @@ class TestIdentify:
         with pytest.raises(ConfigError):
             identify(ts, small_decay_config(r1=1.5))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("r1", None), ("r2", "0.9"), ("r4", True), ("r1", np.nan),
+            ("scale_gamma", None), ("scale_gamma", "1"), ("scale_gamma", False),
+            ("pool_windows", "no"), ("pool_windows", 1), ("scale_outputs", None),
+            ("scale_outputs", 0),
+            ("row_cap", None), ("row_cap", 2.5), ("row_cap", 0), ("row_cap", True),
+            ("t_plus_max", None), ("t_plus_max", 2.0), ("t_minus_min", None),
+            ("t_minus_max", np.float64(3)), ("t_plus_min", 0),
+            ("k_max_y", True), ("k_max_x", -1), ("k_max_y2", "1"),
+            ("anchor_t", 5.0), ("max_total_degree_xy", 1.5),
+            ("max_total_degree_xy", -1),
+        ],
+    )
+    def test_field_of_wrong_type_or_range_is_a_config_error(self, rng, field, value):
+        ts = TimeSeriesSet(rng.standard_normal((20, 1, 3)))
+        valid = dict(r1=0.9, r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=4)
+        cfg = IdentConfig(**{**valid, field: value})
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            cfg.resolved(ts)
+
     def test_polynomial_system_within_class(self):
         train = generate(polynomial_spec(60), 11)
         held = generate(polynomial_spec(10), 1999)

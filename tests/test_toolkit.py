@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import tracemalloc
 from unittest import mock
 
@@ -123,6 +124,42 @@ class TestIngest:
     def test_series_ids_beyond_int64(self):
         ts = ingest_text("series,t,y1\n100000000000000000000,1,0.5\n1,1,0.25\n")
         assert np.array_equal(ts.Y, [[[0.25, 0.5]]])
+
+    @pytest.mark.parametrize(
+        "rows, c_parser_reads",
+        [
+            ('"1",1,0.5\n"1",2,"0.25"\n', False),  # quoted fields
+            ('"1\n",1,0.5\n1,2,0.25\n', False),  # a quoted newline
+            ("1_0,1,0.5\n1_0,2,0.25\n", False),  # an underscore in an id
+            ("1,1,0.5\n   \n1,2,0.25\n", False),  # a whitespace-only line
+            ("\uff11,1,0.5\n\uff11,2,0.25\n", False),  # full-width digits
+            ("1,1,0.5\r\n1,2,0.25\r\n", True),  # CRLF line endings
+            ("1,1,0.5\n\n1,2,0.25\n\n", True),  # empty lines
+        ],
+        ids=["quoted", "quoted-newline", "underscore", "whitespace-line", "full-width",
+             "crlf", "empty-lines"],
+    )
+    def test_files_either_parser_reads(self, rows, c_parser_reads):
+        lines = io.StringIO(rows)
+        assert (dataio._loadtxt_chunks(lines, 1) is not None) is c_parser_reads
+        assert ingest_text("series,t,y1\n" + rows) == TimeSeriesSet([[[0.5]], [[0.25]]])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            # numpy 1.23 reads "1.0" into an integer column with a warning.
+            ("1.0,2,0.25", "invalid literal for int() with base 10: '1.0'"),
+            # numpy strips the separator characters as whitespace ...
+            ("1,2,0.25\x1c", "could not convert string to float: '0.25\\x1c'"),
+            ("1,\x1f2,0.25", "invalid literal for int() with base 10: '\\x1f2'"),
+            # ... and reads U+10112 in an integer column as a number.
+            ("\U00010112,2,0.25", "invalid literal for int() with base 10: '\U00010112'"),
+        ],
+    )
+    def test_fields_numpy_reads_are_faults(self, row, message):
+        with pytest.raises(FormatError) as err:
+            ingest_text(f"series,t,y1\n1,1,0.5\n{row}\n")
+        assert str(err.value) == f"<string>:3: {message}"
 
     # In chunks of 4 records: the second chunk is blank, the third ends blank.
     CHUNKED = ["1,1,0.5", "", "1,2,0.6", "  ", "", "", "", "", "1,3,0.7",
@@ -256,6 +293,11 @@ class TestGenerate:
         ts = generate(spec, 3)
         assert ts.t_1 == 1
         assert (np.abs(ts.Y) <= 1.0).all()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "1", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(InvalidInputError, match="^seed must be a nonnegative integer, got "):
+            generate(decay_spec(2, t_1=3), seed)
 
     def test_deterministic(self):
         spec = linear_spec(6, t_1=9)
