@@ -3,16 +3,15 @@
 Series files are long-format CSV with header ``series,t,y1,...,y{d_y}``:
 one row per (series, time) pair, times running 1..t_1 without gaps and the
 same length for every series.  Both directions stream in chunks of about
-``CHUNK_ROWS`` rows, converting whole columns at a time, so the memory they
-use beyond the arrays of the set is bounded by the chunk.
+``CHUNK_ROWS`` rows, so the memory they use beyond the arrays of the set is
+bounded by the chunk.
 
-Reading takes the header record with ``csv.reader`` and the data lines with
-numpy's C parser (``np.loadtxt``), which reads plain ASCII numbers such as
-those :func:`emit` writes.  If it rejects a chunk, or the chunk fails a
-check, the file is read again from the top by the ``csv.reader`` record
-parser.  That parser reads quoted fields and every spelling ``int`` and
-``float`` accept, and it alone names a file's fault, so every message and
-line number is the same as with the record parser alone.
+Reading takes the header record with ``csv.reader``.  Numpy's C parser
+(``np.loadtxt``) reads the data lines of plain files: ASCII numbers, such as
+those :func:`emit` writes, and empty lines.  Every other file is read again
+from the top by the ``csv.reader`` record parser, which checks and converts
+one row at a time.  It reads quoted fields and every spelling ``int`` and
+``float`` accept, and it alone names a file's fault and its line.
 
 Config and generator-spec documents are flat ``key = value`` text.  A config
 value is one boolean, integer or number.  Spec documents also hold vectors,
@@ -62,13 +61,13 @@ def read_document(path: str | Path) -> str:
 def ingest(path: str | Path) -> TimeSeriesSet:
     """Read a series file into memory.
 
-    Series are ordered by ascending series id, times by t.  The file is
-    read in chunks of ``CHUNK_ROWS`` lines by numpy's C parser; each chunk
-    is checked and converted column by column, and nothing of size
-    ``t_1 x s`` is allocated before the row count is known to equal
-    ``s * t_1``.  A file that the C parser rejects, or with a chunk that
-    fails a check, is read again from its start by ``csv.reader``, in
-    chunks of ``CHUNK_ROWS`` records, which gives the same set or the
+    Series are ordered by ascending series id, times by t.  Numpy's C
+    parser reads a plain file in chunks of ``CHUNK_ROWS`` lines, and
+    nothing of size ``t_1 x s`` is allocated before the row count is known
+    to equal ``s * t_1``.  Every other file, one with a chunk that the C
+    parser rejects or that fails a check, is read again from its start by
+    ``csv.reader`` in chunks of ``CHUNK_ROWS`` records, checked and
+    converted row by row.  That parser gives the same set or names the
     fault below; line numbers in messages count records.
 
     Raises:
@@ -138,10 +137,10 @@ def _read_header(reader, origin: str) -> int:
 def _loadtxt_chunks(lines: TextIO, d_y: int) -> list | None:
     """``(sid, t, values)`` chunks of the data lines from numpy's C parser.
 
-    Returns None as soon as a chunk holds a character outside ASCII or one
-    of ``_SEPARATORS``, the parser rejects it or warns (numpy 1.23 only
-    warns on a float in an integer column), or it has ``t < 1`` or a
-    non-finite value.  The parser takes no quoted fields, no
+    Skips a chunk of empty lines.  Returns None as soon as a chunk holds a
+    character outside ASCII or one of ``_SEPARATORS``, the parser rejects it
+    or warns (numpy 1.23 only warns on a float in an integer column), or it
+    has ``t < 1`` or a non-finite value.  The parser takes no quoted fields, no
     whitespace-only lines and no ids beyond int64.  On ASCII without
     ``_SEPARATORS`` it accepts no field that ``int`` or ``float`` rejects,
     and the values it reads equal theirs.
@@ -153,6 +152,8 @@ def _loadtxt_chunks(lines: TextIO, d_y: int) -> list | None:
         try:
             while chunk := list(islice(lines, CHUNK_ROWS)):
                 text = "".join(chunk)
+                if not text.strip("\r\n"):  # empty lines only: csv.reader skips them too
+                    continue
                 if not text.isascii() or any(c in text for c in _SEPARATORS):
                     return None
                 rows = np.loadtxt(chunk, dtype, delimiter=",", comments=None, ndmin=1)
@@ -165,71 +166,45 @@ def _loadtxt_chunks(lines: TextIO, d_y: int) -> list | None:
 
 
 def _record_chunks(reader, d_y: int, origin: str) -> list:
-    """``(sid, t, values)`` chunks of the data records from ``csv.reader``."""
+    """``(sid, t, values)`` chunks of the data records from ``csv.reader``.
+
+    A chunk of ``CHUNK_ROWS`` records is read whole before its rows are
+    checked, so a CSV error in it comes before its faulty rows.  Each row is
+    checked and converted once; blank rows are skipped.
+    """
+    width = 2 + d_y
     chunks = []
     line_no = 2
     while chunk := list(islice(reader, CHUNK_ROWS)):
-        columns = _chunk_columns(chunk, line_no, 2 + d_y, origin)
+        sid, t, values = [], [], []
+        for row_no, row in enumerate(chunk, start=line_no):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                raise FormatError(f"{origin}:{row_no}: expected {width} fields, got {len(row)}")
+            try:
+                k, step, y = int(row[0]), int(row[1]), [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise FormatError(f"{origin}:{row_no}: {exc}") from None
+            bad = [cell for cell, v in zip(row[2:], y) if not math.isfinite(v)]
+            if bad:
+                raise FormatError(f"{origin}:{row_no}: non-finite value {bad[0]!r}")
+            if step < 1:
+                raise FormatError(f"{origin}:{row_no}: times must start at 1, got t={step}")
+            sid.append(k)
+            t.append(step)
+            values += y
         line_no += len(chunk)
-        if columns is not None:
-            chunks.append(columns)
+        if sid:
+            chunks.append((_int_column(sid), _int_column(t), np.reshape(values, (-1, d_y)).T))
     return chunks
 
 
-def _is_blank(row: list[str]) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
-def _chunk_columns(chunk: list[list[str]], line_no: int, width: int, origin: str):
-    """``(sid, t, values)`` arrays of one chunk, ``values`` of shape ``(d_y, rows)``.
-
-    Returns None for a chunk of blank rows.  ``line_no`` is the line of the
-    chunk's first record.
-    """
-    rows = chunk
-    if set(map(len, chunk)) != {width}:
-        rows = [row for row in chunk if not _is_blank(row)]
-        if set(map(len, rows)) - {width}:
-            raise _row_fault(chunk, line_no, width, origin)
-        if not rows:
-            return None
-    cells = list(zip(*rows))
+def _int_column(ints: list[int]) -> np.ndarray:
     try:
-        sid, t = _int_column(cells[0]), _int_column(cells[1])
-        values = np.array([np.fromiter(map(float, c), np.float64, len(c)) for c in cells[2:]])
-    except ValueError:
-        raise _row_fault(chunk, line_no, width, origin) from None
-    if t.min() < 1 or not np.isfinite(values).all():
-        raise _row_fault(chunk, line_no, width, origin)
-    return sid, t, values
-
-
-def _int_column(cells: tuple[str, ...]) -> np.ndarray:
-    try:
-        return np.fromiter(map(int, cells), np.int64, len(cells))
+        return np.fromiter(ints, np.int64, len(ints))
     except OverflowError:  # beyond int64: keep Python ints
-        return np.array(list(map(int, cells)), dtype=object)
-
-
-def _row_fault(chunk: list[list[str]], line_no: int, width: int, origin: str) -> FormatError:
-    """The error for the first faulty row of a chunk that failed its checks."""
-    for line_no, row in enumerate(chunk, start=line_no):
-        if _is_blank(row):
-            continue
-        if len(row) != width:
-            return FormatError(f"{origin}:{line_no}: expected {width} fields, got {len(row)}")
-        try:
-            int(row[0])
-            t = int(row[1])
-            values = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            return FormatError(f"{origin}:{line_no}: {exc}")
-        bad = [cell for cell, v in zip(row[2:], values) if not math.isfinite(v)]
-        if bad:
-            return FormatError(f"{origin}:{line_no}: non-finite value {bad[0]!r}")
-        if t < 1:
-            return FormatError(f"{origin}:{line_no}: times must start at 1, got t={t}")
-    raise AssertionError("a chunk that failed its checks has a faulty row")
+        return np.array(ints, dtype=object)
 
 
 def _series_array(sid: np.ndarray, t: np.ndarray, values: np.ndarray, origin: str) -> np.ndarray:

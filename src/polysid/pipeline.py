@@ -284,17 +284,23 @@ class IdentDiagnostics(ArrayRecord):
     config_echo: dict = field(default_factory=dict)
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+def _check_finite(name: str, *arrays: np.ndarray) -> None:
+    """Report float overflow in a stage run under ``np.errstate``, naming it.
+
+    A regression checks ``D_n**2`` too: where it is infinite, ``svd_trunc``
+    zeroes columns of ``C`` instead of making them non-finite.
+    """
+    if not all(np.isfinite(arr).all() for arr in arrays):
         raise NumericalOverflowError(
-            f"non-finite values in {name}; the lifted outputs overflow, so "
+            f"non-finite values in {name}; the outputs overflow, so "
             "enable output scaling or rescale the data"
         )
 
 
 def eval_many_checked(M: MonomialMap, samples, what: str) -> np.ndarray:
     """Batch-evaluate a monomial map, mapping overflow onto a pipeline error."""
-    values = eval_monomial_map_many(M, samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = eval_monomial_map_many(M, samples)
     _check_finite(what, values)
     return values
 
@@ -307,9 +313,11 @@ def _reduce_past(
     Returns the truncated-SVD result and the pruned generators, the state
     map ``x = g(y_minus)``.
     """
-    V_minus = build_data_matrix(Yminus.T, K_past)
-    _check_finite("the lifted past windows", V_minus)
-    res1 = svd_trunc(Yplus, V_minus, cfg.r1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V_minus = build_data_matrix(Yminus.T, K_past)
+        _check_finite("the lifted past windows", V_minus)
+        res1 = svd_trunc(Yplus, V_minus, cfg.r1)
+        _check_finite("the past regression", res1.D_n**2, res1.H_star)
     if Yplus.shape[1] <= res1.n:
         raise RankDeficiencyError(
             f"{Yplus.shape[1]} data columns for retained rank {res1.n}; "
@@ -355,7 +363,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         ConfigError: On an invalid or infeasible configuration.
         CapacityError: If a monomial dictionary would exceed the row cap.
         RankDeficiencyError: If there are too few data columns.
-        NumericalOverflowError: On non-finite lifted values.
+        NumericalOverflowError: Naming the stage whose values overflow: the
+            output scaling, a lifting, a regression or a map evaluation.
     """
     cfg = cfg.resolved(ts)
     echo = cfg.echo()
@@ -364,8 +373,10 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     scaling: OutputScaling | None = None
     work = ts
     if cfg.scale_outputs:
-        mean = ts.Y.mean(axis=(0, 2))
-        std = ts.Y.std(axis=(0, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = ts.Y.mean(axis=(0, 2))
+            std = ts.Y.std(axis=(0, 2))
+        _check_finite("the output scaling", mean, std)
         std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
         scaling = OutputScaling(mean, std)
         work = TimeSeriesSet(scaling.apply(ts.Y))
@@ -448,10 +459,11 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
             "max_total_degree_xy or the retained rank"
         ) from exc
     XY = np.vstack([X_t, y_now])
-    V_xy = build_data_matrix(XY.T, K_xy)
-    _check_finite("the lifted state-output pairs", V_xy)
-
-    res2 = svd_trunc(X_next, V_xy, cfg.r2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V_xy = build_data_matrix(XY.T, K_xy)
+        _check_finite("the lifted state-output pairs", V_xy)
+        res2 = svd_trunc(X_next, V_xy, cfg.r2)
+        _check_finite("the dynamics regression", res2.D_n**2, res2.H_star)
     if V_xy.shape[1] <= res2.n:
         raise RankDeficiencyError(
             f"{V_xy.shape[1]} data columns for retained rank {res2.n} in the "

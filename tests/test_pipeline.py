@@ -14,6 +14,7 @@ from polysid import (
     IdentConfig,
     InvalidInputError,
     MonomialMap,
+    NumericalOverflowError,
     PowerMatrix,
     RankDeficiencyError,
     TimeSeriesSet,
@@ -271,6 +272,27 @@ class TestIdentify:
         with pytest.raises(CapacityError) as err:
             identify(ts, cfg)
         assert "past monomial lifting" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "gain, t_max, scale_outputs, stage",
+        [
+            (1e200, 1, False, "the past regression"),
+            (1e200, 2, False, "the lifted past windows"),
+            # D_n**2 overflows while the regression's other values stay finite.
+            (1e100, 1, False, "the dynamics regression"),
+            (1e300, 1, True, "the output scaling"),
+        ],
+    )
+    def test_overflow_error_names_stage(self, gain, t_max, scale_outputs, stage):
+        ts = generate(decay_spec(20, t_1=12), 7)
+        cfg = small_decay_config(t_plus_min=t_max, t_minus_min=t_max, t_plus_max=t_max,
+                                 t_minus_max=t_max, scale_outputs=scale_outputs)
+        with pytest.raises(NumericalOverflowError) as err:
+            identify(TimeSeriesSet(ts.Y * gain), cfg)
+        assert str(err.value) == (
+            f"non-finite values in {stage}; the outputs overflow, so "
+            "enable output scaling or rescale the data"
+        )
 
     def test_state_output_cap_counts_degree_bounded_rows(self):
         # n = 12 on this set: the state-output box has 2**13 rows, the

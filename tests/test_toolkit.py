@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import tracemalloc
@@ -189,6 +190,44 @@ class TestIngest:
         with pytest.raises(FormatError) as err:
             ingest_text("series,t,y1\n" + "\n".join(rows) + "\n")
         assert str(err.value) == f"<string>:{index + 2}: {message}"
+
+    @pytest.mark.parametrize(
+        "bad, long, first",
+        [
+            (1, 2, "long"),  # in one chunk, the CSV error comes first
+            (2, 1, "long"),
+            (1, 5, "bad"),  # in two chunks, the first fault in file order
+            (5, 1, "long"),
+        ],
+    )
+    def test_csv_error_comes_first_in_its_chunk(self, monkeypatch, bad, long, first):
+        monkeypatch.setattr(dataio, "CHUNK_ROWS", 4)
+        limit = csv.field_size_limit()
+        rows = list(self.CHUNKED)
+        rows[bad] = "3,3,x"
+        rows[long] = "3,3," + "1" * (limit + 1)
+        messages = {
+            "bad": f"<string>:{bad + 2}: could not convert string to float: 'x'",
+            "long": f"<string>:{long + 2}: field larger than field limit ({limit})",
+        }
+        with pytest.raises(FormatError) as err:
+            ingest_text("series,t,y1\n" + "\n".join(rows) + "\n")
+        assert str(err.value) == messages[first]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_chunks_of_empty_lines_stay_with_the_c_parser(self, monkeypatch, tmp_path, newline):
+        monkeypatch.setattr(dataio, "CHUNK_ROWS", 4)
+        rows = newline * 4 + "1,1,0.5" + newline + newline * 5 + "1,2,0.25" + newline
+        assert dataio._loadtxt_chunks(io.StringIO(rows, newline=""), 1)
+        # A chunk with a whitespace-only line is still the record parser's.
+        assert dataio._loadtxt_chunks(io.StringIO(" " + rows, newline=""), 1) is None
+        # ingest_text reads only "\n" as a line end, so the file is read from disk.
+        path = tmp_path / "series.csv"
+        path.write_text("series,t,y1" + newline + rows, encoding="utf-8", newline="")
+        expected = TimeSeriesSet([[[0.5]], [[0.25]]])
+        assert ingest(path) == expected
+        monkeypatch.setattr(dataio, "_loadtxt_chunks", lambda lines, d_y: None)
+        assert ingest(path) == expected
 
     def test_emit_golden(self):
         Y = np.empty((2, 2, 2))
