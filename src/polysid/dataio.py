@@ -90,8 +90,8 @@ def ingest(path: str | Path) -> TimeSeriesSet:
 
 
 def ingest_text(text: str, origin: str = "<string>") -> TimeSeriesSet:
-    """Parse series-file content from a string (testing convenience)."""
-    return _ingest_rows(io.StringIO(text), origin)
+    """Parse series-file content from a string, with any line endings, like ``ingest``."""
+    return _ingest_rows(io.StringIO(text, newline=""), origin)
 
 
 def _ingest_rows(lines: TextIO, origin: str) -> TimeSeriesSet:

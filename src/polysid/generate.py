@@ -11,7 +11,7 @@ from .errors import CapacityError, DimensionMismatchError, InvalidInputError, Pa
 # ``eval_monomial_map_many`` is not called here; the name stays because
 # bench/tracing.py patches it on this module.
 from .genred import MonomialMap, eval_monomial_map_many  # noqa: F401
-from .model import run_observer
+from .model import ObserverModel, run_observer
 from .monomials import PowerMatrix
 from .series import TimeSeriesSet
 
@@ -45,17 +45,9 @@ class GeneratorSpec:
     s: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d_y < 1 or self.t_1 < 1 or self.s < 1:
-            raise InvalidInputError("n, d_y, t_1 and s must all be positive")
-        if self.f.n_vars != self.n + self.d_y or self.f.m != self.n:
-            raise DimensionMismatchError(
-                f"f must map {self.n + self.d_y} -> {self.n}, got "
-                f"{self.f.n_vars} -> {self.f.m}"
-            )
-        if self.h.n_vars != self.n or self.h.m != self.d_y:
-            raise DimensionMismatchError(
-                f"h must map {self.n} -> {self.d_y}, got {self.h.n_vars} -> {self.h.m}"
-            )
+        if self.t_1 < 1 or self.s < 1:
+            raise InvalidInputError("t_1 and s must both be positive")
+        ObserverModel(self.n, self.d_y, self.f, self.h)  # checks n, d_y and the map shapes
         if len(self.x0_min) != self.n or len(self.x0_max) != self.n:
             raise DimensionMismatchError("x0 box bounds must have length n")
         for name in ("x0_min", "x0_max"):
@@ -80,6 +72,8 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
         InvalidInputError: If ``seed`` is not a nonnegative integer.
         DivergenceError: If a trajectory leaves the guard region; choose
             smaller coefficients or a smaller initial-state box.
+        NumericalOverflowError: Naming the series and time of the first
+            output that overflows.
         CapacityError: If the states or series do not fit in memory.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

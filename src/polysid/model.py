@@ -182,15 +182,24 @@ def run_observer(
     the returned array, which it may change in place.
 
     Raises:
+        NumericalOverflowError: Naming the series and time of the first
+            output, computed or fed back, that is not finite.
         DivergenceError: Naming the series and time at which a state
             component first exceeds ``STATE_OVERFLOW_GUARD`` or is NaN.
     """
     yhat = np.empty((steps, h.m, x.shape[1]))
-    # An overflowing state is reported by the guard, not by numpy warnings.
+    # Overflow is reported by the guards, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
             yhat[i] = eval_monomial_map_many(h, x.T)
-            x = eval_monomial_map_many(f, np.vstack([x, feedback(i, yhat[i])]).T)
+            y = feedback(i, yhat[i])
+            finite = np.isfinite(yhat[i]).all(axis=0) & np.isfinite(y).all(axis=0)
+            if not finite.all():
+                raise NumericalOverflowError(
+                    f"the output of series {int(finite.argmin()) + 1} at time "
+                    f"{t_start + i} overflows"
+                )
+            x = eval_monomial_map_many(f, np.vstack([x, y]).T)
             worst = np.abs(x).max(axis=0)
             # NaN (say ``inf - inf``) fails every comparison: test for "within".
             if not (worst <= STATE_OVERFLOW_GUARD).all():
@@ -223,8 +232,9 @@ def predict_one_step(
     Raises:
         DivergenceError: If any state component exceeds the overflow guard;
             the message names the series and time step.
-        NumericalOverflowError: If a measured output overflows the output
-            scaling; the message names the series and time.
+        NumericalOverflowError: If a predicted output overflows, or a
+            measured one overflows the output scaling; the message names
+            the series and time.
     """
     if ts.d_y != model.d_y:
         raise DimensionMismatchError(
@@ -241,23 +251,14 @@ def predict_one_step(
         raise InvalidInputError(f"t_start {t_start} outside 1..{ts.t_1}")
 
     measured = ts.Y[t_start - 1 :]
-    scaling = model.scaling
 
-    def scaled(i: int, _) -> np.ndarray:
+    def feedback(i: int, _) -> np.ndarray:
         # Step by step, so no scaled copy of the whole set is held.
-        y = scaling.apply(measured[i])
-        if not np.isfinite(y).all():
-            series = int(np.isfinite(y).all(axis=0).argmin()) + 1
-            raise NumericalOverflowError(
-                f"the output of series {series} at time {t_start + i} overflows "
-                "the output scaling"
-            )
-        return y
+        return model.scaling.apply(measured[i]) if model.scaling else measured[i]
 
-    feedback = scaled if scaling else (lambda i, _: measured[i])
     predicted = run_observer(model.f_o, model.h_o, x, len(measured), feedback, t_start)
-    if scaling:
-        predicted = scaling.invert(predicted)
+    if model.scaling:
+        predicted = model.scaling.invert(predicted)
     return _summarize(t_start, measured, predicted)
 
 
@@ -313,6 +314,12 @@ def predict_with_burn_in(model: ObserverModel, ts: TimeSeriesSet) -> PredictionR
 
     The initial state at time ``t_minus + 1`` comes from the stored past
     lifting; predictions cover ``t = t_minus + 1 .. t_1``.
+
+    Raises:
+        InvalidInputError: If the model has no past lifting or the series
+            are too short for it.
+        NumericalOverflowError, DivergenceError: As ``initial_state_from_past``
+            and ``predict_one_step`` raise them.
     """
     if ts.d_y != model.d_y:
         raise DimensionMismatchError(

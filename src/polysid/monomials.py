@@ -36,6 +36,10 @@ from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 #: rows of a product chain.
 DEFAULT_ROW_CAP = 1_000_000
 
+#: Cap on the auxiliary cells, auxiliary chain rows times samples, that
+#: :func:`build_data_matrix` allocates beyond the rows of ``K`` (800 MB).
+AUX_CELL_CAP = 100_000_000
+
 
 def _check_rows_strictly_decreasing(K: np.ndarray) -> None:
     if K.shape[0] <= 1:
@@ -320,9 +324,17 @@ def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
         InvalidInputError: If the samples are not a non-empty 2-D array of
             finite real numbers.
         DimensionMismatchError: If the sample dimension is not ``pm.n``.
+        CapacityError: If the auxiliary chain rows times the samples exceed
+            ``AUX_CELL_CAP``; checked before anything is allocated.
     """
     X = _as_sample_matrix(samples, pm.n)
     rows, steps = pm.chain_plan
+    aux = rows - pm.d_v
+    if aux * X.shape[0] > AUX_CELL_CAP:
+        raise CapacityError(
+            f"the product chain needs {aux} auxiliary rows for {X.shape[0]} samples, "
+            f"more than {AUX_CELL_CAP} cells"
+        )
     XT = np.ascontiguousarray(X.T)
     W = np.empty((rows, X.shape[0]))
     for row, parent, j in steps:

@@ -285,11 +285,7 @@ class IdentDiagnostics(ArrayRecord):
 
 
 def _check_finite(name: str, *arrays: np.ndarray) -> None:
-    """Report float overflow in a stage run under ``np.errstate``, naming it.
-
-    A regression checks ``D_n**2`` too: where it is infinite, ``svd_trunc``
-    zeroes columns of ``C`` instead of making them non-finite.
-    """
+    """Report float overflow in a stage run under ``np.errstate``, naming it."""
     if not all(np.isfinite(arr).all() for arr in arrays):
         raise NumericalOverflowError(
             f"non-finite values in {name}; the outputs overflow, so "
@@ -305,27 +301,31 @@ def eval_many_checked(M: MonomialMap, samples, what: str) -> np.ndarray:
     return values
 
 
-def _reduce_past(
-    Yplus: np.ndarray, Yminus: np.ndarray, K_past: PowerMatrix, cfg: IdentConfig
-) -> tuple[SvdTruncResult, MonomialMap]:
-    """Regress the future windows on the lifted past ones and prune the generators.
+def _regress(
+    target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float,
+    lifted: str, regression: str,
+) -> SvdTruncResult:
+    """Regress ``target`` on the monomials ``K`` of the sample columns by a truncated SVD.
 
-    Returns the truncated-SVD result and the pruned generators, the state
-    map ``x = g(y_minus)``.
+    Raises:
+        NumericalOverflowError: Naming ``lifted`` or ``regression``, the
+            stage whose values overflow.
+        RankDeficiencyError: Naming ``regression``, if the retained rank
+            uses every data column.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        V_minus = build_data_matrix(Yminus.T, K_past)
-        _check_finite("the lifted past windows", V_minus)
-        res1 = svd_trunc(Yplus, V_minus, cfg.r1)
-        _check_finite("the past regression", res1.D_n**2, res1.H_star)
-    if Yplus.shape[1] <= res1.n:
+        V = build_data_matrix(samples.T, K)
+        _check_finite(lifted, V)
+        res = svd_trunc(target, V, r)
+        # Where D_n**2 is infinite, svd_trunc zeroes columns of C instead of making them non-finite.
+        _check_finite(regression, res.D_n**2, res.H_star)
+    if V.shape[1] <= res.n:
         raise RankDeficiencyError(
-            f"{Yplus.shape[1]} data columns for retained rank {res1.n}; "
+            f"{V.shape[1]} data columns for retained rank {res.n} in {regression}; "
             "supply more series or enable window pooling\n"
-            f"singular value mass table:\n{res1.table.to_text()}"
+            f"singular value mass table:\n{res.table.to_text()}"
         )
-    L_g, K_g, _ = lk_reduce(res1.L, K_past, cfg.r4)
-    return res1, MonomialMap(L_g, K_g)
+    return res
 
 
 def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentDiagnostics]:
@@ -362,7 +362,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     Raises:
         ConfigError: On an invalid or infeasible configuration.
         CapacityError: If a monomial dictionary would exceed the row cap.
-        RankDeficiencyError: If there are too few data columns.
+        RankDeficiencyError: If there are too few data columns for the
+            rank the past or the dynamics regression retains; it names it.
         NumericalOverflowError: Naming the stage whose values overflow: the
             output scaling, a lifting, a regression or a map evaluation.
     """
@@ -385,7 +386,6 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     # their maxima, until both reach them; stop early after two consecutive
     # iterations leave the retained rank unchanged.
     steps = max(cfg.t_plus_max - cfg.t_plus_min, cfg.t_minus_max - cfg.t_minus_min)
-    n1_history: list[int] = []
     for step in range(steps + 1):
         t_plus = min(cfg.t_plus_min + step, cfg.t_plus_max)
         t_minus = min(cfg.t_minus_min + step, cfg.t_minus_max)
@@ -395,18 +395,17 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
             )
         except CapacityError as exc:
             raise CapacityError(f"past monomial lifting: {exc}") from exc
-        pooled = (
-            cfg.pool_windows
-            if cfg.pool_windows is not None
-            else ts.s < 4 * K_past.d_v
-        )
+        pooled = ts.s < 4 * K_past.d_v if cfg.pool_windows is None else cfg.pool_windows
         anchors = (
             np.arange(t_minus + 1, work.t_1 - t_plus + 2)
             if pooled
             else np.array([cfg.anchor_t])
         )
         Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
-        res1, g_io = _reduce_past(Yplus, Yminus, K_past, cfg)
+        res1 = _regress(
+            Yplus, Yminus, K_past, cfg.r1, "the lifted past windows", "the past regression"
+        )
+        g_io = MonomialMap(*lk_reduce(res1.L, K_past, cfg.r4)[:2])
         diag.reductions.append(
             ReductionRecord(
                 t_plus=t_plus,
@@ -417,11 +416,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
                 table1=res1.table,
             )
         )
-        n1_history.append(res1.n)
-        if (
-            len(n1_history) >= 3
-            and n1_history[-1] == n1_history[-2] == n1_history[-3]
-        ):
+        if len(diag.reductions) >= 3 and len({r.n1 for r in diag.reductions[-3:]}) == 1:
             break
 
     # The model comes from the last windows tried and their matrices.
@@ -447,36 +442,23 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     # Lift the (state, output) pair.
     y_now = Yplus[-d_y:]  # y(t) at every anchor, the bottom of the future stack
     try:
-        K_xy = enumerate_power_matrix(
-            n + d_y,
-            (cfg.k_max_x,) * n + (cfg.k_max_y2,) * d_y,
-            cfg.row_cap,
-            cfg.max_total_degree_xy,
-        )
+        bounds = (cfg.k_max_x,) * n + (cfg.k_max_y2,) * d_y
+        K_xy = enumerate_power_matrix(n + d_y, bounds, cfg.row_cap, cfg.max_total_degree_xy)
     except CapacityError as exc:
         raise CapacityError(
             f"state-output monomial lifting: {exc}; lower k_max_x/k_max_y2, "
             "max_total_degree_xy or the retained rank"
         ) from exc
-    XY = np.vstack([X_t, y_now])
-    with np.errstate(over="ignore", invalid="ignore"):
-        V_xy = build_data_matrix(XY.T, K_xy)
-        _check_finite("the lifted state-output pairs", V_xy)
-        res2 = svd_trunc(X_next, V_xy, cfg.r2)
-        _check_finite("the dynamics regression", res2.D_n**2, res2.H_star)
-    if V_xy.shape[1] <= res2.n:
-        raise RankDeficiencyError(
-            f"{V_xy.shape[1]} data columns for retained rank {res2.n} in the "
-            "dynamics regression; supply more series or enable window pooling\n"
-            f"singular value mass table:\n{res2.table.to_text()}"
-        )
+    res2 = _regress(
+        X_next, np.vstack([X_t, y_now]), K_xy, cfg.r2,
+        "the lifted state-output pairs", "the dynamics regression",
+    )
     diag.n2 = res2.n
     diag.table2 = res2.table
-    L_3 = res2.H_star  # full n rows; the truncation only limits the fit rank
     diag.f_monomials_before = K_xy.d_v
-    L_f, K_f, _ = lk_reduce(L_3, K_xy, cfg.r4)
-    diag.f_monomials_after = K_f.d_v
-    f_o = MonomialMap(L_f, K_f)
+    # The full n rows of H_star; the truncation only limits the fit rank.
+    f_o = MonomialMap(*lk_reduce(res2.H_star, K_xy, cfg.r4)[:2])
+    diag.f_monomials_after = f_o.K.d_v
 
     # Training residuals: one-step output error at every pooled column.
     y_hat = eval_many_checked(h_o, X_t.T, "the training predictions")
@@ -488,7 +470,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         np.sqrt(np.mean(resid**2)) / (y_std if y_std > 0 else 1.0)
     )
 
-    model = ObserverModel(
+    return ObserverModel(
         n=n,
         d_y=d_y,
         f_o=f_o,
@@ -503,5 +485,4 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
             "anchor_t": cfg.anchor_t,
             "pooled": pooled,
         },
-    )
-    return model, diag
+    ), diag

@@ -17,6 +17,7 @@ from polysid import (
     identity_power_matrix,
     serialize_model,
 )
+from polysid import monomials
 from polysid.cli import config_from_kv, main
 from polysid.dataio import emit
 from polysid.generate import spec_to_kv, generate
@@ -215,6 +216,45 @@ class TestHostileExponents:
         )
         assert run(["gen", "--spec", spec_path, "--seed", "1", "--out", tmp_path / "y.csv"]) == 1
         assert capsys.readouterr().err.startswith("error: CAPACITY: ")
+
+
+class TestPredictGuards:
+    @staticmethod
+    def write_model(path, e: int) -> None:
+        """x(t+1) = x and y = x^e, from the state x = 1e11."""
+        model = ObserverModel(
+            n=1, d_y=1,
+            h_o=MonomialMap(np.ones((1, 1)), PowerMatrix(np.array([[e]]), (e,))),
+            f_o=MonomialMap(np.ones((1, 1)), PowerMatrix(np.array([[1, 0]]), (1, 0))),
+            g_io=MonomialMap(np.array([[1e11]]), PowerMatrix(np.array([[0]]), (0,))),
+            t_minus=1,
+        )
+        path.write_text(serialize_model(model))
+
+    def test_overflowing_output_is_an_overflow_error(self, tmp_path, capsys):
+        model_path, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "p.csv"
+        self.write_model(model_path, 30)
+        emit(generate(decay_spec(4), 3), data)
+        assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: OVERFLOW: the output of series 1 at time 2 overflows\n"
+        )
+        assert not out.exists()
+
+    def test_auxiliary_cells_over_the_cap_are_a_capacity_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # y = x^3 evaluates x^2 and x as auxiliary rows: 2 x 100 series cells.
+        monkeypatch.setattr(monomials, "AUX_CELL_CAP", 199)
+        model_path, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "p.csv"
+        self.write_model(model_path, 3)
+        emit(generate(decay_spec(100), 3), data)
+        assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: CAPACITY: the product chain needs 2 auxiliary rows for 100 samples, "
+            "more than 199 cells\n"
+        )
+        assert not out.exists()
 
 
 class TestConfig:

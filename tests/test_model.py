@@ -12,6 +12,7 @@ import pytest
 from polysid import (
     DimensionMismatchError,
     DivergenceError,
+    GeneratorSpec,
     IdentConfig,
     InvalidInputError,
     MonomialMap,
@@ -258,6 +259,29 @@ class TestBurnIn:
         Y[2, 0, 1] = 1e308  # series 2 at time 3
         with pytest.raises(NumericalOverflowError, match="series 2 at time 3 overflows"):
             predict_with_burn_in(self.half_std_model(), TimeSeriesSet(Y))
+
+    #: x(t+1) = 10 x with y ignored, and y = x^30: from x = 1e10 the output
+    #: is 1e300 at the first step and overflows at the second, while the
+    #: state stays below the divergence guard.
+    TENFOLD = MonomialMap(np.array([[10.0]]), PowerMatrix(np.array([[1, 0]]), (1, 0)))
+    POWER_30 = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[30]]), (30,)))
+
+    def test_overflowing_prediction_names_series_and_time(self):
+        model = ObserverModel(n=1, d_y=1, f_o=self.TENFOLD, h_o=self.POWER_30)
+        ts = TimeSeriesSet(np.ones((5, 1, 3)))
+        x0 = np.array([[1.0, 1e10, 1.0]])
+        with pytest.raises(NumericalOverflowError) as err:
+            predict_one_step(model, ts, x0)
+        assert str(err.value) == "the output of series 2 at time 2 overflows"
+
+    def test_overflowing_simulation_names_series_and_time(self):
+        spec = GeneratorSpec(
+            n=1, d_y=1, f=self.TENFOLD, h=self.POWER_30, x0_min=(1e10,), x0_max=(1e10,),
+            noise_std=0.0, t_1=5, s=2,
+        )
+        with pytest.raises(NumericalOverflowError) as err:
+            generate(spec, 1)
+        assert str(err.value) == "the output of series 1 at time 2 overflows"
 
     def test_burn_in_requires_lifting(self, rng):
         model = decay_model()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from polysid import (
     enumerate_power_matrix,
 )
 from polysid import TimeSeriesSet, predict_one_step, serialize_model
+from polysid import monomials
 from polysid.monomials import monomial_name
 
 from conftest import random_model
@@ -261,6 +263,19 @@ class TestBuildDataMatrix:
     def test_malformed_samples_raise_invalid_input(self, samples):
         with pytest.raises(InvalidInputError):
             build_data_matrix(samples, appendix_matrix())
+
+    def test_auxiliary_cells_are_capped_before_allocation(self, monkeypatch):
+        # x1 x2^3 is evaluated from x1, x1 x2 and x1 x2^2: three auxiliary rows.
+        pm = PowerMatrix(np.array([[1, 3]]), (1, 3))
+        assert pm.chain_plan[0] - pm.d_v == 3
+        monkeypatch.setattr(monomials, "AUX_CELL_CAP", 12)
+        assert np.array_equal(build_data_matrix(np.full((4, 2), 2.0), pm), np.full((1, 4), 16.0))
+        empty = mock.patch.object(np, "empty", side_effect=AssertionError("allocated"))
+        with empty, pytest.raises(CapacityError) as err:
+            build_data_matrix(np.full((5, 2), 2.0), pm)
+        assert str(err.value) == (
+            "the product chain needs 3 auxiliary rows for 5 samples, more than 12 cells"
+        )
 
 
 def product_oracle(samples, pm: PowerMatrix) -> np.ndarray:

@@ -262,7 +262,14 @@ class TestIdentify:
         ts = generate(linear_spec(3, t_1=30), 17)
         cfg = small_decay_config(pool_windows=False, t_minus_min=3, t_plus_min=3,
                                  t_minus_max=3, t_plus_max=3)
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError, match=r"^3 data columns for retained "
+                           r"rank 3 in the past regression; supply more series"):
+            identify(ts, cfg)
+        # Enough columns for the past's rank 2, not for the dynamics' rank 4.
+        ts = generate(linear_spec(4, t_1=30), 17)
+        cfg = small_decay_config(pool_windows=False, r1=0.9, r2=0.99999)
+        with pytest.raises(RankDeficiencyError, match=r"^4 data columns for retained "
+                           r"rank 4 in the dynamics regression; supply more series"):
             identify(ts, cfg)
 
     def test_capacity_error_names_stage(self):

@@ -221,13 +221,22 @@ class TestIngest:
         assert dataio._loadtxt_chunks(io.StringIO(rows, newline=""), 1)
         # A chunk with a whitespace-only line is still the record parser's.
         assert dataio._loadtxt_chunks(io.StringIO(" " + rows, newline=""), 1) is None
-        # ingest_text reads only "\n" as a line end, so the file is read from disk.
+        # From disk too, through both parsers.
         path = tmp_path / "series.csv"
         path.write_text("series,t,y1" + newline + rows, encoding="utf-8", newline="")
         expected = TimeSeriesSet([[[0.5]], [[0.25]]])
         assert ingest(path) == expected
         monkeypatch.setattr(dataio, "_loadtxt_chunks", lambda lines, d_y: None)
         assert ingest(path) == expected
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("rows", [["1,1,0.5", "1,2,0.25"], ['"1",1,0.5', "1,2,0.25"]],
+                             ids=["c-parser", "record-parser"])
+    def test_text_reads_as_the_same_file(self, tmp_path, newline, rows):
+        text = newline.join(["series,t,y1", *rows]) + newline
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert ingest_text(text) == ingest(path) == TimeSeriesSet([[[0.5]], [[0.25]]])
 
     def test_emit_golden(self):
         Y = np.empty((2, 2, 2))

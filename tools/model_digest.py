@@ -7,10 +7,14 @@ Usage, from the root of a checkout::
 The inputs are the benchmark's own, imported from ``bench/workloads.py``:
 
 - the 16 ``ident_pooled`` training sets of seeds 1 and 2, the linear (A1)
-  and polynomial (A2) acceptance sets, and the ``cli_roundtrip`` training
-  set of seed 1, which goes through ``polysid.cli.main``: one digest of the
-  model document without its ``meta`` and one of the held-out predictions;
+  and polynomial (A2) acceptance sets, the two-output system of the test
+  suite (``TestIdentify::test_two_output_system``), and the
+  ``cli_roundtrip`` training set of seed 1, which goes through
+  ``polysid.cli.main``: one digest of the model document without its
+  ``meta`` and one of the held-out predictions;
 - the ``predict_batch`` batch of seed 1: one digest of its predictions.
+
+That makes 41 lines.
 
 The ``polysid`` imported is the first one on ``sys.path``, so ``PYTHONPATH``
 chooses the source tree; this checkout's ``src/`` comes last.  Running the
@@ -42,7 +46,9 @@ sys.path += [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 import workloads as wl  # noqa: E402
-from polysid import cli, generate, identify, predict_with_burn_in  # noqa: E402
+from polysid import IdentConfig, cli, generate, identify, predict_with_burn_in  # noqa: E402
+from polysid.genred import MonomialMap  # noqa: E402
+from polysid.monomials import PowerMatrix, identity_power_matrix  # noqa: E402
 from polysid.model import ObserverModel, deserialize_model, serialize_model  # noqa: E402
 
 #: Seeds whose ``ident_pooled`` training sets are identified.
@@ -69,6 +75,16 @@ def identified(name: str, train, held, cfg) -> None:
     model, _ = identify(train, cfg)
     print(f"{name} model {model_digest(model)}")
     print(f"{name} heldout {predictions_digest(model, held)}")
+
+
+def two_output_spec(s: int):
+    """A2's dynamics over ``(x1, x2, y1, y2)``, independent of ``y2``, seen
+    through two outputs (the tests' two-output system)."""
+    base = wl.polynomial_spec(s, 30)
+    K = np.column_stack([base.f.K.K, np.zeros(base.f.K.d_v, dtype=int)])
+    f = MonomialMap(base.f.L, PowerMatrix(K, (1, 1, 1, 0)))
+    h = MonomialMap(np.array([[0.7, 0.3], [0.2, -0.5]]), identity_power_matrix(2))
+    return dataclasses.replace(base, d_y=2, f=f, h=h)
 
 
 def cli_roundtrip(workdir: Path) -> None:
@@ -105,6 +121,15 @@ def main(workdir: Path) -> None:
         generate(wl.polynomial_spec(10, 20), 12),
         dataclasses.replace(
             wl.POOLED_CONFIG, t_plus_max=4, t_minus_max=4, pool_windows=None
+        ),
+    )
+    identified(
+        "two_output",
+        generate(two_output_spec(100), 11),
+        generate(two_output_spec(20), 12),
+        IdentConfig(
+            r1=0.9999, r2=0.9999, r4=0.001, t_plus_max=3, t_minus_max=3, k_max_y=1,
+            max_total_degree_xy=2, scale_gamma=2.0,
         ),
     )
     cli_roundtrip(workdir)
