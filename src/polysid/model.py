@@ -69,10 +69,10 @@ class OutputScaling(ArrayRecord):
         mean, std = self._columns(y)
         return (y - mean) / std
 
-    def invert(self, y_scaled: np.ndarray) -> np.ndarray:
-        """Scaled outputs to raw units."""
+    def invert(self, y_scaled: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Scaled outputs to raw units, written to ``out`` when given."""
         mean, std = self._columns(y_scaled)
-        return y_scaled * std + mean
+        return np.add(np.multiply(y_scaled, std, out=out), mean, out=out)
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,18 @@ class PredictionReport(ArrayRecord):
         return float(self.relative_rmse.max())
 
 
+def _rms(residuals: np.ndarray, axis: tuple[int, int]) -> np.ndarray:
+    # Divided by the largest magnitude first, so no square overflows.
+    top = np.maximum(np.abs(residuals).max(axis=axis, keepdims=True), np.finfo(float).tiny)
+    return top.squeeze(axis) * np.sqrt(np.mean((residuals / top) ** 2, axis=axis))
+
+
 def _summarize(t_start: int, measured: np.ndarray, predicted: np.ndarray) -> PredictionReport:
     residuals = measured - predicted
-    rmse = np.sqrt(np.mean(residuals**2, axis=(0, 2)))
+    rmse = _rms(residuals, (0, 2))
     std = measured.std(axis=(0, 2))
     std = np.where(std > 0, std, 1.0)
-    per_series = np.sqrt(np.mean(residuals**2, axis=(0, 1)))
+    per_series = _rms(residuals, (0, 1))
     return PredictionReport(
         t_start=t_start,
         predictions=predicted,
@@ -232,9 +238,9 @@ def predict_one_step(
     Raises:
         DivergenceError: If any state component exceeds the overflow guard;
             the message names the series and time step.
-        NumericalOverflowError: If a predicted output overflows, or a
-            measured one overflows the output scaling; the message names
-            the series and time.
+        NumericalOverflowError: If a predicted output overflows, before or
+            after inverting the output scaling, or a measured one overflows
+            the scaling; the message names the series and time.
     """
     if ts.d_y != model.d_y:
         raise DimensionMismatchError(
@@ -252,13 +258,13 @@ def predict_one_step(
 
     measured = ts.Y[t_start - 1 :]
 
-    def feedback(i: int, _) -> np.ndarray:
-        # Step by step, so no scaled copy of the whole set is held.
+    def feedback(i: int, yhat_i: np.ndarray) -> np.ndarray:
+        # Step by step, so no scaled copy of the set is held; in place, so the guard sees it.
+        if model.scaling:
+            model.scaling.invert(yhat_i, out=yhat_i)
         return model.scaling.apply(measured[i]) if model.scaling else measured[i]
 
     predicted = run_observer(model.f_o, model.h_o, x, len(measured), feedback, t_start)
-    if model.scaling:
-        predicted = model.scaling.invert(predicted)
     return _summarize(t_start, measured, predicted)
 
 

@@ -325,16 +325,19 @@ def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
             finite real numbers.
         DimensionMismatchError: If the sample dimension is not ``pm.n``.
         CapacityError: If the auxiliary chain rows times the samples exceed
-            ``AUX_CELL_CAP``; checked before anything is allocated.
+            ``AUX_CELL_CAP``: a lower bound before planning, the count before allocating.
     """
     X = _as_sample_matrix(samples, pm.n)
-    rows, steps = pm.chain_plan
-    aux = rows - pm.d_v
+    # A row of degree d >= K.max() has d - 1 nonconstant ancestors, at most d_v - 1 in K.
+    aux = int(pm.K.max(initial=0)) - pm.d_v
+    if aux * X.shape[0] <= AUX_CELL_CAP:
+        aux = pm.chain_plan[0] - pm.d_v
     if aux * X.shape[0] > AUX_CELL_CAP:
         raise CapacityError(
-            f"the product chain needs {aux} auxiliary rows for {X.shape[0]} samples, "
-            f"more than {AUX_CELL_CAP} cells"
+            f"the product chain needs at least {aux} auxiliary rows for {X.shape[0]} "
+            f"samples, more than {AUX_CELL_CAP} cells"
         )
+    rows, steps = pm.chain_plan
     XT = np.ascontiguousarray(X.T)
     W = np.empty((rows, X.shape[0]))
     for row, parent, j in steps:

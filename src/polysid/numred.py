@@ -6,7 +6,8 @@ Three operations shared by the identification pipeline:
   cumulative l1 mass fraction.
 * ``svd_trunc`` -- truncated-SVD least-squares approximation of one data
   matrix by a linear map of another, factored as ``C @ L`` so that ``L``
-  maps the regressors onto a reduced state.
+  maps the regressors onto a reduced state.  ``svd_trunc_chunks`` reads
+  the matrices as column chunks, in ``O((chunk + d_v) * d_v)`` memory.
 * ``lk_reduce`` -- pruning of coefficient columns (and the matching power
   matrix rows) whose l1 norm falls below a fraction of the largest column.
 """
@@ -14,6 +15,7 @@ Three operations shared by the identification pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -118,46 +120,62 @@ class SvdTruncResult(ArrayRecord):
 def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
     """Best-fit linear map of ``V_u`` onto ``V_y`` through a truncated SVD.
 
-    Computes the SVD of ``V_u``, keeps the leading singular values up to
-    cumulative mass fraction ``r`` (after zeroing values below the numerical
-    rank threshold), and forms the regression ``H* = V_y @ pinv_n(V_u)``
-    factored as ``H* = C @ L``, so that ``V_y ~= C (L V_u)`` with the
-    reduced state ``L V_u``; the state itself is left to the caller.
+    The one-chunk call, bit for bit, of the chunked R-SVD :func:`svd_trunc_chunks`,
+    whose memory is ``O((chunk + d_v) * d_v)``; here the chunk is all of ``V_u``.
+    """
+    return svd_trunc_chunks([(V_y, V_u)], r)
 
-    The SVD is an R-SVD (Chan 1982, ACM TOMS 8(1)): a thin QR
-    ``V_u.T = Q R`` followed by an SVD of the small factor ``R.T``, which
-    shares its left singular vectors ``U`` and singular values ``D`` with
-    ``V_u``.  The right singular vectors are never formed; instead
-    ``C = V_y V_u.T U_n / D_n**2``.
+
+def svd_trunc_chunks(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], r: float
+) -> SvdTruncResult:
+    """Truncated-SVD regression of ``V_y`` on ``V_u``, read in column chunks.
+
+    ``chunks`` yields ``(V_y[:, a:b], V_u[:, a:b])`` over consecutive columns.
+    The singular values of ``V_u`` above the numerical rank threshold are
+    kept up to cumulative mass fraction ``r``, and ``H* = V_y @ pinv_n(V_u)``
+    is factored as ``C @ L``, so that ``V_y ~= C (L V_u)``.
+
+    The SVD is an R-SVD (Chan 1982, ACM TOMS 8(1)): ``R.T``, for the thin QR
+    ``V_u.T = Q R``, shares ``U`` and ``D`` with ``V_u``.  ``R`` is a
+    sequential TSQR (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci.
+    Comput. 34(1)), ``R = qr([R; V_u,c.T])`` per chunk, and
+    ``C = G U_n / D_n**2`` with ``G = sum_c V_y,c V_u,c.T``; memory is thus
+    ``O((chunk + d_v) * d_v)``.  One chunk gives the whole-matrix result bit
+    for bit; a split agrees with it to rounding.
 
     Raises:
-        InvalidInputError: If ``V_u`` is identically zero or ``r`` invalid.
-        DimensionMismatchError: If the column counts differ.
+        InvalidInputError: If ``V_u`` is zero, a chunk not finite, or ``r`` invalid.
+        DimensionMismatchError: If the two column counts of a chunk differ.
     """
-    Vy = np.asarray(V_y, dtype=float)
-    Vu = np.asarray(V_u, dtype=float)
-    if Vy.ndim != 2 or Vu.ndim != 2:
-        raise InvalidInputError("data matrices must be 2-D")
-    if Vy.shape[1] != Vu.shape[1]:
-        raise DimensionMismatchError(
-            f"column counts differ: V_y has {Vy.shape[1]}, V_u has {Vu.shape[1]}"
-        )
-    if not (np.isfinite(Vy).all() and np.isfinite(Vu).all()):
-        raise InvalidInputError("data matrices contain non-finite entries")
-    if not Vu.any():
-        raise InvalidInputError("V_u must not be identically zero")
     if not (0.0 < r < 1.0):
         raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
+    R, G, columns = None, None, 0
+    for V_y, V_u in chunks:
+        Vy, Vu = np.asarray(V_y, dtype=float), np.asarray(V_u, dtype=float)
+        if Vy.ndim != 2 or Vu.ndim != 2:
+            raise InvalidInputError("data matrices must be 2-D")
+        if Vy.shape[1] != Vu.shape[1]:
+            raise DimensionMismatchError(
+                f"column counts differ: V_y has {Vy.shape[1]}, V_u has {Vu.shape[1]}"
+            )
+        if not (np.isfinite(Vy).all() and np.isfinite(Vu).all()):
+            raise InvalidInputError("data matrices contain non-finite entries")
+        columns += Vu.shape[1]
+        # [R; V_u,c.T] is stacked column-major, the layout LAPACK's copy-in reads fastest.
+        R = np.linalg.qr(Vu.T if R is None else np.hstack([R.T, Vu]).T, mode="r")
+        G = Vy @ Vu.T if G is None else G + Vy @ Vu.T
+    if R is None or not R.any():
+        raise InvalidInputError("V_u must not be identically zero")
 
-    R = np.linalg.qr(Vu.T, mode="r")
     U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
     # Numerical rank: values below eps * sigma_max count as exact zeros.
-    tol = SINGULAR_VALUE_EPS * max(Vu.shape) * sv[0]
+    tol = SINGULAR_VALUE_EPS * max(R.shape[1], columns) * sv[0]
     n1 = int(np.sum(sv > tol))
     n, _, table = mdtrunc(sv[:n1], r)
     D_n = sv[:n].copy()
     L = U[:, :n].T
-    C = (Vy @ Vu.T) @ (U[:, :n] / (D_n**2)[None, :])
+    C = G @ (U[:, :n] / (D_n**2)[None, :])
     H_star = C @ L
     return SvdTruncResult(n=n, D_n=D_n, C=C, L=L, H_star=H_star, table=table)
 

@@ -31,6 +31,9 @@ the linear and polynomial acceptance sets at block limits 2, 4 and 8,
 3 pooled sets at 0.1 to 1% output noise, and a two-output polynomial
 system at block limits 16 to 128), so it was removed.  The model is built
 from the window matrices of the last window lengths tried.
+
+Both regressions stream their liftings to ``svd_trunc_chunks`` in column
+chunks; a split factorization differs from a whole one only at rounding level.
 """
 
 from __future__ import annotations
@@ -58,12 +61,15 @@ from .monomials import (
     enumerate_power_matrix,
     identity_power_matrix,
 )
-from .numred import SvdTruncResult, TruncationTable, lk_reduce, svd_trunc
+from .numred import SvdTruncResult, TruncationTable, lk_reduce, svd_trunc, svd_trunc_chunks
 from .series import TimeSeriesSet, past_windows
 
-# The removed elimination stage and block path; never called, kept while the
-# benchmark's tracer still patches these names.
+# The removed elimination stage and block path, and the unchunked svd_trunc;
+# not called, kept while the benchmark's tracer still patches these names.
 eliminate_products = partition_power_matrix = merge_power_matrices = None
+
+#: Samples per chunk of a lifting in ``identify``; regressions use ``2 d_v`` if wider.
+CHUNK_COLUMNS = 1024
 
 
 def build_window_vectors(
@@ -294,9 +300,10 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
 
 
 def eval_many_checked(M: MonomialMap, samples, what: str) -> np.ndarray:
-    """Batch-evaluate a monomial map, mapping overflow onto a pipeline error."""
+    """Evaluate a monomial map on sample chunks, mapping overflow onto a pipeline error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = eval_monomial_map_many(M, samples)
+        cuts = range(0, len(samples), CHUNK_COLUMNS)
+        values = np.hstack([eval_monomial_map_many(M, samples[a : a + CHUNK_COLUMNS]) for a in cuts])
     _check_finite(what, values)
     return values
 
@@ -305,7 +312,7 @@ def _regress(
     target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float,
     lifted: str, regression: str,
 ) -> SvdTruncResult:
-    """Regress ``target`` on the monomials ``K`` of the sample columns by a truncated SVD.
+    """Regress ``target`` on the monomials ``K`` of the sample columns, chunk by chunk.
 
     Raises:
         NumericalOverflowError: Naming ``lifted`` or ``regression``, the
@@ -313,15 +320,21 @@ def _regress(
         RankDeficiencyError: Naming ``regression``, if the retained rank
             uses every data column.
     """
+    columns, width = samples.shape[1], max(CHUNK_COLUMNS, 2 * K.d_v)  # so each QR is tall
+
+    def chunks():
+        for a in range(0, columns, width):
+            V = build_data_matrix(samples[:, a : a + width].T, K)
+            _check_finite(lifted, V)
+            yield target[:, a : a + width], V
+
     with np.errstate(over="ignore", invalid="ignore"):
-        V = build_data_matrix(samples.T, K)
-        _check_finite(lifted, V)
-        res = svd_trunc(target, V, r)
-        # Where D_n**2 is infinite, svd_trunc zeroes columns of C instead of making them non-finite.
+        res = svd_trunc_chunks(chunks(), r)
+        # Where D_n**2 is infinite, C gets zero columns instead of non-finite ones.
         _check_finite(regression, res.D_n**2, res.H_star)
-    if V.shape[1] <= res.n:
+    if columns <= res.n:
         raise RankDeficiencyError(
-            f"{V.shape[1]} data columns for retained rank {res.n} in {regression}; "
+            f"{columns} data columns for retained rank {res.n} in {regression}; "
             "supply more series or enable window pooling\n"
             f"singular value mass table:\n{res.table.to_text()}"
         )

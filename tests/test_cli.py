@@ -251,7 +251,7 @@ class TestPredictGuards:
         emit(generate(decay_spec(100), 3), data)
         assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
         assert capsys.readouterr().err == (
-            "error: CAPACITY: the product chain needs 2 auxiliary rows for 100 samples, "
+            "error: CAPACITY: the product chain needs at least 2 auxiliary rows for 100 samples, "
             "more than 199 cells\n"
         )
         assert not out.exists()

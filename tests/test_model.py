@@ -283,6 +283,30 @@ class TestBurnIn:
             generate(spec, 1)
         assert str(err.value) == "the output of series 1 at time 2 overflows"
 
+    def test_summaries_of_huge_finite_predictions_are_finite(self):
+        # y = x^16 from x = 1e10 predicts 1e160, whose square overflows.
+        power_16 = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[16]]), (16,)))
+        hold = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[1, 0]]), (1, 0)))
+        model = ObserverModel(n=1, d_y=1, f_o=hold, h_o=power_16)
+        rep = predict_one_step(model, TimeSeriesSet(np.ones((4, 1, 2))), np.array([[1.0, 1e10]]))
+        assert rep.predictions[:, 0] == pytest.approx(np.tile([1.0, 1e160], (4, 1)), rel=1e-12)
+        assert rep.per_series_rmse == pytest.approx([0.0, 1e160], rel=1e-12)
+        assert rep.rmse == pytest.approx([1e160 / np.sqrt(2)], rel=1e-12)
+        assert np.isfinite(rep.relative_rmse).all()
+
+    def test_prediction_overflowing_the_inverted_scaling_names_series_and_time(self):
+        # A finite scaled prediction of 1e10 is 1e310 in raw units.
+        identity = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
+        hold = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[1, 0]]), (1, 0)))
+        model = ObserverModel(
+            n=1, d_y=1, f_o=hold, h_o=identity,
+            scaling=OutputScaling(np.zeros(1), np.full(1, 1e300)),
+        )
+        ts = TimeSeriesSet(np.ones((4, 1, 3)))
+        with pytest.raises(NumericalOverflowError) as err:
+            predict_one_step(model, ts, np.array([[1.0, 1e10, 1e10]]), t_start=2)
+        assert str(err.value) == "the output of series 2 at time 2 overflows"
+
     def test_burn_in_requires_lifting(self, rng):
         model = decay_model()
         with pytest.raises(InvalidInputError):

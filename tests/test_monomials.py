@@ -274,7 +274,7 @@ class TestBuildDataMatrix:
         with empty, pytest.raises(CapacityError) as err:
             build_data_matrix(np.full((5, 2), 2.0), pm)
         assert str(err.value) == (
-            "the product chain needs 3 auxiliary rows for 5 samples, more than 12 cells"
+            "the product chain needs at least 3 auxiliary rows for 5 samples, more than 12 cells"
         )
 
 
@@ -371,7 +371,15 @@ class TestChainPlan:
     def test_huge_exponent_fails_before_the_scan(self):
         pm = PowerMatrix(np.array([[2**62, 0], [0, 1]]), (2**62, 1))
         with pytest.raises(CapacityError, match="largest exponent 4611686018427387904"):
-            build_data_matrix(np.ones((3, 2)), pm)
+            pm.chain_plan
+
+    def test_auxiliary_bound_is_checked_before_planning(self):
+        # x1^(10^6) needs about 10^6 auxiliary rows; 5000 samples exceed the cap.
+        # Planning that chain takes seconds, so the bound must fail first.
+        pm = PowerMatrix(np.array([[10**6, 0], [1, 0], [0, 1]]), (10**6, 1))
+        with pytest.raises(CapacityError, match="at least 999997 auxiliary rows for 5000"):
+            build_data_matrix(np.ones((5000, 2)), pm)
+        assert "chain_plan" not in vars(pm)
 
     def test_every_parent_precedes_its_children(self):
         pm = PowerMatrix.from_rows([(3, 0, 1), (1, 2, 2), (0, 0, 4), (0, 0, 0), (2, 2, 0)])

@@ -19,7 +19,7 @@ from polysid import (
     svd_trunc,
 )
 from polysid.monomials import enumerate_power_matrix
-from polysid.numred import SINGULAR_VALUE_EPS
+from polysid.numred import SINGULAR_VALUE_EPS, svd_trunc_chunks
 
 
 def brute_force_n_r(D, r) -> int:
@@ -204,6 +204,78 @@ class TestSvdTrunc:
     def test_rejects_column_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             svd_trunc(np.ones((2, 3)), np.ones((2, 4)), 0.5)
+
+
+def whole_matrix_oracle(V_y, V_u, r):
+    """The unchunked R-SVD: one QR of the whole ``V_u.T``, ``C`` from ``V_y V_u.T``."""
+    R = np.linalg.qr(V_u.T, mode="r")
+    U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
+    n1 = int(np.sum(sv > SINGULAR_VALUE_EPS * max(V_u.shape) * sv[0]))
+    n, _, table = mdtrunc(sv[:n1], r)
+    C = (V_y @ V_u.T) @ (U[:, :n] / (sv[:n] ** 2)[None, :])
+    return n, sv[:n], C, U[:, :n].T, C @ U[:, :n].T, table
+
+
+def split(V_y, V_u, widths):
+    edges = np.cumsum([0, *widths])
+    assert edges[-1] == V_u.shape[1]
+    return [(V_y[:, a:b], V_u[:, a:b]) for a, b in zip(edges[:-1], edges[1:])]
+
+
+class TestSvdTruncChunks:
+    @pytest.mark.parametrize(
+        "d_vu, s, rank", [(12, 200, 12), (12, 200, 5), (30, 90, 30)],
+        ids=["full-rank", "rank-deficient", "few-columns"],
+    )
+    def test_single_chunk_is_the_whole_matrix_factorization(self, rng, d_vu, s, rank):
+        V_u = rng.standard_normal((d_vu, rank)) @ rng.standard_normal((rank, s))
+        V_y = rng.standard_normal((4, s))
+        n, D_n, C, L, H_star, table = whole_matrix_oracle(V_y, V_u, 0.99)
+        for res in (svd_trunc(V_y, V_u, 0.99), svd_trunc_chunks([(V_y, V_u)], 0.99)):
+            assert res.n == n and res.table == table
+            for got, want in [(res.D_n, D_n), (res.C, C), (res.L, L), (res.H_star, H_star)]:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "widths",
+        [[5, 95, 100], [1] * 200, [100, 100], [150, 40, 10], [11, 12, 177]],
+        ids=["first-narrower-than-d_v", "single-columns", "halves", "uneven", "around-d_v"],
+    )
+    @pytest.mark.parametrize("rank", [12, 7])
+    def test_chunks_agree_with_one_factorization(self, rng, widths, rank):
+        V_u = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 200))
+        V_y = rng.standard_normal((3, 12)) @ V_u + 0.1 * rng.standard_normal((3, 200))
+        whole = svd_trunc(V_y, V_u, 0.999)
+        res = svd_trunc_chunks(split(V_y, V_u, widths), 0.999)
+        assert res.n == whole.n and len(res.table) == len(whole.table)
+        assert res.D_n == pytest.approx(whole.D_n, rel=1e-12)
+        assert np.linalg.norm(res.H_star - whole.H_star) <= 1e-10 * np.linalg.norm(whole.H_star)
+
+    def test_chunks_are_read_once_in_order(self, rng):
+        V_u, V_y = rng.standard_normal((4, 30)), rng.standard_normal((2, 30))
+        seen = []
+
+        def chunks():
+            for c in split(V_y, V_u, [10, 10, 10]):
+                seen.append(c[1])
+                yield c
+
+        res = svd_trunc_chunks(chunks(), 0.9)
+        assert len(seen) == 3 and np.array_equal(np.hstack(seen), V_u)
+        assert res.n == svd_trunc(V_y, V_u, 0.9).n
+
+    def test_rejects_no_chunks_and_bad_chunks(self):
+        with pytest.raises(InvalidInputError, match="identically zero"):
+            svd_trunc_chunks([], 0.5)
+        with pytest.raises(InvalidInputError, match="identically zero"):
+            svd_trunc_chunks([(np.ones((2, 3)), np.zeros((4, 3)))] * 2, 0.5)
+        good = (np.ones((2, 3)), np.ones((4, 3)))
+        with pytest.raises(DimensionMismatchError):
+            svd_trunc_chunks([good, (np.ones((2, 2)), np.ones((4, 3)))], 0.5)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            svd_trunc_chunks([good, (np.ones((2, 1)), np.full((4, 1), np.nan))], 0.5)
+        with pytest.raises(InvalidInputError, match="threshold"):
+            svd_trunc_chunks(iter(()), 1.0)
 
 
 class TestLkReduce:

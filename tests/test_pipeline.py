@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from polysid import (
     svd_trunc,
 )
 from polysid.genred import eval_monomial_map_many
+from polysid.numred import svd_trunc_chunks
+from polysid.pipeline import CHUNK_COLUMNS
 
 from conftest import decay_spec, linear_spec, polynomial_spec
 
@@ -227,11 +230,11 @@ class TestIdentify:
     def test_one_reduction_per_window_step(self, monkeypatch):
         calls = []
 
-        def counting_svd_trunc(*args):
+        def counting_factorization(*args):
             calls.append(args)
-            return svd_trunc(*args)
+            return svd_trunc_chunks(*args)
 
-        monkeypatch.setattr("polysid.pipeline.svd_trunc", counting_svd_trunc)
+        monkeypatch.setattr("polysid.pipeline.svd_trunc_chunks", counting_factorization)
         ts = generate(linear_spec(30), 13)
         cfg = small_decay_config(t_plus_min=1, t_minus_min=1, t_plus_max=3, t_minus_max=3)
         _, diag = identify(ts, cfg)
@@ -243,6 +246,24 @@ class TestIdentify:
             assert r.rows_presented == past.d_v
         # one past-to-future SVD per step, then the dynamics regression
         assert len(calls) == len(steps) + 1
+
+    def test_pooled_identify_holds_no_whole_lifted_past(self):
+        # 400 series of 40 samples pool 10000 window columns; at t_minus = 8
+        # the whole lifted past, 256 monomials by 10000 columns, is 20.5 MB.
+        ts = generate(polynomial_spec(400, 40), 3)
+        cfg = IdentConfig(
+            r1=0.9999, r2=0.9999, r4=0.001, t_plus_max=8, t_minus_max=8,
+            k_max_y=1, max_total_degree_xy=2, scale_gamma=2.0, pool_windows=True,
+        )
+        tracemalloc.start()
+        try:
+            _, diag = identify(ts, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.n_columns > 4 * CHUNK_COLUMNS
+        whole_past = diag.reductions[-1].rows_presented * diag.n_columns * 8
+        assert peak < whole_past
 
     def test_levinson_plateau_stops_early(self):
         # per-series constant data saturates the retained rank immediately

@@ -1,5 +1,11 @@
 """Print one sha256 per benchmark input: its identified model or its predictions.
 
+Next to each model digest the script prints the model's state dimension
+``n``, the retained rank ``n1`` of every window step and the dynamics rank
+``n2``; next to each prediction digest, the held-out max relative RMSE to 4
+significant digits.  A change that moves only rounding changes digests but
+should leave these numbers as they are.
+
 Usage, from the root of a checkout::
 
     PYTHONPATH=src python3 tools/model_digest.py
@@ -34,6 +40,7 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -46,7 +53,7 @@ sys.path += [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 import workloads as wl  # noqa: E402
-from polysid import IdentConfig, cli, generate, identify, predict_with_burn_in  # noqa: E402
+from polysid import IdentConfig, cli, dataio, generate, identify, predict_with_burn_in  # noqa: E402
 from polysid.genred import MonomialMap  # noqa: E402
 from polysid.monomials import PowerMatrix, identity_power_matrix  # noqa: E402
 from polysid.model import ObserverModel, deserialize_model, serialize_model  # noqa: E402
@@ -67,14 +74,22 @@ def model_digest(model: ObserverModel) -> str:
     return sha(serialize_model(dataclasses.replace(model, meta={})).encode())
 
 
-def predictions_digest(model: ObserverModel, ts) -> str:
-    return sha(np.ascontiguousarray(predict_with_burn_in(model, ts).predictions).tobytes())
+def ranks(n: int, n1_history, n2) -> str:
+    return f"n={n} n1={','.join(str(n1) for n1 in n1_history)} n2={n2}"
+
+
+def heldout(name: str, model: ObserverModel, ts, digest: str | None = None) -> None:
+    """One line: the predictions' digest (or ``digest``) and the max relative RMSE."""
+    report = predict_with_burn_in(model, ts)
+    digest = digest or sha(np.ascontiguousarray(report.predictions).tobytes())
+    print(f"{name} {digest} max_rel_rmse={report.max_relative_rmse:.4g}")
 
 
 def identified(name: str, train, held, cfg) -> None:
-    model, _ = identify(train, cfg)
-    print(f"{name} model {model_digest(model)}")
-    print(f"{name} heldout {predictions_digest(model, held)}")
+    model, diag = identify(train, cfg)
+    n1_history = [r.n1 for r in diag.reductions]
+    print(f"{name} model {model_digest(model)} {ranks(model.n, n1_history, diag.n2)}")
+    heldout(f"{name} heldout", model, held)
 
 
 def two_output_spec(s: int):
@@ -95,9 +110,15 @@ def cli_roundtrip(workdir: Path) -> None:
     if any(codes):
         raise SystemExit(f"cli_roundtrip failed with exit codes {codes}")
     model = deserialize_model((workdir / "model.json").read_text())
-    predictions = (workdir / "predictions.csv").read_bytes()
-    print(f"cli_roundtrip seed={SEED} model {model_digest(model)}")
-    print(f"cli_roundtrip seed={SEED} heldout {sha(predictions)}")
+    # The ranks come from the identify report: its HORIZONS table and n2.
+    report = (workdir / "report.txt").read_text().splitlines()
+    table = report[report.index("t_plus t_minus n1 rows_presented rows_kept") + 1 :]
+    n1_history = [row.split()[2] for row in itertools.takewhile(bool, table)]
+    n2 = next(line.split(" = ")[1] for line in report if line.startswith("retained_rank_n2"))
+    name = f"cli_roundtrip seed={SEED}"
+    print(f"{name} model {model_digest(model)} {ranks(model.n, n1_history, n2)}")
+    predictions = sha((workdir / "predictions.csv").read_bytes())
+    heldout(f"{name} heldout", model, dataio.ingest(workdir / "heldout.csv"), predictions)
 
 
 def main(workdir: Path) -> None:
@@ -142,7 +163,7 @@ def main(workdir: Path) -> None:
         wl.heldout(wl.polynomial_spec(batch.s_heldout, pooled.t_1)),
         wl.heldout_seed(SEED, 499),
     )
-    print(f"predict_batch seed={SEED} predictions {predictions_digest(model, held)}")
+    heldout(f"predict_batch seed={SEED} predictions", model, held)
 
 
 if __name__ == "__main__":
