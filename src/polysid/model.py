@@ -150,16 +150,29 @@ class PredictionReport(ArrayRecord):
         return float(self.relative_rmse.max())
 
 
-def _rms(residuals: np.ndarray, axis: tuple[int, int]) -> np.ndarray:
-    # Divided by the largest magnitude first, so no square overflows.
-    top = np.maximum(np.abs(residuals).max(axis=axis, keepdims=True), np.finfo(float).tiny)
-    return top.squeeze(axis) * np.sqrt(np.mean((residuals / top) ** 2, axis=axis))
+def _rms(values: np.ndarray, axis: tuple[int, int], center: bool = False) -> np.ndarray:
+    """Root mean square over ``axis``, about the mean (the std) if ``center``."""
+    # Divided exactly by a power of two near the largest magnitude: no sum or square
+    # overflows, and in place, so one temporary array is held.
+    _, e = np.frexp(np.abs(values).max(axis=axis, keepdims=True))
+    scaled = np.ldexp(values, -e)
+    if center:
+        scaled -= scaled.mean(axis=axis, keepdims=True)
+    scaled *= scaled
+    return np.ldexp(np.sqrt(scaled.mean(axis=axis)), e.squeeze(axis))
 
 
+@np.errstate(over="ignore")  # the residuals are checked instead
 def _summarize(t_start: int, measured: np.ndarray, predicted: np.ndarray) -> PredictionReport:
     residuals = measured - predicted
+    finite = np.isfinite(residuals).all(axis=1)
+    if not finite.all():
+        t, k = np.unravel_index(finite.argmin(), finite.shape)
+        raise NumericalOverflowError(
+            f"the residual of series {k + 1} at time {t_start + t} overflows"
+        )
     rmse = _rms(residuals, (0, 2))
-    std = measured.std(axis=(0, 2))
+    std = _rms(measured, (0, 2), center=True)
     std = np.where(std > 0, std, 1.0)
     per_series = _rms(residuals, (0, 1))
     return PredictionReport(
@@ -239,8 +252,9 @@ def predict_one_step(
         DivergenceError: If any state component exceeds the overflow guard;
             the message names the series and time step.
         NumericalOverflowError: If a predicted output overflows, before or
-            after inverting the output scaling, or a measured one overflows
-            the scaling; the message names the series and time.
+            after inverting the output scaling, a measured one overflows
+            the scaling, or a residual overflows; the message names the
+            series and time.
     """
     if ts.d_y != model.d_y:
         raise DimensionMismatchError(

@@ -32,8 +32,10 @@ the linear and polynomial acceptance sets at block limits 2, 4 and 8,
 system at block limits 16 to 128), so it was removed.  The model is built
 from the window matrices of the last window lengths tried.
 
-Both regressions stream their liftings to ``svd_trunc_chunks`` in column
-chunks; a split factorization differs from a whole one only at rounding level.
+One chunk loop lifts all samples: both regressions stream to ``svd_trunc_chunks``,
+whose split factorization differs from a whole one only at rounding level.
+One state-map evaluation gives the states at the (consecutive) anchors and one
+step later, and all of ``identify`` runs in one overflow scope.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     NumericalOverflowError,
     RankDeficiencyError,
 )
-from .genred import MonomialMap, eval_monomial_map_many
+from .genred import MonomialMap
 from .model import ObserverModel, OutputScaling
 from .monomials import (
     DEFAULT_ROW_CAP,
@@ -68,7 +70,7 @@ from .series import TimeSeriesSet, past_windows
 # not called, kept while the benchmark's tracer still patches these names.
 eliminate_products = partition_power_matrix = merge_power_matrices = None
 
-#: Samples per chunk of a lifting in ``identify``; regressions use ``2 d_v`` if wider.
+#: Samples per chunk of a lifting in ``identify``; ``2 d_v`` for ``d_v`` monomials if wider.
 CHUNK_COLUMNS = 1024
 
 
@@ -290,27 +292,33 @@ class IdentDiagnostics(ArrayRecord):
     config_echo: dict = field(default_factory=dict)
 
 
-def _check_finite(name: str, *arrays: np.ndarray) -> None:
-    """Report float overflow in a stage run under ``np.errstate``, naming it."""
+def _check_finite(name: str, scaled: bool, *arrays: np.ndarray) -> None:
+    """Report float overflow in a stage of ``identify``, naming it and a remedy."""
     if not all(np.isfinite(arr).all() for arr in arrays):
+        fix = "raise scale_gamma" if scaled else "enable output scaling"
         raise NumericalOverflowError(
-            f"non-finite values in {name}; the outputs overflow, so "
-            "enable output scaling or rescale the data"
+            f"non-finite values in {name}; the outputs overflow, so {fix} or rescale the data"
         )
 
 
-def eval_many_checked(M: MonomialMap, samples, what: str) -> np.ndarray:
-    """Evaluate a monomial map on sample chunks, mapping overflow onto a pipeline error."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        cuts = range(0, len(samples), CHUNK_COLUMNS)
-        values = np.hstack([eval_monomial_map_many(M, samples[a : a + CHUNK_COLUMNS]) for a in cuts])
-    _check_finite(what, values)
-    return values
+def _lifted_chunks(samples: np.ndarray, K: PowerMatrix, what: str, scaled: bool, L=None):
+    """Column slices of ``samples`` with their ``K`` lifting (times ``L``), checked as ``what``."""
+    width = max(CHUNK_COLUMNS, 2 * K.d_v)  # so each regression QR is tall
+    for a in range(0, samples.shape[1], width):
+        V = build_data_matrix(samples[:, a : a + width].T, K)
+        values = V if L is None else L @ V
+        _check_finite(what, scaled, values)
+        yield slice(a, a + width), values
+
+
+def eval_many_checked(M: MonomialMap, samples: np.ndarray, what: str, scaled: bool) -> np.ndarray:
+    """Evaluate a monomial map on the sample columns chunk by chunk; ``what`` names overflow."""
+    return np.hstack([values for _, values in _lifted_chunks(samples, M.K, what, scaled, M.L)])
 
 
 def _regress(
     target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float,
-    lifted: str, regression: str,
+    lifted: str, regression: str, scaled: bool,
 ) -> SvdTruncResult:
     """Regress ``target`` on the monomials ``K`` of the sample columns, chunk by chunk.
 
@@ -320,27 +328,20 @@ def _regress(
         RankDeficiencyError: Naming ``regression``, if the retained rank
             uses every data column.
     """
-    columns, width = samples.shape[1], max(CHUNK_COLUMNS, 2 * K.d_v)  # so each QR is tall
-
-    def chunks():
-        for a in range(0, columns, width):
-            V = build_data_matrix(samples[:, a : a + width].T, K)
-            _check_finite(lifted, V)
-            yield target[:, a : a + width], V
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = svd_trunc_chunks(chunks(), r)
-        # Where D_n**2 is infinite, C gets zero columns instead of non-finite ones.
-        _check_finite(regression, res.D_n**2, res.H_star)
-    if columns <= res.n:
+    chunks = _lifted_chunks(samples, K, lifted, scaled)
+    res = svd_trunc_chunks(((target[:, columns], V) for columns, V in chunks), r)
+    # Where D_n**2 is infinite, C gets zero columns instead of non-finite ones.
+    _check_finite(regression, scaled, res.D_n**2, res.H_star)
+    if samples.shape[1] <= res.n:
         raise RankDeficiencyError(
-            f"{columns} data columns for retained rank {res.n} in {regression}; "
+            f"{samples.shape[1]} data columns for retained rank {res.n} in {regression}; "
             "supply more series or enable window pooling\n"
             f"singular value mass table:\n{res.table.to_text()}"
         )
     return res
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentDiagnostics]:
     """Identify a polynomial observer model from output time series.
 
@@ -349,8 +350,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     future side kept linear; truncated-SVD regression of the future on the
     lifted past with column pruning, whose pruned generators are the state
     map ``x = g(y_minus)``; the output map ``h_o``, linear in
-    the state, from the current-output rows of the future map; next-state
-    evaluation on shifted windows; monomial lifting of the (state, output)
+    the state, from the current-output rows of the future map; one state-map
+    evaluation at the anchors and the next one; monomial lifting of the (state, output)
     pair; truncated-SVD regression of the next state with column pruning;
     and assembly of the observer model.  The outer loop grows the window
     lengths from their minima to their maxima, stopping early when the
@@ -378,7 +379,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         RankDeficiencyError: If there are too few data columns for the
             rank the past or the dynamics regression retains; it names it.
         NumericalOverflowError: Naming the stage whose values overflow: the
-            output scaling, a lifting, a regression or a map evaluation.
+            output scaling, a lifting, a regression or a map evaluation.  All
+            of ``identify`` runs in one overflow scope, so numpy warns of none.
     """
     cfg = cfg.resolved(ts)
     echo = cfg.echo()
@@ -387,13 +389,12 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     scaling: OutputScaling | None = None
     work = ts
     if cfg.scale_outputs:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = ts.Y.mean(axis=(0, 2))
-            std = ts.Y.std(axis=(0, 2))
-        _check_finite("the output scaling", mean, std)
-        std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
-        scaling = OutputScaling(mean, std)
-        work = TimeSeriesSet(scaling.apply(ts.Y))
+        mean, std = ts.Y.mean(axis=(0, 2)), ts.Y.std(axis=(0, 2))
+        _check_finite("the output scaling", True, mean, std)
+        scaling = OutputScaling(mean, np.where(std > 0, std, 1.0) * cfg.scale_gamma)
+        Y = scaling.apply(ts.Y)
+        _check_finite("the output scaling", True, Y)
+        work = TimeSeriesSet(Y)
 
     # Outer loop: grow both window lengths by one per iteration, clamped at
     # their maxima, until both reach them; stop early after two consecutive
@@ -416,7 +417,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         )
         Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
         res1 = _regress(
-            Yplus, Yminus, K_past, cfg.r1, "the lifted past windows", "the past regression"
+            Yplus, Yminus, K_past, cfg.r1,
+            "the lifted past windows", "the past regression", cfg.scale_outputs,
         )
         g_io = MonomialMap(*lk_reduce(res1.L, K_past, cfg.r4)[:2])
         diag.reductions.append(
@@ -446,11 +448,10 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     d_y = ts.d_y
     h_o = MonomialMap(res1.C[-d_y:], identity_power_matrix(n)).drop_zero_columns()
 
-    X_t = eval_many_checked(g_io, Yminus.T, "the state samples")
-
-    # Next-state values from the past windows one step later.
-    Yminus_next = past_windows(work.Y, anchors + 1, t_minus)
-    X_next = eval_many_checked(g_io, Yminus_next.T, "the next-state samples")
+    # The anchors are consecutive: the windows a step later are those of anchors[1:] and one more.
+    windows = np.hstack([Yminus, past_windows(work.Y, anchors[-1:] + 1, t_minus)])
+    X = eval_many_checked(g_io, windows, "the state samples", cfg.scale_outputs)
+    X_t, X_next = X[:, : Yminus.shape[1]], X[:, ts.s :]
 
     # Lift the (state, output) pair.
     y_now = Yplus[-d_y:]  # y(t) at every anchor, the bottom of the future stack
@@ -464,7 +465,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         ) from exc
     res2 = _regress(
         X_next, np.vstack([X_t, y_now]), K_xy, cfg.r2,
-        "the lifted state-output pairs", "the dynamics regression",
+        "the lifted state-output pairs", "the dynamics regression", cfg.scale_outputs,
     )
     diag.n2 = res2.n
     diag.table2 = res2.table
@@ -474,14 +475,11 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     diag.f_monomials_after = f_o.K.d_v
 
     # Training residuals: one-step output error at every pooled column.
-    y_hat = eval_many_checked(h_o, X_t.T, "the training predictions")
-    resid = y_now - y_hat
-    per_series = np.sqrt(np.mean(resid.reshape(d_y, len(anchors), ts.s) ** 2, axis=(0, 1)))
+    y_hat = eval_many_checked(h_o, X_t, "the training predictions", cfg.scale_outputs)
+    squares = ((y_now - y_hat) ** 2).reshape(d_y, len(anchors), ts.s)
+    diag.training_rmse_per_series = np.sqrt(np.mean(squares, axis=(0, 1)))
     y_std = y_now.std()
-    diag.training_rmse_per_series = per_series
-    diag.training_relative_rmse = float(
-        np.sqrt(np.mean(resid**2)) / (y_std if y_std > 0 else 1.0)
-    )
+    diag.training_relative_rmse = float(np.sqrt(np.mean(squares)) / (y_std if y_std > 0 else 1.0))
 
     return ObserverModel(
         n=n,

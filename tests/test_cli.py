@@ -126,6 +126,20 @@ class TestErrors:
         assert code != 0
         assert "error: CONFIG:" in err
 
+    def test_tiny_scale_gamma_is_an_overflow_error(self, workspace, capsys):
+        tmp, spec_path, cfg_path = workspace
+        data, model_path = tmp / "train.csv", tmp / "m.json"
+        run(["gen", "--spec", spec_path, "--seed", "5", "--out", data])
+        cfg_path.write_text(CONFIG + "scale_gamma = 1e-320\n")
+        code = run(["identify", "--data", data, "--config", cfg_path,
+                    "--out-model", model_path, "--report", tmp / "r.txt"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: OVERFLOW: non-finite values in the output scaling; the outputs "
+            "overflow, so raise scale_gamma or rescale the data\n"
+        )
+        assert not model_path.exists()
+
     def test_missing_data_file_is_handled(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text(serialize_model(reference_fixture_model()))
@@ -238,6 +252,24 @@ class TestPredictGuards:
         assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
         assert capsys.readouterr().err == (
             "error: OVERFLOW: the output of series 1 at time 2 overflows\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_residual_is_an_overflow_error(self, tmp_path, capsys):
+        # y = -10 x^26 from the state x = 6e11 predicts -1.7e307 against 1.7e308.
+        model = ObserverModel(
+            n=1, d_y=1,
+            h_o=MonomialMap(np.array([[-10.0]]), PowerMatrix(np.array([[26]]), (26,))),
+            f_o=MonomialMap(np.ones((1, 1)), PowerMatrix(np.array([[1, 0]]), (1, 0))),
+            g_io=MonomialMap(np.array([[6e11]]), PowerMatrix(np.array([[0]]), (0,))),
+            t_minus=1,
+        )
+        model_path, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "p.csv"
+        model_path.write_text(serialize_model(model))
+        data.write_text("series,t,y1\n1,1,1.7e308\n1,2,1.7e308\n1,3,1.7e308\n")
+        assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: OVERFLOW: the residual of series 1 at time 2 overflows\n"
         )
         assert not out.exists()
 

@@ -307,6 +307,40 @@ class TestBurnIn:
             predict_one_step(model, ts, np.array([[1.0, 1e10, 1e10]]), t_start=2)
         assert str(err.value) == "the output of series 2 at time 2 overflows"
 
+    #: x(t+1) = x with y ignored.
+    HOLD = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[1, 0]]), (1, 0)))
+
+    def test_overflowing_residual_names_series_and_time(self):
+        # y = -10 x^26 from x = 6e11 predicts -1.7e307; 1.7e308 minus it overflows.
+        power_26 = MonomialMap(np.array([[-10.0]]), PowerMatrix(np.array([[26]]), (26,)))
+        model = ObserverModel(n=1, d_y=1, f_o=self.HOLD, h_o=power_26)
+        Y = np.ones((5, 1, 3))
+        Y[2:, 0, 1] = 1.7e308  # series 2 from time 3
+        Y[1:, 0, 2] = 1.7e308  # series 3 from time 2, but with a small prediction
+        with pytest.raises(NumericalOverflowError) as err:
+            predict_one_step(model, TimeSeriesSet(Y), np.array([[6e11, 6e11, 1.0]]))
+        assert str(err.value) == "the residual of series 2 at time 3 overflows"
+
+    def test_summaries_of_huge_measured_outputs_are_finite(self):
+        # The zero prediction leaves residuals of 1e308, whose std's squares overflow.
+        identity = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
+        model = ObserverModel(n=1, d_y=1, f_o=self.HOLD, h_o=identity)
+        Y = np.array([1e308, -1e308, 1e308, -1e308])[:, None, None]
+        rep = predict_one_step(model, TimeSeriesSet(Y), np.zeros((1, 1)))
+        assert rep.rmse == pytest.approx([1e308], rel=1e-12)
+        assert rep.relative_rmse == pytest.approx([1.0], rel=1e-12)
+
+    def test_summaries_match_the_plain_formulas(self, rng):
+        # Scaling by a power of two is exact, so moderate values give numpy's bits.
+        hold = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[1, 0, 0]]), (1, 0, 0)))
+        zero = MonomialMap(np.zeros((2, 1)), identity_power_matrix(1))
+        model = ObserverModel(n=1, d_y=2, f_o=hold, h_o=zero)
+        Y = rng.standard_normal((6, 2, 3)) * 1e5
+        rep = predict_one_step(model, TimeSeriesSet(Y), np.zeros((1, 3)))
+        assert np.array_equal(rep.rmse, np.sqrt(np.mean(Y**2, axis=(0, 2))))
+        assert np.array_equal(rep.relative_rmse, rep.rmse / Y.std(axis=(0, 2)))
+        assert np.array_equal(rep.per_series_rmse, np.sqrt(np.mean(Y**2, axis=(0, 1))))
+
     def test_burn_in_requires_lifting(self, rng):
         model = decay_model()
         with pytest.raises(InvalidInputError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from polysid import (
 )
 from polysid.genred import eval_monomial_map_many
 from polysid.numred import svd_trunc_chunks
-from polysid.pipeline import CHUNK_COLUMNS
+from polysid.pipeline import CHUNK_COLUMNS, eval_many_checked
+from polysid.series import past_windows
 
 from conftest import decay_spec, linear_spec, polynomial_spec
 
@@ -317,10 +319,41 @@ class TestIdentify:
                                  t_minus_max=t_max, scale_outputs=scale_outputs)
         with pytest.raises(NumericalOverflowError) as err:
             identify(TimeSeriesSet(ts.Y * gain), cfg)
+        fix = "raise scale_gamma" if scale_outputs else "enable output scaling"
         assert str(err.value) == (
-            f"non-finite values in {stage}; the outputs overflow, so "
-            "enable output scaling or rescale the data"
+            f"non-finite values in {stage}; the outputs overflow, so {fix} or rescale the data"
         )
+
+    def test_tiny_scale_gamma_overflows_the_output_scaling_without_warning(self):
+        ts = generate(decay_spec(20, t_1=12), 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflowError) as err:
+                identify(ts, small_decay_config(scale_gamma=1e-320))
+        assert str(err.value) == (
+            "non-finite values in the output scaling; the outputs overflow, so "
+            "raise scale_gamma or rescale the data"
+        )
+
+    @pytest.mark.parametrize("pool_windows", [False, True])
+    def test_state_map_is_evaluated_once(self, monkeypatch, pool_windows):
+        # The anchors are consecutive: the past windows one step later are
+        # those of every anchor but the first, and of the next anchor.
+        calls = []
+
+        def recording_eval(M, samples, *args):
+            calls.append((M, samples))
+            return eval_many_checked(M, samples, *args)
+
+        monkeypatch.setattr("polysid.pipeline.eval_many_checked", recording_eval)
+        ts = generate(decay_spec(40, t_1=12), 7)
+        model, diag = identify(ts, small_decay_config(pool_windows=pool_windows))
+        lifted = [samples for M, samples in calls if M is model.g_io]
+        assert len(lifted) == 1
+        assert lifted[0].shape[1] == (len(diag.anchors) + 1) * ts.s
+        anchors = np.append(diag.anchors, diag.anchors[-1] + 1)
+        scaled = model.scaling.apply(ts.Y)
+        assert np.array_equal(lifted[0], past_windows(scaled, anchors, model.t_minus))
 
     def test_state_output_cap_counts_degree_bounded_rows(self):
         # n = 12 on this set: the state-output box has 2**13 rows, the
