@@ -1,8 +1,10 @@
-"""Value equality and read-only arrays for the records that hold numpy arrays."""
+"""Value equality, read-only arrays and the real-array check for caller arrays."""
 
 from dataclasses import fields
 
 import numpy as np
+
+from .errors import InvalidInputError
 
 
 class ArrayRecord:
@@ -36,3 +38,25 @@ def readonly_copy(a, dtype=None) -> np.ndarray:
     out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+def real_array(a, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
+    """``a`` as a float array, uncopied if it is one, of ``ndim`` (or one of ``ndim``) dimensions.
+
+    Raises:
+        InvalidInputError: Naming ``what``, if ``a`` is complex, does not convert to
+            floats, has another number of dimensions or a non-finite entry.
+    """
+    try:
+        x = np.asarray(a)
+        if x.dtype.kind == "c":
+            raise InvalidInputError(f"{what} must be real, got complex entries")
+        x = x.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what} must be an array of real numbers: {exc}") from exc
+    dims = np.atleast_1d(ndim)
+    if x.ndim not in dims:
+        raise InvalidInputError(f"{what} must be {'- or '.join(map(str, dims))}-D, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidInputError(f"non-finite entries in {what}")
+    return x

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import real_array
 from .dataio import format_matrix, kv_float, kv_float_vector, kv_int, kv_matrix, parse_kv
 from .errors import CapacityError, DimensionMismatchError, InvalidInputError, ParseError
 # ``eval_monomial_map_many`` is not called here; the name stays because
@@ -32,6 +33,10 @@ class GeneratorSpec:
         noise_std: Standard deviation of the additive i.i.d. Gaussian noise.
         t_1: Series length.
         s: Number of series.
+
+    Raises InvalidInputError unless the box bounds are length-``n`` vectors of
+    finite real numbers with min <= max, ``noise_std`` is a finite real number
+    >= 0 and the maps fit ``n`` and ``d_y``.
     """
 
     n: int
@@ -48,17 +53,18 @@ class GeneratorSpec:
         if self.t_1 < 1 or self.s < 1:
             raise InvalidInputError("t_1 and s must both be positive")
         ObserverModel(self.n, self.d_y, self.f, self.h)  # checks n, d_y and the map shapes
-        if len(self.x0_min) != self.n or len(self.x0_max) != self.n:
+        lo, hi = real_array(self.x0_min, "x0_min", 1), real_array(self.x0_max, "x0_max", 1)
+        if lo.size != self.n or hi.size != self.n:
             raise DimensionMismatchError("x0 box bounds must have length n")
-        for name in ("x0_min", "x0_max"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
-        if any(lo > hi for lo, hi in zip(self.x0_min, self.x0_max)):
+        if (lo > hi).any():
             raise InvalidInputError("x0 box has empty sides (min > max)")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise InvalidInputError(
-                f"noise_std must be finite and nonnegative, got {self.noise_std}"
-            )
+        noise_std = float(real_array(self.noise_std, "noise_std", 0))
+        if noise_std < 0:
+            raise InvalidInputError(f"noise_std must be nonnegative, got {noise_std}")
+        # The spec holds the floats it checked, as spec_to_kv writes them.
+        object.__setattr__(self, "x0_min", tuple(lo.tolist()))
+        object.__setattr__(self, "x0_max", tuple(hi.tolist()))
+        object.__setattr__(self, "noise_std", noise_std)
 
 
 def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
@@ -79,8 +85,7 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    lo = np.asarray(spec.x0_min, dtype=float)
-    hi = np.asarray(spec.x0_max, dtype=float)
+    lo, hi = np.array(spec.x0_min), np.array(spec.x0_max)
 
     def noisy(i: int, y: np.ndarray) -> np.ndarray:
         # In place: ``y`` is row ``i`` of the outputs run_observer returns.

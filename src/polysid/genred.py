@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import ArrayRecord, readonly_copy
-from .errors import DimensionMismatchError, InvalidInputError
+from ._records import ArrayRecord, readonly_copy, real_array
+from .errors import DimensionMismatchError
 from .monomials import PowerMatrix, build_data_matrix
 
 
@@ -28,22 +28,20 @@ class MonomialMap(ArrayRecord):
         K: Power matrix over the ``n_vars`` input variables.
 
     A map with zero monomials (``d_v == 0``) is the canonical zero map.  Two
-    maps are equal when their power matrices and coefficients are.
+    maps are equal when their power matrices and coefficients are.  Raises
+    InvalidInputError unless ``L`` is a 2-D array of finite real numbers with
+    ``K.d_v`` columns.
     """
 
     L: np.ndarray
     K: PowerMatrix
 
     def __post_init__(self) -> None:
-        L = readonly_copy(self.L, float)
-        if L.ndim != 2:
-            raise InvalidInputError(f"coefficient matrix must be 2-D, got {L.shape}")
+        L = readonly_copy(real_array(self.L, "coefficient matrix L", 2))
         if L.shape[1] != self.K.d_v:
             raise DimensionMismatchError(
                 f"{L.shape[1]} coefficient columns vs {self.K.d_v} monomials"
             )
-        if not np.isfinite(L).all():
-            raise InvalidInputError("coefficient matrix contains non-finite entries")
         object.__setattr__(self, "L", L)
 
     @property

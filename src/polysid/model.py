@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._records import ArrayRecord, readonly_copy
+from ._records import ArrayRecord, readonly_copy, real_array
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -42,19 +42,19 @@ DOCUMENT_VERSION = 1
 class OutputScaling(ArrayRecord):
     """Per-dimension affine output transform ``y_scaled = (y - mean) / std``.
 
-    Two transforms are equal when their means and deviations are.
+    Two transforms are equal when their means and deviations are.  Raises
+    InvalidInputError unless ``mean`` and ``std`` are equal-length vectors of
+    finite real numbers and ``std > 0``.
     """
 
     mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = readonly_copy(self.mean, float)
-        std = readonly_copy(self.std, float)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise InvalidInputError("scaling mean and std must be equal-length vectors")
-        if (std <= 0).any() or not np.isfinite(std).all() or not np.isfinite(mean).all():
-            raise InvalidInputError("scaling std must be finite and positive")
+        mean = readonly_copy(real_array(self.mean, "scaling mean", 1))
+        std = readonly_copy(real_array(self.std, "scaling std", 1))
+        if mean.shape != std.shape or (std <= 0).any():
+            raise InvalidInputError("scaling mean and std must be equal-length vectors, std > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
@@ -119,10 +119,8 @@ class ObserverModel:
         if self.g_io is not None:
             if self.g_io.m != self.n:
                 raise DimensionMismatchError("g_io output dimension must equal n")
-            if self.t_minus is None or self.g_io.n_vars != self.t_minus * self.d_y:
-                raise DimensionMismatchError(
-                    "g_io input dimension must equal t_minus * d_y"
-                )
+            if not self.t_minus or self.g_io.n_vars != self.t_minus * self.d_y:
+                raise DimensionMismatchError("g_io needs t_minus >= 1 and t_minus * d_y inputs")
         if self.scaling is not None and self.scaling.mean.size != self.d_y:
             raise DimensionMismatchError("scaling dimension must equal d_y")
 
@@ -249,6 +247,8 @@ def predict_one_step(
         t_start: 1-based time of the first prediction.
 
     Raises:
+        InvalidInputError: If ``x0`` is not a 1-D or 2-D array of finite real numbers
+            that fits the model and ``ts``, or ``t_start`` not an integer in ``1..ts.t_1``.
         DivergenceError: If any state component exceeds the overflow guard;
             the message names the series and time step.
         NumericalOverflowError: If a predicted output overflows, before or
@@ -260,15 +260,15 @@ def predict_one_step(
         raise DimensionMismatchError(
             f"model output dimension {model.d_y} does not match data dimension {ts.d_y}"
         )
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = real_array(x0, "x0", (1, 2))
+    x = x[:, None] if x.ndim == 1 else x
     if x.shape != (model.n, ts.s):
         raise DimensionMismatchError(
             f"x0 must have shape ({model.n}, {ts.s}), got {x.shape}"
         )
-    if not 1 <= t_start <= ts.t_1:
-        raise InvalidInputError(f"t_start {t_start} outside 1..{ts.t_1}")
+    if (isinstance(t_start, bool) or not isinstance(t_start, (int, np.integer))
+            or not 1 <= t_start <= ts.t_1):
+        raise InvalidInputError(f"t_start must be an integer in 1..{ts.t_1}, got {t_start!r}")
 
     measured = ts.Y[t_start - 1 :]
 
@@ -298,16 +298,16 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
     ``initial_state_from_past(model, ts.Y[a - 1 - model.t_minus : a - 1])``.
 
     Raises:
-        InvalidInputError: If the model carries no past lifting.
+        InvalidInputError: If the model carries no past lifting, or ``y_past`` is
+            not a 2-D or 3-D array of finite real numbers that fits the model.
         NumericalOverflowError: Naming the first series whose state is not
             finite: its past outputs overflow the scaling or the lifting.
     """
     if model.g_io is None or model.t_minus is None:
         raise InvalidInputError("model does not store a past-output lifting")
-    Y = np.asarray(y_past, dtype=float)
+    Y = real_array(y_past, "past window y_past", (2, 3))
     squeeze = Y.ndim == 2
-    if squeeze:
-        Y = Y[:, :, None]
+    Y = Y[:, :, None] if squeeze else Y
     if Y.shape[0] != model.t_minus or Y.shape[1] != model.d_y:
         raise DimensionMismatchError(
             f"past window must have shape ({model.t_minus}, {model.d_y}, s), got {Y.shape}"
@@ -395,11 +395,10 @@ def _decode_map(obj: dict, where: str) -> MonomialMap:
         K_rows = [[_integer(v, f"{where}: exponent") for v in row] for row in obj["K"]]
         L_rows = [[_real(v, f"{where}: coefficient") for v in row] for row in obj["L"]]
         K = np.asarray(K_rows, dtype=np.int64).reshape(len(K_rows), n_vars)
-        L = np.asarray(L_rows, dtype=float).reshape(len(L_rows), len(K_rows))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: malformed monomial map: {exc}") from exc
     try:
-        return MonomialMap(L, PowerMatrix(K, k_max))
+        return MonomialMap(L_rows, PowerMatrix(K, k_max))
     except InvalidInputError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 

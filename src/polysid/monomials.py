@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ._records import ArrayRecord, readonly_copy
+from ._records import ArrayRecord, readonly_copy, real_array
 from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 
 #: Default cap on enumerated monomial rows; full enumerations grow
@@ -279,29 +279,6 @@ def enumerate_power_matrix(
     return PowerMatrix(K, bounds)
 
 
-def _as_sample_matrix(samples, n: int) -> np.ndarray:
-    try:
-        X = np.asarray(samples)
-        if X.dtype.kind == "c":
-            raise InvalidInputError("samples must be real, got complex entries")
-        X = X.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"samples must be an array of real numbers: {exc}") from exc
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.ndim != 2:
-        raise InvalidInputError(f"samples must form a 2-D array, got shape {X.shape}")
-    if X.shape[0] == 0:
-        raise InvalidInputError("sample list is empty")
-    if X.shape[1] != n:
-        raise DimensionMismatchError(
-            f"sample dimension {X.shape[1]} does not match {n} variables"
-        )
-    if not np.isfinite(X).all():
-        raise InvalidInputError("samples contain non-finite entries")
-    return X
-
-
 def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
     """Evaluate the monomial vector at every sample.
 
@@ -321,13 +298,18 @@ def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
         evaluated at ``samples[k]``; sample order is preserved.
 
     Raises:
-        InvalidInputError: If the samples are not a non-empty 2-D array of
-            finite real numbers.
+        InvalidInputError: If the samples are not a nonempty 1-D or 2-D finite real array.
         DimensionMismatchError: If the sample dimension is not ``pm.n``.
         CapacityError: If the auxiliary chain rows times the samples exceed
             ``AUX_CELL_CAP``: a lower bound before planning, the count before allocating.
     """
-    X = _as_sample_matrix(samples, pm.n)
+    X = np.atleast_2d(real_array(samples, "samples", (1, 2)))  # one vector, one sample
+    if X.shape[0] == 0:
+        raise InvalidInputError("sample list is empty")
+    if X.shape[1] != pm.n:
+        raise DimensionMismatchError(
+            f"sample dimension {X.shape[1]} does not match {pm.n} variables"
+        )
     # A row of degree d >= K.max() has d - 1 nonconstant ancestors, at most d_v - 1 in K.
     aux = int(pm.K.max(initial=0)) - pm.d_v
     if aux * X.shape[0] <= AUX_CELL_CAP:

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._records import ArrayRecord, readonly_copy
+from ._records import ArrayRecord, readonly_copy, real_array
 from .errors import DimensionMismatchError, InvalidInputError
 from .monomials import PowerMatrix
 
@@ -68,14 +68,12 @@ def mdtrunc(D, r: float) -> tuple[int, np.ndarray, TruncationTable]:
         cumulative fraction.
 
     Raises:
-        InvalidInputError: On an all-zero, negative, or unsorted diagonal,
-            or ``r`` outside (0, 1).
+        InvalidInputError: If ``D`` is not a nonempty, nonincreasing vector of
+            finite nonnegative real numbers, not all zero, or ``r`` is outside (0, 1).
     """
-    d = np.asarray(D, dtype=float)
-    if d.ndim != 1 or d.size == 0:
+    d = real_array(D, "diagonal D", 1)
+    if d.size == 0:
         raise InvalidInputError("diagonal must be a nonempty vector")
-    if not np.isfinite(d).all():
-        raise InvalidInputError("diagonal contains non-finite entries")
     if (d < 0).any():
         raise InvalidInputError("diagonal entries must be nonnegative")
     if (np.diff(d) > 0).any():
@@ -122,6 +120,9 @@ def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
 
     The one-chunk call, bit for bit, of the chunked R-SVD :func:`svd_trunc_chunks`,
     whose memory is ``O((chunk + d_v) * d_v)``; here the chunk is all of ``V_u``.
+
+    Raises:
+        InvalidInputError, DimensionMismatchError: As ``svd_trunc_chunks`` raises them.
     """
     return svd_trunc_chunks([(V_y, V_u)], r)
 
@@ -145,32 +146,30 @@ def svd_trunc_chunks(
     for bit; a split agrees with it to rounding.
 
     Raises:
-        InvalidInputError: If ``V_u`` is zero, a chunk not finite, or ``r`` invalid.
+        InvalidInputError: If a chunk is not two finite real 2-D arrays, if ``V_u``
+            is numerically zero (no entry above 1.5e-154), or if ``r`` is invalid.
         DimensionMismatchError: If the two column counts of a chunk differ.
     """
     if not (0.0 < r < 1.0):
         raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
     R, G, columns = None, None, 0
     for V_y, V_u in chunks:
-        Vy, Vu = np.asarray(V_y, dtype=float), np.asarray(V_u, dtype=float)
-        if Vy.ndim != 2 or Vu.ndim != 2:
-            raise InvalidInputError("data matrices must be 2-D")
+        Vy, Vu = real_array(V_y, "V_y", 2), real_array(V_u, "V_u", 2)
         if Vy.shape[1] != Vu.shape[1]:
             raise DimensionMismatchError(
                 f"column counts differ: V_y has {Vy.shape[1]}, V_u has {Vu.shape[1]}"
             )
-        if not (np.isfinite(Vy).all() and np.isfinite(Vu).all()):
-            raise InvalidInputError("data matrices contain non-finite entries")
         columns += Vu.shape[1]
         # [R; V_u,c.T] is stacked column-major, the layout LAPACK's copy-in reads fastest.
         R = np.linalg.qr(Vu.T if R is None else np.hstack([R.T, Vu]).T, mode="r")
         G = Vy @ Vu.T if G is None else G + Vy @ Vu.T
-    if R is None or not R.any():
-        raise InvalidInputError("V_u must not be identically zero")
+    floor = np.finfo(float).tiny ** 0.5  # the least value whose square is normal
+    if R is None or not (np.abs(R) > floor).any():
+        raise InvalidInputError(f"V_u must not be identically zero, nor below {floor:.2g}")
 
     U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
-    # Numerical rank: values below eps * sigma_max count as exact zeros.
-    tol = SINGULAR_VALUE_EPS * max(R.shape[1], columns) * sv[0]
+    # Numerical rank: values below eps * sigma_max, or whose square is not normal, count as zeros.
+    tol = max(SINGULAR_VALUE_EPS * max(R.shape[1], columns) * sv[0], floor)
     n1 = int(np.sum(sv > tol))
     n, _, table = mdtrunc(sv[:n1], r)
     D_n = sv[:n].copy()
@@ -194,20 +193,16 @@ def lk_reduce(
         matrix, and the kept column indices.
 
     Raises:
-        InvalidInputError: If ``r`` is outside (0, 1), shapes disagree, or
-            ``L`` has no nonzero column (nothing could survive).
+        InvalidInputError: If ``r`` is outside (0, 1), ``L`` is not a 2-D array of
+            finite real numbers, shapes disagree, or ``L`` has no nonzero column.
     """
     if not (0.0 < r < 1.0):
         raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
-    M = np.asarray(L, dtype=float)
-    if M.ndim != 2:
-        raise InvalidInputError("coefficient matrix must be 2-D")
+    M = real_array(L, "coefficient matrix L", 2)
     if M.shape[1] != pm.d_v:
         raise DimensionMismatchError(
             f"{M.shape[1]} coefficient columns vs {pm.d_v} power matrix rows"
         )
-    if not np.isfinite(M).all():
-        raise InvalidInputError("coefficient matrix contains non-finite entries")
     norms = np.abs(M).sum(axis=0)
     max_norm = norms.max() if norms.size else 0.0
     if max_norm == 0.0:

@@ -341,7 +341,7 @@ def _regress(
     return res
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentDiagnostics]:
     """Identify a polynomial observer model from output time series.
 
@@ -390,10 +390,10 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     work = ts
     if cfg.scale_outputs:
         mean, std = ts.Y.mean(axis=(0, 2)), ts.Y.std(axis=(0, 2))
-        _check_finite("the output scaling", True, mean, std)
-        scaling = OutputScaling(mean, np.where(std > 0, std, 1.0) * cfg.scale_gamma)
-        Y = scaling.apply(ts.Y)
-        _check_finite("the output scaling", True, Y)
+        std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
+        Y = (ts.Y - mean[:, None]) / std[:, None]  # overflows, not rejected, if std underflows
+        _check_finite("the output scaling", True, mean, std, Y)
+        scaling = OutputScaling(mean, std)
         work = TimeSeriesSet(Y)
 
     # Outer loop: grow both window lengths by one per iteration, clamped at

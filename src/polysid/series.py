@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import ArrayRecord, readonly_copy
+from ._records import ArrayRecord, readonly_copy, real_array
 from .errors import InvalidInputError
 
 
@@ -15,21 +15,16 @@ class TimeSeriesSet(ArrayRecord):
     """A set of ``s`` output series of dimension ``d_y`` and length ``t_1``.
 
     Values are indexed ``Y[t - 1, dim, series]`` for times ``t = 1..t_1``.
-    Two sets are equal when their arrays are.
+    Two sets are equal when their arrays are.  Raises InvalidInputError unless
+    ``Y`` is a 3-D array of finite real numbers with no empty axis.
     """
 
     Y: np.ndarray
 
     def __post_init__(self) -> None:
-        Y = readonly_copy(self.Y, float)
-        if Y.ndim != 3:
-            raise InvalidInputError(
-                f"time series array must have shape (t_1, d_y, s), got {Y.shape}"
-            )
+        Y = readonly_copy(real_array(self.Y, "time series Y", 3))
         if min(Y.shape) < 1:
             raise InvalidInputError("t_1, d_y and s must all be at least 1")
-        if not np.isfinite(Y).all():
-            raise InvalidInputError("time series contain non-finite values")
         object.__setattr__(self, "Y", Y)
 
     @property

@@ -6,7 +6,9 @@ Examples are derandomized so that every run checks the same inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,18 +17,27 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polysid import (
+    InvalidInputError,
     MonomialMap,
+    ObserverModel,
     OutputScaling,
     PolysidError,
     PowerMatrix,
+    TimeSeriesSet,
     build_data_matrix,
     deserialize_model,
+    identity_power_matrix,
+    initial_state_from_past,
+    lk_reduce,
+    mdtrunc,
+    predict_one_step,
     serialize_model,
 )
 from polysid import dataio
 from polysid.cli import config_from_kv
 from polysid.dataio import ingest_text
 from polysid.generate import spec_from_kv, spec_to_kv
+from polysid.numred import svd_trunc_chunks
 
 from conftest import linear_spec, random_model
 
@@ -230,6 +241,47 @@ POWER_MATRIX = PowerMatrix(np.array([[2, 1], [1, 1], [0, 2], [0, 0]]), (2, 2))
 @given(samples_like)
 def test_build_data_matrix_arbitrary_samples(samples):
     only_polysid_errors(build_data_matrix, samples, POWER_MATRIX)
+
+
+#: x(t+1) = 0.1 (x1 + x2 + y), yhat = x1, and x = (y, y) after a window of one output.
+GATED_MODEL = ObserverModel(
+    n=2, d_y=1,
+    f_o=MonomialMap(np.full((2, 3), 0.1), identity_power_matrix(3)),
+    h_o=MonomialMap(np.array([[1.0, 0.0]]), identity_power_matrix(2)),
+    g_io=MonomialMap(np.ones((2, 1)), identity_power_matrix(1)),
+    t_minus=1,
+)
+GATED_SERIES = TimeSeriesSet(np.zeros((3, 1, 2)))
+#: The other entry points that check a caller's array of floats, each called with one.
+GATED_ENTRY_POINTS = {
+    "TimeSeriesSet": TimeSeriesSet,
+    "MonomialMap": lambda a: MonomialMap(a, POWER_MATRIX),
+    "OutputScaling": lambda a: OutputScaling(a, a),
+    "predict_one_step": lambda a: predict_one_step(GATED_MODEL, GATED_SERIES, a),
+    "initial_state_from_past": lambda a: initial_state_from_past(GATED_MODEL, a),
+    "mdtrunc": lambda a: mdtrunc(a, 0.5),
+    "svd_trunc_chunks": lambda a: svd_trunc_chunks([(a, a)], 0.5),
+    "lk_reduce": lambda a: lk_reduce(a, POWER_MATRIX, 0.5),
+    "GeneratorSpec-box": lambda a: dataclasses.replace(linear_spec(2), x0_min=a, x0_max=a),
+    "GeneratorSpec-noise_std": lambda a: dataclasses.replace(linear_spec(2), noise_std=a),
+}
+
+
+@pytest.mark.parametrize("entry", GATED_ENTRY_POINTS)
+@fuzz
+@given(samples=samples_like)
+def test_gated_entry_points_arbitrary_arrays(entry, samples):
+    only_polysid_errors(GATED_ENTRY_POINTS[entry], samples)
+
+
+def test_complex_arrays_raise_without_warning():
+    # numpy would drop the imaginary parts with a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^time series Y must be real"):
+            TimeSeriesSet(np.ones((3, 1, 2)) * (1 + 2j))
+        with pytest.raises(InvalidInputError, match="^coefficient matrix L must be real"):
+            MonomialMap(np.ones((1, 4)) * (1 + 2j), POWER_MATRIX)
 
 
 @fuzz

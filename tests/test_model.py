@@ -181,6 +181,19 @@ class TestPredictOneStep:
         with pytest.raises(DimensionMismatchError):
             predict_one_step(model, ts, np.ones((1, 1)))
 
+    @pytest.mark.parametrize(
+        "x0, t_start",
+        [(np.zeros((2, 1)), 0), (np.zeros((2, 1)), 7), (np.zeros((2, 1)), 2.5),
+         (np.zeros((2, 1)), True), (np.zeros((2, 1)) * 1j, 1), ([[0.0], [np.nan]], 1),
+         ([["a"], ["b"]], 1), ([[0.0], [0.0, 1.0]], 1), (np.zeros((2, 1, 1)), 1)],
+        ids=["t_start-0", "t_start-past-end", "fractional-t_start", "boolean-t_start",
+             "complex-x0", "nan-x0", "string-x0", "ragged-x0", "3-D-x0"],
+    )
+    def test_rejects_malformed_arguments(self, x0, t_start):
+        ts = TimeSeriesSet(np.zeros((6, 1, 1)))
+        with pytest.raises(InvalidInputError):
+            predict_one_step(zero_output_model(), ts, x0, t_start=t_start)
+
     def test_report_summaries(self, rng):
         model = zero_output_model()
         Y = rng.standard_normal((6, 1, 4))
@@ -517,13 +530,15 @@ class TestSerialization:
             lambda doc: doc.update(scaling={"mean": [False], "std": [2.0]}),
             lambda doc: doc.update(scaling={"mean": [10**400], "std": [2.0]}),
             lambda doc: doc.update(meta="x"),
+            lambda doc: doc.update(t_minus=0, g_io={
+                "n_vars": 0, "k_max": [], "K": [[]], "L": [[1.0]] * doc["n"]}),
         ],
         ids=["ragged-K", "n_vars-vs-K", "missing-f_o", "scaling-without-std",
              "non-integer-t_minus", "fractional-t_minus", "boolean-t_minus",
              "fractional-n", "boolean-d_y", "fractional-n_vars",
              "fractional-k_max", "fractional-K", "boolean-K",
              "string-L", "boolean-L", "string-std",
-             "boolean-mean", "huge-integer-mean", "string-meta"],
+             "boolean-mean", "huge-integer-mean", "string-meta", "zero-t_minus"],
     )
     def test_malformed_document_raises_validation_error(self, corrupt):
         doc = json.loads(serialize_model(reference_fixture_model()))

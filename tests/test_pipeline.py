@@ -324,12 +324,14 @@ class TestIdentify:
             f"non-finite values in {stage}; the outputs overflow, so {fix} or rescale the data"
         )
 
-    def test_tiny_scale_gamma_overflows_the_output_scaling_without_warning(self):
+    # At amplitude 1e-10, std * scale_gamma underflows to 0 itself.
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-10])
+    def test_tiny_scale_gamma_overflows_the_output_scaling_without_warning(self, amplitude):
         ts = generate(decay_spec(20, t_1=12), 7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalOverflowError) as err:
-                identify(ts, small_decay_config(scale_gamma=1e-320))
+                identify(TimeSeriesSet(ts.Y * amplitude), small_decay_config(scale_gamma=1e-320))
         assert str(err.value) == (
             "non-finite values in the output scaling; the outputs overflow, so "
             "raise scale_gamma or rescale the data"
