@@ -49,7 +49,7 @@ def real_array(a, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
     """
     try:
         x = np.asarray(a)
-        if x.dtype.kind == "c":
+        if x.dtype.kind == "c" or x.dtype == object and any(map(np.iscomplexobj, x.flat)):
             raise InvalidInputError(f"{what} must be real, got complex entries")
         x = x.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -33,8 +33,8 @@ def config_from_kv(text: str, origin: str = "<config>") -> IdentConfig:
     type: one boolean, integer or number per key, so an exponent bound is a
     single integer.  The thresholds r1, r2 and r4 are mandatory; structural
     parameters fall back to their defaults (echoed into the identification
-    report).  The deprecated ``r3`` and ``block_limit`` are still accepted
-    and ignored.
+    report).  The deprecated ``r3``, ``block_limit``, ``t_plus_min`` and
+    ``t_minus_min`` are still accepted and ignored.
     """
     kv = dataio.parse_kv(text, origin)
     fields = dataclasses.fields(IdentConfig)
@@ -68,10 +68,9 @@ def render_report(diag: IdentDiagnostics) -> str:
     lines.append(f"chosen_t_plus = {diag.chosen_t_plus}")
     lines.append(f"chosen_t_minus = {diag.chosen_t_minus}")
     lines.append("t_plus t_minus n1 rows_presented rows_kept")
-    for rec in diag.reductions:
-        lines.append(
-            f"{rec.t_plus} {rec.t_minus} {rec.n1} {rec.rows_presented} {rec.rows_kept}"
-        )
+    lines += [
+        f"{r.t_plus} {r.t_minus} {r.n1} {r.rows_presented} {r.rows_kept}" for r in diag.reductions
+    ]
     lines.append("")
 
     lines.append("TABLE1")

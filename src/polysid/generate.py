@@ -34,7 +34,8 @@ class GeneratorSpec:
         t_1: Series length.
         s: Number of series.
 
-    Raises InvalidInputError unless the box bounds are length-``n`` vectors of
+    Raises InvalidInputError unless ``t_1``, ``s``, ``n`` and ``d_y`` are
+    integers (not booleans) and the box bounds are length-``n`` vectors of
     finite real numbers with min <= max, ``noise_std`` is a finite real number
     >= 0 and the maps fit ``n`` and ``d_y``.
     """
@@ -50,6 +51,10 @@ class GeneratorSpec:
     s: int
 
     def __post_init__(self) -> None:
+        for name in ("t_1", "s", "n", "d_y"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
         if self.t_1 < 1 or self.s < 1:
             raise InvalidInputError("t_1 and s must both be positive")
         ObserverModel(self.n, self.d_y, self.f, self.h)  # checks n, d_y and the map shapes

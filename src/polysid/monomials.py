@@ -37,7 +37,8 @@ from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 DEFAULT_ROW_CAP = 1_000_000
 
 #: Cap on the auxiliary cells, auxiliary chain rows times samples, that
-#: :func:`build_data_matrix` allocates beyond the rows of ``K`` (800 MB).
+#: :func:`build_data_matrix` allocates beyond the rows of ``K`` (800 MB), and
+#: on the cells each regression of ``identify`` holds.
 AUX_CELL_CAP = 100_000_000
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from ._records import ArrayRecord, readonly_copy, real_array
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError, NumericalOverflowError
 from .monomials import PowerMatrix
 
 #: Relative threshold under which singular values are treated as exact zeros
@@ -149,6 +149,8 @@ def svd_trunc_chunks(
         InvalidInputError: If a chunk is not two finite real 2-D arrays, if ``V_u``
             is numerically zero (no entry above 1.5e-154), or if ``r`` is invalid.
         DimensionMismatchError: If the two column counts of a chunk differ.
+        NumericalOverflowError: If a retained singular value overflows when
+            squared (above about 1.3e154).
     """
     if not (0.0 < r < 1.0):
         raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
@@ -174,7 +176,11 @@ def svd_trunc_chunks(
     n, _, table = mdtrunc(sv[:n1], r)
     D_n = sv[:n].copy()
     L = U[:, :n].T
-    C = G @ (U[:, :n] / (D_n**2)[None, :])
+    with np.errstate(over="ignore"):
+        D_sq = D_n**2
+    if not np.isfinite(D_sq).all():
+        raise NumericalOverflowError(f"the singular value {D_n[0]:.3g} overflows when squared")
+    C = G @ (U[:, :n] / D_sq[None, :])
     H_star = C @ L
     return SvdTruncResult(n=n, D_n=D_n, C=C, L=L, H_star=H_star, table=table)
 

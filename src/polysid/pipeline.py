@@ -18,19 +18,27 @@ it left all 226 models it was measured on unchanged (160 pooled benchmark
 training sets, the 21 identifications of the test suite, and 45 linear,
 polynomial and pooled sets at 0 to 5% output noise), so it was removed.
 
-An outer loop grows the future/past window lengths step by step, monitoring
-the retained rank.  Each step lifts the full past dictionary once, with one
-truncated SVD and one pruning.  This departs from the paper too, which
-feeds a large past dictionary to the SVD in ascending-degree blocks, each
-merged with the generators that survived pruning of the blocks before it.
-The pruning never dropped a row of a block before the last, so the last
-merged block was the full dictionary in the same order and gave the same
-model.  An implementation of the blocks left every model it was measured on
-unchanged (24 pooled benchmark training sets, 2 smaller pooled sets,
-the linear and polynomial acceptance sets at block limits 2, 4 and 8,
-3 pooled sets at 0.1 to 1% output noise, and a two-output polynomial
-system at block limits 16 to 128), so it was removed.  The model is built
-from the window matrices of the last window lengths tried.
+The past is lifted once, at the final window lengths ``t_plus_max`` and
+``t_minus_max``, with one truncated SVD and one pruning over the full past
+dictionary.  This departs from the paper too, which feeds a large past
+dictionary to the SVD in ascending-degree blocks, each merged with the
+generators that survived pruning of the blocks before it.  The pruning never
+dropped a row of a block before the last, so the last merged block was the
+full dictionary in the same order and gave the same model.  An
+implementation of the blocks left every model it was measured on unchanged
+(24 pooled benchmark training sets, 2 smaller pooled sets, the linear and
+polynomial acceptance sets at block limits 2, 4 and 8, 3 pooled sets at 0.1
+to 1% output noise, and a two-output polynomial system at block limits 16 to
+128), so it was removed.
+
+It departs from the paper a third time by dropping its window schedule,
+which grew both window lengths from their minima and stopped once the
+retained rank ``n1`` held for three steps; the model came from the last
+windows alone.  ``n1`` never held for three steps on the 16 pooled benchmark
+training sets, the acceptance sets A1 and A2, a two-output system or the
+command-line round trip's set, and one pass at the final windows gave each
+the same model and predictions bit for bit.  A caller who relied on the
+schedule to detect the order by growing the windows loses that.
 
 One chunk loop lifts all samples: both regressions stream to ``svd_trunc_chunks``,
 whose split factorization differs from a whole one only at rounding level.
@@ -43,6 +51,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +66,7 @@ from .errors import (
 from .genred import MonomialMap
 from .model import ObserverModel, OutputScaling
 from .monomials import (
+    AUX_CELL_CAP,
     DEFAULT_ROW_CAP,
     PowerMatrix,
     build_data_matrix,
@@ -106,8 +116,7 @@ def build_window_vectors(
 
 #: Least value of each integer ``IdentConfig`` field.
 _INT_LEAST = {
-    "t_plus_min": 1, "t_minus_min": 1, "t_plus_max": 1, "t_minus_max": 1,
-    "k_max_y": 0, "k_max_x": 0, "k_max_y2": 0,
+    "t_plus_max": 1, "t_minus_max": 1, "k_max_y": 0, "k_max_x": 0, "k_max_y2": 0,
     "anchor_t": 1, "max_total_degree_xy": 0, "row_cap": 1,
 }
 
@@ -124,6 +133,8 @@ def _is_real(v) -> bool:
 _IGNORED_FIELDS = (
     ("r3", "generator-product elimination was removed"),
     ("block_limit", "the past dictionary is reduced in one pass"),
+    ("t_plus_min", "identify runs once, at t_plus_max"),
+    ("t_minus_min", "identify runs once, at t_minus_max"),
 )
 
 
@@ -138,8 +149,7 @@ class IdentConfig:
         r1: Mass-fraction threshold of the past-to-future SVD truncation.
         r2: Mass-fraction threshold of the dynamics SVD truncation.
         r4: Column-pruning threshold of the LK-reductions.
-        t_plus_min / t_minus_min: Initial future/past window lengths.
-        t_plus_max / t_minus_max: Final window lengths.
+        t_plus_max / t_minus_max: The future and past window lengths.
         k_max_y: Exponent bound (nonnegative) of every past output in the
             past lifting, ``t_minus * d_y`` variables.
         k_max_x: Exponent bound (nonnegative) of every state in the
@@ -149,10 +159,7 @@ class IdentConfig:
         anchor_t: Anchor time; defaults to ``t_minus_max + 1``.
         pool_windows: Pool every admissible anchor as extra data columns;
             ``None`` pools when the series count ``s`` is below four times
-            the past dictionary size ``d_v``.  That rule is decided afresh
-            at every window step from that step's dictionary, so pooling can
-            switch on partway through the schedule;
-            ``IdentDiagnostics.pooled`` reports the last step only.
+            the past dictionary size ``d_v``.
         max_total_degree_xy: Optional total-degree cap on the (state, output)
             dictionary (nonnegative); the bounded monomial set may be any
             subset of the full enumeration, and low-degree subsets keep the
@@ -172,6 +179,13 @@ class IdentConfig:
             generator-product elimination.
         block_limit: Deprecated and ignored: the past dictionary row count
             above which the removed block path split the dictionary.
+        t_plus_min / t_minus_min: Deprecated and ignored: the initial window
+            lengths of the removed window schedule.
+
+    ``identify`` runs once, at ``t_plus_max`` and ``t_minus_max``, unlike the
+    paper's window schedule, which never stopped early on a benchmark or
+    acceptance set (see the module docstring); a caller who relied on it to
+    detect the order by growing the windows loses that.
 
     Setting a deprecated field warns with a ``FutureWarning``; the resolved
     config sets it to ``None``.
@@ -180,8 +194,8 @@ class IdentConfig:
     r1: float
     r2: float
     r4: float
-    t_plus_min: int = 1
-    t_minus_min: int = 1
+    t_plus_min: int | None = None
+    t_minus_min: int | None = None
     t_plus_max: int = 8
     t_minus_max: int = 8
     k_max_y: int = 1
@@ -228,10 +242,6 @@ class IdentConfig:
                 kind = "nonnegative" if least == 0 else "positive"
                 raise ConfigError(f"{name} must be a {kind} integer, got {v!r}")
             ints[name] = int(v)
-        for side in ("plus", "minus"):
-            lo, hi = ints[f"t_{side}_min"], ints[f"t_{side}_max"]
-            if lo > hi:
-                raise ConfigError(f"need 1 <= t_{side}_min <= t_{side}_max, got {lo}..{hi}")
         t_minus_max, t_plus_max = ints["t_minus_max"], ints["t_plus_max"]
         anchor = ints.setdefault("anchor_t", t_minus_max + 1)
         if anchor - t_minus_max < 1:
@@ -258,7 +268,7 @@ class IdentConfig:
 
 @dataclass(frozen=True)
 class ReductionRecord:
-    """Diagnostics of the past-to-future reduction at one window step."""
+    """Diagnostics of the past-to-future reduction at the final windows."""
 
     t_plus: int
     t_minus: int
@@ -272,7 +282,8 @@ class ReductionRecord:
 class IdentDiagnostics(ArrayRecord):
     """Everything the pipeline observed on its way to the model.
 
-    Two diagnostics are equal when all their fields are.
+    ``reductions`` holds the one past-to-future reduction.  Two diagnostics
+    are equal when all their fields are.
     """
 
     anchor_t: int = 0
@@ -292,18 +303,42 @@ class IdentDiagnostics(ArrayRecord):
     config_echo: dict = field(default_factory=dict)
 
 
+class _Stage(NamedTuple):
+    """How the errors of one lifted regression of ``identify`` name it."""
+
+    lifting: str
+    bounds: str
+    lifted: str
+    regression: str
+
+
+_PAST = _Stage("past monomial lifting", "k_max_y or t_minus_max",
+               "the lifted past windows", "the past regression")
+_DYNAMICS = _Stage("state-output monomial lifting",
+                   "k_max_x/k_max_y2, max_total_degree_xy or the retained rank",
+                   "the lifted state-output pairs", "the dynamics regression")
+
+
+def _overflow(name: str, scaled: bool) -> NumericalOverflowError:
+    """The error for float overflow in a stage of ``identify``, naming it and a remedy."""
+    fix = "raise scale_gamma" if scaled else "enable output scaling"
+    return NumericalOverflowError(
+        f"non-finite values in {name}; the outputs overflow, so {fix} or rescale the data"
+    )
+
+
 def _check_finite(name: str, scaled: bool, *arrays: np.ndarray) -> None:
-    """Report float overflow in a stage of ``identify``, naming it and a remedy."""
     if not all(np.isfinite(arr).all() for arr in arrays):
-        fix = "raise scale_gamma" if scaled else "enable output scaling"
-        raise NumericalOverflowError(
-            f"non-finite values in {name}; the outputs overflow, so {fix} or rescale the data"
-        )
+        raise _overflow(name, scaled)
+
+
+def _chunk_width(K: PowerMatrix) -> int:
+    return max(CHUNK_COLUMNS, 2 * K.d_v)  # so each regression QR is tall
 
 
 def _lifted_chunks(samples: np.ndarray, K: PowerMatrix, what: str, scaled: bool, L=None):
     """Column slices of ``samples`` with their ``K`` lifting (times ``L``), checked as ``what``."""
-    width = max(CHUNK_COLUMNS, 2 * K.d_v)  # so each regression QR is tall
+    width = _chunk_width(K)
     for a in range(0, samples.shape[1], width):
         V = build_data_matrix(samples[:, a : a + width].T, K)
         values = V if L is None else L @ V
@@ -316,25 +351,44 @@ def eval_many_checked(M: MonomialMap, samples: np.ndarray, what: str, scaled: bo
     return np.hstack([values for _, values in _lifted_chunks(samples, M.K, what, scaled, M.L)])
 
 
+def _lifting(stage: _Stage, k_max: tuple, cap: int, max_degree=None) -> PowerMatrix:
+    """The power matrix of ``stage``'s dictionary, one exponent bound per variable."""
+    try:
+        return enumerate_power_matrix(len(k_max), k_max, cap, max_degree)
+    except CapacityError as exc:
+        raise CapacityError(f"{stage.lifting}: {exc}; lower {stage.bounds}") from exc
+
+
 def _regress(
-    target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float,
-    lifted: str, regression: str, scaled: bool,
+    target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float, stage: _Stage, scaled: bool
 ) -> SvdTruncResult:
     """Regress ``target`` on the monomials ``K`` of the sample columns, chunk by chunk.
 
     Raises:
-        NumericalOverflowError: Naming ``lifted`` or ``regression``, the
-            stage whose values overflow.
-        RankDeficiencyError: Naming ``regression``, if the retained rank
-            uses every data column.
+        CapacityError: Naming ``stage``'s lifting, before any lifting, if the
+            factor ``R`` (``d_v**2`` cells) and one chunk exceed ``AUX_CELL_CAP``.
+        NumericalOverflowError: Naming ``stage``'s lifted samples or its
+            regression, whichever overflows.
+        RankDeficiencyError: Naming ``stage``'s regression, if the retained
+            rank uses every data column.
     """
-    chunks = _lifted_chunks(samples, K, lifted, scaled)
-    res = svd_trunc_chunks(((target[:, columns], V) for columns, V in chunks), r)
-    # Where D_n**2 is infinite, C gets zero columns instead of non-finite ones.
-    _check_finite(regression, scaled, res.D_n**2, res.H_star)
+    cells = K.d_v * (K.d_v + min(_chunk_width(K), samples.shape[1]))
+    if cells > AUX_CELL_CAP:
+        raise CapacityError(
+            f"{stage.lifting}: regressing on its {K.d_v} monomials takes {cells} cells, "
+            f"more than {AUX_CELL_CAP}; lower {stage.bounds}"
+        )
+    chunks = _lifted_chunks(samples, K, stage.lifted, scaled)
+    try:
+        res = svd_trunc_chunks(((target[:, columns], V) for columns, V in chunks), r)
+    except NumericalOverflowError as exc:
+        if stage.lifted in str(exc):  # raised by the lifting, which named itself
+            raise
+        raise _overflow(stage.regression, scaled) from exc
+    _check_finite(stage.regression, scaled, res.H_star)
     if samples.shape[1] <= res.n:
         raise RankDeficiencyError(
-            f"{samples.shape[1]} data columns for retained rank {res.n} in {regression}; "
+            f"{samples.shape[1]} data columns for retained rank {res.n} in {stage.regression}; "
             "supply more series or enable window pooling\n"
             f"singular value mass table:\n{res.table.to_text()}"
         )
@@ -353,19 +407,14 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     the state, from the current-output rows of the future map; one state-map
     evaluation at the anchors and the next one; monomial lifting of the (state, output)
     pair; truncated-SVD regression of the next state with column pruning;
-    and assembly of the observer model.  The outer loop grows the window
-    lengths from their minima to their maxima, stopping early when the
-    retained rank plateaus; the returned model comes from the final windows.
-    With ``cfg.pool_windows`` unset, each window step decides pooling afresh:
-    it pools when ``s < 4 d_v`` for that step's past dictionary size ``d_v``.
-    Pooling can therefore switch on partway through the schedule, and
-    ``IdentDiagnostics.pooled`` reports the last step only.
+    and assembly of the observer model.  It runs once, at the window lengths
+    ``t_plus_max`` and ``t_minus_max``.  With ``cfg.pool_windows`` unset, it
+    pools when ``s < 4 d_v`` for the past dictionary size ``d_v``.
 
-    The paper's generator factorization is deliberately left out: it
-    changed none of the 226 models it was measured on.  So is its blocked
-    reduction of large past dictionaries: each window step reduces the full
-    dictionary in one pass, which gave the same model on every set the
-    blocks were measured on (see the module docstring).
+    The paper's generator factorization, blocked reduction and window schedule
+    are left out: none changed a model it was measured on (see the module
+    docstring).  The schedule's retained rank never plateaued on a benchmark or
+    acceptance set; a caller who relied on it to find the order loses that.
 
     The model carries no states of the training series;
     ``initial_state_from_past`` recomputes them from their anchor windows.
@@ -375,7 +424,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
 
     Raises:
         ConfigError: On an invalid or infeasible configuration.
-        CapacityError: If a monomial dictionary would exceed the row cap.
+        CapacityError: If a monomial dictionary would exceed the row cap, or
+            its regression ``AUX_CELL_CAP`` cells; it names the lifting.
         RankDeficiencyError: If there are too few data columns for the
             rank the past or the dynamics regression retains; it names it.
         NumericalOverflowError: Naming the stage whose values overflow: the
@@ -384,7 +434,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     """
     cfg = cfg.resolved(ts)
     echo = cfg.echo()
-    diag = IdentDiagnostics(anchor_t=cfg.anchor_t, config_echo=echo)
+    t_plus, t_minus, d_y = cfg.t_plus_max, cfg.t_minus_max, ts.d_y
 
     scaling: OutputScaling | None = None
     work = ts
@@ -396,56 +446,17 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         scaling = OutputScaling(mean, std)
         work = TimeSeriesSet(Y)
 
-    # Outer loop: grow both window lengths by one per iteration, clamped at
-    # their maxima, until both reach them; stop early after two consecutive
-    # iterations leave the retained rank unchanged.
-    steps = max(cfg.t_plus_max - cfg.t_plus_min, cfg.t_minus_max - cfg.t_minus_min)
-    for step in range(steps + 1):
-        t_plus = min(cfg.t_plus_min + step, cfg.t_plus_max)
-        t_minus = min(cfg.t_minus_min + step, cfg.t_minus_max)
-        try:
-            K_past = enumerate_power_matrix(
-                t_minus * ts.d_y, (cfg.k_max_y,) * (t_minus * ts.d_y), cap=cfg.row_cap
-            )
-        except CapacityError as exc:
-            raise CapacityError(f"past monomial lifting: {exc}") from exc
-        pooled = ts.s < 4 * K_past.d_v if cfg.pool_windows is None else cfg.pool_windows
-        anchors = (
-            np.arange(t_minus + 1, work.t_1 - t_plus + 2)
-            if pooled
-            else np.array([cfg.anchor_t])
-        )
-        Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
-        res1 = _regress(
-            Yplus, Yminus, K_past, cfg.r1,
-            "the lifted past windows", "the past regression", cfg.scale_outputs,
-        )
-        g_io = MonomialMap(*lk_reduce(res1.L, K_past, cfg.r4)[:2])
-        diag.reductions.append(
-            ReductionRecord(
-                t_plus=t_plus,
-                t_minus=t_minus,
-                rows_presented=K_past.d_v,
-                rows_kept=g_io.K.d_v,
-                n1=res1.n,
-                table1=res1.table,
-            )
-        )
-        if len(diag.reductions) >= 3 and len({r.n1 for r in diag.reductions[-3:]}) == 1:
-            break
-
-    # The model comes from the last windows tried and their matrices.
-    diag.chosen_t_plus, diag.chosen_t_minus = t_plus, t_minus
-    diag.pooled = pooled
-    diag.anchors = anchors.tolist()
-    diag.n1 = res1.n
-    diag.n_columns = Yplus.shape[1]
+    K_past = _lifting(_PAST, (cfg.k_max_y,) * (t_minus * d_y), cfg.row_cap)
+    pooled = ts.s < 4 * K_past.d_v if cfg.pool_windows is None else cfg.pool_windows
+    anchors = np.arange(t_minus + 1, work.t_1 - t_plus + 2) if pooled else np.array([cfg.anchor_t])
+    Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
+    res1 = _regress(Yplus, Yminus, K_past, cfg.r1, _PAST, cfg.scale_outputs)
+    g_io = MonomialMap(*lk_reduce(res1.L, K_past, cfg.r4)[:2])
 
     # The pruned generators are the state map.  The output map takes the
     # rows of the future map that give the current output, the bottom block
     # of the future stack.
     n = g_io.m
-    d_y = ts.d_y
     h_o = MonomialMap(res1.C[-d_y:], identity_power_matrix(n)).drop_zero_columns()
 
     # The anchors are consecutive: the windows a step later are those of anchors[1:] and one more.
@@ -453,47 +464,24 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     X = eval_many_checked(g_io, windows, "the state samples", cfg.scale_outputs)
     X_t, X_next = X[:, : Yminus.shape[1]], X[:, ts.s :]
 
-    # Lift the (state, output) pair.
     y_now = Yplus[-d_y:]  # y(t) at every anchor, the bottom of the future stack
-    try:
-        bounds = (cfg.k_max_x,) * n + (cfg.k_max_y2,) * d_y
-        K_xy = enumerate_power_matrix(n + d_y, bounds, cfg.row_cap, cfg.max_total_degree_xy)
-    except CapacityError as exc:
-        raise CapacityError(
-            f"state-output monomial lifting: {exc}; lower k_max_x/k_max_y2, "
-            "max_total_degree_xy or the retained rank"
-        ) from exc
-    res2 = _regress(
-        X_next, np.vstack([X_t, y_now]), K_xy, cfg.r2,
-        "the lifted state-output pairs", "the dynamics regression", cfg.scale_outputs,
-    )
-    diag.n2 = res2.n
-    diag.table2 = res2.table
-    diag.f_monomials_before = K_xy.d_v
+    bounds = (cfg.k_max_x,) * n + (cfg.k_max_y2,) * d_y
+    K_xy = _lifting(_DYNAMICS, bounds, cfg.row_cap, cfg.max_total_degree_xy)
+    res2 = _regress(X_next, np.vstack([X_t, y_now]), K_xy, cfg.r2, _DYNAMICS, cfg.scale_outputs)
     # The full n rows of H_star; the truncation only limits the fit rank.
     f_o = MonomialMap(*lk_reduce(res2.H_star, K_xy, cfg.r4)[:2])
-    diag.f_monomials_after = f_o.K.d_v
 
     # Training residuals: one-step output error at every pooled column.
     y_hat = eval_many_checked(h_o, X_t, "the training predictions", cfg.scale_outputs)
     squares = ((y_now - y_hat) ** 2).reshape(d_y, len(anchors), ts.s)
-    diag.training_rmse_per_series = np.sqrt(np.mean(squares, axis=(0, 1)))
     y_std = y_now.std()
-    diag.training_relative_rmse = float(np.sqrt(np.mean(squares)) / (y_std if y_std > 0 else 1.0))
-
-    return ObserverModel(
-        n=n,
-        d_y=d_y,
-        f_o=f_o,
-        h_o=h_o,
-        scaling=scaling,
-        g_io=g_io,
-        t_minus=t_minus,
-        meta={
-            "config": echo,
-            "t_plus": t_plus,
-            "t_minus": t_minus,
-            "anchor_t": cfg.anchor_t,
-            "pooled": pooled,
-        },
-    ), diag
+    diag = IdentDiagnostics(
+        anchor_t=cfg.anchor_t, pooled=pooled, anchors=anchors.tolist(), n_columns=Yplus.shape[1],
+        reductions=[ReductionRecord(t_plus, t_minus, K_past.d_v, g_io.K.d_v, res1.n, res1.table)],
+        chosen_t_plus=t_plus, chosen_t_minus=t_minus, n1=res1.n, n2=res2.n, table2=res2.table,
+        f_monomials_before=K_xy.d_v, f_monomials_after=f_o.K.d_v, config_echo=echo,
+        training_rmse_per_series=np.sqrt(np.mean(squares, axis=(0, 1))),
+        training_relative_rmse=float(np.sqrt(np.mean(squares)) / (y_std if y_std > 0 else 1.0)),
+    )
+    meta = dict(config=echo, t_plus=t_plus, t_minus=t_minus, anchor_t=cfg.anchor_t, pooled=pooled)
+    return ObserverModel(n, d_y, f_o, h_o, scaling, g_io, t_minus, meta), diag

@@ -42,7 +42,7 @@ def test_a1_linear_round_trip():
     held = generate(linear_spec(10, t_1=30), 2)
     cfg = IdentConfig(
         r1=0.9999, r2=0.9999, r4=0.001,
-        t_plus_min=1, t_minus_min=1, t_plus_max=4, t_minus_max=4,
+        t_plus_max=4, t_minus_max=4,
         k_max_y=1, max_total_degree_xy=2, scale_gamma=5.0,
     )
     t0 = time.perf_counter()
@@ -61,7 +61,7 @@ def test_a2_polynomial_round_trip():
     held = generate(polynomial_spec(10, t_1=20), 12)
     cfg = IdentConfig(
         r1=0.9999, r2=0.9999, r4=0.001,
-        t_plus_min=1, t_minus_min=1, t_plus_max=4, t_minus_max=4,
+        t_plus_max=4, t_minus_max=4,
         k_max_y=1, max_total_degree_xy=2, scale_gamma=2.0,
     )
     t0 = time.perf_counter()
@@ -170,7 +170,7 @@ def test_a8_observer_causality():
     train = generate(linear_spec(30, t_1=24), 21)
     cfg = IdentConfig(
         r1=0.999, r2=0.999, r4=0.001,
-        t_plus_min=2, t_minus_min=2, t_plus_max=3, t_minus_max=3,
+        t_plus_max=3, t_minus_max=3,
         k_max_y=1, max_total_degree_xy=2,
     )
     model, _ = identify(train, cfg)

@@ -28,8 +28,6 @@ CONFIG = """\
 r1 = 0.999
 r2 = 0.999
 r4 = 0.001
-t_plus_min = 2
-t_minus_min = 2
 t_plus_max = 2
 t_minus_max = 2
 k_max_y = 1

@@ -280,6 +280,10 @@ def test_complex_arrays_raise_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match="^time series Y must be real"):
             TimeSeriesSet(np.ones((3, 1, 2)) * (1 + 2j))
+        # Complex values held in an object array, numpy's and Python's.
+        for value in (np.complex128(1 + 2j), np.complex64(1), 1 + 2j):
+            with pytest.raises(InvalidInputError, match="^time series Y must be real"):
+                TimeSeriesSet(np.array([[[0.5, value]]], dtype=object))
         with pytest.raises(InvalidInputError, match="^coefficient matrix L must be real"):
             MonomialMap(np.ones((1, 4)) * (1 + 2j), POWER_MATRIX)
 

@@ -212,7 +212,7 @@ class TestBurnIn:
         ts = generate(linear_spec(30), 5)
         cfg = IdentConfig(
             r1=0.999, r2=0.999, r4=0.001,
-            t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
+            t_plus_max=2, t_minus_max=2,
             k_max_y=1,
         )
         model, _ = identify(ts, cfg)
@@ -230,7 +230,7 @@ class TestBurnIn:
         ts = generate(linear_spec(25), 31)
         cfg = IdentConfig(
             r1=0.999, r2=0.999, r4=0.001,
-            t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
+            t_plus_max=2, t_minus_max=2,
             k_max_y=1, pool_windows=False, scale_outputs=False,
         )
         model, diag = identify(ts, cfg)
@@ -416,7 +416,7 @@ class TestValueEquality:
     def a1_identified():
         cfg = IdentConfig(
             r1=0.9999, r2=0.9999, r4=0.001,
-            t_plus_min=1, t_minus_min=1, t_plus_max=4, t_minus_max=4,
+            t_plus_max=4, t_minus_max=4,
             k_max_y=1, max_total_degree_xy=2, scale_gamma=5.0,
         )
         return identify(generate(linear_spec(50, t_1=30), 1), cfg)

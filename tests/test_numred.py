@@ -12,6 +12,7 @@ import pytest
 from polysid import (
     DimensionMismatchError,
     InvalidInputError,
+    NumericalOverflowError,
     PowerMatrix,
     TruncationTable,
     lk_reduce,
@@ -204,6 +205,13 @@ class TestSvdTrunc:
     def test_rejects_column_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             svd_trunc(np.ones((2, 3)), np.ones((2, 4)), 0.5)
+
+    def test_singular_value_overflowing_when_squared_raises(self):
+        # D_n**2 overflows: dividing by it would give C = 0, not about 4.3e-161.
+        with pytest.raises(NumericalOverflowError, match="^the singular value 3.74e"):
+            svd_trunc(np.ones((1, 3)), np.array([[1e160, 2e160, 3e160]]), 0.5)
+        res = svd_trunc(np.ones((1, 3)), np.array([[1e150, 2e150, 3e150]]), 0.5)
+        assert res.H_star[0, 0] == pytest.approx(6e150 / 14e300, rel=1e-12)
 
 
 def whole_matrix_oracle(V_y, V_u, r):

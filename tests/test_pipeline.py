@@ -112,9 +112,7 @@ class TestTimeSeriesSet:
 
 def small_decay_config(**overrides) -> IdentConfig:
     base = dict(
-        r1=0.9999, r2=0.9999, r4=0.001,
-        t_plus_min=2, t_minus_min=2, t_plus_max=2, t_minus_max=2,
-        k_max_y=1,
+        r1=0.9999, r2=0.9999, r4=0.001, t_plus_max=2, t_minus_max=2, k_max_y=1,
     )
     base.update(overrides)
     return IdentConfig(**base)
@@ -153,8 +151,8 @@ class TestIdentify:
         )
         model, diag = identify(train, cfg)
         assert predict_with_burn_in(model, held).max_relative_rmse <= 0.05
-        # One k_max_y bounds all t_minus * d_y past variables: 2, 4, 6 of them.
-        assert [r.rows_presented for r in diag.reductions] == [4, 16, 64]
+        # One k_max_y bounds all t_minus * d_y = 6 past variables.
+        assert [r.rows_presented for r in diag.reductions] == [64]
         assert model.g_io.n_vars == model.t_minus * 2
         assert model.meta["config"]["k_max_y"] == model.meta["config"]["k_max_y2"] == 1
 
@@ -229,7 +227,7 @@ class TestIdentify:
         bound = np.linalg.norm(Yplus) * max(float(discarded), 1e-9)
         assert recon <= bound
 
-    def test_one_reduction_per_window_step(self, monkeypatch):
+    def test_one_past_and_one_dynamics_regression(self, monkeypatch):
         calls = []
 
         def counting_factorization(*args):
@@ -238,16 +236,11 @@ class TestIdentify:
 
         monkeypatch.setattr("polysid.pipeline.svd_trunc_chunks", counting_factorization)
         ts = generate(linear_spec(30), 13)
-        cfg = small_decay_config(t_plus_min=1, t_minus_min=1, t_plus_max=3, t_minus_max=3)
-        _, diag = identify(ts, cfg)
-        steps = [(r.t_plus, r.t_minus) for r in diag.reductions]
-        assert steps == [(k, k) for k in range(1, len(steps) + 1)]
-        assert steps[-1] == (diag.chosen_t_plus, diag.chosen_t_minus)
-        for r in diag.reductions:
-            past = enumerate_power_matrix(r.t_minus, (1,) * r.t_minus)
-            assert r.rows_presented == past.d_v
-        # one past-to-future SVD per step, then the dynamics regression
-        assert len(calls) == len(steps) + 1
+        _, diag = identify(ts, small_decay_config(t_plus_max=3, t_minus_max=3))
+        (r,) = diag.reductions
+        assert r.rows_presented == enumerate_power_matrix(3, (1, 1, 1)).d_v
+        # the past-to-future regression, then the dynamics regression
+        assert len(calls) == 2
 
     def test_pooled_identify_holds_no_whole_lifted_past(self):
         # 400 series of 40 samples pool 10000 window columns; at t_minus = 8
@@ -267,24 +260,35 @@ class TestIdentify:
         whole_past = diag.reductions[-1].rows_presented * diag.n_columns * 8
         assert peak < whole_past
 
-    def test_levinson_plateau_stops_early(self):
-        # per-series constant data saturates the retained rank immediately
+    def test_one_pass_at_the_final_windows(self):
+        # Per-series constant data: the retained rank is the same at every
+        # window length, so it never grows with the windows.
         levels = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
         ts = TimeSeriesSet(np.broadcast_to(levels, (40, 1, 8)).copy())
-        cfg = IdentConfig(
-            r1=0.99, r2=0.99, r4=0.01,
-            t_plus_min=1, t_minus_min=1, t_plus_max=8, t_minus_max=8,
-            k_max_y=1,
-        )
-        _, diag = identify(ts, cfg)
-        assert (diag.chosen_t_plus, diag.chosen_t_minus) < (8, 8)
-        iteration_n1 = [r.n1 for r in diag.reductions]
-        assert iteration_n1[-1] == iteration_n1[-2] == iteration_n1[-3]
+        cfg = IdentConfig(r1=0.99, r2=0.99, r4=0.01, t_plus_max=7, t_minus_max=8, k_max_y=1)
+        model, diag = identify(ts, cfg)
+        (r,) = diag.reductions
+        assert (r.t_plus, r.t_minus) == (diag.chosen_t_plus, diag.chosen_t_minus) == (7, 8)
+        assert r.n1 == diag.n1 == model.n
+        assert r.rows_presented == 2**8
+        assert (model.meta["t_plus"], model.t_minus) == (7, 8)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("t_plus_min", 0), ("t_plus_min", 1), ("t_minus_min", 2), ("t_minus_min", "1")],
+    )
+    def test_deprecated_window_minimum_warns_and_changes_nothing(self, name, value):
+        ts = generate(linear_spec(30), 13)
+        plain = small_decay_config(t_plus_max=3, t_minus_max=3)
+        model, diag = identify(ts, plain)
+        with pytest.warns(FutureWarning, match=f"^{name} is ignored"):
+            model_set, diag_set = identify(ts, dataclasses.replace(plain, **{name: value}))
+        assert serialize_model(model_set) == serialize_model(model)
+        assert diag_set == diag
 
     def test_rank_deficiency_error(self):
         ts = generate(linear_spec(3, t_1=30), 17)
-        cfg = small_decay_config(pool_windows=False, t_minus_min=3, t_plus_min=3,
-                                 t_minus_max=3, t_plus_max=3)
+        cfg = small_decay_config(pool_windows=False, t_minus_max=3, t_plus_max=3)
         with pytest.raises(RankDeficiencyError, match=r"^3 data columns for retained "
                            r"rank 3 in the past regression; supply more series"):
             identify(ts, cfg)
@@ -297,11 +301,27 @@ class TestIdentify:
 
     def test_capacity_error_names_stage(self):
         ts = generate(linear_spec(10), 19)
-        cfg = small_decay_config(k_max_y=3, t_minus_min=4, t_minus_max=4,
-                                 t_plus_min=4, t_plus_max=4, row_cap=100)
+        cfg = small_decay_config(k_max_y=3, t_minus_max=4, t_plus_max=4, row_cap=100)
         with pytest.raises(CapacityError) as err:
             identify(ts, cfg)
         assert "past monomial lifting" in str(err.value)
+
+    def test_regression_too_large_is_a_capacity_error_before_lifting(self, monkeypatch):
+        # At t_minus = 14 the past dictionary has 2**14 = 16384 monomials, so
+        # the regression's triangular factor alone would hold 2.7e8 cells; the
+        # 10 series pool 13 anchors, 130 columns, all in one chunk.
+        def no_lifting(*args):
+            raise AssertionError("lifted before the capacity check")
+
+        monkeypatch.setattr("polysid.pipeline.build_data_matrix", no_lifting)
+        ts = generate(linear_spec(10, t_1=30), 19)
+        with pytest.raises(CapacityError) as err:
+            identify(ts, small_decay_config(t_minus_max=14, t_plus_max=4))
+        assert str(err.value) == (
+            f"past monomial lifting: regressing on its 16384 monomials takes "
+            f"{16384 * (16384 + 130)} cells, more than 100000000; "
+            "lower k_max_y or t_minus_max"
+        )
 
     @pytest.mark.parametrize(
         "gain, t_max, scale_outputs, stage",
@@ -315,8 +335,7 @@ class TestIdentify:
     )
     def test_overflow_error_names_stage(self, gain, t_max, scale_outputs, stage):
         ts = generate(decay_spec(20, t_1=12), 7)
-        cfg = small_decay_config(t_plus_min=t_max, t_minus_min=t_max, t_plus_max=t_max,
-                                 t_minus_max=t_max, scale_outputs=scale_outputs)
+        cfg = small_decay_config(t_plus_max=t_max, t_minus_max=t_max, scale_outputs=scale_outputs)
         with pytest.raises(NumericalOverflowError) as err:
             identify(TimeSeriesSet(ts.Y * gain), cfg)
         fix = "raise scale_gamma" if scale_outputs else "enable output scaling"
@@ -409,8 +428,7 @@ class TestIdentify:
             ("pool_windows", "no"), ("pool_windows", 1), ("scale_outputs", None),
             ("scale_outputs", 0),
             ("row_cap", None), ("row_cap", 2.5), ("row_cap", 0), ("row_cap", True),
-            ("t_plus_max", None), ("t_plus_max", 2.0), ("t_minus_min", None),
-            ("t_minus_max", np.float64(3)), ("t_plus_min", 0),
+            ("t_plus_max", None), ("t_plus_max", 2.0), ("t_minus_max", np.float64(3)),
             ("k_max_y", True), ("k_max_x", -1), ("k_max_y2", "1"),
             ("anchor_t", 5.0), ("max_total_degree_xy", 1.5),
             ("max_total_degree_xy", -1),

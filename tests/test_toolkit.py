@@ -327,6 +327,12 @@ class TestKeyValueDocs:
         with pytest.raises(InvalidInputError, match=key):
             spec_from_kv("\n".join(lines))
 
+    @pytest.mark.parametrize("field", ["t_1", "s", "n", "d_y"])
+    @pytest.mark.parametrize("value", ["5", 5.0, True, None])
+    def test_spec_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
+            dataclasses.replace(linear_spec(5, t_1=8), **{field: value})
+
 
 class TestGenerate:
     def test_decay_trajectory(self):

@@ -1,7 +1,7 @@
 """Print one sha256 per benchmark input: its identified model or its predictions.
 
 Next to each model digest the script prints the model's state dimension
-``n``, the retained rank ``n1`` of every window step and the dynamics rank
+``n``, the retained rank ``n1`` of the past regression and the dynamics rank
 ``n2``; next to each prediction digest, the held-out max relative RMSE to 4
 significant digits.  A change that moves only rounding changes digests but
 should leave these numbers as they are.
@@ -74,8 +74,8 @@ def model_digest(model: ObserverModel) -> str:
     return sha(serialize_model(dataclasses.replace(model, meta={})).encode())
 
 
-def ranks(n: int, n1_history, n2) -> str:
-    return f"n={n} n1={','.join(str(n1) for n1 in n1_history)} n2={n2}"
+def ranks(n: int, n1, n2) -> str:
+    return f"n={n} n1={n1} n2={n2}"
 
 
 def heldout(name: str, model: ObserverModel, ts, digest: str | None = None) -> None:
@@ -87,8 +87,7 @@ def heldout(name: str, model: ObserverModel, ts, digest: str | None = None) -> N
 
 def identified(name: str, train, held, cfg) -> None:
     model, diag = identify(train, cfg)
-    n1_history = [r.n1 for r in diag.reductions]
-    print(f"{name} model {model_digest(model)} {ranks(model.n, n1_history, diag.n2)}")
+    print(f"{name} model {model_digest(model)} {ranks(model.n, diag.n1, diag.n2)}")
     heldout(f"{name} heldout", model, held)
 
 
@@ -110,20 +109,23 @@ def cli_roundtrip(workdir: Path) -> None:
     if any(codes):
         raise SystemExit(f"cli_roundtrip failed with exit codes {codes}")
     model = deserialize_model((workdir / "model.json").read_text())
-    # The ranks come from the identify report: its HORIZONS table and n2.
+    # The ranks come from the identify report: the last row of its HORIZONS table, and n2.
     report = (workdir / "report.txt").read_text().splitlines()
     table = report[report.index("t_plus t_minus n1 rows_presented rows_kept") + 1 :]
-    n1_history = [row.split()[2] for row in itertools.takewhile(bool, table)]
+    n1 = list(itertools.takewhile(bool, table))[-1].split()[2]
     n2 = next(line.split(" = ")[1] for line in report if line.startswith("retained_rank_n2"))
     name = f"cli_roundtrip seed={SEED}"
-    print(f"{name} model {model_digest(model)} {ranks(model.n, n1_history, n2)}")
+    print(f"{name} model {model_digest(model)} {ranks(model.n, n1, n2)}")
     predictions = sha((workdir / "predictions.csv").read_bytes())
     heldout(f"{name} heldout", model, dataio.ingest(workdir / "heldout.csv"), predictions)
 
 
 def main(workdir: Path) -> None:
-    # The benchmark's configs still set the deprecated r3 and block_limit.
-    warnings.filterwarnings("ignore", "(r3|block_limit) is ignored", FutureWarning)
+    # The benchmark's configs still set the deprecated r3, block_limit,
+    # t_plus_min and t_minus_min.
+    warnings.filterwarnings(
+        "ignore", "(r3|block_limit|t_plus_min|t_minus_min) is ignored", FutureWarning
+    )
     pooled = wl.IdentPooled()
     for seed in POOLED_SEEDS:
         pooled.setup(seed, workdir)
