@@ -7,9 +7,17 @@ Three operations shared by the identification pipeline:
 * ``svd_trunc`` -- truncated-SVD least-squares approximation of one data
   matrix by a linear map of another, factored as ``C @ L`` so that ``L``
   maps the regressors onto a reduced state.  ``svd_trunc_chunks`` reads
-  the matrices as column chunks, in ``O((chunk + d_v) * d_v)`` memory.
+  the matrices as column chunks and factors them in place in one LAPACK
+  workspace of ``O((chunk + d_v) * d_v)`` cells, allocated once per regression.
 * ``lk_reduce`` -- pruning of coefficient columns (and the matching power
   matrix rows) whose l1 norm falls below a fraction of the largest column.
+
+The workspace is factored by ``numpy.linalg.lapack_lite.dgeqrf``, a private
+numpy module: it is the only in-place ``geqrf`` numpy exposes, and it calls
+the LAPACK routine ``np.linalg.qr`` calls, so every ``R`` is the one
+``np.linalg.qr`` gives, bit for bit, without ``qr``'s three copies of each
+chunk's stack.  There is no fallback: a numpy that drops or changes the
+module fails the tests that pin it, by name.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from ._records import ArrayRecord, readonly_copy, real_array
 from .errors import DimensionMismatchError, InvalidInputError, NumericalOverflowError
@@ -122,9 +131,54 @@ def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
     whose memory is ``O((chunk + d_v) * d_v)``; here the chunk is all of ``V_u``.
 
     Raises:
-        InvalidInputError, DimensionMismatchError: As ``svd_trunc_chunks`` raises them.
+        InvalidInputError, DimensionMismatchError, NumericalOverflowError: As
+            ``svd_trunc_chunks`` raises them.
     """
     return svd_trunc_chunks([(V_y, V_u)], r)
+
+
+class _StackedQR:
+    """Sequential TSQR of ``V_u.T`` in one workspace ``buf``, C-ordered ``(d_v, cap)``.
+
+    LAPACK reads ``buf`` as the column-major ``cap x d_v`` stack ``[R; V_u,c.T]``
+    with ``lda = cap``: ``R.T`` in the first ``k`` columns, the chunk after them.
+    ``dgeqrf`` leaves Householder reflectors above the new ``R.T``'s diagonal;
+    they are set to ``+0.0``, the zeros of ``np.linalg.qr``'s ``triu``.
+    """
+
+    def __init__(self, d_v: int, width: int) -> None:
+        self.d_v, self.k = d_v, 0
+        self.buf = np.empty((d_v, max(1, d_v + width)))  # LAPACK needs lda >= 1
+        self.tau = np.empty(d_v)
+        self.above = np.triu(np.ones((d_v, d_v), dtype=bool), 1)
+        # The work size np.linalg.qr's gufunc uses; it depends on d_v alone.
+        query = np.empty(1)
+        lapack_lite.dgeqrf(self.buf.shape[1], d_v, self.buf, self.buf.shape[1],
+                           self.tau, query, -1, 0)
+        self.work = np.empty(max(1, d_v, int(query[0])))
+
+    def add(self, Vu: np.ndarray) -> None:
+        """Factor ``[R; Vu.T]``: grow the workspace if the chunk does not fit."""
+        k, m = self.k, self.k + Vu.shape[1]
+        if m > self.buf.shape[1]:
+            grown = np.empty((self.d_v, self.d_v + Vu.shape[1]))
+            grown[:, :k] = self.buf[:, :k]
+            self.buf = grown
+        self.buf[:, k:m] = Vu
+        lapack_lite.dgeqrf(m, self.d_v, self.buf, self.buf.shape[1],
+                           self.tau, self.work, self.work.size, 0)
+        self.k = min(m, self.d_v)
+        np.copyto(self.buf[: self.k, : self.k], 0.0, where=self.above[: self.k, : self.k])
+
+    @property
+    def R_T(self) -> np.ndarray:
+        """``R.T``, ``d_v x k``: a view of the workspace."""
+        return self.buf[:, : self.k]
+
+
+def _check_finite(name: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalOverflowError(f"{name} overflows; rescale V_y or V_u")
 
 
 def svd_trunc_chunks(
@@ -141,47 +195,65 @@ def svd_trunc_chunks(
     ``V_u.T = Q R``, shares ``U`` and ``D`` with ``V_u``.  ``R`` is a
     sequential TSQR (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci.
     Comput. 34(1)), ``R = qr([R; V_u,c.T])`` per chunk, and
-    ``C = G U_n / D_n**2`` with ``G = sum_c V_y,c V_u,c.T``; memory is thus
-    ``O((chunk + d_v) * d_v)``.  One chunk gives the whole-matrix result bit
-    for bit; a split agrees with it to rounding.
+    ``C = G U_n / D_n**2`` with ``G = sum_c V_y,c V_u,c.T``.  Each chunk is
+    factored in place by ``dgeqrf`` through numpy's private ``lapack_lite``
+    (see the module docstring), in one workspace of ``(d_v + chunk) * d_v``
+    cells that the regression allocates once and grows only for a chunk wider
+    than the first; memory is thus ``O((chunk + d_v) * d_v)``.  Each ``R`` is
+    ``np.linalg.qr``'s bit for bit.  One chunk gives the whole-matrix result
+    bit for bit; a split agrees with it to rounding.
 
     Raises:
         InvalidInputError: If a chunk is not two finite real 2-D arrays, if ``V_u``
             is numerically zero (no entry above 1.5e-154), or if ``r`` is invalid.
-        DimensionMismatchError: If the two column counts of a chunk differ.
-        NumericalOverflowError: If a retained singular value overflows when
-            squared (above about 1.3e154).
+        DimensionMismatchError: Naming the chunk, if its two column counts
+            differ or its row counts differ from the first chunk's.
+        NumericalOverflowError: If ``G``, ``R``, ``C`` or ``H*`` is not finite,
+            or a retained singular value overflows when squared (above about 1.3e154).
     """
     if not (0.0 < r < 1.0):
         raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
-    R, G, columns = None, None, 0
-    for V_y, V_u in chunks:
+    tsqr, G, columns = None, None, 0
+    for c, (V_y, V_u) in enumerate(chunks, 1):
         Vy, Vu = real_array(V_y, "V_y", 2), real_array(V_u, "V_u", 2)
         if Vy.shape[1] != Vu.shape[1]:
             raise DimensionMismatchError(
-                f"column counts differ: V_y has {Vy.shape[1]}, V_u has {Vu.shape[1]}"
+                f"chunk {c}: column counts differ: V_y has {Vy.shape[1]}, V_u has {Vu.shape[1]}"
+            )
+        if tsqr is None:
+            tsqr, d_y = _StackedQR(Vu.shape[0], Vu.shape[1]), Vy.shape[0]
+        elif (Vy.shape[0], Vu.shape[0]) != (d_y, tsqr.d_v):
+            raise DimensionMismatchError(
+                f"chunk {c}: V_y and V_u have {Vy.shape[0]} and {Vu.shape[0]} rows, "
+                f"chunk 1's have {d_y} and {tsqr.d_v}"
             )
         columns += Vu.shape[1]
-        # [R; V_u,c.T] is stacked column-major, the layout LAPACK's copy-in reads fastest.
-        R = np.linalg.qr(Vu.T if R is None else np.hstack([R.T, Vu]).T, mode="r")
-        G = Vy @ Vu.T if G is None else G + Vy @ Vu.T
+        tsqr.add(Vu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = Vy @ Vu.T if G is None else G + Vy @ Vu.T
+    if tsqr is None:
+        raise InvalidInputError("V_u must not be identically zero, and no chunk was given")
+    R_T = tsqr.R_T
+    _check_finite("G = V_y V_u.T", G)
+    _check_finite("R, the triangular factor of V_u.T,", R_T)
     floor = np.finfo(float).tiny ** 0.5  # the least value whose square is normal
-    if R is None or not (np.abs(R) > floor).any():
+    if not (np.abs(R_T) > floor).any():
         raise InvalidInputError(f"V_u must not be identically zero, nor below {floor:.2g}")
 
-    U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
+    U, sv, _ = np.linalg.svd(R_T, full_matrices=False)
     # Numerical rank: values below eps * sigma_max, or whose square is not normal, count as zeros.
-    tol = max(SINGULAR_VALUE_EPS * max(R.shape[1], columns) * sv[0], floor)
+    tol = max(SINGULAR_VALUE_EPS * max(tsqr.d_v, columns) * sv[0], floor)
     n1 = int(np.sum(sv > tol))
     n, _, table = mdtrunc(sv[:n1], r)
     D_n = sv[:n].copy()
     L = U[:, :n].T
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         D_sq = D_n**2
+        C = G @ (U[:, :n] / D_sq[None, :])
+        H_star = C @ L
     if not np.isfinite(D_sq).all():
         raise NumericalOverflowError(f"the singular value {D_n[0]:.3g} overflows when squared")
-    C = G @ (U[:, :n] / D_sq[None, :])
-    H_star = C @ L
+    _check_finite("the map H* = C L", C, H_star)
     return SvdTruncResult(n=n, D_n=D_n, C=C, L=L, H_star=H_star, table=table)
 
 

@@ -385,7 +385,6 @@ def _regress(
         if stage.lifted in str(exc):  # raised by the lifting, which named itself
             raise
         raise _overflow(stage.regression, scaled) from exc
-    _check_finite(stage.regression, scaled, res.H_star)
     if samples.shape[1] <= res.n:
         raise RankDeficiencyError(
             f"{samples.shape[1]} data columns for retained rank {res.n} in {stage.regression}; "

@@ -5,9 +5,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 
 from polysid import (
     DimensionMismatchError,
@@ -213,21 +215,96 @@ class TestSvdTrunc:
         res = svd_trunc(np.ones((1, 3)), np.array([[1e150, 2e150, 3e150]]), 0.5)
         assert res.H_star[0, 0] == pytest.approx(6e150 / 14e300, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "V_y, V_u, name",
+        [
+            # G = 6e310 overflows, where the coefficient, about 4.3e289, does not.
+            ([[1e300] * 3], [[1e10, 2e10, 3e10]], "G = V_y V_u.T"),
+            # The norm of V_u's row, 2.6e308, overflows inside the QR.
+            ([[0.0] * 3], [[1.5e308] * 3], "R, the triangular factor of V_u.T,"),
+            # G = 6e250 and D_n**2 = 1.4e-199 are finite; C = 4.3e449 is not.
+            ([[1e250] * 3], [[1e-100, 2e-100, 3e-100]], "the map H* = C L"),
+        ],
+        ids=["G", "R", "C"],
+    )
+    def test_non_finite_factor_raises_without_warning(self, V_y, V_u, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflowError) as err:
+                svd_trunc(np.array(V_y), np.array(V_u), 0.5)
+        assert str(err.value) == f"{name} overflows; rescale V_y or V_u"
+
+
+def r_svd_oracle(R, G, columns, r):
+    """The R-SVD of ``svd_trunc_chunks`` from the factor ``R`` of ``V_u.T`` and ``G = V_y V_u.T``."""
+    U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
+    n1 = int(np.sum(sv > SINGULAR_VALUE_EPS * max(R.shape[1], columns) * sv[0]))
+    n, _, table = mdtrunc(sv[:n1], r)
+    C = G @ (U[:, :n] / (sv[:n] ** 2)[None, :])
+    return n, sv[:n], C, U[:, :n].T, C @ U[:, :n].T, table
+
 
 def whole_matrix_oracle(V_y, V_u, r):
     """The unchunked R-SVD: one QR of the whole ``V_u.T``, ``C`` from ``V_y V_u.T``."""
-    R = np.linalg.qr(V_u.T, mode="r")
-    U, sv, _ = np.linalg.svd(R.T, full_matrices=False)
-    n1 = int(np.sum(sv > SINGULAR_VALUE_EPS * max(V_u.shape) * sv[0]))
-    n, _, table = mdtrunc(sv[:n1], r)
-    C = (V_y @ V_u.T) @ (U[:, :n] / (sv[:n] ** 2)[None, :])
-    return n, sv[:n], C, U[:, :n].T, C @ U[:, :n].T, table
+    return r_svd_oracle(np.linalg.qr(V_u.T, mode="r"), V_y @ V_u.T, V_u.shape[1], r)
+
+
+def sequential_qr_oracle(chunks, r):
+    """The sequential TSQR through ``np.linalg.qr``: ``R = qr([R; V_u,c.T])`` per chunk."""
+    R, G, columns = None, None, 0
+    for V_y, V_u in chunks:
+        R = np.linalg.qr(V_u.T if R is None else np.vstack([R, V_u.T]), mode="r")
+        G = V_y @ V_u.T if G is None else G + V_y @ V_u.T
+        columns += V_u.shape[1]
+    return r_svd_oracle(R, G, columns, r)
+
+
+def geqrf_r(A, lda):
+    """``R`` of ``A`` (``m x n``) from ``lapack_lite.dgeqrf`` on a ``(n, lda)`` C-ordered buffer."""
+    m, n = A.shape
+    buf = np.full((n, lda), np.nan)
+    buf[:, :m] = A.T
+    tau, query = np.empty(n), np.empty(1)
+    assert lapack_lite.dgeqrf(m, n, buf, lda, tau, query, -1, 0)["info"] == 0
+    work = np.empty(max(1, n, int(query[0])))
+    assert lapack_lite.dgeqrf(m, n, buf, lda, tau, work, work.size, 0)["info"] == 0
+    return np.triu(buf[:, : min(m, n)].T)
 
 
 def split(V_y, V_u, widths):
     edges = np.cumsum([0, *widths])
     assert edges[-1] == V_u.shape[1]
     return [(V_y[:, a:b], V_u[:, a:b]) for a, b in zip(edges[:-1], edges[1:])]
+
+
+#: Chunk widths of 200 columns of 12 rows.  In "first-narrower-than-d_v",
+#: "around-d_v" and "wider-later" a later chunk is wider than the first, so it
+#: grows the workspace.
+SPLITS = pytest.mark.parametrize(
+    "widths",
+    [[5, 95, 100], [1] * 200, [100, 100], [150, 40, 10], [11, 12, 177], [40, 160]],
+    ids=["first-narrower-than-d_v", "single-columns", "halves", "uneven", "around-d_v",
+         "wider-later"],
+)
+
+
+class TestInPlaceQR:
+    """``numpy.linalg.lapack_lite.dgeqrf``, the private routine ``svd_trunc_chunks`` factors with.
+
+    If a numpy release drops or changes the module, these fail by name.
+    """
+
+    def test_numpy_exposes_lapack_lite_dgeqrf(self):
+        assert callable(lapack_lite.dgeqrf)
+
+    @pytest.mark.parametrize(
+        "m, n, lda",
+        [(300, 12, 300), (5, 12, 5), (40, 12, 52), (5, 12, 17), (400, 160, 420)],
+        ids=["tall", "wide", "tall-lda-above-m", "wide-lda-above-m", "blocked"],
+    )
+    def test_dgeqrf_gives_the_r_of_numpy_qr(self, rng, m, n, lda):
+        A = rng.standard_normal((m, n))
+        assert np.array_equal(geqrf_r(A, lda), np.linalg.qr(A, mode="r"))
 
 
 class TestSvdTruncChunks:
@@ -244,11 +321,7 @@ class TestSvdTruncChunks:
             for got, want in [(res.D_n, D_n), (res.C, C), (res.L, L), (res.H_star, H_star)]:
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize(
-        "widths",
-        [[5, 95, 100], [1] * 200, [100, 100], [150, 40, 10], [11, 12, 177]],
-        ids=["first-narrower-than-d_v", "single-columns", "halves", "uneven", "around-d_v"],
-    )
+    @SPLITS
     @pytest.mark.parametrize("rank", [12, 7])
     def test_chunks_agree_with_one_factorization(self, rng, widths, rank):
         V_u = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 200))
@@ -258,6 +331,29 @@ class TestSvdTruncChunks:
         assert res.n == whole.n and len(res.table) == len(whole.table)
         assert res.D_n == pytest.approx(whole.D_n, rel=1e-12)
         assert np.linalg.norm(res.H_star - whole.H_star) <= 1e-10 * np.linalg.norm(whole.H_star)
+
+    @SPLITS
+    @pytest.mark.parametrize("rank", [12, 7])
+    def test_chunks_are_the_sequential_qr_bit_for_bit(self, rng, widths, rank):
+        V_u = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 200))
+        V_y = rng.standard_normal((3, 12)) @ V_u + 0.1 * rng.standard_normal((3, 200))
+        chunks = split(V_y, V_u, widths)
+        n, D_n, C, L, H_star, table = sequential_qr_oracle(chunks, 0.999)
+        res = svd_trunc_chunks(chunks, 0.999)
+        assert res.n == n and res.table == table
+        for got, want in [(res.D_n, D_n), (res.C, C), (res.L, L), (res.H_star, H_star)]:
+            assert np.array_equal(got, want)
+
+    def test_blocked_factorization_is_the_sequential_qr_bit_for_bit(self, rng):
+        # d_v = 160 is above LAPACK's crossover to the blocked dgeqrf, whose
+        # block size the work size sets: a smaller work array changes the bits.
+        V_u, V_y = rng.standard_normal((160, 700)), rng.standard_normal((2, 700))
+        chunks = split(V_y, V_u, [400, 300])
+        n, D_n, C, L, H_star, table = sequential_qr_oracle(chunks, 0.999)
+        res = svd_trunc_chunks(chunks, 0.999)
+        assert res.n == n and res.table == table
+        for got, want in [(res.D_n, D_n), (res.C, C), (res.L, L), (res.H_star, H_star)]:
+            assert np.array_equal(got, want)
 
     def test_chunks_are_read_once_in_order(self, rng):
         V_u, V_y = rng.standard_normal((4, 30)), rng.standard_normal((2, 30))
@@ -284,6 +380,23 @@ class TestSvdTruncChunks:
             svd_trunc_chunks([good, (np.ones((2, 1)), np.full((4, 1), np.nan))], 0.5)
         with pytest.raises(InvalidInputError, match="threshold"):
             svd_trunc_chunks(iter(()), 1.0)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # np.hstack's ValueError, before the rows were checked.
+            ((2, 4), "chunk 2: V_y and V_u have 2 and 4 rows, chunk 1's have 2 and 3"),
+            # Broadcast into G, giving a wrong result, before the rows were checked.
+            ((1, 3), "chunk 2: V_y and V_u have 1 and 3 rows, chunk 1's have 2 and 3"),
+        ],
+        ids=["V_u", "V_y"],
+    )
+    def test_rejects_rows_differing_from_the_first_chunk(self, rng, rows, message):
+        chunks = [(rng.random((2, 5)), rng.random((3, 5))),
+                  (rng.random((rows[0], 5)), rng.random((rows[1], 5)))]
+        with pytest.raises(DimensionMismatchError) as err:
+            svd_trunc_chunks(chunks, 0.5)
+        assert str(err.value) == message
 
 
 class TestLkReduce:
