@@ -12,7 +12,7 @@ class ArrayRecord:
 
     Records of one type are equal when the fields holding an array on either
     side are ``np.array_equal`` and the other fields, as one list, are equal;
-    a list compares items by identity first, so a shared NaN default is
+    a list compares items by identity first, so one NaN object is
     equal to itself.  Records are unhashable unless a class defines
     ``__hash__``.
     """

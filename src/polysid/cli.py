@@ -61,27 +61,20 @@ def render_report(diag: IdentDiagnostics) -> str:
         lines.append(f"{key} = {value}")
     lines.append("")
 
+    (rec,) = diag.reductions
     lines.append("HORIZONS")
-    lines.append(f"anchor_t = {diag.anchor_t}")
     lines.append(f"pooled = {str(diag.pooled).lower()}")
     lines.append(f"columns = {diag.n_columns}")
-    lines.append(f"chosen_t_plus = {diag.chosen_t_plus}")
-    lines.append(f"chosen_t_minus = {diag.chosen_t_minus}")
-    lines.append("t_plus t_minus n1 rows_presented rows_kept")
-    lines += [
-        f"{r.t_plus} {r.t_minus} {r.n1} {r.rows_presented} {r.rows_kept}" for r in diag.reductions
-    ]
+    lines.append(f"rows_presented = {rec.rows_presented}")
+    lines.append(f"rows_kept = {rec.rows_kept}")
     lines.append("")
 
     lines.append("TABLE1")
-    for rec in diag.reductions:
-        lines.append(f"# t_plus={rec.t_plus} t_minus={rec.t_minus}")
-        lines.append(rec.table1.to_text())
+    lines.append(rec.table1.to_text())
     lines.append("")
 
     lines.append("TABLE2")
-    if diag.table2 is not None:
-        lines.append(diag.table2.to_text())
+    lines.append(diag.table2.to_text())
     lines.append("")
 
     lines.append("GENERATORS")
@@ -94,9 +87,8 @@ def render_report(diag: IdentDiagnostics) -> str:
     lines.append("RESIDUALS")
     lines.append(f"training_relative_rmse = {diag.training_relative_rmse:.6g}")
     lines.append("series rmse")
-    if diag.training_rmse_per_series is not None:
-        for k, v in enumerate(diag.training_rmse_per_series, start=1):
-            lines.append(f"{k} {v:.6g}")
+    for k, v in enumerate(diag.training_rmse_per_series, start=1):
+        lines.append(f"{k} {v:.6g}")
     return "\n".join(lines) + "\n"
 
 

@@ -89,7 +89,7 @@ class ObserverModel:
         g_io: Optional past-window lifting ``x = g_io(y_minus)`` enabling
             initial-state computation from measured history.
         t_minus: Past-window length expected by ``g_io``.
-        meta: Free-form provenance (config echo, horizons, anchor).
+        meta: Free-form provenance; ``identify`` stores its config echo and ``pooled``.
 
     Two models are equal when every attribute is.
     """
@@ -294,7 +294,7 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
         State column(s) at the time immediately after the window.
 
     The states of an identified model's training series ``ts`` at its
-    anchor time ``a = model.meta["anchor_t"]`` are
+    anchor time ``a = model.meta["config"]["anchor_t"]`` are
     ``initial_state_from_past(model, ts.Y[a - 1 - model.t_minus : a - 1])``.
 
     Raises:

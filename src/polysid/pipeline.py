@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -175,20 +175,13 @@ class IdentConfig:
         row_cap: Hard cap (positive) on the rows of each enumerated monomial
             dictionary, the past lifting and the (state, output) lifting,
             checked on the true row count before allocation.
-        r3: Deprecated and ignored: the tolerance of the removed
-            generator-product elimination.
-        block_limit: Deprecated and ignored: the past dictionary row count
-            above which the removed block path split the dictionary.
-        t_plus_min / t_minus_min: Deprecated and ignored: the initial window
-            lengths of the removed window schedule.
+        r3 / block_limit / t_plus_min / t_minus_min: Deprecated and ignored:
+            they tuned the stages that the module docstring says were removed.
 
-    ``identify`` runs once, at ``t_plus_max`` and ``t_minus_max``, unlike the
-    paper's window schedule, which never stopped early on a benchmark or
-    acceptance set (see the module docstring); a caller who relied on it to
-    detect the order by growing the windows loses that.
-
-    Setting a deprecated field warns with a ``FutureWarning``; the resolved
-    config sets it to ``None``.
+    ``identify`` runs once, at ``t_plus_max`` and ``t_minus_max``; the module
+    docstring says why.  Setting a deprecated field warns with a
+    ``FutureWarning``; the resolved config sets it to ``None`` and its echo
+    leaves it out.
     """
 
     r1: float
@@ -262,45 +255,59 @@ class IdentConfig:
         return replace(self, **{name: None for name, _ in _IGNORED_FIELDS}, **ints)
 
     def echo(self) -> dict:
-        """Effective configuration as a flat dict (for reports and provenance)."""
-        return dict(self.__dict__)
+        """A new flat dict of the fields but the deprecated ones (for reports and provenance)."""
+        return {k: v for k, v in self.__dict__.items() if k not in dict(_IGNORED_FIELDS)}
 
 
 @dataclass(frozen=True)
 class ReductionRecord:
-    """Diagnostics of the past-to-future reduction at the final windows."""
+    """The past regression's dictionary size, before and after pruning, and mass table.
 
-    t_plus: int
-    t_minus: int
+    ``IdentDiagnostics.reductions`` holds one in a list only because the
+    benchmark under ``bench/`` reads it (ROADMAP item 3).
+    """
+
     rows_presented: int
     rows_kept: int
-    n1: int
     table1: TruncationTable
 
 
 @dataclass(eq=False)
 class IdentDiagnostics(ArrayRecord):
-    """Everything the pipeline observed on its way to the model.
+    """The record of ``identify``'s one pass; ``identify`` sets every field.
 
-    ``reductions`` holds the one past-to-future reduction.  Two diagnostics
-    are equal when all their fields are.
+    Attributes:
+        pooled: Whether every admissible anchor gave data columns.
+        anchors: The anchor times, in column order.
+        n_columns: Data columns, ``len(anchors)`` times the series count.
+        reductions: The past-to-future regression, a one-element list.
+        n1: Retained rank of the past regression, the state dimension.
+        n2: Retained rank of the dynamics regression.
+        f_monomials_before / f_monomials_after: Monomials of the (state,
+            output) dictionary, and of the dynamics map after pruning.
+        table2: Singular value mass table of the dynamics regression.
+        training_rmse_per_series: One-step output RMSE of each series over
+            its outputs and anchors, in scaled output units (raw only when
+            ``scale_outputs`` is off), unlike ``PredictionReport``'s raw units.
+        training_relative_rmse: The one-step RMSE over all columns divided by
+            the std of the outputs at the anchors (or by 1 if that is 0), both scaled.
+        config_echo: The resolved config's ``echo()``: window lengths, anchor.
+
+    Two diagnostics are equal when all their fields are.
     """
 
-    anchor_t: int = 0
-    pooled: bool = False
-    anchors: list[int] = field(default_factory=list)
-    n_columns: int = 0
-    reductions: list[ReductionRecord] = field(default_factory=list)
-    chosen_t_plus: int = 0
-    chosen_t_minus: int = 0
-    n1: int = 0
-    n2: int = 0
-    f_monomials_before: int = 0
-    f_monomials_after: int = 0
-    table2: TruncationTable | None = None
-    training_rmse_per_series: np.ndarray | None = None
-    training_relative_rmse: float = float("nan")
-    config_echo: dict = field(default_factory=dict)
+    pooled: bool
+    anchors: list[int]
+    n_columns: int
+    reductions: list[ReductionRecord]
+    n1: int
+    n2: int
+    f_monomials_before: int
+    f_monomials_after: int
+    table2: TruncationTable
+    training_rmse_per_series: np.ndarray
+    training_relative_rmse: float
+    config_echo: dict
 
 
 class _Stage(NamedTuple):
@@ -411,9 +418,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     pools when ``s < 4 d_v`` for the past dictionary size ``d_v``.
 
     The paper's generator factorization, blocked reduction and window schedule
-    are left out: none changed a model it was measured on (see the module
-    docstring).  The schedule's retained rank never plateaued on a benchmark or
-    acceptance set; a caller who relied on it to find the order loses that.
+    are left out; the module docstring says why.
 
     The model carries no states of the training series;
     ``initial_state_from_past`` recomputes them from their anchor windows.
@@ -432,7 +437,6 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
             of ``identify`` runs in one overflow scope, so numpy warns of none.
     """
     cfg = cfg.resolved(ts)
-    echo = cfg.echo()
     t_plus, t_minus, d_y = cfg.t_plus_max, cfg.t_minus_max, ts.d_y
 
     scaling: OutputScaling | None = None
@@ -475,12 +479,13 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     squares = ((y_now - y_hat) ** 2).reshape(d_y, len(anchors), ts.s)
     y_std = y_now.std()
     diag = IdentDiagnostics(
-        anchor_t=cfg.anchor_t, pooled=pooled, anchors=anchors.tolist(), n_columns=Yplus.shape[1],
-        reductions=[ReductionRecord(t_plus, t_minus, K_past.d_v, g_io.K.d_v, res1.n, res1.table)],
-        chosen_t_plus=t_plus, chosen_t_minus=t_minus, n1=res1.n, n2=res2.n, table2=res2.table,
-        f_monomials_before=K_xy.d_v, f_monomials_after=f_o.K.d_v, config_echo=echo,
-        training_rmse_per_series=np.sqrt(np.mean(squares, axis=(0, 1))),
+        pooled=pooled, anchors=anchors.tolist(), n_columns=Yplus.shape[1],
+        reductions=[ReductionRecord(K_past.d_v, g_io.K.d_v, res1.table)],
+        n1=res1.n, n2=res2.n, f_monomials_before=K_xy.d_v, f_monomials_after=f_o.K.d_v,
+        table2=res2.table, training_rmse_per_series=np.sqrt(np.mean(squares, axis=(0, 1))),
         training_relative_rmse=float(np.sqrt(np.mean(squares)) / (y_std if y_std > 0 else 1.0)),
+        config_echo=cfg.echo(),
     )
-    meta = dict(config=echo, t_plus=t_plus, t_minus=t_minus, anchor_t=cfg.anchor_t, pooled=pooled)
+    # The model's own echo: a caller who edits the report's leaves the model's document as it is.
+    meta = dict(config=cfg.echo(), pooled=pooled)
     return ObserverModel(n, d_y, f_o, h_o, scaling, g_io, t_minus, meta), diag

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ t_plus_max = 2
 t_minus_max = 2
 k_max_y = 1
 """
+
+#: The linear acceptance config A1 that CI's console-script round trip identifies with.
+A1_CONFIG = """\
+r1 = 0.9999
+r2 = 0.9999
+r4 = 0.001
+t_plus_max = 4
+t_minus_max = 4
+max_total_degree_xy = 2
+scale_gamma = 5.0
+"""
+
+DEPRECATED = {"r3", "block_limit", "t_plus_min", "t_minus_min"}
 
 
 @pytest.fixture
@@ -79,6 +94,36 @@ class TestFullFlow:
         resid_col = header.index("resid1")
         resids = np.array([float(r.split(",")[resid_col]) for r in rows[1:]])
         assert rmse_eval == pytest.approx(np.sqrt(np.mean(resids**2)), rel=1e-6)
+
+    def test_a1_report_states_each_fact_once(self, tmp_path):
+        spec_path, cfg_path = tmp_path / "linear.spec", tmp_path / "linear.cfg"
+        spec_path.write_text(spec_to_kv(linear_spec(50)))
+        cfg_path.write_text(A1_CONFIG)
+        data, report_path = tmp_path / "train.csv", tmp_path / "report.txt"
+        assert run(["gen", "--spec", spec_path, "--seed", "1", "--out", data]) == 0
+        assert run(["identify", "--data", data, "--config", cfg_path,
+                    "--out-model", tmp_path / "model.json", "--report", report_path]) == 0
+        text = report_path.read_text()
+        sections = {block.split("\n")[0]: block.split("\n")[1:] for block in text.split("\n\n")}
+        assert list(sections) == [
+            "CONFIG", "HORIZONS", "TABLE1", "TABLE2", "GENERATORS", "RESIDUALS"
+        ]
+
+        def keys(section):
+            return [line.split(" = ")[0] for line in sections[section]]
+
+        fields = {f.name for f in dataclasses.fields(IdentConfig)}
+        assert sorted(keys("CONFIG")) == sorted(fields - DEPRECATED)
+        assert keys("HORIZONS") == ["pooled", "columns", "rows_presented", "rows_kept"]
+        assert "rows_presented = 16" in sections["HORIZONS"]
+        every_key = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
+        for key in ("anchor_t", "t_plus_max", "t_minus_max", "retained_rank_n1"):
+            assert every_key.count(key) == 1
+        assert sum("n1" in line for line in text.splitlines()) == 1
+        assert not DEPRECATED & set(every_key)
+        # TABLE1 is one mass table, its rows numbered from 1.
+        table1 = sections["TABLE1"]
+        assert [line.split()[0] for line in table1] == [str(k) for k in range(1, len(table1) + 1)]
 
     def test_identify_is_reproducible(self, workspace):
         tmp, spec_path, cfg_path = workspace

@@ -234,9 +234,9 @@ class TestBurnIn:
             k_max_y=1, pool_windows=False, scale_outputs=False,
         )
         model, diag = identify(ts, cfg)
-        a = model.meta["anchor_t"]
+        a = model.meta["config"]["anchor_t"]
         x0 = initial_state_from_past(model, ts.Y[a - 1 - model.t_minus : a - 1])
-        rep = predict_one_step(model, ts, x0, t_start=diag.anchor_t)
+        rep = predict_one_step(model, ts, x0, t_start=a)
         anchor_abs_resid = np.abs(rep.residuals[0, 0, :])
         assert anchor_abs_resid == pytest.approx(diag.training_rmse_per_series, abs=1e-12)
 

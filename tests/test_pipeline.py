@@ -130,8 +130,17 @@ class TestIdentify:
         model, diag = identify(ts, small_decay_config(anchor_t=None, k_max_y2=1))
         echo = model.meta["config"]
         assert echo == diag.config_echo
-        assert echo["anchor_t"] == diag.anchor_t == model.meta["anchor_t"] == 3
+        assert echo["anchor_t"] == 3
         assert echo["k_max_y"] == echo["k_max_y2"] == 1
+        assert set(model.meta) == {"config", "pooled"}
+        assert not {"r3", "block_limit", "t_plus_min", "t_minus_min"} & set(echo)
+
+    def test_model_echo_is_its_own_copy(self):
+        ts = generate(decay_spec(20, t_1=12), 7)
+        model, diag = identify(ts, small_decay_config())
+        document = serialize_model(model)
+        diag.config_echo["note"] = "edited"
+        assert serialize_model(model) == document
 
     def test_two_output_system(self):
         # A2's dynamics over (x1, x2, y1, y2), independent of y2, seen
@@ -196,9 +205,10 @@ class TestIdentify:
         ts = generate(linear_spec(30), 5)
         model, diag = identify(ts, small_decay_config())
         # reconstruct the scaled anchor window and re-evaluate the state map
-        t = diag.anchor_t
+        echo = diag.config_echo
+        t = echo["anchor_t"]
         scaled = TimeSeriesSet(model.scaling.apply(ts.Y))
-        _, Ym = build_window_vectors(scaled, t, diag.chosen_t_plus, diag.chosen_t_minus)
+        _, Ym = build_window_vectors(scaled, t, echo["t_plus_max"], echo["t_minus_max"])
         X = eval_monomial_map_many(model.g_io, Ym.T)
         x0 = initial_state_from_past(model, ts.Y[t - 1 - model.t_minus : t - 1])
         assert np.array_equal(X, x0)
@@ -268,10 +278,10 @@ class TestIdentify:
         cfg = IdentConfig(r1=0.99, r2=0.99, r4=0.01, t_plus_max=7, t_minus_max=8, k_max_y=1)
         model, diag = identify(ts, cfg)
         (r,) = diag.reductions
-        assert (r.t_plus, r.t_minus) == (diag.chosen_t_plus, diag.chosen_t_minus) == (7, 8)
-        assert r.n1 == diag.n1 == model.n
+        echo = model.meta["config"]
+        assert (echo["t_plus_max"], echo["t_minus_max"], model.t_minus) == (7, 8, 8)
+        assert diag.n1 == model.n
         assert r.rows_presented == 2**8
-        assert (model.meta["t_plus"], model.t_minus) == (7, 8)
 
     @pytest.mark.parametrize(
         "name, value",

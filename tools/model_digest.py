@@ -40,7 +40,6 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
-import itertools  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -109,11 +108,10 @@ def cli_roundtrip(workdir: Path) -> None:
     if any(codes):
         raise SystemExit(f"cli_roundtrip failed with exit codes {codes}")
     model = deserialize_model((workdir / "model.json").read_text())
-    # The ranks come from the identify report: the last row of its HORIZONS table, and n2.
-    report = (workdir / "report.txt").read_text().splitlines()
-    table = report[report.index("t_plus t_minus n1 rows_presented rows_kept") + 1 :]
-    n1 = list(itertools.takewhile(bool, table))[-1].split()[2]
-    n2 = next(line.split(" = ")[1] for line in report if line.startswith("retained_rank_n2"))
+    # The ranks come from the identify report's GENERATORS section.
+    lines = (workdir / "report.txt").read_text().splitlines()
+    report = dict(line.split(" = ", 1) for line in lines if " = " in line)
+    n1, n2 = report["retained_rank_n1"], report["retained_rank_n2"]
     name = f"cli_roundtrip seed={SEED}"
     print(f"{name} model {model_digest(model)} {ranks(model.n, n1, n2)}")
     predictions = sha((workdir / "predictions.csv").read_bytes())
