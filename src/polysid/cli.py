@@ -63,7 +63,6 @@ def render_report(diag: IdentDiagnostics) -> str:
 
     (rec,) = diag.reductions
     lines.append("HORIZONS")
-    lines.append(f"pooled = {str(diag.pooled).lower()}")
     lines.append(f"columns = {diag.n_columns}")
     lines.append(f"rows_presented = {rec.rows_presented}")
     lines.append(f"rows_kept = {rec.rows_kept}")

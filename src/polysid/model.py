@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .genred import MonomialMap, eval_monomial_map_many
-from .monomials import PowerMatrix
+from .monomials import PowerMatrix, data_matrix_workspace
 from .series import TimeSeriesSet, past_windows
 
 #: Any state component beyond this magnitude aborts the observer recursion.
@@ -89,9 +89,10 @@ class ObserverModel:
         g_io: Optional past-window lifting ``x = g_io(y_minus)`` enabling
             initial-state computation from measured history.
         t_minus: Past-window length expected by ``g_io``.
-        meta: Free-form provenance; ``identify`` stores its config echo and ``pooled``.
+        meta: Free-form provenance; ``identify`` stores its config echo.
 
-    Two models are equal when every attribute is.
+    ``n``, ``d_y`` and ``t_minus`` are stored as Python ``int``s.  Two models
+    are equal when every attribute is.
     """
 
     n: int
@@ -104,6 +105,13 @@ class ObserverModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("n", "d_y", "t_minus"):
+            v = getattr(self, name)
+            if v is None and name == "t_minus":
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.n < 1 or self.d_y < 1:
             raise InvalidInputError("state and output dimensions must be positive")
         if self.f_o.n_vars != self.n + self.d_y or self.f_o.m != self.n:
@@ -205,10 +213,14 @@ def run_observer(
             component first exceeds ``STATE_OVERFLOW_GUARD`` or is NaN.
     """
     yhat = np.empty((steps, h.m, x.shape[1]))
+    # One data-matrix workspace per map for all steps, so that no step allocates
+    # one: with a fresh one per step, the heap layout decided the peak memory.
+    h_work = data_matrix_workspace(h.K, x.shape[1])
+    f_work = data_matrix_workspace(f.K, x.shape[1])
     # Overflow is reported by the guards, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            yhat[i] = eval_monomial_map_many(h, x.T)
+            yhat[i] = eval_monomial_map_many(h, x.T, h_work)
             y = feedback(i, yhat[i])
             finite = np.isfinite(yhat[i]).all(axis=0) & np.isfinite(y).all(axis=0)
             if not finite.all():
@@ -216,7 +228,7 @@ def run_observer(
                     f"the output of series {int(finite.argmin()) + 1} at time "
                     f"{t_start + i} overflows"
                 )
-            x = eval_monomial_map_many(f, np.vstack([x, y]).T)
+            x = eval_monomial_map_many(f, np.vstack([x, y]).T, f_work)
             worst = np.abs(x).max(axis=0)
             # NaN (say ``inf - inf``) fails every comparison: test for "within".
             if not (worst <= STATE_OVERFLOW_GUARD).all():
@@ -433,7 +445,8 @@ def deserialize_model(text: str) -> ObserverModel:
     Raises:
         ParseError: On malformed JSON (message carries line/column).
         ValidationError: On schema or invariant violations, including
-            all-zero coefficient columns (trivial generators).
+            all-zero coefficient columns (trivial generators) and a
+            ``version`` other than the integer ``DOCUMENT_VERSION``.
     """
     try:
         doc = json.loads(text)
@@ -443,6 +456,11 @@ def deserialize_model(text: str) -> ObserverModel:
         ) from exc
     if not isinstance(doc, dict) or doc.get("format") != DOCUMENT_FORMAT:
         raise ValidationError("document is not a polysid model")
+    version = doc.get("version")
+    if type(version) is not int or version != DOCUMENT_VERSION:
+        raise ValidationError(
+            f"model document version {version!r} is not supported; it must be {DOCUMENT_VERSION}"
+        )
     try:
         n = _integer(doc["n"], "n")
         d_y = _integer(doc["d_y"], "d_y")

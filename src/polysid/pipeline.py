@@ -121,7 +121,7 @@ _INT_LEAST = {
 }
 
 
-#: ``IdentConfig`` fields that may be None.
+#: ``IdentConfig`` fields that may be None as input; ``resolved()`` fills in the first two.
 _AUTO_FIELDS = ("anchor_t", "pool_windows", "max_total_degree_xy")
 
 
@@ -158,8 +158,7 @@ class IdentConfig:
             the dynamics lifting.
         anchor_t: Anchor time; defaults to ``t_minus_max + 1``.
         pool_windows: Pool every admissible anchor as extra data columns;
-            ``None`` pools when the series count ``s`` is below four times
-            the past dictionary size ``d_v``.
+            ``resolved()`` decides it when ``None``.
         max_total_degree_xy: Optional total-degree cap on the (state, output)
             dictionary (nonnegative); the bounded monomial set may be any
             subset of the full enumeration, and low-degree subsets keep the
@@ -204,29 +203,34 @@ class IdentConfig:
     block_limit: int | None = None
 
     def resolved(self, ts: TimeSeriesSet) -> "IdentConfig":
-        """Validate against a data set and return a copy with every default filled in.
+        """Validate against a data set and return the config that ``identify`` runs.
 
-        The copy sets ``anchor_t`` and gives every integer field as a
-        Python ``int``; resolving it again returns an equal config.
+        The copy holds plain Python values, each converted before it is checked,
+        sets ``anchor_t`` and decides an unset ``pool_windows``: it pools when
+        ``s < 4 d_v`` for the past dictionary's ``(k_max_y + 1) ** (t_minus_max
+        * d_y)`` monomials.  Resolving it again returns an equal config.
 
         Raises:
             ConfigError: Naming the first field of the wrong type or out of
                 range, or if the windows do not fit the series.
         """
-        for name in ("r1", "r2", "r4"):
+        values = {}
+        for name, below in (("r1", 1.0), ("r2", 1.0), ("r4", 1.0), ("scale_gamma", np.inf)):
             v = getattr(self, name)
-            if not (_is_real(v) and 0.0 < v < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {v!r}")
+            try:
+                values[name] = float(v) if _is_real(v) else np.nan
+            except OverflowError as exc:  # a real beyond the float range, which may not print
+                raise ConfigError(f"{name} must lie in (0, {below:g}): {exc}") from exc
+            if not 0.0 < values[name] < below:
+                raise ConfigError(f"{name} must lie in (0, {below:g}), got {v!r}")
         for name, reason in _IGNORED_FIELDS:
             if getattr(self, name) is not None:
                 warnings.warn(f"{name} is ignored: {reason}", FutureWarning, stacklevel=2)
-        if not (_is_real(self.scale_gamma) and 0 < self.scale_gamma < np.inf):
-            raise ConfigError(f"scale_gamma must be finite and positive, got {self.scale_gamma!r}")
         for name in ("scale_outputs", "pool_windows"):
             v = getattr(self, name)
             if not (isinstance(v, (bool, np.bool_)) or v is None and name in _AUTO_FIELDS):
                 raise ConfigError(f"{name} must be a boolean, got {v!r}")
-        ints = {}
+            values[name] = v if v is None else bool(v)
         for name, least in _INT_LEAST.items():
             v = getattr(self, name)
             if v is None and name in _AUTO_FIELDS:
@@ -234,9 +238,9 @@ class IdentConfig:
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
                 kind = "nonnegative" if least == 0 else "positive"
                 raise ConfigError(f"{name} must be a {kind} integer, got {v!r}")
-            ints[name] = int(v)
-        t_minus_max, t_plus_max = ints["t_minus_max"], ints["t_plus_max"]
-        anchor = ints.setdefault("anchor_t", t_minus_max + 1)
+            values[name] = int(v)
+        t_minus_max, t_plus_max = values["t_minus_max"], values["t_plus_max"]
+        anchor = values.setdefault("anchor_t", t_minus_max + 1)
         if anchor - t_minus_max < 1:
             raise ConfigError(
                 f"anchor time {anchor} leaves no room for a past window of "
@@ -252,7 +256,9 @@ class IdentConfig:
                 f"anchor time {anchor} leaves no room for a future window of "
                 f"{t_plus_max}"
             )
-        return replace(self, **{name: None for name, _ in _IGNORED_FIELDS}, **ints)
+        if values["pool_windows"] is None:
+            values["pool_windows"] = ts.s < 4 * (values["k_max_y"] + 1) ** (t_minus_max * ts.d_y)
+        return replace(self, **{name: None for name, _ in _IGNORED_FIELDS}, **values)
 
     def echo(self) -> dict:
         """A new flat dict of the fields but the deprecated ones (for reports and provenance)."""
@@ -277,9 +283,7 @@ class IdentDiagnostics(ArrayRecord):
     """The record of ``identify``'s one pass; ``identify`` sets every field.
 
     Attributes:
-        pooled: Whether every admissible anchor gave data columns.
-        anchors: The anchor times, in column order.
-        n_columns: Data columns, ``len(anchors)`` times the series count.
+        n_columns: Data columns, the series count times the anchor count.
         reductions: The past-to-future regression, a one-element list.
         n1: Retained rank of the past regression, the state dimension.
         n2: Retained rank of the dynamics regression.
@@ -291,13 +295,11 @@ class IdentDiagnostics(ArrayRecord):
             ``scale_outputs`` is off), unlike ``PredictionReport``'s raw units.
         training_relative_rmse: The one-step RMSE over all columns divided by
             the std of the outputs at the anchors (or by 1 if that is 0), both scaled.
-        config_echo: The resolved config's ``echo()``: window lengths, anchor.
+        config_echo: The resolved config's ``echo()``: window lengths, anchor, pooling.
 
     Two diagnostics are equal when all their fields are.
     """
 
-    pooled: bool
-    anchors: list[int]
     n_columns: int
     reductions: list[ReductionRecord]
     n1: int
@@ -414,8 +416,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     evaluation at the anchors and the next one; monomial lifting of the (state, output)
     pair; truncated-SVD regression of the next state with column pruning;
     and assembly of the observer model.  It runs once, at the window lengths
-    ``t_plus_max`` and ``t_minus_max``.  With ``cfg.pool_windows`` unset, it
-    pools when ``s < 4 d_v`` for the past dictionary size ``d_v``.
+    ``t_plus_max`` and ``t_minus_max``, and pools if ``cfg.resolved(ts)`` says so.
 
     The paper's generator factorization, blocked reduction and window schedule
     are left out; the module docstring says why.
@@ -450,8 +451,8 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         work = TimeSeriesSet(Y)
 
     K_past = _lifting(_PAST, (cfg.k_max_y,) * (t_minus * d_y), cfg.row_cap)
-    pooled = ts.s < 4 * K_past.d_v if cfg.pool_windows is None else cfg.pool_windows
-    anchors = np.arange(t_minus + 1, work.t_1 - t_plus + 2) if pooled else np.array([cfg.anchor_t])
+    anchors = (np.arange(t_minus + 1, work.t_1 - t_plus + 2) if cfg.pool_windows
+               else np.array([cfg.anchor_t]))
     Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
     res1 = _regress(Yplus, Yminus, K_past, cfg.r1, _PAST, cfg.scale_outputs)
     g_io = MonomialMap(*lk_reduce(res1.L, K_past, cfg.r4)[:2])
@@ -479,13 +480,12 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     squares = ((y_now - y_hat) ** 2).reshape(d_y, len(anchors), ts.s)
     y_std = y_now.std()
     diag = IdentDiagnostics(
-        pooled=pooled, anchors=anchors.tolist(), n_columns=Yplus.shape[1],
-        reductions=[ReductionRecord(K_past.d_v, g_io.K.d_v, res1.table)],
+        n_columns=Yplus.shape[1], reductions=[ReductionRecord(K_past.d_v, g_io.K.d_v, res1.table)],
         n1=res1.n, n2=res2.n, f_monomials_before=K_xy.d_v, f_monomials_after=f_o.K.d_v,
         table2=res2.table, training_rmse_per_series=np.sqrt(np.mean(squares, axis=(0, 1))),
         training_relative_rmse=float(np.sqrt(np.mean(squares)) / (y_std if y_std > 0 else 1.0)),
         config_echo=cfg.echo(),
     )
     # The model's own echo: a caller who edits the report's leaves the model's document as it is.
-    meta = dict(config=cfg.echo(), pooled=pooled)
+    meta = dict(config=cfg.echo())
     return ObserverModel(n, d_y, f_o, h_o, scaling, g_io, t_minus, meta), diag

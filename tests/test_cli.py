@@ -114,9 +114,12 @@ class TestFullFlow:
 
         fields = {f.name for f in dataclasses.fields(IdentConfig)}
         assert sorted(keys("CONFIG")) == sorted(fields - DEPRECATED)
-        assert keys("HORIZONS") == ["pooled", "columns", "rows_presented", "rows_kept"]
+        assert keys("HORIZONS") == ["columns", "rows_presented", "rows_kept"]
         assert "rows_presented = 16" in sections["HORIZONS"]
+        # 50 series, below 4 times the 2**4 past monomials: every anchor pooled.
+        assert "pool_windows = True" in sections["CONFIG"]
         every_key = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
+        assert "pooled" not in every_key
         for key in ("anchor_t", "t_plus_max", "t_minus_max", "retained_rank_n1"):
             assert every_key.count(key) == 1
         assert sum("n1" in line for line in text.splitlines()) == 1

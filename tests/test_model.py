@@ -89,6 +89,23 @@ class TestPredictOneStep:
                 y_scaled = model.scaling.apply(ts.Y[t, :, k])
                 x = eval_monomial_map_many(model.f_o, [np.concatenate([x, y_scaled])])[:, 0]
 
+    def test_each_map_has_one_workspace_for_all_steps(self, rng, monkeypatch):
+        from polysid import model as model_module
+
+        made = []
+
+        def counted(pm, s):
+            made.append((pm.d_v, s))
+            return workspace(pm, s)
+
+        workspace = model_module.data_matrix_workspace
+        monkeypatch.setattr(model_module, "data_matrix_workspace", counted)
+        model = decay_model()
+        ts = TimeSeriesSet(rng.standard_normal((9, 1, 4)))
+        rep = predict_one_step(model, ts, np.ones((1, 4)))
+        assert made == [(1, 4), (1, 4)]
+        assert rep.predictions[:, 0, 0] == pytest.approx(0.5 ** np.arange(9), abs=1e-15)
+
     def test_observer_causality(self, rng):
         model = decay_model()
         f_o = MonomialMap(
@@ -507,6 +524,38 @@ class TestSerialization:
     def test_rejects_foreign_document(self):
         with pytest.raises(ValidationError):
             deserialize_model('{"format": "something-else"}')
+
+    @pytest.mark.parametrize("version", [99, 0, True, 1.0, "1", None, "missing"])
+    def test_rejects_any_version_but_1(self, version):
+        doc = json.loads(serialize_model(reference_fixture_model()))
+        assert doc["version"] == 1
+        if version == "missing":
+            del doc["version"]
+        else:
+            doc["version"] = version
+        shown = "None" if version == "missing" else repr(version)
+        with pytest.raises(ValidationError, match=f"^model document version {shown} "):
+            deserialize_model(json.dumps(doc))
+
+    def test_numpy_integer_dimensions_serialize_as_python_ints(self):
+        model = reference_fixture_model()
+        g_io = MonomialMap(np.ones((model.n, 1)), identity_power_matrix(1))
+        wide = ObserverModel(
+            n=np.int64(model.n), d_y=np.int64(1), f_o=model.f_o, h_o=model.h_o,
+            g_io=g_io, t_minus=np.int32(1),
+        )
+        assert type(wide.n) is type(wide.d_y) is type(wide.t_minus) is int
+        assert deserialize_model(serialize_model(wide)) == wide
+
+    @pytest.mark.parametrize(
+        "name, value", [("n", True), ("d_y", True), ("t_minus", True), ("n", 2.0), ("d_y", "1")]
+    )
+    def test_rejects_boolean_or_non_integer_dimensions(self, name, value):
+        model = reference_fixture_model()
+        g_io = MonomialMap(np.ones((model.n, 1)), identity_power_matrix(1))
+        fields = dict(n=model.n, d_y=1, f_o=model.f_o, h_o=model.h_o, g_io=g_io, t_minus=1)
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            ObserverModel(**{**fields, name: value})
 
     @pytest.mark.parametrize(
         "corrupt",

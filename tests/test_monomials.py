@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from polysid import (
     CapacityError,
+    DimensionMismatchError,
     InvalidInputError,
     PowerMatrix,
     build_data_matrix,
@@ -249,6 +250,23 @@ class TestBuildDataMatrix:
         with pytest.raises(InvalidInputError):
             build_data_matrix(np.zeros((0, 2)), appendix_matrix())
 
+    def test_workspace_is_reused_bit_for_bit(self, rng):
+        # x1 x2^3 needs three auxiliary rows, so the workspace is taller than K.
+        pm = PowerMatrix(np.array([[1, 3], [1, 0], [0, 1]]), (1, 3))
+        W = monomials.data_matrix_workspace(pm, 7)
+        assert W.shape == (pm.chain_plan[0], 7) and pm.chain_plan[0] > pm.d_v
+        assert W.ctypes.data % 64 == 0 and W.flags.c_contiguous
+        for _ in range(2):
+            X = rng.standard_normal((7, 2))
+            V = build_data_matrix(X, pm, out=W)
+            assert np.shares_memory(V, W)
+            assert np.array_equal(V, build_data_matrix(X, pm))
+
+    @pytest.mark.parametrize("out", [np.empty((6, 3)), np.empty((6, 4), dtype=np.float32)])
+    def test_workspace_of_another_shape_or_type_is_rejected(self, out):
+        with pytest.raises(DimensionMismatchError, match="out must be a float array of shape"):
+            build_data_matrix(np.ones((4, 2)), appendix_matrix(), out=out)
+
     @pytest.mark.parametrize(
         "samples",
         [
@@ -276,6 +294,8 @@ class TestBuildDataMatrix:
         assert str(err.value) == (
             "the product chain needs at least 3 auxiliary rows for 5 samples, more than 12 cells"
         )
+        with empty, pytest.raises(CapacityError, match="3 auxiliary rows for 5 samples"):
+            monomials.data_matrix_workspace(pm, 5)
 
 
 def product_oracle(samples, pm: PowerMatrix) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from polysid import (
     TimeSeriesSet,
     build_data_matrix,
     build_window_vectors,
+    deserialize_model,
     enumerate_power_matrix,
     generate,
     identify,
@@ -132,7 +134,9 @@ class TestIdentify:
         assert echo == diag.config_echo
         assert echo["anchor_t"] == 3
         assert echo["k_max_y"] == echo["k_max_y2"] == 1
-        assert set(model.meta) == {"config", "pooled"}
+        # 20 series, not below 4 times the 2**2 past monomials: one anchor.
+        assert echo["pool_windows"] is False
+        assert set(model.meta) == {"config"}
         assert not {"r3", "block_limit", "t_plus_min", "t_minus_min"} & set(echo)
 
     def test_model_echo_is_its_own_copy(self):
@@ -381,8 +385,12 @@ class TestIdentify:
         model, diag = identify(ts, small_decay_config(pool_windows=pool_windows))
         lifted = [samples for M, samples in calls if M is model.g_io]
         assert len(lifted) == 1
-        assert lifted[0].shape[1] == (len(diag.anchors) + 1) * ts.s
-        anchors = np.append(diag.anchors, diag.anchors[-1] + 1)
+        echo = diag.config_echo
+        anchors = np.arange(echo["t_minus_max"] + 1, ts.t_1 - echo["t_plus_max"] + 2)
+        if not echo["pool_windows"]:
+            anchors = np.array([echo["anchor_t"]])
+        anchors = np.append(anchors, anchors[-1] + 1)
+        assert lifted[0].shape[1] == len(anchors) * ts.s
         scaled = model.scaling.apply(ts.Y)
         assert np.array_equal(lifted[0], past_windows(scaled, anchors, model.t_minus))
 
@@ -417,13 +425,40 @@ class TestIdentify:
         assert res.anchor_t == res.t_minus_max + 1
         assert (res.k_max_y, res.k_max_x, res.k_max_y2) == (1, 1, 2)
         assert type(res.k_max_y2) is int
+        assert res.pool_windows is True  # 3 series, 2**16 past monomials
+        for f in dataclasses.fields(res):
+            assert type(getattr(res, f.name)) in (float, bool, int, type(None)), f.name
         assert res.resolved(ts) == res
-        assert cfg.anchor_t is None
+        assert cfg.anchor_t is None and cfg.pool_windows is None
         res = IdentConfig(
             r1=0.9, r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=3
         ).resolved(ts)
         assert (res.t_plus_max, res.t_minus_max, res.anchor_t) == (4, 3, 4)
         assert res.resolved(ts) == res
+        # Past windows of 2 steps of 2 outputs: d_v = 2**4 = 16 monomials.
+        cfg = IdentConfig(r1=0.9, r2=0.9, r4=0.01, t_plus_max=2, t_minus_max=2)
+        for s, pooled in ((4 * 16 - 1, True), (4 * 16, False)):
+            ts = TimeSeriesSet(rng.standard_normal((8, 2, s)))
+            res = cfg.resolved(ts)
+            assert res.pool_windows is pooled
+            assert res.resolved(ts) == res
+            explicit = dataclasses.replace(cfg, pool_windows=not pooled).resolved(ts)
+            assert explicit.pool_windows is (not pooled)
+            assert explicit.resolved(ts) == explicit
+
+    def test_numpy_scalars_and_fractions_resolve_to_plain_values(self):
+        ts = generate(decay_spec(20, t_1=12), 7)
+        cfg = small_decay_config(
+            r1=np.float32(0.9999), r2=np.float32(0.9999), r4=np.float32(0.001),
+            pool_windows=np.bool_(True), scale_outputs=np.bool_(True), scale_gamma=Fraction(5),
+        )
+        model, diag = identify(ts, cfg)
+        echo = model.meta["config"]
+        assert (echo["r1"], echo["scale_gamma"]) == (float(np.float32(0.9999)), 5.0)
+        assert type(echo["r4"]) is type(echo["scale_gamma"]) is float
+        assert echo["pool_windows"] is echo["scale_outputs"] is True
+        assert diag.n_columns == 9 * ts.s  # anchors 3 to 11
+        assert deserialize_model(serialize_model(model)) == model
 
     def test_threshold_validation(self):
         ts = generate(linear_spec(10, t_1=12), 29)
@@ -442,6 +477,9 @@ class TestIdentify:
             ("k_max_y", True), ("k_max_x", -1), ("k_max_y2", "1"),
             ("anchor_t", 5.0), ("max_total_degree_xy", 1.5),
             ("max_total_degree_xy", -1),
+            pytest.param("scale_gamma", 10**400, id="scale_gamma-10**400"),
+            pytest.param("scale_gamma", Fraction(10**400), id="scale_gamma-Fraction(10**400)"),
+            pytest.param("r4", Fraction(1, 10**400), id="r4-Fraction(1,10**400)"),
         ],
     )
     def test_field_of_wrong_type_or_range_is_a_config_error(self, rng, field, value):
