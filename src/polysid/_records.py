@@ -1,10 +1,12 @@
-"""Value equality, read-only arrays and the real-array check for caller arrays."""
+"""Value equality, read-only arrays, and the gates for a caller's arrays and scalars."""
 
+import math
+import numbers
 from dataclasses import fields
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PolysidError
 
 
 class ArrayRecord:
@@ -59,4 +61,40 @@ def real_array(a, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
         raise InvalidInputError(f"{what} must be {'- or '.join(map(str, dims))}-D, got {x.shape}")
     if not np.isfinite(x).all():
         raise InvalidInputError(f"non-finite entries in {what}")
+    return x
+
+
+def printable(v) -> str:
+    """``repr(v)``, or for an integer of more digits than Python prints, its power of ten."""
+    try:
+        return repr(v)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        if isinstance(v, int):
+            return f"about {'-' if v < 0 else ''}10**{round(math.log10(abs(v)))}"
+        return f"a {type(v).__name__} too long to print"
+
+
+def integer(v, what: str, least: int | None, greatest: int | None = None,
+            error: type[PolysidError] = InvalidInputError) -> int:
+    """``int(v)`` for a Python or numpy integer, not a bool, in ``least..greatest``, else ``error``.
+
+    A bound of None is none; without ``greatest``, ``least`` is None, 0 or 1.
+    """
+    if (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and (least is None or v >= least) and (greatest is None or v <= greatest)):
+        return int(v)
+    kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+    kind = kinds[least] if greatest is None else f"an integer in {least}..{greatest}"
+    raise error(f"{what} must be {kind}, got {printable(v)}")
+
+
+def positive_real(v, what: str, below: float = math.inf,
+                  error: type[PolysidError] = InvalidInputError) -> float:
+    """``float(v)`` for a real, not a bool, that converts into ``(0, below)``, else ``error``."""
+    try:
+        x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:  # beyond the float range
+        x = math.nan
+    if not 0.0 < x < below:
+        raise error(f"{what} must lie in (0, {below:g}), got {printable(v)}")
     return x

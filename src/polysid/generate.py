@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import real_array
+from ._records import integer, printable, real_array
 from .dataio import format_matrix, kv_float, kv_float_vector, kv_int, kv_matrix, parse_kv
 from .errors import CapacityError, DimensionMismatchError, InvalidInputError, ParseError
 # ``eval_monomial_map_many`` is not called here; the name stays because
@@ -35,7 +35,7 @@ class GeneratorSpec:
         s: Number of series.
 
     Raises InvalidInputError unless ``t_1``, ``s``, ``n`` and ``d_y`` are
-    integers (not booleans) and the box bounds are length-``n`` vectors of
+    positive integers (not booleans) and the box bounds are length-``n`` vectors of
     finite real numbers with min <= max, ``noise_std`` is a finite real number
     >= 0 and the maps fit ``n`` and ``d_y``.
     """
@@ -51,12 +51,8 @@ class GeneratorSpec:
     s: int
 
     def __post_init__(self) -> None:
-        for name in ("t_1", "s", "n", "d_y"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
-        if self.t_1 < 1 or self.s < 1:
-            raise InvalidInputError("t_1 and s must both be positive")
+        for name in ("t_1", "s"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, 1))
         ObserverModel(self.n, self.d_y, self.f, self.h)  # checks n, d_y and the map shapes
         lo, hi = real_array(self.x0_min, "x0_min", 1), real_array(self.x0_max, "x0_max", 1)
         if lo.size != self.n or hi.size != self.n:
@@ -87,9 +83,7 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
             output that overflows.
         CapacityError: If the states or series do not fit in memory.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     lo, hi = np.array(spec.x0_min), np.array(spec.x0_max)
 
     def noisy(i: int, y: np.ndarray) -> np.ndarray:
@@ -103,7 +97,7 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
         Y = run_observer(spec.f, spec.h, x, spec.t_1, noisy)
     except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
         raise CapacityError(
-            f"cannot allocate t_1={spec.t_1}, d_y={spec.d_y}, s={spec.s} "
+            f"cannot allocate t_1={printable(spec.t_1)}, d_y={spec.d_y}, s={printable(spec.s)} "
             f"series samples: {exc}"
         ) from exc
     return TimeSeriesSet(Y)

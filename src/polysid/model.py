@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._records import ArrayRecord, readonly_copy, real_array
+from ._records import ArrayRecord, integer, printable, readonly_copy, real_array
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -92,7 +92,10 @@ class ObserverModel:
         meta: Free-form provenance; ``identify`` stores its config echo.
 
     ``n``, ``d_y`` and ``t_minus`` are stored as Python ``int``s.  Two models
-    are equal when every attribute is.
+    are equal when every attribute is.  Raises InvalidInputError unless ``n``
+    and ``d_y`` are positive integers and ``t_minus`` is None or an integer,
+    and DimensionMismatchError unless the maps, the scaling and ``t_minus``
+    fit ``n`` and ``d_y``.
     """
 
     n: int
@@ -105,18 +108,12 @@ class ObserverModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("n", "d_y", "t_minus"):
-            v = getattr(self, name)
-            if v is None and name == "t_minus":
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-        if self.n < 1 or self.d_y < 1:
-            raise InvalidInputError("state and output dimensions must be positive")
+        for name, least in (("n", 1), ("d_y", 1), ("t_minus", None)):
+            if getattr(self, name) is not None or name != "t_minus":
+                object.__setattr__(self, name, integer(getattr(self, name), name, least))
         if self.f_o.n_vars != self.n + self.d_y or self.f_o.m != self.n:
-            raise DimensionMismatchError(
-                f"f_o must map {self.n + self.d_y} -> {self.n} variables, "
+            raise DimensionMismatchError(  # n and d_y are not yet bounded by a map
+                f"f_o must map {printable(self.n + self.d_y)} -> {printable(self.n)} variables, "
                 f"got {self.f_o.n_vars} -> {self.f_o.m}"
             )
         if self.h_o.n_vars != self.n or self.h_o.m != self.d_y:
@@ -278,9 +275,7 @@ def predict_one_step(
         raise DimensionMismatchError(
             f"x0 must have shape ({model.n}, {ts.s}), got {x.shape}"
         )
-    if (isinstance(t_start, bool) or not isinstance(t_start, (int, np.integer))
-            or not 1 <= t_start <= ts.t_1):
-        raise InvalidInputError(f"t_start must be an integer in 1..{ts.t_1}, got {t_start!r}")
+    t_start = integer(t_start, "t_start", 1, ts.t_1)
 
     measured = ts.Y[t_start - 1 :]
 
@@ -443,7 +438,9 @@ def deserialize_model(text: str) -> ObserverModel:
     """Decode a model document, validating every structural invariant.
 
     Raises:
-        ParseError: On malformed JSON (message carries line/column).
+        ParseError: On malformed JSON (message carries line/column), an integer
+            literal of more digits than Python converts, or nesting too deep
+            for the decoder.
         ValidationError: On schema or invariant violations, including
             all-zero coefficient columns (trivial generators) and a
             ``version`` other than the integer ``DOCUMENT_VERSION``.
@@ -454,6 +451,8 @@ def deserialize_model(text: str) -> ObserverModel:
         raise ParseError(
             f"model document is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an integer of too many digits, or deep nesting
+        raise ParseError(f"model document cannot be decoded: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != DOCUMENT_FORMAT:
         raise ValidationError("document is not a polysid model")
     version = doc.get("version")

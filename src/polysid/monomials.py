@@ -21,6 +21,7 @@ contains nor on how many samples are evaluated together.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ._records import ArrayRecord, readonly_copy, real_array
+from ._records import ArrayRecord, integer, printable, readonly_copy, real_array
 from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 
 #: Default cap on enumerated monomial rows; full enumerations grow
@@ -40,6 +41,15 @@ DEFAULT_ROW_CAP = 1_000_000
 #: :func:`build_data_matrix` allocates beyond the rows of ``K`` (800 MB), and
 #: on the cells each regression of ``identify`` holds.
 AUX_CELL_CAP = 100_000_000
+
+
+def _exponent_bounds(k_max) -> tuple[int, ...]:
+    """``k_max`` as a tuple of Python ``int``s, each a nonnegative integer."""
+    try:
+        entries = tuple(k_max)
+    except TypeError as exc:
+        raise InvalidInputError(f"k_max must be a sequence of integers: {exc}") from exc
+    return tuple(integer(k, "k_max entry", 0) for k in entries)
 
 
 def _check_rows_strictly_decreasing(K: np.ndarray) -> None:
@@ -64,7 +74,7 @@ class PowerMatrix(ArrayRecord):
     Attributes:
         K: Array of shape ``(d_v, n)`` of nonnegative integers; rows are
             pairwise distinct and strictly decreasing lexicographically.
-        k_max: Per-variable exponent bounds; every ``K[i, j] <= k_max[j]``.
+        k_max: Per-variable exponent bounds, nonnegative integers; every ``K[i, j] <= k_max[j]``.
 
     Two power matrices are equal when their rows and bounds are; equal
     matrices hash equally.
@@ -90,16 +100,11 @@ class PowerMatrix(ArrayRecord):
         K = readonly_copy(K, np.int64)
         if K.size and K.min() < 0:
             raise InvalidInputError("power matrix entries must be nonnegative")
-        try:
-            k_max = tuple(int(k) for k in self.k_max)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"k_max entries must be integers: {exc}") from exc
+        k_max = _exponent_bounds(self.k_max)
         if len(k_max) != K.shape[1]:
             raise InvalidInputError(
                 f"k_max length {len(k_max)} does not match {K.shape[1]} variables"
             )
-        if any(k < 0 for k in k_max):
-            raise InvalidInputError("k_max entries must be nonnegative")
         if K.size and (K > np.asarray(k_max)[None, :]).any():
             raise InvalidInputError("power matrix entry exceeds its k_max bound")
         _check_rows_strictly_decreasing(K)
@@ -131,8 +136,8 @@ class PowerMatrix(ArrayRecord):
         K = np.atleast_2d(np.asarray(K, dtype=np.int64))
         K = np.unique(K, axis=0)[::-1]  # unique sorts ascending lex; reverse
         if k_max is None:
-            k_max = tuple(int(v) for v in K.max(axis=0)) if K.size else (0,) * K.shape[1]
-        return cls(K, tuple(int(v) for v in k_max))
+            k_max = K.max(axis=0) if K.size else (0,) * K.shape[1]
+        return cls(K, k_max)
 
     def select_rows(self, indices: npt.ArrayLike) -> "PowerMatrix":
         """Return the sub-matrix of the given rows, preserving their order."""
@@ -195,9 +200,8 @@ class PowerMatrix(ArrayRecord):
 
 
 def identity_power_matrix(n: int) -> PowerMatrix:
-    """The power matrix of the coordinate monomials ``(x_1, ..., x_n)``."""
-    if n < 1:
-        raise InvalidInputError("identity power matrix needs at least one variable")
+    """The power matrix of the coordinates ``(x_1, ..., x_n)``, ``n**2 <= AUX_CELL_CAP``."""
+    n = integer(n, "n", 1, math.isqrt(AUX_CELL_CAP))
     return PowerMatrix(np.eye(n, dtype=np.int64), (1,) * n)
 
 
@@ -216,6 +220,35 @@ def _count_rows(bounds: tuple[int, ...], max_degree: int) -> int:
             for d in range(top + 1)
         ]
     return sum(counts)
+
+
+def checked_power_set(
+    n: int, k_max: Iterable[int], cap: int = DEFAULT_ROW_CAP, max_degree: int | None = None
+) -> tuple[tuple[int, ...], int, int]:
+    """``(k_max as ints, largest degree, row count)`` of :func:`enumerate_power_matrix`'s set.
+
+    It checks the arguments and raises as that function does, without enumerating.
+    """
+    n = integer(n, "n", 1)
+    bounds = _exponent_bounds(k_max)
+    if len(bounds) != n:
+        raise InvalidInputError(f"k_max length {len(bounds)} does not match n={printable(n)}")
+    degree = sum(bounds)
+    if max_degree is not None:
+        degree = min(integer(max_degree, "max_degree", 0), degree)
+    # Every degree 0..degree occurs, so the set has more than ``degree`` rows;
+    # this bounds the work of the count below.
+    if degree >= cap:
+        raise CapacityError(
+            f"power vector set has more than {printable(degree)} rows, "
+            f"exceeding the cap of {printable(cap)}"
+        )
+    total = _count_rows(bounds, degree)
+    if total > cap:
+        raise CapacityError(
+            f"power vector set has {printable(total)} rows, exceeding the cap of {printable(cap)}"
+        )
+    return bounds, degree, total
 
 
 def enumerate_power_matrix(
@@ -242,30 +275,11 @@ def enumerate_power_matrix(
         max_degree: Optional cap on the total degree of each row (>= 0).
 
     Raises:
-        InvalidInputError: On bad ``n``, ``k_max`` or ``max_degree``.
+        InvalidInputError: Unless ``n`` is a positive integer, ``k_max`` ``n``
+            nonnegative integers and ``max_degree`` None or a nonnegative integer.
         CapacityError: If the enumeration would exceed ``cap`` rows.
     """
-    if n < 1:
-        raise InvalidInputError(f"need at least one variable, got n={n}")
-    bounds = tuple(int(k) for k in k_max)
-    if len(bounds) != n:
-        raise InvalidInputError(f"k_max length {len(bounds)} does not match n={n}")
-    if any(k < 0 for k in bounds):
-        raise InvalidInputError("k_max entries must be nonnegative")
-    if max_degree is not None and max_degree < 0:
-        raise InvalidInputError(f"max_degree must be nonnegative, got {max_degree}")
-    degree = sum(bounds) if max_degree is None else min(int(max_degree), sum(bounds))
-    # Every degree 0..degree occurs, so the set has more than ``degree`` rows;
-    # this bounds the work of the count below.
-    if degree >= cap:
-        raise CapacityError(
-            f"power vector set has more than {degree} rows, exceeding the cap of {cap}"
-        )
-    total = _count_rows(bounds, degree)
-    if total > cap:
-        raise CapacityError(
-            f"power vector set has {total} rows, exceeding the cap of {cap}"
-        )
+    bounds, degree, _ = checked_power_set(n, k_max, cap, max_degree)
     # Suffix rows over variables j..n-1 with total degree <= ``degree``, in
     # decreasing lex order; prepending exponents k_max[j] down to 0 keeps it.
     K = np.zeros((1, 0), dtype=np.int64)

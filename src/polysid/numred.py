@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from ._records import ArrayRecord, readonly_copy, real_array
+from ._records import ArrayRecord, positive_real, readonly_copy, real_array
 from .errors import DimensionMismatchError, InvalidInputError, NumericalOverflowError
 from .monomials import PowerMatrix
 
@@ -78,7 +78,7 @@ def mdtrunc(D, r: float) -> tuple[int, np.ndarray, TruncationTable]:
 
     Raises:
         InvalidInputError: If ``D`` is not a nonempty, nonincreasing vector of
-            finite nonnegative real numbers, not all zero, or ``r`` is outside (0, 1).
+            finite nonnegative real numbers, not all zero, or ``r`` no real in (0, 1).
     """
     d = real_array(D, "diagonal D", 1)
     if d.size == 0:
@@ -87,8 +87,7 @@ def mdtrunc(D, r: float) -> tuple[int, np.ndarray, TruncationTable]:
         raise InvalidInputError("diagonal entries must be nonnegative")
     if (np.diff(d) > 0).any():
         raise InvalidInputError("diagonal entries must be nonincreasing")
-    if not (0.0 < r < 1.0):
-        raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
+    r = positive_real(r, "threshold r", 1.0)
     cum = np.cumsum(d)
     total = cum[-1]
     if total == 0.0:
@@ -205,14 +204,13 @@ def svd_trunc_chunks(
 
     Raises:
         InvalidInputError: If a chunk is not two finite real 2-D arrays, if ``V_u``
-            is numerically zero (no entry above 1.5e-154), or if ``r`` is invalid.
+            is numerically zero (no entry above 1.5e-154), or ``r`` no real in (0, 1).
         DimensionMismatchError: Naming the chunk, if its two column counts
             differ or its row counts differ from the first chunk's.
         NumericalOverflowError: If ``G``, ``R``, ``C`` or ``H*`` is not finite,
             or a retained singular value overflows when squared (above about 1.3e154).
     """
-    if not (0.0 < r < 1.0):
-        raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
+    r = positive_real(r, "threshold r", 1.0)
     tsqr, G, columns = None, None, 0
     for c, (V_y, V_u) in enumerate(chunks, 1):
         Vy, Vu = real_array(V_y, "V_y", 2), real_array(V_u, "V_u", 2)
@@ -271,11 +269,10 @@ def lk_reduce(
         matrix, and the kept column indices.
 
     Raises:
-        InvalidInputError: If ``r`` is outside (0, 1), ``L`` is not a 2-D array of
+        InvalidInputError: If ``r`` is no real in (0, 1), ``L`` not a 2-D array of
             finite real numbers, shapes disagree, or ``L`` has no nonzero column.
     """
-    if not (0.0 < r < 1.0):
-        raise InvalidInputError(f"threshold r must lie in (0, 1), got {r}")
+    r = positive_real(r, "threshold r", 1.0)
     M = real_array(L, "coefficient matrix L", 2)
     if M.shape[1] != pm.d_v:
         raise DimensionMismatchError(

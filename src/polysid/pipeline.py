@@ -48,14 +48,13 @@ step later, and all of ``identify`` runs in one overflow scope.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ._records import ArrayRecord
+from ._records import ArrayRecord, integer, positive_real, printable
 from .errors import (
     CapacityError,
     ConfigError,
@@ -70,6 +69,7 @@ from .monomials import (
     DEFAULT_ROW_CAP,
     PowerMatrix,
     build_data_matrix,
+    checked_power_set,
     enumerate_power_matrix,
     identity_power_matrix,
 )
@@ -100,21 +100,24 @@ def build_window_vectors(
         ``(t_minus * d_y, a * s)`` for ``a`` anchor times.
 
     Raises:
-        InvalidInputError: If a window would leave the series bounds.
+        InvalidInputError: If a window length is not an integer in ``1..ts.t_1``,
+            an anchor time not an integer, or a window would leave the series bounds.
     """
-    if t_plus < 1 or t_minus < 1:
-        raise InvalidInputError("window lengths must be positive")
+    t_plus, t_minus = integer(t_plus, "t_plus", 1, ts.t_1), integer(t_minus, "t_minus", 1, ts.t_1)
     anchors = np.atleast_1d(t)
-    outside = (anchors - t_minus < 1) | (anchors + t_plus - 1 > ts.t_1)
+    if anchors.size and anchors.dtype.kind not in "iu":
+        raise InvalidInputError(f"anchor times t must be integers, got {printable(t)}")
+    outside = (anchors < t_minus + 1) | (anchors > ts.t_1 - t_plus + 1)  # unshifted: none wraps
     if outside.any():
         raise InvalidInputError(
             f"window (t={anchors[outside][0]}, t_plus={t_plus}, t_minus={t_minus}) "
             f"exceeds series bounds 1..{ts.t_1}"
         )
+    anchors = anchors.astype(np.int64, copy=False)  # an unsigned one would index as a float
     return past_windows(ts.Y, anchors + t_plus, t_plus), past_windows(ts.Y, anchors, t_minus)
 
 
-#: Least value of each integer ``IdentConfig`` field.
+#: Least value of each integer ``IdentConfig`` field; windows and times are also at most ``t_1``.
 _INT_LEAST = {
     "t_plus_max": 1, "t_minus_max": 1, "k_max_y": 0, "k_max_x": 0, "k_max_y2": 0,
     "anchor_t": 1, "max_total_degree_xy": 0, "row_cap": 1,
@@ -123,10 +126,6 @@ _INT_LEAST = {
 
 #: ``IdentConfig`` fields that may be None as input; ``resolved()`` fills in the first two.
 _AUTO_FIELDS = ("anchor_t", "pool_windows", "max_total_degree_xy")
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 #: Deprecated ``IdentConfig`` fields, each with why it is ignored.
@@ -143,20 +142,20 @@ class IdentConfig:
     """Parameters of the identification pipeline.
 
     The three thresholds ``r1``, ``r2`` and ``r4`` are mandatory; structural
-    parameters carry defaults.
+    parameters carry defaults.  Integer fields take Python or numpy integers, never bools.
 
     Attributes:
-        r1: Mass-fraction threshold of the past-to-future SVD truncation.
-        r2: Mass-fraction threshold of the dynamics SVD truncation.
-        r4: Column-pruning threshold of the LK-reductions.
-        t_plus_max / t_minus_max: The future and past window lengths.
+        r1: Mass-fraction threshold of the past-to-future SVD truncation, in (0, 1).
+        r2: Mass-fraction threshold of the dynamics SVD truncation, in (0, 1).
+        r4: Column-pruning threshold of the LK-reductions, in (0, 1).
+        t_plus_max / t_minus_max: The future and past window lengths, at most ``t_1``.
         k_max_y: Exponent bound (nonnegative) of every past output in the
             past lifting, ``t_minus * d_y`` variables.
         k_max_x: Exponent bound (nonnegative) of every state in the
             dynamics lifting.
         k_max_y2: Exponent bound (nonnegative) of every current output in
             the dynamics lifting.
-        anchor_t: Anchor time; defaults to ``t_minus_max + 1``.
+        anchor_t: Anchor time, at most ``t_1``; defaults to ``t_minus_max + 1``.
         pool_windows: Pool every admissible anchor as extra data columns;
             ``resolved()`` decides it when ``None``.
         max_total_degree_xy: Optional total-degree cap on the (state, output)
@@ -214,31 +213,23 @@ class IdentConfig:
             ConfigError: Naming the first field of the wrong type or out of
                 range, or if the windows do not fit the series.
         """
-        values = {}
-        for name, below in (("r1", 1.0), ("r2", 1.0), ("r4", 1.0), ("scale_gamma", np.inf)):
-            v = getattr(self, name)
-            try:
-                values[name] = float(v) if _is_real(v) else np.nan
-            except OverflowError as exc:  # a real beyond the float range, which may not print
-                raise ConfigError(f"{name} must lie in (0, {below:g}): {exc}") from exc
-            if not 0.0 < values[name] < below:
-                raise ConfigError(f"{name} must lie in (0, {below:g}), got {v!r}")
+        values = {
+            name: positive_real(getattr(self, name), name, below, ConfigError)
+            for name, below in (("r1", 1.0), ("r2", 1.0), ("r4", 1.0), ("scale_gamma", np.inf))
+        }
         for name, reason in _IGNORED_FIELDS:
             if getattr(self, name) is not None:
                 warnings.warn(f"{name} is ignored: {reason}", FutureWarning, stacklevel=2)
         for name in ("scale_outputs", "pool_windows"):
             v = getattr(self, name)
             if not (isinstance(v, (bool, np.bool_)) or v is None and name in _AUTO_FIELDS):
-                raise ConfigError(f"{name} must be a boolean, got {v!r}")
+                raise ConfigError(f"{name} must be a boolean, got {printable(v)}")
             values[name] = v if v is None else bool(v)
         for name, least in _INT_LEAST.items():
             v = getattr(self, name)
-            if v is None and name in _AUTO_FIELDS:
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-                kind = "nonnegative" if least == 0 else "positive"
-                raise ConfigError(f"{name} must be a {kind} integer, got {v!r}")
-            values[name] = int(v)
+            if v is not None or name not in _AUTO_FIELDS:
+                longest = ts.t_1 if name in ("t_plus_max", "t_minus_max", "anchor_t") else None
+                values[name] = integer(v, name, least, longest, ConfigError)
         t_minus_max, t_plus_max = values["t_minus_max"], values["t_plus_max"]
         anchor = values.setdefault("anchor_t", t_minus_max + 1)
         if anchor - t_minus_max < 1:
@@ -341,13 +332,13 @@ def _check_finite(name: str, scaled: bool, *arrays: np.ndarray) -> None:
         raise _overflow(name, scaled)
 
 
-def _chunk_width(K: PowerMatrix) -> int:
-    return max(CHUNK_COLUMNS, 2 * K.d_v)  # so each regression QR is tall
+def _chunk_width(d_v: int) -> int:
+    return max(CHUNK_COLUMNS, 2 * d_v)  # so each regression QR is tall
 
 
 def _lifted_chunks(samples: np.ndarray, K: PowerMatrix, what: str, scaled: bool, L=None):
     """Column slices of ``samples`` with their ``K`` lifting (times ``L``), checked as ``what``."""
-    width = _chunk_width(K)
+    width = _chunk_width(K.d_v)
     for a in range(0, samples.shape[1], width):
         V = build_data_matrix(samples[:, a : a + width].T, K)
         values = V if L is None else L @ V
@@ -360,9 +351,19 @@ def eval_many_checked(M: MonomialMap, samples: np.ndarray, what: str, scaled: bo
     return np.hstack([values for _, values in _lifted_chunks(samples, M.K, what, scaled, M.L)])
 
 
-def _lifting(stage: _Stage, k_max: tuple, cap: int, max_degree=None) -> PowerMatrix:
-    """The power matrix of ``stage``'s dictionary, one exponent bound per variable."""
+def _lifting(stage: _Stage, k_max: tuple, cap: int, columns: int, max_degree=None) -> PowerMatrix:
+    """The power matrix of ``stage``'s dictionary, one exponent bound per variable.
+
+    Before enumerating, a ``CapacityError`` names the lifting if it exceeds ``cap`` rows, or
+    its regression on ``columns`` samples (``R``'s ``d_v**2`` cells, a chunk) ``AUX_CELL_CAP``.
+    """
     try:
+        d_v = checked_power_set(len(k_max), k_max, cap, max_degree)[2]
+        cells = d_v * (d_v + min(_chunk_width(d_v), columns))
+        if cells > AUX_CELL_CAP:
+            raise CapacityError(
+                f"regressing on its {d_v} monomials takes {cells} cells, more than {AUX_CELL_CAP}"
+            )
         return enumerate_power_matrix(len(k_max), k_max, cap, max_degree)
     except CapacityError as exc:
         raise CapacityError(f"{stage.lifting}: {exc}; lower {stage.bounds}") from exc
@@ -374,19 +375,11 @@ def _regress(
     """Regress ``target`` on the monomials ``K`` of the sample columns, chunk by chunk.
 
     Raises:
-        CapacityError: Naming ``stage``'s lifting, before any lifting, if the
-            factor ``R`` (``d_v**2`` cells) and one chunk exceed ``AUX_CELL_CAP``.
         NumericalOverflowError: Naming ``stage``'s lifted samples or its
             regression, whichever overflows.
         RankDeficiencyError: Naming ``stage``'s regression, if the retained
             rank uses every data column.
     """
-    cells = K.d_v * (K.d_v + min(_chunk_width(K), samples.shape[1]))
-    if cells > AUX_CELL_CAP:
-        raise CapacityError(
-            f"{stage.lifting}: regressing on its {K.d_v} monomials takes {cells} cells, "
-            f"more than {AUX_CELL_CAP}; lower {stage.bounds}"
-        )
     chunks = _lifted_chunks(samples, K, stage.lifted, scaled)
     try:
         res = svd_trunc_chunks(((target[:, columns], V) for columns, V in chunks), r)
@@ -429,8 +422,9 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
 
     Raises:
         ConfigError: On an invalid or infeasible configuration.
-        CapacityError: If a monomial dictionary would exceed the row cap, or
-            its regression ``AUX_CELL_CAP`` cells; it names the lifting.
+        CapacityError: Before a monomial dictionary is enumerated, if it would
+            exceed the row cap, or its regression ``AUX_CELL_CAP`` cells; it
+            names the lifting.
         RankDeficiencyError: If there are too few data columns for the
             rank the past or the dynamics regression retains; it names it.
         NumericalOverflowError: Naming the stage whose values overflow: the
@@ -450,9 +444,10 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
         scaling = OutputScaling(mean, std)
         work = TimeSeriesSet(Y)
 
-    K_past = _lifting(_PAST, (cfg.k_max_y,) * (t_minus * d_y), cfg.row_cap)
     anchors = (np.arange(t_minus + 1, work.t_1 - t_plus + 2) if cfg.pool_windows
                else np.array([cfg.anchor_t]))
+    columns = len(anchors) * ts.s
+    K_past = _lifting(_PAST, (cfg.k_max_y,) * (t_minus * d_y), cfg.row_cap, columns)
     Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
     res1 = _regress(Yplus, Yminus, K_past, cfg.r1, _PAST, cfg.scale_outputs)
     g_io = MonomialMap(*lk_reduce(res1.L, K_past, cfg.r4)[:2])
@@ -470,7 +465,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
 
     y_now = Yplus[-d_y:]  # y(t) at every anchor, the bottom of the future stack
     bounds = (cfg.k_max_x,) * n + (cfg.k_max_y2,) * d_y
-    K_xy = _lifting(_DYNAMICS, bounds, cfg.row_cap, cfg.max_total_degree_xy)
+    K_xy = _lifting(_DYNAMICS, bounds, cfg.row_cap, columns, cfg.max_total_degree_xy)
     res2 = _regress(X_next, np.vstack([X_t, y_now]), K_xy, cfg.r2, _DYNAMICS, cfg.scale_outputs)
     # The full n rows of H_star; the truncation only limits the fit rank.
     f_o = MonomialMap(*lk_reduce(res2.H_star, K_xy, cfg.r4)[:2])

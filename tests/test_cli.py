@@ -319,6 +319,16 @@ class TestPredictGuards:
         )
         assert not out.exists()
 
+    def test_undecodable_model_is_a_parse_error(self, tmp_path, capsys):
+        model_path, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "p.csv"
+        model_path.write_text('{"format": "polysid-model", "version": 1, "n": ' + "1" * 5000 + "}")
+        emit(generate(decay_spec(4), 3), data)
+        assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: PARSE: model document cannot be decoded: Exceeds the limit (4300 digits)"
+        )
+        assert not out.exists()
+
     def test_auxiliary_cells_over_the_cap_are_a_capacity_error(
         self, tmp_path, capsys, monkeypatch
     ):

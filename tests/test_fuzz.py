@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polysid import (
+    CapacityError,
+    ConfigError,
+    DimensionMismatchError,
+    IdentConfig,
     InvalidInputError,
     MonomialMap,
     ObserverModel,
@@ -25,13 +31,18 @@ from polysid import (
     PowerMatrix,
     TimeSeriesSet,
     build_data_matrix,
+    build_window_vectors,
     deserialize_model,
+    enumerate_power_matrix,
+    generate,
+    identify,
     identity_power_matrix,
     initial_state_from_past,
     lk_reduce,
     mdtrunc,
     predict_one_step,
     serialize_model,
+    svd_trunc,
 )
 from polysid import dataio
 from polysid.cli import config_from_kv
@@ -272,6 +283,162 @@ GATED_ENTRY_POINTS = {
 @given(samples=samples_like)
 def test_gated_entry_points_arbitrary_arrays(entry, samples):
     only_polysid_errors(GATED_ENTRY_POINTS[entry], samples)
+
+
+#: An integer of more digits than Python prints.
+BIG = 10**5000
+#: Values of the wrong type, out of range, or at the edges of int64, float64 and printing.
+SCALARS = [
+    True, False, np.bool_(True), None, "1", "0.5", math.nan, math.inf, -math.inf, 1.5, 2.0,
+    0, -1, np.int8(3), np.uint64(2**63), np.float32(0.5), Fraction(1, 2), Fraction(BIG),
+    2**63, BIG, -BIG,
+]
+SCALAR_SERIES = TimeSeriesSet(np.linspace(-1.0, 1.0, 120).reshape(12, 1, 10))
+SCALAR_CONFIG = dict(r1=0.999, r2=0.999, r4=0.001, t_plus_max=2, t_minus_max=2)
+#: Every caller scalar the integer and real gates check, each called with one.
+SCALAR_ENTRY_POINTS = {
+    **{
+        f"IdentConfig-{name}": lambda v, name=name: identify(
+            SCALAR_SERIES, IdentConfig(**{**SCALAR_CONFIG, name: v})
+        )
+        for name in (
+            "r1", "r2", "r4", "scale_gamma", "t_plus_max", "t_minus_max", "k_max_y", "k_max_x",
+            "k_max_y2", "anchor_t", "pool_windows", "max_total_degree_xy", "row_cap",
+        )
+    },
+    "build_window_vectors-t": lambda v: build_window_vectors(GATED_SERIES, v, 1, 1),
+    "build_window_vectors-t_plus": lambda v: build_window_vectors(GATED_SERIES, 2, v, 1),
+    "build_window_vectors-t_minus": lambda v: build_window_vectors(GATED_SERIES, 2, 1, v),
+    **{
+        f"ObserverModel-{name}": lambda v, name=name: dataclasses.replace(GATED_MODEL, **{name: v})
+        for name in ("n", "d_y", "t_minus")
+    },
+    "predict_one_step-t_start": lambda v: predict_one_step(
+        GATED_MODEL, GATED_SERIES, np.zeros((2, 2)), v
+    ),
+    **{
+        f"GeneratorSpec-{name}": lambda v, name=name: generate(
+            dataclasses.replace(linear_spec(2, t_1=4), **{name: v}), 1
+        )
+        for name in ("t_1", "s", "n", "d_y")
+    },
+    "generate-seed": lambda v: generate(linear_spec(2, t_1=4), v),
+    "PowerMatrix-k_max": lambda v: PowerMatrix([[1, 0]], v),
+    "PowerMatrix-k_max entry": lambda v: PowerMatrix([[1, 0]], (v, 0)),
+    "identity_power_matrix-n": identity_power_matrix,
+    "enumerate_power_matrix-n": lambda v: enumerate_power_matrix(v, (1, 1)),
+    "enumerate_power_matrix-k_max": lambda v: enumerate_power_matrix(1, v),
+    "enumerate_power_matrix-k_max entry": lambda v: enumerate_power_matrix(2, (v, 1)),
+    "enumerate_power_matrix-max_degree": lambda v: enumerate_power_matrix(2, (2, 2), max_degree=v),
+    "mdtrunc-r": lambda v: mdtrunc([2.0, 1.0], v),
+    "svd_trunc-r": lambda v: svd_trunc(np.eye(2), np.eye(2), v),
+    "svd_trunc_chunks-r": lambda v: svd_trunc_chunks([(np.eye(2), np.eye(2))], v),
+    "lk_reduce-r": lambda v: lk_reduce(np.ones((1, 4)), POWER_MATRIX, v),
+}
+
+
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_gated_entry_points_arbitrary_scalars(entry):
+    for value in SCALARS:
+        only_polysid_errors(SCALAR_ENTRY_POINTS[entry], value)
+
+
+#: Calls that ended in a bare ValueError, TypeError or IndexError, or truncated
+#: a non-integer silently, each with its error and message.
+SCALAR_FAULTS = {
+    "resolved-row_cap": (
+        lambda: IdentConfig(**SCALAR_CONFIG, row_cap=-BIG).resolved(SCALAR_SERIES),
+        ConfigError, "row_cap must be a positive integer, got about -10**5000",
+    ),
+    "resolved-pool_windows": (
+        lambda: IdentConfig(**SCALAR_CONFIG, pool_windows=BIG).resolved(SCALAR_SERIES),
+        ConfigError, "pool_windows must be a boolean, got about 10**5000",
+    ),
+    "resolved-t_plus_max": (
+        lambda: IdentConfig(**{**SCALAR_CONFIG, "t_plus_max": BIG}).resolved(SCALAR_SERIES),
+        ConfigError, "t_plus_max must be an integer in 1..12, got about 10**5000",
+    ),
+    "resolved-anchor_t": (
+        lambda: IdentConfig(**SCALAR_CONFIG, anchor_t=BIG).resolved(SCALAR_SERIES),
+        ConfigError, "anchor_t must be an integer in 1..12, got about 10**5000",
+    ),
+    "identify-k_max_y": (
+        lambda: identify(SCALAR_SERIES, IdentConfig(**SCALAR_CONFIG, k_max_y=BIG)),
+        CapacityError,
+        "past monomial lifting: power vector set has more than about 10**5000 rows, "
+        "exceeding the cap of 1000000; lower k_max_y or t_minus_max",
+    ),
+    "generate-seed": (
+        lambda: generate(linear_spec(2), -BIG),
+        InvalidInputError, "seed must be a nonnegative integer, got about -10**5000",
+    ),
+    "ObserverModel-n": (
+        lambda: dataclasses.replace(GATED_MODEL, n=BIG),
+        DimensionMismatchError,
+        "f_o must map about 10**5000 -> about 10**5000 variables, got 3 -> 2",
+    ),
+    "predict_one_step-t_start": (
+        lambda: predict_one_step(GATED_MODEL, GATED_SERIES, np.zeros((2, 2)), t_start=BIG),
+        InvalidInputError, "t_start must be an integer in 1..3, got about 10**5000",
+    ),
+    "enumerate_power_matrix-k_max": (
+        lambda: enumerate_power_matrix(1, (BIG,)),
+        CapacityError,
+        "power vector set has more than about 10**5000 rows, exceeding the cap of 1000000",
+    ),
+    "identity_power_matrix-big": (
+        lambda: identity_power_matrix(BIG),
+        InvalidInputError, "n must be an integer in 1..10000, got about 10**5000",
+    ),
+    "identity_power_matrix-2.5": (
+        lambda: identity_power_matrix(2.5),
+        InvalidInputError, "n must be an integer in 1..10000, got 2.5",
+    ),
+    "mdtrunc": (
+        lambda: mdtrunc([1.0], "0.5"),
+        InvalidInputError, "threshold r must lie in (0, 1), got '0.5'",
+    ),
+    "svd_trunc": (
+        lambda: svd_trunc(np.eye(2), np.eye(2), "0.5"),
+        InvalidInputError, "threshold r must lie in (0, 1), got '0.5'",
+    ),
+    "lk_reduce": (
+        lambda: lk_reduce(np.ones((1, 4)), POWER_MATRIX, None),
+        InvalidInputError, "threshold r must lie in (0, 1), got None",
+    ),
+    "build_window_vectors": (
+        lambda: build_window_vectors(SCALAR_SERIES, 5, 1.5, 2),
+        InvalidInputError, "t_plus must be an integer in 1..12, got 1.5",
+    ),
+    "build_window_vectors-t": (
+        lambda: build_window_vectors(SCALAR_SERIES, BIG, 1, 2),
+        InvalidInputError, "anchor times t must be integers, got about 10**5000",
+    ),
+    "enumerate_power_matrix-k_max entry": (
+        lambda: enumerate_power_matrix(2, (1.7, 1)),
+        InvalidInputError, "k_max entry must be a nonnegative integer, got 1.7",
+    ),
+    "PowerMatrix-k_max entry": (
+        lambda: PowerMatrix([[1, 0]], (1.5, 0)),
+        InvalidInputError, "k_max entry must be a nonnegative integer, got 1.5",
+    ),
+    "enumerate_power_matrix-max_degree": (
+        lambda: enumerate_power_matrix(2, (1, 1), max_degree=1.5),
+        InvalidInputError, "max_degree must be a nonnegative integer, got 1.5",
+    ),
+    "enumerate_power_matrix-n": (
+        lambda: enumerate_power_matrix(2.0, (1, 1)),
+        InvalidInputError, "n must be a positive integer, got 2.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", SCALAR_FAULTS)
+def test_scalar_faults_are_coded_errors(fault):
+    call, error, message = SCALAR_FAULTS[fault]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_complex_arrays_raise_without_warning():

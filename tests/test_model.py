@@ -521,6 +521,18 @@ class TestSerialization:
             deserialize_model("{ not json }")
         assert "line" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            # json converts the literal with int(), which stops at 4300 digits.
+            ('{"format": "polysid-model", "version": ' + "1" * 5000 + "}", "Exceeds the limit"),
+            ("[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+    )
+    def test_undecodable_document_is_a_parse_error(self, text, reason):
+        with pytest.raises(ParseError, match=f"^model document cannot be decoded: {reason}"):
+            deserialize_model(text)
+
     def test_rejects_foreign_document(self):
         with pytest.raises(ValidationError):
             deserialize_model('{"format": "something-else"}')
@@ -548,13 +560,18 @@ class TestSerialization:
         assert deserialize_model(serialize_model(wide)) == wide
 
     @pytest.mark.parametrize(
-        "name, value", [("n", True), ("d_y", True), ("t_minus", True), ("n", 2.0), ("d_y", "1")]
+        "name, value, kind",
+        [
+            ("n", True, "a positive integer"), ("d_y", True, "a positive integer"),
+            ("t_minus", True, "an integer"), ("n", 2.0, "a positive integer"),
+            ("d_y", "1", "a positive integer"),
+        ],
     )
-    def test_rejects_boolean_or_non_integer_dimensions(self, name, value):
+    def test_rejects_boolean_or_non_integer_dimensions(self, name, value, kind):
         model = reference_fixture_model()
         g_io = MonomialMap(np.ones((model.n, 1)), identity_power_matrix(1))
         fields = dict(n=model.n, d_y=1, f_o=model.f_o, h_o=model.h_o, g_io=g_io, t_minus=1)
-        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be {kind}, got "):
             ObserverModel(**{**fields, name: value})
 
     @pytest.mark.parametrize(

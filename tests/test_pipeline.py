@@ -70,6 +70,14 @@ class TestBuildWindowVectors:
             build_window_vectors(ts, 2, 4, 1)
         with pytest.raises(InvalidInputError):
             build_window_vectors(ts, 2, 1, 2)
+        with pytest.raises(InvalidInputError, match=r"^window \(t=1, t_plus=1, t_minus=2\)"):
+            build_window_vectors(ts, np.array([1], dtype=np.uint64), 1, 2)
+
+    def test_unsigned_anchors_give_the_signed_windows(self):
+        ts = scalar_series([1, 2, 3, 4, 5, 6])
+        for got, want in zip(build_window_vectors(ts, np.array([3, 4], dtype=np.uint64), 2, 2),
+                             build_window_vectors(ts, np.array([3, 4]), 2, 2)):
+            assert np.array_equal(got, want)
 
     def test_array_of_anchors(self, rng):
         ts = TimeSeriesSet(rng.standard_normal((10, 2, 3)))
@@ -320,22 +328,34 @@ class TestIdentify:
             identify(ts, cfg)
         assert "past monomial lifting" in str(err.value)
 
-    def test_regression_too_large_is_a_capacity_error_before_lifting(self, monkeypatch):
+    @pytest.mark.parametrize("t_minus, t_1, columns", [(14, 30, 130), (19, 60, 380)])
+    def test_regression_too_large_is_a_capacity_error_before_lifting(
+        self, monkeypatch, t_minus, t_1, columns
+    ):
         # At t_minus = 14 the past dictionary has 2**14 = 16384 monomials, so
         # the regression's triangular factor alone would hold 2.7e8 cells; the
-        # 10 series pool 13 anchors, 130 columns, all in one chunk.
-        def no_lifting(*args):
-            raise AssertionError("lifted before the capacity check")
+        # 10 series pool 13 anchors, 130 columns, all in one chunk.  At 19 the
+        # dictionary has 2**19 rows, and its enumeration alone held 208 MB.
+        def forbidden(*args):
+            raise AssertionError("enumerated or lifted before the capacity check")
 
-        monkeypatch.setattr("polysid.pipeline.build_data_matrix", no_lifting)
-        ts = generate(linear_spec(10, t_1=30), 19)
-        with pytest.raises(CapacityError) as err:
-            identify(ts, small_decay_config(t_minus_max=14, t_plus_max=4))
+        monkeypatch.setattr("polysid.pipeline.enumerate_power_matrix", forbidden)
+        monkeypatch.setattr("polysid.pipeline.build_data_matrix", forbidden)
+        ts = generate(linear_spec(10, t_1=t_1), 19)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as err:
+                identify(ts, small_decay_config(t_minus_max=t_minus, t_plus_max=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d_v = 2**t_minus
         assert str(err.value) == (
-            f"past monomial lifting: regressing on its 16384 monomials takes "
-            f"{16384 * (16384 + 130)} cells, more than 100000000; "
+            f"past monomial lifting: regressing on its {d_v} monomials takes "
+            f"{d_v * (d_v + columns)} cells, more than 100000000; "
             "lower k_max_y or t_minus_max"
         )
+        assert peak < 10e6
 
     @pytest.mark.parametrize(
         "gain, t_max, scale_outputs, stage",

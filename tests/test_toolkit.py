@@ -330,7 +330,7 @@ class TestKeyValueDocs:
     @pytest.mark.parametrize("field", ["t_1", "s", "n", "d_y"])
     @pytest.mark.parametrize("value", ["5", 5.0, True, None])
     def test_spec_integer_fields_reject_other_types(self, field, value):
-        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a positive integer, got "):
             dataclasses.replace(linear_spec(5, t_1=8), **{field: value})
 
 
