@@ -45,14 +45,21 @@ def readonly_copy(a, dtype=None) -> np.ndarray:
 def real_array(a, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
     """``a`` as a float array, uncopied if it is one, of ``ndim`` (or one of ``ndim``) dimensions.
 
+    Booleans, strings and bytes are not numbers here, though numpy converts them; but
+    numpy turns a list mixing booleans and numbers into a number array, which passes.
+
     Raises:
-        InvalidInputError: Naming ``what``, if ``a`` is complex, does not convert to
-            floats, has another number of dimensions or a non-finite entry.
+        InvalidInputError: Naming ``what``, if ``a`` is complex, holds booleans, strings
+            or bytes, does not convert to floats, has another number of dimensions
+            or a non-finite entry.
     """
     try:
         x = np.asarray(a)
-        if x.dtype.kind == "c" or x.dtype == object and any(map(np.iscomplexobj, x.flat)):
+        kinds = {np.asarray(v).dtype.kind for v in x.flat} if x.dtype == object else {x.dtype.kind}
+        if "c" in kinds:
             raise InvalidInputError(f"{what} must be real, got complex entries")
+        if kinds & set("bUS"):
+            raise InvalidInputError(f"{what} must hold numbers, got booleans, strings or bytes")
         x = x.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what} must be an array of real numbers: {exc}") from exc

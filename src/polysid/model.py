@@ -301,8 +301,8 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
         State column(s) at the time immediately after the window.
 
     The states of an identified model's training series ``ts`` at its
-    anchor time ``a = model.meta["config"]["anchor_t"]`` are
-    ``initial_state_from_past(model, ts.Y[a - 1 - model.t_minus : a - 1])``.
+    single anchor ``model.t_minus + 1`` are the burn-in state
+    ``initial_state_from_past(model, ts.Y[: model.t_minus])``.
 
     Raises:
         InvalidInputError: If the model carries no past lifting, or ``y_past`` is

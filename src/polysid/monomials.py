@@ -32,7 +32,7 @@ import numpy.typing as npt
 from ._records import ArrayRecord, integer, printable, readonly_copy, real_array
 from .errors import CapacityError, DimensionMismatchError, InvalidInputError
 
-#: Default cap on enumerated monomial rows; full enumerations grow
+#: Cap on enumerated monomial rows, read at each call; full enumerations grow
 #: exponentially in the number of variables.  Also the cap on the auxiliary
 #: rows of a product chain.
 DEFAULT_ROW_CAP = 1_000_000
@@ -223,7 +223,7 @@ def _count_rows(bounds: tuple[int, ...], max_degree: int) -> int:
 
 
 def checked_power_set(
-    n: int, k_max: Iterable[int], cap: int = DEFAULT_ROW_CAP, max_degree: int | None = None
+    n: int, k_max: Iterable[int], *, max_degree: int | None = None
 ) -> tuple[tuple[int, ...], int, int]:
     """``(k_max as ints, largest degree, row count)`` of :func:`enumerate_power_matrix`'s set.
 
@@ -238,24 +238,21 @@ def checked_power_set(
         degree = min(integer(max_degree, "max_degree", 0), degree)
     # Every degree 0..degree occurs, so the set has more than ``degree`` rows;
     # this bounds the work of the count below.
-    if degree >= cap:
+    if degree >= DEFAULT_ROW_CAP:
         raise CapacityError(
             f"power vector set has more than {printable(degree)} rows, "
-            f"exceeding the cap of {printable(cap)}"
+            f"exceeding the cap of {DEFAULT_ROW_CAP}"
         )
     total = _count_rows(bounds, degree)
-    if total > cap:
+    if total > DEFAULT_ROW_CAP:
         raise CapacityError(
-            f"power vector set has {printable(total)} rows, exceeding the cap of {printable(cap)}"
+            f"power vector set has {printable(total)} rows, exceeding the cap of {DEFAULT_ROW_CAP}"
         )
     return bounds, degree, total
 
 
 def enumerate_power_matrix(
-    n: int,
-    k_max: Iterable[int],
-    cap: int = DEFAULT_ROW_CAP,
-    max_degree: int | None = None,
+    n: int, k_max: Iterable[int], *, max_degree: int | None = None
 ) -> PowerMatrix:
     """Enumerate a bounded power vector set in decreasing lex order.
 
@@ -269,17 +266,15 @@ def enumerate_power_matrix(
     Args:
         n: Number of variables (>= 1).
         k_max: Per-variable exponent bounds, length ``n``.
-        cap: Safety cap on the number of rows.  It is checked against the
-            true row count of the (degree-bounded) set before anything is
-            allocated, since the count is exponential in ``n``.
         max_degree: Optional cap on the total degree of each row (>= 0).
 
     Raises:
         InvalidInputError: Unless ``n`` is a positive integer, ``k_max`` ``n``
             nonnegative integers and ``max_degree`` None or a nonnegative integer.
-        CapacityError: If the enumeration would exceed ``cap`` rows.
+        CapacityError: If the enumeration would exceed ``DEFAULT_ROW_CAP`` rows,
+            counted on the (degree-bounded) set before anything is allocated.
     """
-    bounds, degree, _ = checked_power_set(n, k_max, cap, max_degree)
+    bounds, degree, _ = checked_power_set(n, k_max, max_degree=max_degree)
     # Suffix rows over variables j..n-1 with total degree <= ``degree``, in
     # decreasing lex order; prepending exponents k_max[j] down to 0 keeps it.
     K = np.zeros((1, 0), dtype=np.int64)

@@ -66,7 +66,6 @@ from .genred import MonomialMap
 from .model import ObserverModel, OutputScaling
 from .monomials import (
     AUX_CELL_CAP,
-    DEFAULT_ROW_CAP,
     PowerMatrix,
     build_data_matrix,
     checked_power_set,
@@ -117,15 +116,15 @@ def build_window_vectors(
     return past_windows(ts.Y, anchors + t_plus, t_plus), past_windows(ts.Y, anchors, t_minus)
 
 
-#: Least value of each integer ``IdentConfig`` field; windows and times are also at most ``t_1``.
+#: Least value of each integer ``IdentConfig`` field; windows are also at most ``t_1``.
 _INT_LEAST = {
     "t_plus_max": 1, "t_minus_max": 1, "k_max_y": 0, "k_max_x": 0, "k_max_y2": 0,
-    "anchor_t": 1, "max_total_degree_xy": 0, "row_cap": 1,
+    "max_total_degree_xy": 0,
 }
 
 
-#: ``IdentConfig`` fields that may be None as input; ``resolved()`` fills in the first two.
-_AUTO_FIELDS = ("anchor_t", "pool_windows", "max_total_degree_xy")
+#: ``IdentConfig`` fields that may be None as input; ``resolved()`` fills in the first.
+_AUTO_FIELDS = ("pool_windows", "max_total_degree_xy")
 
 
 #: Deprecated ``IdentConfig`` fields, each with why it is ignored.
@@ -155,31 +154,25 @@ class IdentConfig:
             dynamics lifting.
         k_max_y2: Exponent bound (nonnegative) of every current output in
             the dynamics lifting.
-        anchor_t: Anchor time, at most ``t_1``; defaults to ``t_minus_max + 1``.
         pool_windows: Pool every admissible anchor as extra data columns;
             ``resolved()`` decides it when ``None``.
         max_total_degree_xy: Optional total-degree cap on the (state, output)
             dictionary (nonnegative); the bounded monomial set may be any
             subset of the full enumeration, and low-degree subsets keep the
             dynamics map tame between samples.  The capped set is enumerated
-            directly, so its size, not the box's, counts against
-            ``row_cap``.  ``None`` uses the full bounded set.
-        scale_outputs: Standardize each output dimension before lifting and
-            fold the transform into the model.
+            directly, so its size, not the box's, counts against the row cap.
+            ``None`` uses the full bounded set.
         scale_gamma: Extra gain (finite, positive) on the scaling divisor: outputs
-            are divided by ``scale_gamma * std``, so values below 1 inflate
-            the working amplitude.  Larger amplitudes weight high-degree
-            monomial directions more heavily in the truncated SVDs.
-        row_cap: Hard cap (positive) on the rows of each enumerated monomial
-            dictionary, the past lifting and the (state, output) lifting,
-            checked on the true row count before allocation.
+            are always standardized, divided by ``scale_gamma * std``, so
+            values below 1 inflate the working amplitude.  Larger amplitudes
+            weight high-degree monomial directions more heavily in the truncated SVDs.
         r3 / block_limit / t_plus_min / t_minus_min: Deprecated and ignored:
             they tuned the stages that the module docstring says were removed.
 
-    ``identify`` runs once, at ``t_plus_max`` and ``t_minus_max``; the module
-    docstring says why.  Setting a deprecated field warns with a
-    ``FutureWarning``; the resolved config sets it to ``None`` and its echo
-    leaves it out.
+    ``identify`` runs once, at ``t_plus_max`` and ``t_minus_max``, with the single
+    anchor ``t_minus_max + 1`` unless it pools; the module docstring says why.
+    Setting a deprecated field warns with a ``FutureWarning``; the resolved
+    config sets it to ``None`` and its echo leaves it out.
     """
 
     r1: float
@@ -192,12 +185,9 @@ class IdentConfig:
     k_max_y: int = 1
     k_max_x: int = 1
     k_max_y2: int = 1
-    anchor_t: int | None = None
     pool_windows: bool | None = None
     max_total_degree_xy: int | None = None
-    scale_outputs: bool = True
     scale_gamma: float = 1.0
-    row_cap: int = DEFAULT_ROW_CAP
     r3: float | None = None
     block_limit: int | None = None
 
@@ -205,9 +195,9 @@ class IdentConfig:
         """Validate against a data set and return the config that ``identify`` runs.
 
         The copy holds plain Python values, each converted before it is checked,
-        sets ``anchor_t`` and decides an unset ``pool_windows``: it pools when
-        ``s < 4 d_v`` for the past dictionary's ``(k_max_y + 1) ** (t_minus_max
-        * d_y)`` monomials.  Resolving it again returns an equal config.
+        and decides an unset ``pool_windows``: it pools when ``s < 4 d_v`` for
+        the past dictionary's ``(k_max_y + 1) ** (t_minus_max * d_y)`` monomials.
+        Resolving it again returns an equal config.
 
         Raises:
             ConfigError: Naming the first field of the wrong type or out of
@@ -220,32 +210,25 @@ class IdentConfig:
         for name, reason in _IGNORED_FIELDS:
             if getattr(self, name) is not None:
                 warnings.warn(f"{name} is ignored: {reason}", FutureWarning, stacklevel=2)
-        for name in ("scale_outputs", "pool_windows"):
-            v = getattr(self, name)
-            if not (isinstance(v, (bool, np.bool_)) or v is None and name in _AUTO_FIELDS):
-                raise ConfigError(f"{name} must be a boolean, got {printable(v)}")
-            values[name] = v if v is None else bool(v)
+        v = self.pool_windows
+        if not (isinstance(v, (bool, np.bool_)) or v is None):
+            raise ConfigError(f"pool_windows must be a boolean, got {printable(v)}")
+        values["pool_windows"] = v if v is None else bool(v)
         for name, least in _INT_LEAST.items():
             v = getattr(self, name)
             if v is not None or name not in _AUTO_FIELDS:
-                longest = ts.t_1 if name in ("t_plus_max", "t_minus_max", "anchor_t") else None
+                longest = ts.t_1 if name in ("t_plus_max", "t_minus_max") else None
                 values[name] = integer(v, name, least, longest, ConfigError)
         t_minus_max, t_plus_max = values["t_minus_max"], values["t_plus_max"]
-        anchor = values.setdefault("anchor_t", t_minus_max + 1)
-        if anchor - t_minus_max < 1:
+        if t_minus_max + 1 > ts.t_1 / 2:  # the single anchor
             raise ConfigError(
-                f"anchor time {anchor} leaves no room for a past window of "
-                f"{t_minus_max}"
+                f"t_minus_max {t_minus_max} puts the anchor {t_minus_max + 1} past half "
+                f"the series length ({ts.t_1}/2)"
             )
-        if anchor > ts.t_1 / 2:
+        if t_minus_max + t_plus_max > ts.t_1:
             raise ConfigError(
-                f"anchor time {anchor} must not exceed half the series length "
-                f"({ts.t_1}/2)"
-            )
-        if anchor + t_plus_max - 1 > ts.t_1:
-            raise ConfigError(
-                f"anchor time {anchor} leaves no room for a future window of "
-                f"{t_plus_max}"
+                f"t_plus_max {t_plus_max} leaves no room for a future window after "
+                f"the anchor {t_minus_max + 1} in {ts.t_1} samples"
             )
         if values["pool_windows"] is None:
             values["pool_windows"] = ts.s < 4 * (values["k_max_y"] + 1) ** (t_minus_max * ts.d_y)
@@ -282,11 +265,11 @@ class IdentDiagnostics(ArrayRecord):
             output) dictionary, and of the dynamics map after pruning.
         table2: Singular value mass table of the dynamics regression.
         training_rmse_per_series: One-step output RMSE of each series over
-            its outputs and anchors, in scaled output units (raw only when
-            ``scale_outputs`` is off), unlike ``PredictionReport``'s raw units.
+            its outputs and anchors, in scaled output units, unlike
+            ``PredictionReport``'s raw units.
         training_relative_rmse: The one-step RMSE over all columns divided by
             the std of the outputs at the anchors (or by 1 if that is 0), both scaled.
-        config_echo: The resolved config's ``echo()``: window lengths, anchor, pooling.
+        config_echo: The resolved config's ``echo()``: window lengths, pooling.
 
     Two diagnostics are equal when all their fields are.
     """
@@ -319,58 +302,58 @@ _DYNAMICS = _Stage("state-output monomial lifting",
                    "the lifted state-output pairs", "the dynamics regression")
 
 
-def _overflow(name: str, scaled: bool) -> NumericalOverflowError:
-    """The error for float overflow in a stage of ``identify``, naming it and a remedy."""
-    fix = "raise scale_gamma" if scaled else "enable output scaling"
+def _overflow(name: str) -> NumericalOverflowError:
+    """The error for float overflow in a stage of ``identify``, naming it and the remedy."""
     return NumericalOverflowError(
-        f"non-finite values in {name}; the outputs overflow, so {fix} or rescale the data"
+        f"non-finite values in {name}; the outputs overflow, so raise scale_gamma "
+        "or rescale the data"
     )
 
 
-def _check_finite(name: str, scaled: bool, *arrays: np.ndarray) -> None:
+def _check_finite(name: str, *arrays: np.ndarray) -> None:
     if not all(np.isfinite(arr).all() for arr in arrays):
-        raise _overflow(name, scaled)
+        raise _overflow(name)
 
 
 def _chunk_width(d_v: int) -> int:
     return max(CHUNK_COLUMNS, 2 * d_v)  # so each regression QR is tall
 
 
-def _lifted_chunks(samples: np.ndarray, K: PowerMatrix, what: str, scaled: bool, L=None):
+def _lifted_chunks(samples: np.ndarray, K: PowerMatrix, what: str, L=None):
     """Column slices of ``samples`` with their ``K`` lifting (times ``L``), checked as ``what``."""
     width = _chunk_width(K.d_v)
     for a in range(0, samples.shape[1], width):
         V = build_data_matrix(samples[:, a : a + width].T, K)
         values = V if L is None else L @ V
-        _check_finite(what, scaled, values)
+        _check_finite(what, values)
         yield slice(a, a + width), values
 
 
-def eval_many_checked(M: MonomialMap, samples: np.ndarray, what: str, scaled: bool) -> np.ndarray:
+def eval_many_checked(M: MonomialMap, samples: np.ndarray, what: str) -> np.ndarray:
     """Evaluate a monomial map on the sample columns chunk by chunk; ``what`` names overflow."""
-    return np.hstack([values for _, values in _lifted_chunks(samples, M.K, what, scaled, M.L)])
+    return np.hstack([values for _, values in _lifted_chunks(samples, M.K, what, M.L)])
 
 
-def _lifting(stage: _Stage, k_max: tuple, cap: int, columns: int, max_degree=None) -> PowerMatrix:
+def _lifting(stage: _Stage, k_max: tuple, columns: int, max_degree=None) -> PowerMatrix:
     """The power matrix of ``stage``'s dictionary, one exponent bound per variable.
 
-    Before enumerating, a ``CapacityError`` names the lifting if it exceeds ``cap`` rows, or
+    Before enumerating, a ``CapacityError`` names the lifting if it exceeds the row cap, or
     its regression on ``columns`` samples (``R``'s ``d_v**2`` cells, a chunk) ``AUX_CELL_CAP``.
     """
     try:
-        d_v = checked_power_set(len(k_max), k_max, cap, max_degree)[2]
+        d_v = checked_power_set(len(k_max), k_max, max_degree=max_degree)[2]
         cells = d_v * (d_v + min(_chunk_width(d_v), columns))
         if cells > AUX_CELL_CAP:
             raise CapacityError(
                 f"regressing on its {d_v} monomials takes {cells} cells, more than {AUX_CELL_CAP}"
             )
-        return enumerate_power_matrix(len(k_max), k_max, cap, max_degree)
+        return enumerate_power_matrix(len(k_max), k_max, max_degree=max_degree)
     except CapacityError as exc:
         raise CapacityError(f"{stage.lifting}: {exc}; lower {stage.bounds}") from exc
 
 
 def _regress(
-    target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float, stage: _Stage, scaled: bool
+    target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float, stage: _Stage
 ) -> SvdTruncResult:
     """Regress ``target`` on the monomials ``K`` of the sample columns, chunk by chunk.
 
@@ -380,13 +363,13 @@ def _regress(
         RankDeficiencyError: Naming ``stage``'s regression, if the retained
             rank uses every data column.
     """
-    chunks = _lifted_chunks(samples, K, stage.lifted, scaled)
+    chunks = _lifted_chunks(samples, K, stage.lifted)
     try:
         res = svd_trunc_chunks(((target[:, columns], V) for columns, V in chunks), r)
     except NumericalOverflowError as exc:
         if stage.lifted in str(exc):  # raised by the lifting, which named itself
             raise
-        raise _overflow(stage.regression, scaled) from exc
+        raise _overflow(stage.regression) from exc
     if samples.shape[1] <= res.n:
         raise RankDeficiencyError(
             f"{samples.shape[1]} data columns for retained rank {res.n} in {stage.regression}; "
@@ -400,7 +383,8 @@ def _regress(
 def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentDiagnostics]:
     """Identify a polynomial observer model from output time series.
 
-    The pipeline, in order: window construction around the anchor time (with
+    The pipeline, in order: output standardization by ``scale_gamma * std``;
+    window construction around the anchor time ``t_minus_max + 1`` (with
     optional anchor pooling); monomial lifting of past windows with the
     future side kept linear; truncated-SVD regression of the future on the
     lifted past with column pruning, whose pruned generators are the state
@@ -434,22 +418,18 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     cfg = cfg.resolved(ts)
     t_plus, t_minus, d_y = cfg.t_plus_max, cfg.t_minus_max, ts.d_y
 
-    scaling: OutputScaling | None = None
-    work = ts
-    if cfg.scale_outputs:
-        mean, std = ts.Y.mean(axis=(0, 2)), ts.Y.std(axis=(0, 2))
-        std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
-        Y = (ts.Y - mean[:, None]) / std[:, None]  # overflows, not rejected, if std underflows
-        _check_finite("the output scaling", True, mean, std, Y)
-        scaling = OutputScaling(mean, std)
-        work = TimeSeriesSet(Y)
+    mean, std = ts.Y.mean(axis=(0, 2)), ts.Y.std(axis=(0, 2))
+    std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
+    Y = (ts.Y - mean[:, None]) / std[:, None]  # overflows, not rejected, if std underflows
+    _check_finite("the output scaling", mean, std, Y)
+    scaling = OutputScaling(mean, std)
+    work = TimeSeriesSet(Y)
 
-    anchors = (np.arange(t_minus + 1, work.t_1 - t_plus + 2) if cfg.pool_windows
-               else np.array([cfg.anchor_t]))
+    anchors = np.arange(t_minus + 1, work.t_1 - t_plus + 2 if cfg.pool_windows else t_minus + 2)
     columns = len(anchors) * ts.s
-    K_past = _lifting(_PAST, (cfg.k_max_y,) * (t_minus * d_y), cfg.row_cap, columns)
+    K_past = _lifting(_PAST, (cfg.k_max_y,) * (t_minus * d_y), columns)
     Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
-    res1 = _regress(Yplus, Yminus, K_past, cfg.r1, _PAST, cfg.scale_outputs)
+    res1 = _regress(Yplus, Yminus, K_past, cfg.r1, _PAST)
     g_io = MonomialMap(*lk_reduce(res1.L, K_past, cfg.r4)[:2])
 
     # The pruned generators are the state map.  The output map takes the
@@ -460,18 +440,18 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
 
     # The anchors are consecutive: the windows a step later are those of anchors[1:] and one more.
     windows = np.hstack([Yminus, past_windows(work.Y, anchors[-1:] + 1, t_minus)])
-    X = eval_many_checked(g_io, windows, "the state samples", cfg.scale_outputs)
+    X = eval_many_checked(g_io, windows, "the state samples")
     X_t, X_next = X[:, : Yminus.shape[1]], X[:, ts.s :]
 
     y_now = Yplus[-d_y:]  # y(t) at every anchor, the bottom of the future stack
     bounds = (cfg.k_max_x,) * n + (cfg.k_max_y2,) * d_y
-    K_xy = _lifting(_DYNAMICS, bounds, cfg.row_cap, columns, cfg.max_total_degree_xy)
-    res2 = _regress(X_next, np.vstack([X_t, y_now]), K_xy, cfg.r2, _DYNAMICS, cfg.scale_outputs)
+    K_xy = _lifting(_DYNAMICS, bounds, columns, cfg.max_total_degree_xy)
+    res2 = _regress(X_next, np.vstack([X_t, y_now]), K_xy, cfg.r2, _DYNAMICS)
     # The full n rows of H_star; the truncation only limits the fit rank.
     f_o = MonomialMap(*lk_reduce(res2.H_star, K_xy, cfg.r4)[:2])
 
     # Training residuals: one-step output error at every pooled column.
-    y_hat = eval_many_checked(h_o, X_t, "the training predictions", cfg.scale_outputs)
+    y_hat = eval_many_checked(h_o, X_t, "the training predictions")
     squares = ((y_now - y_hat) ** 2).reshape(d_y, len(anchors), ts.s)
     y_std = y_now.std()
     diag = IdentDiagnostics(

@@ -120,7 +120,7 @@ class TestFullFlow:
         assert "pool_windows = True" in sections["CONFIG"]
         every_key = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
         assert "pooled" not in every_key
-        for key in ("anchor_t", "t_plus_max", "t_minus_max", "retained_rank_n1"):
+        for key in ("t_plus_max", "t_minus_max", "retained_rank_n1"):
             assert every_key.count(key) == 1
         assert sum("n1" in line for line in text.splitlines()) == 1
         assert not DEPRECATED & set(every_key)
@@ -352,7 +352,6 @@ class TestConfig:
             "max_total_degree_xy = -1",
             "k_max_x = -1",
             "k_max_y2 = -2",
-            "row_cap = 0",
             "scale_gamma = 0",
             "scale_gamma = -1",
             "scale_gamma = inf",
@@ -390,18 +389,33 @@ class TestConfig:
         thresholds = "r1 = 0.9\nr2 = 0.9\nr4 = 0.01\n"
         cfg = config_from_kv(
             thresholds
-            + "k_max_y = 2\nk_max_x = 3\nanchor_t = 5\npool_windows = yes\n"
+            + "k_max_y = 2\nk_max_x = 3\nt_plus_max = 5\npool_windows = yes\n"
             "scale_gamma = 2\nmax_total_degree_xy = 3\n"
         )
         assert (cfg.r4, cfg.k_max_y, cfg.k_max_x) == (0.01, 2, 3)
-        assert (cfg.anchor_t, cfg.pool_windows, cfg.scale_gamma) == (5, True, 2.0)
+        assert (cfg.t_plus_max, cfg.pool_windows, cfg.scale_gamma) == (5, True, 2.0)
         assert cfg.max_total_degree_xy == 3
         with pytest.raises(ConfigError, match="threshold 'r4' is mandatory"):
             config_from_kv(thresholds.replace("r4 = 0.01\n", ""))
         with pytest.raises(ConfigError, match="unknown config keys: colour"):
             config_from_kv(thresholds + "colour = red\n")
-        with pytest.raises(ParseError, match="anchor_t"):
-            config_from_kv(thresholds + "anchor_t = 2.5\n")
+        with pytest.raises(ParseError, match="t_plus_max"):
+            config_from_kv(thresholds + "t_plus_max = 2.5\n")
+
+    @pytest.mark.parametrize("line", ["scale_outputs = no", "anchor_t = 3", "row_cap = 1000"])
+    def test_removed_field_is_an_unknown_key(self, workspace, capsys, line):
+        # Ignoring the key would change the model silently: identify refuses it.
+        tmp, spec_path, cfg_path = workspace
+        data, model_path = tmp / "train.csv", tmp / "model.json"
+        assert run(["gen", "--spec", spec_path, "--seed", "5", "--out", data]) == 0
+        cfg_path.write_text(CONFIG + line + "\n")
+        capsys.readouterr()
+        assert run(["identify", "--data", data, "--config", cfg_path,
+                    "--out-model", model_path, "--report", tmp / "report.txt"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: CONFIG: {cfg_path}: unknown config keys: {line.split()[0]}\n"
+        )
+        assert not model_path.exists()
 
     @pytest.mark.parametrize(
         "name, value", [("r3", 0.001), ("block_limit", 2)], ids=["r3", "block_limit"]

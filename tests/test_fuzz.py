@@ -94,7 +94,7 @@ SPEC_TEXT = spec_to_kv(linear_spec(4, t_1=6))
 SPEC_KEYS = [line.split("=")[0].strip() for line in SPEC_TEXT.splitlines()]
 CONFIG_KEYS = [
     "r1", "r2", "r3", "r4", "t_plus_min", "t_minus_max", "k_max_y", "k_max_x",
-    "pool_windows", "scale_gamma", "max_total_degree_xy", "anchor_t", "block_limit",
+    "pool_windows", "scale_gamma", "max_total_degree_xy", "block_limit",
 ]
 #: Numbers, with the edges of int64 and of float64 drawn often.
 numbers = st.integers() | st.floats() | st.sampled_from([2**63, -(2**63) - 1, 10**400])
@@ -303,7 +303,7 @@ SCALAR_ENTRY_POINTS = {
         )
         for name in (
             "r1", "r2", "r4", "scale_gamma", "t_plus_max", "t_minus_max", "k_max_y", "k_max_x",
-            "k_max_y2", "anchor_t", "pool_windows", "max_total_degree_xy", "row_cap",
+            "k_max_y2", "pool_windows", "max_total_degree_xy",
         )
     },
     "build_window_vectors-t": lambda v: build_window_vectors(GATED_SERIES, v, 1, 1),
@@ -346,10 +346,6 @@ def test_gated_entry_points_arbitrary_scalars(entry):
 #: Calls that ended in a bare ValueError, TypeError or IndexError, or truncated
 #: a non-integer silently, each with its error and message.
 SCALAR_FAULTS = {
-    "resolved-row_cap": (
-        lambda: IdentConfig(**SCALAR_CONFIG, row_cap=-BIG).resolved(SCALAR_SERIES),
-        ConfigError, "row_cap must be a positive integer, got about -10**5000",
-    ),
     "resolved-pool_windows": (
         lambda: IdentConfig(**SCALAR_CONFIG, pool_windows=BIG).resolved(SCALAR_SERIES),
         ConfigError, "pool_windows must be a boolean, got about 10**5000",
@@ -357,10 +353,6 @@ SCALAR_FAULTS = {
     "resolved-t_plus_max": (
         lambda: IdentConfig(**{**SCALAR_CONFIG, "t_plus_max": BIG}).resolved(SCALAR_SERIES),
         ConfigError, "t_plus_max must be an integer in 1..12, got about 10**5000",
-    ),
-    "resolved-anchor_t": (
-        lambda: IdentConfig(**SCALAR_CONFIG, anchor_t=BIG).resolved(SCALAR_SERIES),
-        ConfigError, "anchor_t must be an integer in 1..12, got about 10**5000",
     ),
     "identify-k_max_y": (
         lambda: identify(SCALAR_SERIES, IdentConfig(**SCALAR_CONFIG, k_max_y=BIG)),
@@ -453,6 +445,31 @@ def test_complex_arrays_raise_without_warning():
                 TimeSeriesSet(np.array([[[0.5, value]]], dtype=object))
         with pytest.raises(InvalidInputError, match="^coefficient matrix L must be real"):
             MonomialMap(np.ones((1, 4)) * (1 + 2j), POWER_MATRIX)
+
+
+@pytest.mark.parametrize(
+    "Y",
+    [np.array([[["1.5"]]]), np.array([[[b"1.5"]]]), np.ones((3, 1, 2), dtype=bool)]
+    + [np.array([[[0.5, v]]], dtype=object) for v in (True, np.bool_(False), "1.5", b"1.5")],
+    ids=["str", "bytes", "bool", "object-bool", "object-np.bool_", "object-str", "object-bytes"],
+)
+def test_booleans_and_strings_are_not_numbers(Y):
+    # numpy would convert each to floats.
+    with pytest.raises(InvalidInputError, match="^time series Y must hold numbers"):
+        TimeSeriesSet(Y)
+
+
+@pytest.mark.parametrize(
+    "value", ["0.5", b"0.5", True, np.bool_(True)], ids=["str", "bytes", "bool", "np.bool_"]
+)
+def test_noise_std_of_a_boolean_or_string_is_an_error(value):
+    with pytest.raises(InvalidInputError, match="^noise_std must hold numbers"):
+        dataclasses.replace(linear_spec(2, t_1=4), noise_std=value)
+
+
+def test_a_list_mixing_booleans_and_numbers_is_numbers():
+    # numpy converts the list to floats before the gate sees it.
+    assert TimeSeriesSet([[[0.5, True]]]).Y.tolist() == [[[0.5, 1.0]]]
 
 
 @fuzz

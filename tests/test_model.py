@@ -248,13 +248,12 @@ class TestBurnIn:
         cfg = IdentConfig(
             r1=0.999, r2=0.999, r4=0.001,
             t_plus_max=2, t_minus_max=2,
-            k_max_y=1, pool_windows=False, scale_outputs=False,
+            k_max_y=1, pool_windows=False,
         )
         model, diag = identify(ts, cfg)
-        a = model.meta["config"]["anchor_t"]
-        x0 = initial_state_from_past(model, ts.Y[a - 1 - model.t_minus : a - 1])
-        rep = predict_one_step(model, ts, x0, t_start=a)
-        anchor_abs_resid = np.abs(rep.residuals[0, 0, :])
+        # The single anchor t_minus + 1 is where the burn-in prediction starts.
+        rep = predict_with_burn_in(model, ts)
+        anchor_abs_resid = np.abs(rep.residuals[0, 0, :]) / model.scaling.std[0]
         assert anchor_abs_resid == pytest.approx(diag.training_rmse_per_series, abs=1e-12)
 
     def test_overflowing_history_names_the_series(self):

@@ -64,9 +64,10 @@ class TestEnumerate:
             pm = enumerate_power_matrix(n, k_max)
             assert pm.d_v == math.prod(k + 1 for k in k_max)
 
-    def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
-            enumerate_power_matrix(4, (9, 9, 9, 9), cap=1000)
+    def test_capacity_cap(self, monkeypatch):
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 1000)
+        with pytest.raises(CapacityError, match="10000 rows, exceeding the cap of 1000"):
+            enumerate_power_matrix(4, (9, 9, 9, 9))
 
     def test_bad_inputs(self):
         with pytest.raises(InvalidInputError):
@@ -98,13 +99,15 @@ class TestEnumerate:
         assert pm.d_v == 301
         assert (pm.K.sum(axis=1) <= 2).all()
 
-    def test_capacity_checks_true_count(self):
+    def test_capacity_checks_true_count(self, monkeypatch):
         # 1 + 5 + 15 = 21 rows of degree <= 2 over (2,)*5; the box has 243.
-        assert enumerate_power_matrix(5, (2,) * 5, cap=21, max_degree=2).d_v == 21
-        with pytest.raises(CapacityError):
-            enumerate_power_matrix(5, (2,) * 5, cap=20, max_degree=2)
-        with pytest.raises(CapacityError):
-            enumerate_power_matrix(1, (50,), cap=20)
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 21)
+        assert enumerate_power_matrix(5, (2,) * 5, max_degree=2).d_v == 21
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 20)
+        with pytest.raises(CapacityError, match="21 rows, exceeding the cap of 20"):
+            enumerate_power_matrix(5, (2,) * 5, max_degree=2)
+        with pytest.raises(CapacityError, match="more than 50 rows, exceeding the cap of 20"):
+            enumerate_power_matrix(1, (50,))
 
 
 class TestPowerMatrixInvariants:

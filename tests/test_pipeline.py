@@ -137,13 +137,12 @@ class TestIdentify:
 
     def test_config_echo_is_resolved(self):
         ts = generate(decay_spec(20, t_1=12), 7)
-        model, diag = identify(ts, small_decay_config(anchor_t=None, k_max_y2=1))
+        model, diag = identify(ts, small_decay_config(k_max_y2=1))
         echo = model.meta["config"]
         assert echo == diag.config_echo
-        assert echo["anchor_t"] == 3
         assert echo["k_max_y"] == echo["k_max_y2"] == 1
         # 20 series, not below 4 times the 2**2 past monomials: one anchor.
-        assert echo["pool_windows"] is False
+        assert echo["pool_windows"] is False and diag.n_columns == ts.s
         assert set(model.meta) == {"config"}
         assert not {"r3", "block_limit", "t_plus_min", "t_minus_min"} & set(echo)
 
@@ -218,7 +217,7 @@ class TestIdentify:
         model, diag = identify(ts, small_decay_config())
         # reconstruct the scaled anchor window and re-evaluate the state map
         echo = diag.config_echo
-        t = echo["anchor_t"]
+        t = echo["t_minus_max"] + 1
         scaled = TimeSeriesSet(model.scaling.apply(ts.Y))
         _, Ym = build_window_vectors(scaled, t, echo["t_plus_max"], echo["t_minus_max"])
         X = eval_monomial_map_many(model.g_io, Ym.T)
@@ -321,9 +320,10 @@ class TestIdentify:
                            r"rank 4 in the dynamics regression; supply more series"):
             identify(ts, cfg)
 
-    def test_capacity_error_names_stage(self):
+    def test_capacity_error_names_stage(self, monkeypatch):
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 100)
         ts = generate(linear_spec(10), 19)
-        cfg = small_decay_config(k_max_y=3, t_minus_max=4, t_plus_max=4, row_cap=100)
+        cfg = small_decay_config(k_max_y=3, t_minus_max=4, t_plus_max=4)
         with pytest.raises(CapacityError) as err:
             identify(ts, cfg)
         assert "past monomial lifting" in str(err.value)
@@ -358,23 +358,23 @@ class TestIdentify:
         assert peak < 10e6
 
     @pytest.mark.parametrize(
-        "gain, t_max, scale_outputs, stage",
+        "scale_gamma, t_max, stage",
         [
-            (1e200, 1, False, "the past regression"),
-            (1e200, 2, False, "the lifted past windows"),
+            (1e-200, 1, "the past regression"),
+            (1e-200, 2, "the lifted past windows"),
             # D_n**2 overflows while the regression's other values stay finite.
-            (1e100, 1, False, "the dynamics regression"),
-            (1e300, 1, True, "the output scaling"),
+            (1e-100, 1, "the dynamics regression"),
+            (1e-320, 1, "the output scaling"),
         ],
     )
-    def test_overflow_error_names_stage(self, gain, t_max, scale_outputs, stage):
+    def test_overflow_error_names_stage(self, scale_gamma, t_max, stage):
         ts = generate(decay_spec(20, t_1=12), 7)
-        cfg = small_decay_config(t_plus_max=t_max, t_minus_max=t_max, scale_outputs=scale_outputs)
+        cfg = small_decay_config(t_plus_max=t_max, t_minus_max=t_max, scale_gamma=scale_gamma)
         with pytest.raises(NumericalOverflowError) as err:
-            identify(TimeSeriesSet(ts.Y * gain), cfg)
-        fix = "raise scale_gamma" if scale_outputs else "enable output scaling"
+            identify(ts, cfg)
         assert str(err.value) == (
-            f"non-finite values in {stage}; the outputs overflow, so {fix} or rescale the data"
+            f"non-finite values in {stage}; the outputs overflow, so raise scale_gamma "
+            "or rescale the data"
         )
 
     # At amplitude 1e-10, std * scale_gamma underflows to 0 itself.
@@ -408,13 +408,13 @@ class TestIdentify:
         echo = diag.config_echo
         anchors = np.arange(echo["t_minus_max"] + 1, ts.t_1 - echo["t_plus_max"] + 2)
         if not echo["pool_windows"]:
-            anchors = np.array([echo["anchor_t"]])
+            anchors = anchors[:1]
         anchors = np.append(anchors, anchors[-1] + 1)
         assert lifted[0].shape[1] == len(anchors) * ts.s
         scaled = model.scaling.apply(ts.Y)
         assert np.array_equal(lifted[0], past_windows(scaled, anchors, model.t_minus))
 
-    def test_state_output_cap_counts_degree_bounded_rows(self):
+    def test_state_output_cap_counts_degree_bounded_rows(self, monkeypatch):
         # n = 12 on this set: the state-output box has 2**13 rows, the
         # degree-2 dictionary 92 and the largest past dictionary 16.
         train = generate(polynomial_spec(60), 11)
@@ -423,18 +423,25 @@ class TestIdentify:
             t_plus_max=4, t_minus_max=4, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=2.0,
         )
-        _, diag = identify(train, IdentConfig(**cfg, row_cap=92))
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 92)
+        _, diag = identify(train, IdentConfig(**cfg))
         assert diag.f_monomials_before == 92
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 91)
         with pytest.raises(CapacityError) as err:
-            identify(train, IdentConfig(**cfg, row_cap=91))
+            identify(train, IdentConfig(**cfg))
         assert "state-output monomial lifting" in str(err.value)
 
-    def test_anchor_validation(self):
+    def test_windows_fit_the_anchor(self):
+        # The single anchor t_minus_max + 1 lies in the first half of the series,
+        # and the future window starting there ends by t_1.
         ts = generate(linear_spec(10, t_1=12), 23)
-        with pytest.raises(ConfigError):
-            identify(ts, small_decay_config(anchor_t=7))  # beyond t_1 / 2
-        with pytest.raises(ConfigError):
-            identify(ts, small_decay_config(anchor_t=2))  # no room for the past
+        small_decay_config(t_minus_max=5, t_plus_max=7).resolved(ts)
+        with pytest.raises(ConfigError, match=r"^t_minus_max 6 puts the anchor 7 past half "
+                           r"the series length \(12/2\)$"):
+            identify(ts, small_decay_config(t_minus_max=6))
+        with pytest.raises(ConfigError, match=r"^t_plus_max 8 leaves no room for a future "
+                           r"window after the anchor 6 in 12 samples$"):
+            identify(ts, small_decay_config(t_minus_max=5, t_plus_max=8))
 
     def test_resolved_fills_every_default(self, rng):
         ts = TimeSeriesSet(rng.standard_normal((20, 2, 3)))
@@ -442,18 +449,17 @@ class TestIdentify:
         res = cfg.resolved(ts)
         assert type(res) is IdentConfig
         assert res.t_plus_max == res.t_minus_max == 8
-        assert res.anchor_t == res.t_minus_max + 1
         assert (res.k_max_y, res.k_max_x, res.k_max_y2) == (1, 1, 2)
         assert type(res.k_max_y2) is int
         assert res.pool_windows is True  # 3 series, 2**16 past monomials
         for f in dataclasses.fields(res):
             assert type(getattr(res, f.name)) in (float, bool, int, type(None)), f.name
         assert res.resolved(ts) == res
-        assert cfg.anchor_t is None and cfg.pool_windows is None
+        assert cfg.pool_windows is None
         res = IdentConfig(
             r1=0.9, r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=3
         ).resolved(ts)
-        assert (res.t_plus_max, res.t_minus_max, res.anchor_t) == (4, 3, 4)
+        assert (res.t_plus_max, res.t_minus_max) == (4, 3)
         assert res.resolved(ts) == res
         # Past windows of 2 steps of 2 outputs: d_v = 2**4 = 16 monomials.
         cfg = IdentConfig(r1=0.9, r2=0.9, r4=0.01, t_plus_max=2, t_minus_max=2)
@@ -470,13 +476,13 @@ class TestIdentify:
         ts = generate(decay_spec(20, t_1=12), 7)
         cfg = small_decay_config(
             r1=np.float32(0.9999), r2=np.float32(0.9999), r4=np.float32(0.001),
-            pool_windows=np.bool_(True), scale_outputs=np.bool_(True), scale_gamma=Fraction(5),
+            pool_windows=np.bool_(True), scale_gamma=Fraction(5),
         )
         model, diag = identify(ts, cfg)
         echo = model.meta["config"]
         assert (echo["r1"], echo["scale_gamma"]) == (float(np.float32(0.9999)), 5.0)
         assert type(echo["r4"]) is type(echo["scale_gamma"]) is float
-        assert echo["pool_windows"] is echo["scale_outputs"] is True
+        assert echo["pool_windows"] is True
         assert diag.n_columns == 9 * ts.s  # anchors 3 to 11
         assert deserialize_model(serialize_model(model)) == model
 
@@ -490,12 +496,10 @@ class TestIdentify:
         [
             ("r1", None), ("r2", "0.9"), ("r4", True), ("r1", np.nan),
             ("scale_gamma", None), ("scale_gamma", "1"), ("scale_gamma", False),
-            ("pool_windows", "no"), ("pool_windows", 1), ("scale_outputs", None),
-            ("scale_outputs", 0),
-            ("row_cap", None), ("row_cap", 2.5), ("row_cap", 0), ("row_cap", True),
+            ("pool_windows", "no"), ("pool_windows", 1),
             ("t_plus_max", None), ("t_plus_max", 2.0), ("t_minus_max", np.float64(3)),
             ("k_max_y", True), ("k_max_x", -1), ("k_max_y2", "1"),
-            ("anchor_t", 5.0), ("max_total_degree_xy", 1.5),
+            ("max_total_degree_xy", 1.5),
             ("max_total_degree_xy", -1),
             pytest.param("scale_gamma", 10**400, id="scale_gamma-10**400"),
             pytest.param("scale_gamma", Fraction(10**400), id="scale_gamma-Fraction(10**400)"),
