@@ -31,10 +31,10 @@ def config_from_kv(text: str, origin: str = "<config>") -> IdentConfig:
 
     The keys are the fields of :class:`IdentConfig`, each parsed by its
     type: one boolean, integer or number per key, so an exponent bound is a
-    single integer.  The thresholds r1, r2 and r4 are mandatory; structural
+    single integer.  The thresholds r2 and r4 are mandatory; structural
     parameters fall back to their defaults (echoed into the identification
-    report).  The deprecated ``r3``, ``block_limit``, ``t_plus_min`` and
-    ``t_minus_min`` are still accepted and ignored.
+    report).  The deprecated ``r1``, ``r3``, ``block_limit``, ``t_plus_min``
+    and ``t_minus_min`` are still accepted and ignored.
     """
     kv = dataio.parse_kv(text, origin)
     fields = dataclasses.fields(IdentConfig)

@@ -6,7 +6,9 @@ Three operations shared by the identification pipeline:
   cumulative l1 mass fraction.
 * ``svd_trunc`` -- truncated-SVD least-squares approximation of one data
   matrix by a linear map of another, factored as ``C @ L`` so that ``L``
-  maps the regressors onto a reduced state.  ``svd_trunc_chunks`` reads
+  maps the regressors onto a reduced state.  The map is cut either by the
+  mass fraction of the regressors' singular values or, in reduced-rank
+  regression, by its own rank.  ``svd_trunc_chunks`` reads
   the matrices as column chunks and factors them in place in one LAPACK
   workspace of ``O((chunk + d_v) * d_v)`` cells, allocated once per regression.
 * ``lk_reduce`` -- pruning of coefficient columns (and the matching power
@@ -35,6 +37,10 @@ from .monomials import PowerMatrix
 #: Relative threshold under which singular values are treated as exact zeros
 #: before mass-fraction truncation (scaled by max matrix dimension).
 SINGULAR_VALUE_EPS = 1e-12
+
+#: Relative threshold under which the reduced-rank cut treats the singular
+#: values of the whitened map ``B`` as zeros (scaled by the largest).
+RRR_CUT = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +111,13 @@ class SvdTruncResult(ArrayRecord):
 
     Attributes:
         n: Retained rank.
-        D_n: The ``n`` retained singular values, positive and nonincreasing.
-        C: Left factor, ``d_vy x n``.
-        L: Right factor, ``n x d_vu`` (top rows of the left singular basis);
-            ``L @ V_u`` is the reduced state.
+        D_n: The ``n`` retained singular values, positive and nonincreasing:
+            of ``V_u`` for the mass cut, of the whitened map ``B`` for the
+            reduced-rank cut.
+        C: Left factor, ``d_vy x n``; orthonormal columns for the reduced-rank cut.
+        L: Right factor, ``n x d_vu``; ``L @ V_u`` is the reduced state.
         H_star: Full regression matrix ``C @ L``, ``d_vy x d_vu``.
-        table: Cumulative-mass table of the positive singular values.
+        table: Cumulative-mass table of the singular values ``D_n`` is cut from.
 
     Two results are equal when all their fields are.
     """
@@ -123,7 +130,7 @@ class SvdTruncResult(ArrayRecord):
     table: TruncationTable
 
 
-def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float) -> SvdTruncResult:
+def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float | None) -> SvdTruncResult:
     """Best-fit linear map of ``V_u`` onto ``V_y`` through a truncated SVD.
 
     The one-chunk call, bit for bit, of the chunked R-SVD :func:`svd_trunc_chunks`,
@@ -181,36 +188,50 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
 
 
 def svd_trunc_chunks(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray]], r: float
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], r: float | None
 ) -> SvdTruncResult:
     """Truncated-SVD regression of ``V_y`` on ``V_u``, read in column chunks.
 
     ``chunks`` yields ``(V_y[:, a:b], V_u[:, a:b])`` over consecutive columns.
-    The singular values of ``V_u`` above the numerical rank threshold are
-    kept up to cumulative mass fraction ``r``, and ``H* = V_y @ pinv_n(V_u)``
-    is factored as ``C @ L``, so that ``V_y ~= C (L V_u)``.
+    ``H*`` is factored as ``C @ L``, so that ``V_y ~= C (L V_u)``, and cut in
+    one of two ways.
+
+    * A threshold ``r`` (the mass cut): the singular values of ``V_u`` above
+      the numerical rank threshold are kept up to cumulative mass fraction
+      ``r``, and ``H* = V_y @ pinv_n(V_u)``.
+    * ``r=None`` (the reduced-rank cut; Izenman 1975, J. Multivariate Anal.
+      5): the map is cut by its own rank.  With ``k`` the numerical rank of
+      ``V_u`` (no mass cut) and ``W = U_k / D_k``, ``B = G W`` is the map in
+      whitened regressors, ``V_y Z_k`` for ``V_u = U_k D_k Z_k.T``.  Its SVD
+      ``B = P Sigma Q.T`` keeps ``n = #{Sigma_j > RRR_CUT Sigma_0}``, so
+      ``n <= d_vy``, the rank bound of ``B``.  Then ``C = P_n``,
+      ``L = P_n.T B W.T`` and ``H* = C L``, the best rank-``n`` fit of ``V_y``
+      by ``H V_u``; ``D_n = Sigma_n``, and ``table`` is ``Sigma``'s mass table.
 
     The SVD is an R-SVD (Chan 1982, ACM TOMS 8(1)): ``R.T``, for the thin QR
     ``V_u.T = Q R``, shares ``U`` and ``D`` with ``V_u``.  ``R`` is a
     sequential TSQR (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci.
     Comput. 34(1)), ``R = qr([R; V_u,c.T])`` per chunk, and
-    ``C = G U_n / D_n**2`` with ``G = sum_c V_y,c V_u,c.T``.  Each chunk is
-    factored in place by ``dgeqrf`` through numpy's private ``lapack_lite``
-    (see the module docstring), in one workspace of ``(d_v + chunk) * d_v``
-    cells that the regression allocates once and grows only for a chunk wider
-    than the first; memory is thus ``O((chunk + d_v) * d_v)``.  Each ``R`` is
+    ``C = G U_n / D_n**2`` for the mass cut, with ``G = sum_c V_y,c V_u,c.T``.
+    Each chunk is factored in place by ``dgeqrf`` through numpy's private
+    ``lapack_lite`` (see the module docstring), in one workspace of
+    ``(d_v + chunk) * d_v`` cells that the regression allocates once and grows
+    only for a chunk wider than the first; memory is thus
+    ``O((chunk + d_v) * d_v)``.  Each ``R`` is
     ``np.linalg.qr``'s bit for bit.  One chunk gives the whole-matrix result
     bit for bit; a split agrees with it to rounding.
 
     Raises:
         InvalidInputError: If a chunk is not two finite real 2-D arrays, if ``V_u``
-            is numerically zero (no entry above 1.5e-154), or ``r`` no real in (0, 1).
+            is numerically zero (no entry above 1.5e-154), if ``r`` is neither
+            None nor a real in (0, 1), or, for the reduced-rank cut, if ``B`` is zero.
         DimensionMismatchError: Naming the chunk, if its two column counts
             differ or its row counts differ from the first chunk's.
-        NumericalOverflowError: If ``G``, ``R``, ``C`` or ``H*`` is not finite,
-            or a retained singular value overflows when squared (above about 1.3e154).
+        NumericalOverflowError: If ``G``, ``R``, ``B`` or its norm, ``C``, ``L``
+            or ``H*`` is not finite, or, for the mass cut, a retained singular value
+            overflows when squared (above about 1.3e154).
     """
-    r = positive_real(r, "threshold r", 1.0)
+    r = None if r is None else positive_real(r, "threshold r", 1.0)
     tsqr, G, columns = None, None, 0
     for c, (V_y, V_u) in enumerate(chunks, 1):
         Vy, Vu = real_array(V_y, "V_y", 2), real_array(V_u, "V_u", 2)
@@ -241,8 +262,29 @@ def svd_trunc_chunks(
     U, sv, _ = np.linalg.svd(R_T, full_matrices=False)
     # Numerical rank: values below eps * sigma_max, or whose square is not normal, count as zeros.
     tol = max(SINGULAR_VALUE_EPS * max(tsqr.d_v, columns) * sv[0], floor)
-    n1 = int(np.sum(sv > tol))
-    n, _, table = mdtrunc(sv[:n1], r)
+    k = int(np.sum(sv > tol))
+    if r is None:  # reduced-rank regression: cut the whitened map B = V_y Z_k by its own rank
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = U[:, :k] / sv[:k]
+            B = G @ W
+        _check_finite("B = G W, the whitened map,", B)
+        P, sigma, _ = np.linalg.svd(B, full_matrices=False)
+        _check_finite("B = G W, the whitened map,", sigma[:1])  # finite entries, infinite norm
+        n = int(np.sum(sigma > RRR_CUT * sigma[0]))
+        if n == 0:
+            raise InvalidInputError(
+                "the fitted map is zero: V_y is orthogonal to the rows of V_u, as all-zero "
+                "outputs make it"
+            )
+        cum = np.cumsum(sigma)
+        table = TruncationTable(cum / cum[-1])  # final entry is exactly 1, as mdtrunc's
+        D_n, C = sigma[:n].copy(), P[:, :n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = (C.T @ B) @ W.T
+            H_star = C @ L
+        _check_finite("the map H* = C L", L, H_star)
+        return SvdTruncResult(n=n, D_n=D_n, C=C, L=L, H_star=H_star, table=table)
+    n, _, table = mdtrunc(sv[:k], r)
     D_n = sv[:n].copy()
     L = U[:, :n].T
     with np.errstate(over="ignore", invalid="ignore"):

@@ -40,6 +40,23 @@ command-line round trip's set, and one pass at the final windows gave each
 the same model and predictions bit for bit.  A caller who relied on the
 schedule to detect the order by growing the windows loses that.
 
+A fourth departure: the past regression is cut by reduced-rank regression
+(Izenman 1975, J. Multivariate Anal. 5), not by the paper's mass fraction
+``r1`` of the lifted past.  The mass cut keeps a rank that follows the size
+of the past dictionary, not the system; the reduced-rank cut keeps the rank
+of the past-to-future map itself, at most ``t_plus_max * d_y``.  Measured
+on the same data (state dimension, then held-out max relative RMSE): the
+linear acceptance set A1 went from 10 states (1.1e-6) to 2 (3.9e-12); the
+polynomial set A2 from 12 states to 4, but its error rose 3.5-fold, from
+2.1e-4 to 7.3e-4, still far inside its 0.05 gate; and the 16 pooled
+benchmark training sets of seeds 1 and 2 from 17 or 18 states and 160 to
+182 dynamics terms (1.4e-3 to 4.9e-3) to 3 states and 4 terms (1.5e-4 to
+5.8e-3, the two worst sets 1.5e-3 and 5.8e-3 against 3.8e-3 and 3.3e-3).
+The outputs are scaled by ``scale_gamma * std`` but not centered: a centered
+reduced-rank state needs an extra affine direction, which the column pruning
+then drops as a small constant column of ``f_o`` (A1 gave 3 states and an
+error of 0.17).  The mass cut's threshold ``r1`` is ignored.
+
 One chunk loop lifts all samples: both regressions stream to ``svd_trunc_chunks``,
 whose split factorization differs from a whole one only at rounding level.
 One state-map evaluation gives the states at the (consecutive) anchors and one
@@ -129,6 +146,7 @@ _AUTO_FIELDS = ("pool_windows", "max_total_degree_xy")
 
 #: Deprecated ``IdentConfig`` fields, each with why it is ignored.
 _IGNORED_FIELDS = (
+    ("r1", "the past regression is cut by reduced-rank regression"),
     ("r3", "generator-product elimination was removed"),
     ("block_limit", "the past dictionary is reduced in one pass"),
     ("t_plus_min", "identify runs once, at t_plus_max"),
@@ -140,11 +158,10 @@ _IGNORED_FIELDS = (
 class IdentConfig:
     """Parameters of the identification pipeline.
 
-    The three thresholds ``r1``, ``r2`` and ``r4`` are mandatory; structural
+    The two thresholds ``r2`` and ``r4`` are mandatory; structural
     parameters carry defaults.  Integer fields take Python or numpy integers, never bools.
 
     Attributes:
-        r1: Mass-fraction threshold of the past-to-future SVD truncation, in (0, 1).
         r2: Mass-fraction threshold of the dynamics SVD truncation, in (0, 1).
         r4: Column-pruning threshold of the LK-reductions, in (0, 1).
         t_plus_max / t_minus_max: The future and past window lengths, at most ``t_1``.
@@ -163,11 +180,12 @@ class IdentConfig:
             directly, so its size, not the box's, counts against the row cap.
             ``None`` uses the full bounded set.
         scale_gamma: Extra gain (finite, positive) on the scaling divisor: outputs
-            are always standardized, divided by ``scale_gamma * std``, so
+            are always divided by ``scale_gamma * std``, not centered, so
             values below 1 inflate the working amplitude.  Larger amplitudes
             weight high-degree monomial directions more heavily in the truncated SVDs.
-        r3 / block_limit / t_plus_min / t_minus_min: Deprecated and ignored:
-            they tuned the stages that the module docstring says were removed.
+        r1 / r3 / block_limit / t_plus_min / t_minus_min: Deprecated and ignored:
+            they tuned the past's mass cut and the stages that the module
+            docstring says were replaced or removed.
 
     ``identify`` runs once, at ``t_plus_max`` and ``t_minus_max``, with the single
     anchor ``t_minus_max + 1`` unless it pools; the module docstring says why.
@@ -175,7 +193,6 @@ class IdentConfig:
     config sets it to ``None`` and its echo leaves it out.
     """
 
-    r1: float
     r2: float
     r4: float
     t_plus_min: int | None = None
@@ -188,6 +205,7 @@ class IdentConfig:
     pool_windows: bool | None = None
     max_total_degree_xy: int | None = None
     scale_gamma: float = 1.0
+    r1: float | None = None
     r3: float | None = None
     block_limit: int | None = None
 
@@ -205,7 +223,7 @@ class IdentConfig:
         """
         values = {
             name: positive_real(getattr(self, name), name, below, ConfigError)
-            for name, below in (("r1", 1.0), ("r2", 1.0), ("r4", 1.0), ("scale_gamma", np.inf))
+            for name, below in (("r2", 1.0), ("r4", 1.0), ("scale_gamma", np.inf))
         }
         for name, reason in _IGNORED_FIELDS:
             if getattr(self, name) is not None:
@@ -243,6 +261,7 @@ class IdentConfig:
 class ReductionRecord:
     """The past regression's dictionary size, before and after pruning, and mass table.
 
+    ``table1`` is the mass table of the reduced-rank cut's ``Sigma``.
     ``IdentDiagnostics.reductions`` holds one in a list only because the
     benchmark under ``bench/`` reads it (ROADMAP item 3).
     """
@@ -259,7 +278,8 @@ class IdentDiagnostics(ArrayRecord):
     Attributes:
         n_columns: Data columns, the series count times the anchor count.
         reductions: The past-to-future regression, a one-element list.
-        n1: Retained rank of the past regression, the state dimension.
+        n1: Retained rank of the past regression, the state dimension; at
+            most ``t_plus_max * d_y``, the reduced-rank cut's bound.
         n2: Retained rank of the dynamics regression.
         f_monomials_before / f_monomials_after: Monomials of the (state,
             output) dictionary, and of the dynamics map after pruning.
@@ -353,9 +373,11 @@ def _lifting(stage: _Stage, k_max: tuple, columns: int, max_degree=None) -> Powe
 
 
 def _regress(
-    target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float, stage: _Stage
+    target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float | None, stage: _Stage
 ) -> SvdTruncResult:
     """Regress ``target`` on the monomials ``K`` of the sample columns, chunk by chunk.
+
+    ``r`` is the mass cut's threshold, or None for the reduced-rank cut.
 
     Raises:
         NumericalOverflowError: Naming ``stage``'s lifted samples or its
@@ -383,20 +405,20 @@ def _regress(
 def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentDiagnostics]:
     """Identify a polynomial observer model from output time series.
 
-    The pipeline, in order: output standardization by ``scale_gamma * std``;
-    window construction around the anchor time ``t_minus_max + 1`` (with
-    optional anchor pooling); monomial lifting of past windows with the
-    future side kept linear; truncated-SVD regression of the future on the
-    lifted past with column pruning, whose pruned generators are the state
-    map ``x = g(y_minus)``; the output map ``h_o``, linear in
-    the state, from the current-output rows of the future map; one state-map
-    evaluation at the anchors and the next one; monomial lifting of the (state, output)
-    pair; truncated-SVD regression of the next state with column pruning;
-    and assembly of the observer model.  It runs once, at the window lengths
+    The pipeline, in order: output scaling by ``scale_gamma * std``, without
+    centering; window construction around the anchor time ``t_minus_max + 1``
+    (with optional anchor pooling); monomial lifting of past windows with the
+    future side kept linear; regression of the future on the lifted past, cut
+    by reduced-rank regression to at most ``t_plus_max * d_y`` states, with
+    column pruning, whose pruned generators are the state map ``x = g(y_minus)``;
+    the output map ``h_o``, linear in the state, from the current-output rows
+    of the future map; one state-map evaluation at the anchors and the next one;
+    monomial lifting of the (state, output) pair; truncated-SVD regression of
+    the next state with column pruning; and assembly of the observer model.  It runs once, at the window lengths
     ``t_plus_max`` and ``t_minus_max``, and pools if ``cfg.resolved(ts)`` says so.
 
-    The paper's generator factorization, blocked reduction and window schedule
-    are left out; the module docstring says why.
+    The paper's generator factorization, blocked reduction, window schedule and
+    mass cut of the past are left out; the module docstring says why.
 
     The model carries no states of the training series;
     ``initial_state_from_past`` recomputes them from their anchor windows.
@@ -406,6 +428,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
 
     Raises:
         ConfigError: On an invalid or infeasible configuration.
+        InvalidInputError: If the outputs are zero at every sample of the future windows.
         CapacityError: Before a monomial dictionary is enumerated, if it would
             exceed the row cap, or its regression ``AUX_CELL_CAP`` cells; it
             names the lifting.
@@ -418,18 +441,21 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     cfg = cfg.resolved(ts)
     t_plus, t_minus, d_y = cfg.t_plus_max, cfg.t_minus_max, ts.d_y
 
-    mean, std = ts.Y.mean(axis=(0, 2)), ts.Y.std(axis=(0, 2))
+    # The reduced-rank cut scales without centering; the module docstring says why.
+    std = ts.Y.std(axis=(0, 2))
     std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
-    Y = (ts.Y - mean[:, None]) / std[:, None]  # overflows, not rejected, if std underflows
-    _check_finite("the output scaling", mean, std, Y)
-    scaling = OutputScaling(mean, std)
+    Y = ts.Y / std[:, None]  # overflows, not rejected, if std underflows
+    _check_finite("the output scaling", std, Y)
+    scaling = OutputScaling(np.zeros(d_y), std)
     work = TimeSeriesSet(Y)
 
     anchors = np.arange(t_minus + 1, work.t_1 - t_plus + 2 if cfg.pool_windows else t_minus + 2)
     columns = len(anchors) * ts.s
     K_past = _lifting(_PAST, (cfg.k_max_y,) * (t_minus * d_y), columns)
     Yplus, Yminus = build_window_vectors(work, anchors, t_plus, t_minus)
-    res1 = _regress(Yplus, Yminus, K_past, cfg.r1, _PAST)
+    if not Yplus.any():
+        raise InvalidInputError("the outputs are all zero; there is nothing to identify")
+    res1 = _regress(Yplus, Yminus, K_past, None, _PAST)
     g_io = MonomialMap(*lk_reduce(res1.L, K_past, cfg.r4)[:2])
 
     # The pruned generators are the state map.  The output map takes the

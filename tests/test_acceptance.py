@@ -41,7 +41,7 @@ def test_a1_linear_round_trip():
     train = generate(linear_spec(50, t_1=30), 1)
     held = generate(linear_spec(10, t_1=30), 2)
     cfg = IdentConfig(
-        r1=0.9999, r2=0.9999, r4=0.001,
+        r2=0.9999, r4=0.001,
         t_plus_max=4, t_minus_max=4,
         k_max_y=1, max_total_degree_xy=2, scale_gamma=5.0,
     )
@@ -54,13 +54,15 @@ def test_a1_linear_round_trip():
     report("A1", ok, f"held-out relative RMSE {rel:.3g} (<= 1e-5), {elapsed:.2f}s (<= 10s)")
     assert rel <= 1e-5
     assert elapsed <= 10.0
+    # The reduced-rank cut finds the system's two states.
+    assert model.n == 2
 
 
 def test_a2_polynomial_round_trip():
     train = generate(polynomial_spec(60, t_1=20), 11)
     held = generate(polynomial_spec(10, t_1=20), 12)
     cfg = IdentConfig(
-        r1=0.9999, r2=0.9999, r4=0.001,
+        r2=0.9999, r4=0.001,
         t_plus_max=4, t_minus_max=4,
         k_max_y=1, max_total_degree_xy=2, scale_gamma=2.0,
     )
@@ -169,7 +171,7 @@ def test_a8_observer_causality():
     rng = np.random.default_rng(8)
     train = generate(linear_spec(30, t_1=24), 21)
     cfg = IdentConfig(
-        r1=0.999, r2=0.999, r4=0.001,
+        r2=0.999, r4=0.001,
         t_plus_max=3, t_minus_max=3,
         k_max_y=1, max_total_degree_xy=2,
     )

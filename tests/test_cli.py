@@ -27,7 +27,6 @@ from polysid.generate import spec_to_kv, generate
 from conftest import decay_spec, linear_spec, reference_fixture_model
 
 CONFIG = """\
-r1 = 0.999
 r2 = 0.999
 r4 = 0.001
 t_plus_max = 2
@@ -37,7 +36,6 @@ k_max_y = 1
 
 #: The linear acceptance config A1 that CI's console-script round trip identifies with.
 A1_CONFIG = """\
-r1 = 0.9999
 r2 = 0.9999
 r4 = 0.001
 t_plus_max = 4
@@ -46,7 +44,7 @@ max_total_degree_xy = 2
 scale_gamma = 5.0
 """
 
-DEPRECATED = {"r3", "block_limit", "t_plus_min", "t_minus_min"}
+DEPRECATED = {"r1", "r3", "block_limit", "t_plus_min", "t_minus_min"}
 
 
 @pytest.fixture
@@ -165,7 +163,7 @@ class TestErrors:
         data = tmp / "train.csv"
         run(["gen", "--spec", spec_path, "--seed", "5", "--out", data])
         bad_cfg = tmp / "bad.cfg"
-        bad_cfg.write_text("r1 = 0.9\nr2 = 0.9\n")
+        bad_cfg.write_text("r2 = 0.9\n")
         code = run(["identify", "--data", data, "--config", bad_cfg,
                     "--out-model", tmp / "m.json", "--report", tmp / "r.txt"])
         err = capsys.readouterr().err
@@ -360,7 +358,7 @@ class TestConfig:
     def test_bad_structural_value_rejected_by_resolved(self, line):
         ts = generate(decay_spec(20, t_1=12), 5)
         base = (
-            "r1 = 0.99\nr2 = 0.99\nr4 = 0.01\n"
+            "r2 = 0.99\nr4 = 0.01\n"
             "t_plus_max = 2\nt_minus_max = 2\n"
         )
         config_from_kv(base).resolved(ts)
@@ -372,7 +370,7 @@ class TestConfig:
         "line", ["k_max_x = 1 -1", "k_max_y = 1, 1", "k_max_y =", "k_max_x =", "k_max_y2 ="]
     )
     def test_bound_takes_one_integer(self, line):
-        base = "r1 = 0.99\nr2 = 0.99\nr4 = 0.01\n"
+        base = "r2 = 0.99\nr4 = 0.01\n"
         with pytest.raises(ParseError) as err:
             config_from_kv(base + line + "\n")
         assert repr(line.split()[0]) in str(err.value)
@@ -381,12 +379,12 @@ class TestConfig:
     def test_bound_given_as_non_integer_is_a_config_error(self, bound):
         ts = generate(decay_spec(20, t_1=12), 5)
         for name in ("k_max_y", "k_max_x", "k_max_y2"):
-            cfg = IdentConfig(r1=0.99, r2=0.99, r4=0.01, **{name: bound})
+            cfg = IdentConfig(r2=0.99, r4=0.01, **{name: bound})
             with pytest.raises(ConfigError, match=f"{name} must be a nonnegative integer"):
                 cfg.resolved(ts)
 
     def test_keys_and_types_follow_the_config_fields(self):
-        thresholds = "r1 = 0.9\nr2 = 0.9\nr4 = 0.01\n"
+        thresholds = "r2 = 0.9\nr4 = 0.01\n"
         cfg = config_from_kv(
             thresholds
             + "k_max_y = 2\nk_max_x = 3\nt_plus_max = 5\npool_windows = yes\n"
@@ -418,7 +416,8 @@ class TestConfig:
         assert not model_path.exists()
 
     @pytest.mark.parametrize(
-        "name, value", [("r3", 0.001), ("block_limit", 2)], ids=["r3", "block_limit"]
+        "name, value", [("r1", 0.999), ("r3", 0.001), ("block_limit", 2)],
+        ids=["r1", "r3", "block_limit"],
     )
     def test_deprecated_r3_warns_and_changes_nothing(self, name, value):
         ts = generate(decay_spec(20, t_1=12), 5)

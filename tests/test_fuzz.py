@@ -294,7 +294,7 @@ SCALARS = [
     2**63, BIG, -BIG,
 ]
 SCALAR_SERIES = TimeSeriesSet(np.linspace(-1.0, 1.0, 120).reshape(12, 1, 10))
-SCALAR_CONFIG = dict(r1=0.999, r2=0.999, r4=0.001, t_plus_max=2, t_minus_max=2)
+SCALAR_CONFIG = dict(r2=0.999, r4=0.001, t_plus_max=2, t_minus_max=2)
 #: Every caller scalar the integer and real gates check, each called with one.
 SCALAR_ENTRY_POINTS = {
     **{
@@ -302,7 +302,7 @@ SCALAR_ENTRY_POINTS = {
             SCALAR_SERIES, IdentConfig(**{**SCALAR_CONFIG, name: v})
         )
         for name in (
-            "r1", "r2", "r4", "scale_gamma", "t_plus_max", "t_minus_max", "k_max_y", "k_max_x",
+            "r2", "r4", "scale_gamma", "t_plus_max", "t_minus_max", "k_max_y", "k_max_x",
             "k_max_y2", "pool_windows", "max_total_degree_xy",
         )
     },

@@ -22,7 +22,7 @@ from polysid import (
     svd_trunc,
 )
 from polysid.monomials import enumerate_power_matrix
-from polysid.numred import SINGULAR_VALUE_EPS, svd_trunc_chunks
+from polysid.numred import RRR_CUT, SINGULAR_VALUE_EPS, svd_trunc_chunks
 
 
 def brute_force_n_r(D, r) -> int:
@@ -397,6 +397,71 @@ class TestSvdTruncChunks:
         with pytest.raises(DimensionMismatchError) as err:
             svd_trunc_chunks(chunks, 0.5)
         assert str(err.value) == message
+
+
+class TestReducedRankCut:
+    """``r=None``: the map is cut by its own rank, not by the mass of ``V_u``."""
+
+    @staticmethod
+    def planted(rng, rank, rows=6, d_vu=12, s=200):
+        """A full-rank ``V_u`` and ``V_y = M V_u`` for a rank-``rank`` map ``M``."""
+        M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, d_vu))
+        V_u = rng.standard_normal((d_vu, s))
+        return M, M @ V_u, V_u
+
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_planted_rank_is_recovered(self, rng, rank):
+        M, V_y, V_u = self.planted(rng, rank)
+        res = svd_trunc(V_y, V_u, None)
+        assert res.n == rank <= V_y.shape[0]
+        assert np.linalg.norm(res.H_star - M) <= 1e-12 * np.linalg.norm(M)
+        assert res.C.T @ res.C == pytest.approx(np.eye(rank), abs=1e-12)
+        assert np.array_equal(res.H_star, res.C @ res.L)
+        # The table is the mass of all of B's singular values; D_n their top n.
+        assert len(res.table) == V_y.shape[0] and res.table.fractions[-1] == 1.0
+        assert (res.D_n > RRR_CUT * res.D_n[0]).all()
+
+    def test_rank_is_at_most_the_rows_of_V_y(self, rng):
+        V_u = rng.standard_normal((12, 200))
+        V_y = rng.standard_normal((4, 200))  # unrelated to V_u: every direction counts
+        res = svd_trunc(V_y, V_u, None)
+        assert res.n == 4
+        # The rank-n fit of V_y by H V_u is the least-squares fit.
+        H = V_y @ np.linalg.pinv(V_u)
+        assert np.linalg.norm(res.H_star - H) <= 1e-12 * np.linalg.norm(H)
+
+    @SPLITS
+    def test_chunks_agree_with_one_factorization(self, rng, widths):
+        _, V_y, V_u = self.planted(rng, 3)
+        V_y = V_y + 1e-3 * rng.standard_normal(V_y.shape)
+        whole = svd_trunc(V_y, V_u, None)
+        res = svd_trunc_chunks(split(V_y, V_u, widths), None)
+        assert res.n == whole.n and len(res.table) == len(whole.table)
+        assert res.D_n == pytest.approx(whole.D_n, rel=1e-12)
+        assert np.linalg.norm(res.H_star - whole.H_star) <= 1e-10 * np.linalg.norm(whole.H_star)
+
+    def test_rejects_a_map_that_is_zero(self):
+        with pytest.raises(InvalidInputError, match="^the fitted map is zero"):
+            svd_trunc(np.zeros((2, 4)), np.eye(4), None)
+
+    @pytest.mark.parametrize(
+        "V_y, V_u, name",
+        [
+            # G = 1e299 is finite; B = G / |V_u| = 2.7e308 is not.
+            ([[1.7e308] * 3], [[1e-10, 2e-10, 3e-10]], "B = G W, the whitened map,"),
+            # B = 1.6e308 in each of two rows is finite; its norm, 2.3e308, is not.
+            ([[1e308] * 3] * 2, [[0.1, 0.2, 0.3]], "B = G W, the whitened map,"),
+            # G = 6e250 and B = 1.6e250 are finite; L = B / |V_u| = 4.3e349 is not.
+            ([[1e250] * 3], [[1e-100, 2e-100, 3e-100]], "the map H* = C L"),
+        ],
+        ids=["B", "norm of B", "L"],
+    )
+    def test_non_finite_factor_raises_without_warning(self, V_y, V_u, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflowError) as err:
+                svd_trunc(np.array(V_y), np.array(V_u), None)
+        assert str(err.value) == f"{name} overflows; rescale V_y or V_u"
 
 
 class TestLkReduce:

@@ -35,7 +35,7 @@ from polysid import (
 )
 from polysid.genred import eval_monomial_map_many
 from polysid.numred import svd_trunc_chunks
-from polysid.pipeline import CHUNK_COLUMNS, eval_many_checked
+from polysid.pipeline import _PAST, CHUNK_COLUMNS, _regress, eval_many_checked
 from polysid.series import past_windows
 
 from conftest import decay_spec, linear_spec, polynomial_spec
@@ -122,7 +122,7 @@ class TestTimeSeriesSet:
 
 def small_decay_config(**overrides) -> IdentConfig:
     base = dict(
-        r1=0.9999, r2=0.9999, r4=0.001, t_plus_max=2, t_minus_max=2, k_max_y=1,
+        r2=0.9999, r4=0.001, t_plus_max=2, t_minus_max=2, k_max_y=1,
     )
     base.update(overrides)
     return IdentConfig(**base)
@@ -144,7 +144,7 @@ class TestIdentify:
         # 20 series, not below 4 times the 2**2 past monomials: one anchor.
         assert echo["pool_windows"] is False and diag.n_columns == ts.s
         assert set(model.meta) == {"config"}
-        assert not {"r3", "block_limit", "t_plus_min", "t_minus_min"} & set(echo)
+        assert not {"r1", "r3", "block_limit", "t_plus_min", "t_minus_min"} & set(echo)
 
     def test_model_echo_is_its_own_copy(self):
         ts = generate(decay_spec(20, t_1=12), 7)
@@ -165,12 +165,13 @@ class TestIdentify:
 
         train, held = generate(two_output_spec(100), 11), generate(two_output_spec(20), 12)
         cfg = IdentConfig(
-            r1=0.9999, r2=0.9999, r4=0.001,
+            r2=0.9999, r4=0.001,
             t_plus_max=3, t_minus_max=3, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=2.0,
         )
         model, diag = identify(train, cfg)
         assert predict_with_burn_in(model, held).max_relative_rmse <= 0.05
+        assert model.n <= 3 * 2  # the reduced-rank cut keeps at most t_plus_max * d_y states
         # One k_max_y bounds all t_minus * d_y = 6 past variables.
         assert [r.rows_presented for r in diag.reductions] == [64]
         assert model.g_io.n_vars == model.t_minus * 2
@@ -183,9 +184,16 @@ class TestIdentify:
         rep = predict_with_burn_in(model, ts)
         assert rep.predictions == pytest.approx(np.full_like(rep.predictions, 3.25), abs=1e-9)
 
+    def test_all_zero_outputs(self):
+        # Zero outputs leave the reduced-rank cut no map to fit; the error names the data.
+        ts = TimeSeriesSet(np.zeros((10, 1, 6)))
+        with pytest.raises(InvalidInputError) as err:
+            identify(ts, small_decay_config())
+        assert str(err.value) == "the outputs are all zero; there is nothing to identify"
+
     def test_two_state_structural_form(self):
         ts = generate(linear_spec(50), 1)
-        cfg = small_decay_config(r1=0.8, r2=0.999)
+        cfg = small_decay_config(r2=0.999)
         model, _ = identify(ts, cfg)
         assert model.n == 2
         assert model.h_o.m == 1
@@ -205,7 +213,7 @@ class TestIdentify:
     def test_model_class_closure(self):
         train = generate(linear_spec(50), 3)
         cfg = IdentConfig(
-            r1=0.9999, r2=0.9999, r4=0.001,
+            r2=0.9999, r4=0.001,
             t_plus_max=4, t_minus_max=4, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=5.0,
         )
@@ -251,9 +259,9 @@ class TestIdentify:
     def test_one_past_and_one_dynamics_regression(self, monkeypatch):
         calls = []
 
-        def counting_factorization(*args):
+        def counting_factorization(*args, **kwargs):
             calls.append(args)
-            return svd_trunc_chunks(*args)
+            return svd_trunc_chunks(*args, **kwargs)
 
         monkeypatch.setattr("polysid.pipeline.svd_trunc_chunks", counting_factorization)
         ts = generate(linear_spec(30), 13)
@@ -268,7 +276,7 @@ class TestIdentify:
         # the whole lifted past, 256 monomials by 10000 columns, is 20.5 MB.
         ts = generate(polynomial_spec(400, 40), 3)
         cfg = IdentConfig(
-            r1=0.9999, r2=0.9999, r4=0.001, t_plus_max=8, t_minus_max=8,
+            r2=0.9999, r4=0.001, t_plus_max=8, t_minus_max=8,
             k_max_y=1, max_total_degree_xy=2, scale_gamma=2.0, pool_windows=True,
         )
         tracemalloc.start()
@@ -286,7 +294,7 @@ class TestIdentify:
         # window length, so it never grows with the windows.
         levels = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
         ts = TimeSeriesSet(np.broadcast_to(levels, (40, 1, 8)).copy())
-        cfg = IdentConfig(r1=0.99, r2=0.99, r4=0.01, t_plus_max=7, t_minus_max=8, k_max_y=1)
+        cfg = IdentConfig(r2=0.99, r4=0.01, t_plus_max=7, t_minus_max=8, k_max_y=1)
         model, diag = identify(ts, cfg)
         (r,) = diag.reductions
         echo = model.meta["config"]
@@ -308,16 +316,17 @@ class TestIdentify:
         assert diag_set == diag
 
     def test_rank_deficiency_error(self):
-        ts = generate(linear_spec(3, t_1=30), 17)
+        # Two columns carry a rank-2 past-to-future map: the past regression runs out.
+        ts = generate(linear_spec(2, t_1=30), 17)
         cfg = small_decay_config(pool_windows=False, t_minus_max=3, t_plus_max=3)
-        with pytest.raises(RankDeficiencyError, match=r"^3 data columns for retained "
-                           r"rank 3 in the past regression; supply more series"):
+        with pytest.raises(RankDeficiencyError, match=r"^2 data columns for retained "
+                           r"rank 2 in the past regression; supply more series"):
             identify(ts, cfg)
-        # Enough columns for the past's rank 2, not for the dynamics' rank 4.
-        ts = generate(linear_spec(4, t_1=30), 17)
-        cfg = small_decay_config(pool_windows=False, r1=0.9, r2=0.99999)
-        with pytest.raises(RankDeficiencyError, match=r"^4 data columns for retained "
-                           r"rank 4 in the dynamics regression; supply more series"):
+        # The cut keeps at most t_plus_max * d_y = 3 states, so 3 columns run
+        # out in the dynamics regression, not in the past one.
+        ts = generate(linear_spec(3, t_1=30), 17)
+        with pytest.raises(RankDeficiencyError, match=r"^3 data columns for retained "
+                           r"rank 3 in the dynamics regression; supply more series"):
             identify(ts, cfg)
 
     def test_capacity_error_names_stage(self, monkeypatch):
@@ -377,6 +386,19 @@ class TestIdentify:
             "or rescale the data"
         )
 
+    def test_overflowing_whitened_map_names_the_past_regression(self):
+        # G = 1e299 is finite, but B = G W = 2.7e308 is not: the reduced-rank
+        # cut's own overflow, named as the stage whose regression it is.
+        target = np.full((1, 3), 1.7e308)
+        samples = np.array([[1e-10, 2e-10, 3e-10]])
+        with pytest.raises(NumericalOverflowError) as err:
+            _regress(target, samples, identity_power_matrix(1), None, _PAST)
+        assert str(err.value) == (
+            "non-finite values in the past regression; the outputs overflow, so raise "
+            "scale_gamma or rescale the data"
+        )
+        assert "B = G W" in str(err.value.__cause__)
+
     # At amplitude 1e-10, std * scale_gamma underflows to 0 itself.
     @pytest.mark.parametrize("amplitude", [1.0, 1e-10])
     def test_tiny_scale_gamma_overflows_the_output_scaling_without_warning(self, amplitude):
@@ -415,18 +437,19 @@ class TestIdentify:
         assert np.array_equal(lifted[0], past_windows(scaled, anchors, model.t_minus))
 
     def test_state_output_cap_counts_degree_bounded_rows(self, monkeypatch):
-        # n = 12 on this set: the state-output box has 2**13 rows, the
-        # degree-2 dictionary 92 and the largest past dictionary 16.
+        # n = 4 on this set: the state-output box has 2**5 rows, the degree-2
+        # dictionary 16 and the past dictionary 2**3 = 8.  At a t_minus_max
+        # of 4, the 16-row past dictionary would meet a cap of 15 first.
         train = generate(polynomial_spec(60), 11)
         cfg = dict(
-            r1=0.9999, r2=0.9999, r4=0.001,
-            t_plus_max=4, t_minus_max=4, k_max_y=1,
+            r2=0.9999, r4=0.001,
+            t_plus_max=4, t_minus_max=3, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=2.0,
         )
-        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 92)
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 16)
         _, diag = identify(train, IdentConfig(**cfg))
-        assert diag.f_monomials_before == 92
-        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 91)
+        assert diag.f_monomials_before == 16
+        monkeypatch.setattr("polysid.monomials.DEFAULT_ROW_CAP", 15)
         with pytest.raises(CapacityError) as err:
             identify(train, IdentConfig(**cfg))
         assert "state-output monomial lifting" in str(err.value)
@@ -445,7 +468,7 @@ class TestIdentify:
 
     def test_resolved_fills_every_default(self, rng):
         ts = TimeSeriesSet(rng.standard_normal((20, 2, 3)))
-        cfg = IdentConfig(r1=0.9, r2=0.9, r4=0.01, k_max_y2=np.int64(2))
+        cfg = IdentConfig(r2=0.9, r4=0.01, k_max_y2=np.int64(2))
         res = cfg.resolved(ts)
         assert type(res) is IdentConfig
         assert res.t_plus_max == res.t_minus_max == 8
@@ -457,12 +480,12 @@ class TestIdentify:
         assert res.resolved(ts) == res
         assert cfg.pool_windows is None
         res = IdentConfig(
-            r1=0.9, r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=3
+            r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=3
         ).resolved(ts)
         assert (res.t_plus_max, res.t_minus_max) == (4, 3)
         assert res.resolved(ts) == res
         # Past windows of 2 steps of 2 outputs: d_v = 2**4 = 16 monomials.
-        cfg = IdentConfig(r1=0.9, r2=0.9, r4=0.01, t_plus_max=2, t_minus_max=2)
+        cfg = IdentConfig(r2=0.9, r4=0.01, t_plus_max=2, t_minus_max=2)
         for s, pooled in ((4 * 16 - 1, True), (4 * 16, False)):
             ts = TimeSeriesSet(rng.standard_normal((8, 2, s)))
             res = cfg.resolved(ts)
@@ -475,12 +498,12 @@ class TestIdentify:
     def test_numpy_scalars_and_fractions_resolve_to_plain_values(self):
         ts = generate(decay_spec(20, t_1=12), 7)
         cfg = small_decay_config(
-            r1=np.float32(0.9999), r2=np.float32(0.9999), r4=np.float32(0.001),
+            r2=np.float32(0.9999), r4=np.float32(0.001),
             pool_windows=np.bool_(True), scale_gamma=Fraction(5),
         )
         model, diag = identify(ts, cfg)
         echo = model.meta["config"]
-        assert (echo["r1"], echo["scale_gamma"]) == (float(np.float32(0.9999)), 5.0)
+        assert (echo["r2"], echo["scale_gamma"]) == (float(np.float32(0.9999)), 5.0)
         assert type(echo["r4"]) is type(echo["scale_gamma"]) is float
         assert echo["pool_windows"] is True
         assert diag.n_columns == 9 * ts.s  # anchors 3 to 11
@@ -489,12 +512,12 @@ class TestIdentify:
     def test_threshold_validation(self):
         ts = generate(linear_spec(10, t_1=12), 29)
         with pytest.raises(ConfigError):
-            identify(ts, small_decay_config(r1=1.5))
+            identify(ts, small_decay_config(r2=1.5))
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("r1", None), ("r2", "0.9"), ("r4", True), ("r1", np.nan),
+            ("r2", None), ("r2", "0.9"), ("r4", True), ("r4", np.nan),
             ("scale_gamma", None), ("scale_gamma", "1"), ("scale_gamma", False),
             ("pool_windows", "no"), ("pool_windows", 1),
             ("t_plus_max", None), ("t_plus_max", 2.0), ("t_minus_max", np.float64(3)),
@@ -508,7 +531,7 @@ class TestIdentify:
     )
     def test_field_of_wrong_type_or_range_is_a_config_error(self, rng, field, value):
         ts = TimeSeriesSet(rng.standard_normal((20, 1, 3)))
-        valid = dict(r1=0.9, r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=4)
+        valid = dict(r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=4)
         cfg = IdentConfig(**{**valid, field: value})
         with pytest.raises(ConfigError, match=f"^{field} "):
             cfg.resolved(ts)
@@ -517,7 +540,7 @@ class TestIdentify:
         train = generate(polynomial_spec(60), 11)
         held = generate(polynomial_spec(10), 1999)
         cfg = IdentConfig(
-            r1=0.9999, r2=0.9999, r4=0.001,
+            r2=0.9999, r4=0.001,
             t_plus_max=4, t_minus_max=4, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=2.0,
         )

@@ -119,10 +119,10 @@ def cli_roundtrip(workdir: Path) -> None:
 
 
 def main(workdir: Path) -> None:
-    # The benchmark's configs still set the deprecated r3, block_limit,
+    # The benchmark's configs still set the deprecated r1, r3, block_limit,
     # t_plus_min and t_minus_min.
     warnings.filterwarnings(
-        "ignore", "(r3|block_limit|t_plus_min|t_minus_min) is ignored", FutureWarning
+        "ignore", "(r1|r3|block_limit|t_plus_min|t_minus_min) is ignored", FutureWarning
     )
     pooled = wl.IdentPooled()
     for seed in POOLED_SEEDS:
@@ -149,7 +149,7 @@ def main(workdir: Path) -> None:
         generate(two_output_spec(100), 11),
         generate(two_output_spec(20), 12),
         IdentConfig(
-            r1=0.9999, r2=0.9999, r4=0.001, t_plus_max=3, t_minus_max=3, k_max_y=1,
+            r2=0.9999, r4=0.001, t_plus_max=3, t_minus_max=3, k_max_y=1,
             max_total_degree_xy=2, scale_gamma=2.0,
         ),
     )
