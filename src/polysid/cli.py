@@ -155,10 +155,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"{name} coefficients:")
         for row in M.L:
             print("  (" + ", ".join(repr(float(v)) for v in row) + ")")
-    if model.scaling is not None:
-        print("output scaling:")
-        print(f"  mean: {tuple(float(v) for v in model.scaling.mean)}")
-        print(f"  std: {tuple(float(v) for v in model.scaling.std)}")
+    print("output scaling:")
+    print(f"  std: {tuple(float(v) for v in model.scaling.std)}")
     return 0
 
 

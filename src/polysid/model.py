@@ -35,44 +35,38 @@ from .series import TimeSeriesSet, past_windows
 STATE_OVERFLOW_GUARD = 1e12
 
 DOCUMENT_FORMAT = "polysid-model"
-DOCUMENT_VERSION = 1
+DOCUMENT_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
 class OutputScaling(ArrayRecord):
-    """Per-dimension affine output transform ``y_scaled = (y - mean) / std``.
+    """Per-output divisor ``y_scaled = y / std``.
 
-    Two transforms are equal when their means and deviations are.  Raises
-    InvalidInputError unless ``mean`` and ``std`` are equal-length vectors of
-    finite real numbers and ``std > 0``.
+    It keeps the monomials of the scaled outputs well conditioned; the
+    observer has no other output transform.  Two scalings are equal when
+    their divisors are.  Raises InvalidInputError unless ``std`` is a vector
+    of finite real numbers, all positive.
     """
 
-    mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = readonly_copy(real_array(self.mean, "scaling mean", 1))
         std = readonly_copy(real_array(self.std, "scaling std", 1))
-        if mean.shape != std.shape or (std <= 0).any():
-            raise InvalidInputError("scaling mean and std must be equal-length vectors, std > 0")
-        object.__setattr__(self, "mean", mean)
+        if (std <= 0).any():
+            raise InvalidInputError("scaling std must be positive")
         object.__setattr__(self, "std", std)
 
-    def _columns(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and std broadcasting over outputs ``(d_y,)``, ``(d_y, s)`` or ``(t, d_y, s)``."""
-        if np.ndim(y) == 1:
-            return self.mean, self.std
-        return self.mean[:, None], self.std[:, None]
+    def _column(self, y: np.ndarray) -> np.ndarray:
+        """The std broadcasting over outputs ``(d_y,)``, ``(d_y, s)`` or ``(t, d_y, s)``."""
+        return self.std if np.ndim(y) == 1 else self.std[:, None]
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Raw outputs to scaled units."""
-        mean, std = self._columns(y)
-        return (y - mean) / std
+        return y / self._column(y)
 
     def invert(self, y_scaled: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Scaled outputs to raw units, written to ``out`` when given."""
-        mean, std = self._columns(y_scaled)
-        return np.add(np.multiply(y_scaled, std, out=out), mean, out=out)
+        return np.multiply(y_scaled, self._column(y_scaled), out=out)
 
 
 @dataclass(frozen=True)
@@ -84,8 +78,9 @@ class ObserverModel:
         d_y: Output dimension.
         f_o: Dynamics map over ``n + d_y`` variables ``(x, y)`` with ``n`` outputs.
         h_o: Output map over ``n`` state variables with ``d_y`` outputs.
-        scaling: Optional affine output transform applied during training;
-            prediction consumes and reports raw units transparently.
+        scaling: Per-output divisor applied during training; prediction
+            consumes and reports raw units.  None gives unit divisors, so
+            every model holds one.
         g_io: Optional past-window lifting ``x = g_io(y_minus)`` enabling
             initial-state computation from measured history.
         t_minus: Past-window length expected by ``g_io``.
@@ -126,7 +121,9 @@ class ObserverModel:
                 raise DimensionMismatchError("g_io output dimension must equal n")
             if not self.t_minus or self.g_io.n_vars != self.t_minus * self.d_y:
                 raise DimensionMismatchError("g_io needs t_minus >= 1 and t_minus * d_y inputs")
-        if self.scaling is not None and self.scaling.mean.size != self.d_y:
+        if self.scaling is None:
+            object.__setattr__(self, "scaling", OutputScaling(np.ones(self.d_y)))
+        if self.scaling.std.size != self.d_y:
             raise DimensionMismatchError("scaling dimension must equal d_y")
 
 
@@ -246,8 +243,8 @@ def predict_one_step(
 
     For each series, starting from state ``x0`` at time ``t_start``:
     ``yhat(t | t-1) = h_o(x(t))`` and ``x(t+1) = f_o(x(t), y(t))`` with the
-    *measured* ``y(t)``, never the prediction.  Output scaling, when present,
-    is applied and inverted internally so the report is in raw units.
+    *measured* ``y(t)``, never the prediction.  The model's output scaling is
+    applied and inverted internally so the report is in raw units.
 
     Args:
         model: The observer model.
@@ -281,9 +278,8 @@ def predict_one_step(
 
     def feedback(i: int, yhat_i: np.ndarray) -> np.ndarray:
         # Step by step, so no scaled copy of the set is held; in place, so the guard sees it.
-        if model.scaling:
-            model.scaling.invert(yhat_i, out=yhat_i)
-        return model.scaling.apply(measured[i]) if model.scaling else measured[i]
+        model.scaling.invert(yhat_i, out=yhat_i)
+        return model.scaling.apply(measured[i])
 
     predicted = run_observer(model.f_o, model.h_o, x, len(measured), feedback, t_start)
     return _summarize(t_start, measured, predicted)
@@ -320,8 +316,7 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
             f"past window must have shape ({model.t_minus}, {model.d_y}, s), got {Y.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        if model.scaling is not None:
-            Y = model.scaling.apply(Y)
+        Y = model.scaling.apply(Y)
         # The window before time t_minus + 1 is all of Y, most recent first.
         window = past_windows(Y, [model.t_minus + 1], model.t_minus)
         finite = np.isfinite(window).all(axis=0)
@@ -426,9 +421,7 @@ def serialize_model(model: ObserverModel) -> str:
         "h_o": _encode_map(model.h_o),
         "g_io": None if model.g_io is None else _encode_map(model.g_io),
         "t_minus": model.t_minus,
-        "scaling": None
-        if model.scaling is None
-        else {"mean": model.scaling.mean.tolist(), "std": model.scaling.std.tolist()},
+        "scaling": {"std": model.scaling.std.tolist()},
         "meta": model.meta,
     }
     return json.dumps(doc, indent=2)
@@ -442,8 +435,11 @@ def deserialize_model(text: str) -> ObserverModel:
             literal of more digits than Python converts, or nesting too deep
             for the decoder.
         ValidationError: On schema or invariant violations, including
-            all-zero coefficient columns (trivial generators) and a
-            ``version`` other than the integer ``DOCUMENT_VERSION``.
+            all-zero coefficient columns (trivial generators), a ``version``
+            other than the integer ``DOCUMENT_VERSION`` (2), and a ``scaling``
+            that is missing, null or holds any key but ``std``.  Version 1
+            documents held an output mean as well; they are not read, since
+            the cut that gave nonzero means is gone: identify the model again.
     """
     try:
         doc = json.loads(text)
@@ -458,7 +454,8 @@ def deserialize_model(text: str) -> ObserverModel:
     version = doc.get("version")
     if type(version) is not int or version != DOCUMENT_VERSION:
         raise ValidationError(
-            f"model document version {version!r} is not supported; it must be {DOCUMENT_VERSION}"
+            f"model document version {version!r} is not supported; it must be "
+            f"{DOCUMENT_VERSION}: identify the model again"
         )
     try:
         n = _integer(doc["n"], "n")
@@ -466,10 +463,9 @@ def deserialize_model(text: str) -> ObserverModel:
         f_doc, h_doc = doc["f_o"], doc["h_o"]
         t_minus = None if doc.get("t_minus") is None else _integer(doc["t_minus"], "t_minus")
         sc = doc.get("scaling")
-        mean_std = None if sc is None else (
-            np.asarray([_real(v, "scaling mean") for v in sc["mean"]]),
-            np.asarray([_real(v, "scaling std") for v in sc["std"]]),
-        )
+        if not isinstance(sc, dict) or sc.keys() != {"std"}:
+            raise ValidationError(f'scaling must be {{"std": [...]}}, got {printable(sc)}')
+        std = np.asarray([_real(v, "scaling std") for v in sc["std"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model document: {exc}") from exc
     f_o = _decode_map(f_doc, "f_o")
@@ -487,7 +483,7 @@ def deserialize_model(text: str) -> ObserverModel:
             d_y=d_y,
             f_o=f_o,
             h_o=h_o,
-            scaling=None if mean_std is None else OutputScaling(*mean_std),
+            scaling=OutputScaling(std),
             g_io=g_io,
             t_minus=t_minus,
             meta=meta,

@@ -446,7 +446,7 @@ def identify(ts: TimeSeriesSet, cfg: IdentConfig) -> tuple[ObserverModel, IdentD
     std = np.where(std > 0, std, 1.0) * cfg.scale_gamma
     Y = ts.Y / std[:, None]  # overflows, not rejected, if std underflows
     _check_finite("the output scaling", std, Y)
-    scaling = OutputScaling(np.zeros(d_y), std)
+    scaling = OutputScaling(std)
     work = TimeSeriesSet(Y)
 
     anchors = np.arange(t_minus + 1, work.t_1 - t_plus + 2 if cfg.pool_windows else t_minus + 2)

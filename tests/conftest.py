@@ -97,9 +97,9 @@ def random_model(rng: np.random.Generator) -> ObserverModel:
     f_o = MonomialMap(rng.standard_normal((n, K_f.d_v)), K_f)
     K_h = random_power_matrix(rng, n)
     h_o = MonomialMap(rng.standard_normal((d_y, K_h.d_v)), K_h)
-    scaling = None
+    scaling = None  # unit divisors
     if rng.random() < 0.5:
-        scaling = OutputScaling(rng.standard_normal(d_y), np.abs(rng.standard_normal(d_y)) + 0.1)
+        scaling = OutputScaling(np.abs(rng.standard_normal(d_y)) + 0.1)
     g_io = None
     t_minus = None
     if rng.random() < 0.5:

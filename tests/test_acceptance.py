@@ -206,13 +206,9 @@ def test_a9_serialization_round_trip():
             and back.f_o.K.k_max == model.f_o.K.k_max
             and np.array_equal(back.h_o.L, model.h_o.L)
             and np.array_equal(back.h_o.K.K, model.h_o.K.K)
-            and (back.scaling is None) == (model.scaling is None)
+            and np.array_equal(back.scaling.std, model.scaling.std)
             and (back.g_io is None) == (model.g_io is None)
         )
-        if same and model.scaling is not None:
-            same = np.array_equal(back.scaling.mean, model.scaling.mean) and np.array_equal(
-                back.scaling.std, model.scaling.std
-            )
         if same and model.g_io is not None:
             same = (
                 np.array_equal(back.g_io.L, model.g_io.L)

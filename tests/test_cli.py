@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from polysid import (
     IdentConfig,
     MonomialMap,
     ObserverModel,
+    OutputScaling,
     ParseError,
     PowerMatrix,
     deserialize_model,
@@ -319,11 +321,24 @@ class TestPredictGuards:
 
     def test_undecodable_model_is_a_parse_error(self, tmp_path, capsys):
         model_path, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "p.csv"
-        model_path.write_text('{"format": "polysid-model", "version": 1, "n": ' + "1" * 5000 + "}")
+        model_path.write_text('{"format": "polysid-model", "version": 2, "n": ' + "1" * 5000 + "}")
         emit(generate(decay_spec(4), 3), data)
         assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
         assert capsys.readouterr().err.startswith(
             "error: PARSE: model document cannot be decoded: Exceeds the limit (4300 digits)"
+        )
+        assert not out.exists()
+
+    def test_version_1_model_is_a_validation_error(self, tmp_path, capsys):
+        doc = json.loads(serialize_model(reference_fixture_model()))
+        doc.update(version=1, scaling={"mean": [0.7], "std": [2.0]})
+        model_path, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "p.csv"
+        model_path.write_text(json.dumps(doc))
+        emit(generate(decay_spec(4), 3), data)
+        assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: VALIDATION: model document version 1 is not supported; it must be 2: "
+            "identify the model again\n"
         )
         assert not out.exists()
 
@@ -441,3 +456,12 @@ class TestInspect:
         assert "x1*x2*y, x1*x2, x1*y, x1, x2*y, x2" in out
         assert "(-0.0225, 0.0336)" in out
         assert "n = 2" in out
+
+    def test_prints_the_scaling_divisor_and_no_mean(self, tmp_path, capsys):
+        model = dataclasses.replace(reference_fixture_model(), scaling=OutputScaling([2.5]))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(serialize_model(model))
+        assert run(["inspect", "--model", model_path]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("output scaling:\n  std: (2.5,)\n")
+        assert "mean" not in out

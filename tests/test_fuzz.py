@@ -84,7 +84,7 @@ def _model_document(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     while True:
         model = random_model(rng)
-        if model.g_io is not None and model.scaling is not None:
+        if model.g_io is not None and (model.scaling.std != 1).all():
             return json.loads(serialize_model(model))
 
 
@@ -267,7 +267,7 @@ GATED_SERIES = TimeSeriesSet(np.zeros((3, 1, 2)))
 GATED_ENTRY_POINTS = {
     "TimeSeriesSet": TimeSeriesSet,
     "MonomialMap": lambda a: MonomialMap(a, POWER_MATRIX),
-    "OutputScaling": lambda a: OutputScaling(a, a),
+    "OutputScaling": OutputScaling,
     "predict_one_step": lambda a: predict_one_step(GATED_MODEL, GATED_SERIES, a),
     "initial_state_from_past": lambda a: initial_state_from_past(GATED_MODEL, a),
     "mdtrunc": lambda a: mdtrunc(a, 0.5),
@@ -490,12 +490,9 @@ def models(draw):
     def redraw(M: MonomialMap) -> MonomialMap:
         return MonomialMap(draw(arrays(float, M.L.shape, elements=nonzero)), M.K)
 
-    scaling = base.scaling
-    if scaling is not None:
-        scaling = OutputScaling(
-            draw(arrays(float, base.d_y, elements=finite)),
-            draw(arrays(float, base.d_y, elements=st.floats(min_value=1e-300, max_value=1e300))),
-        )
+    scaling = OutputScaling(
+        draw(arrays(float, base.d_y, elements=st.floats(min_value=1e-300, max_value=1e300)))
+    )
     return type(base)(
         n=base.n,
         d_y=base.d_y,

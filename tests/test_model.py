@@ -76,7 +76,7 @@ class TestPredictOneStep:
             enumerate_power_matrix(n + d_y, (1,) * (n + d_y)).select_rows(range(8)),
         )
         h_o = MonomialMap(rng.standard_normal((d_y, n)), identity_power_matrix(n))
-        scaling = OutputScaling(0.1 * rng.standard_normal(d_y), rng.uniform(0.5, 2.0, d_y))
+        scaling = OutputScaling(rng.uniform(0.5, 2.0, d_y))
         model = ObserverModel(n=n, d_y=d_y, f_o=f_o, h_o=h_o, scaling=scaling)
         ts = TimeSeriesSet(0.3 * rng.standard_normal((T, d_y, s)))
         x0 = 0.2 * rng.standard_normal((n, s))
@@ -124,42 +124,21 @@ class TestPredictOneStep:
         assert not np.array_equal(base.predictions, other.predictions)
 
     def test_scaling_equivalent_unscaled_model(self, rng):
-        # linear observer with scaling == affine-augmented observer without
+        # linear observer with scaling == the divisor folded into its maps
         n, d_y = 2, 1
         A = 0.3 * rng.standard_normal((n, n))
         B = 0.2 * rng.standard_normal((n, d_y))
         C = rng.standard_normal((d_y, n))
-        mean, std = np.array([0.7]), np.array([2.5])
-        f_scaled = MonomialMap(np.hstack([A, B]), identity_power_matrix(n + d_y))
-        h_scaled = MonomialMap(C, identity_power_matrix(n))
+        std = np.array([2.5])
+        K_f, K_h = identity_power_matrix(n + d_y), identity_power_matrix(n)
         scaled = ObserverModel(
-            n=n, d_y=d_y, f_o=f_scaled, h_o=h_scaled,
-            scaling=OutputScaling(mean, std),
+            n=n, d_y=d_y, f_o=MonomialMap(np.hstack([A, B]), K_f),
+            h_o=MonomialMap(C, K_h), scaling=OutputScaling(std),
         )
-        # raw units: x+ = A x + (B/std) y - B mean/std, yhat = std C x + mean
-        K_aff = PowerMatrix.from_rows(np.vstack([np.eye(n + d_y, dtype=int),
-                                                 np.zeros(n + d_y, dtype=int)]))
-        L_f = np.hstack([A, B / std[None, :], (-B @ (mean / std))[:, None]])
-        # align columns with the sorted power matrix rows
-        cols = {tuple(r): i for i, r in enumerate(K_aff.K)}
-        L_sorted = np.zeros((n, K_aff.d_v))
-        for i in range(n + d_y):
-            e = np.zeros(n + d_y, dtype=int)
-            e[i] = 1
-            L_sorted[:, cols[tuple(e)]] = L_f[:, i]
-        L_sorted[:, cols[tuple(np.zeros(n + d_y, dtype=int))]] = L_f[:, -1]
-        f_raw = MonomialMap(L_sorted, K_aff)
-        K_h = PowerMatrix.from_rows(np.vstack([np.eye(n, dtype=int),
-                                               np.zeros(n, dtype=int)]))
-        colsh = {tuple(r): i for i, r in enumerate(K_h.K)}
-        L_h = np.zeros((d_y, K_h.d_v))
-        for i in range(n):
-            e = np.zeros(n, dtype=int)
-            e[i] = 1
-            L_h[:, colsh[tuple(e)]] = std[:, None] * C[:, [i]]
-        L_h[:, colsh[tuple(np.zeros(n, dtype=int))]] = mean[:, None]
+        # raw units: x+ = A x + (B/std) y, yhat = std C x
         raw = ObserverModel(
-            n=n, d_y=d_y, f_o=f_raw, h_o=MonomialMap(L_h, K_h)
+            n=n, d_y=d_y, f_o=MonomialMap(np.hstack([A, B / std[None, :]]), K_f),
+            h_o=MonomialMap(std[:, None] * C, K_h),
         )
         ts = TimeSeriesSet(0.7 + 0.5 * rng.standard_normal((7, 1, 3)))
         x0 = rng.standard_normal((n, 3))
@@ -273,7 +252,7 @@ class TestBurnIn:
         h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
         return ObserverModel(
             n=1, d_y=1, f_o=f_o, h_o=h_o,
-            scaling=OutputScaling(np.zeros(1), np.full(1, 0.5)),
+            scaling=OutputScaling(np.full(1, 0.5)),
             g_io=MonomialMap(np.array([[1.0]]), identity_power_matrix(1)),
             t_minus=1,
         )
@@ -330,7 +309,7 @@ class TestBurnIn:
         hold = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[1, 0]]), (1, 0)))
         model = ObserverModel(
             n=1, d_y=1, f_o=hold, h_o=identity,
-            scaling=OutputScaling(np.zeros(1), np.full(1, 1e300)),
+            scaling=OutputScaling(np.full(1, 1e300)),
         )
         ts = TimeSeriesSet(np.ones((4, 1, 3)))
         with pytest.raises(NumericalOverflowError) as err:
@@ -379,31 +358,38 @@ class TestBurnIn:
 
 class TestValueEquality:
     def test_output_scaling(self):
-        scaling = OutputScaling([0.0, 1.0], [1.0, 2.0])
-        assert scaling == OutputScaling(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        assert scaling != OutputScaling([0.5, 1.0], [1.0, 2.0])
-        assert scaling != OutputScaling([0.0, 1.0], [1.0, 3.0])
-        assert scaling != [[0.0, 1.0], [1.0, 2.0]]
+        scaling = OutputScaling([1.0, 2.0])
+        assert scaling == OutputScaling(np.array([1.0, 2.0]))
+        assert scaling != OutputScaling([1.0, 3.0])
+        assert scaling != [1.0, 2.0]
         with pytest.raises(TypeError):
             hash(scaling)
 
     def test_output_scaling_copies_its_arrays(self):
-        mean, std = np.array([0.0, 1.0]), np.array([1.0, 2.0])
-        scaling = OutputScaling(mean, std)
-        assert mean.flags.writeable and std.flags.writeable
-        assert not (scaling.mean.flags.writeable or scaling.std.flags.writeable)
-        mean[0], std[0] = 0.5, 3.0
-        assert scaling == OutputScaling([0.0, 1.0], [1.0, 2.0])
+        std = np.array([1.0, 2.0])
+        scaling = OutputScaling(std)
+        assert std.flags.writeable
+        assert not scaling.std.flags.writeable
+        std[0] = 3.0
+        assert scaling == OutputScaling([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "std", [[1.0, 0.0], [-2.0], [np.inf], [[1.0]], 2.0, ["2"]],
+        ids=["zero", "negative", "infinite", "2-D", "scalar", "string"],
+    )
+    def test_output_scaling_rejects_all_but_positive_divisors(self, std):
+        with pytest.raises(InvalidInputError, match="scaling std"):
+            OutputScaling(std)
 
     @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3)], ids=["d_y", "d_y-s", "t-d_y-s"])
     def test_output_scaling_layouts(self, rng, shape):
-        scaling = OutputScaling([0.5, -1.0], [2.0, 0.25])
+        scaling = OutputScaling([2.0, 0.25])
         y = rng.standard_normal(shape)
         applied, inverted = np.empty(shape), np.empty(shape)
-        for d, (mean, std) in enumerate(zip(scaling.mean, scaling.std)):
+        for d, std in enumerate(scaling.std):
             at = (slice(None),) * (len(shape) == 3) + (d,)  # the output axis
-            applied[at] = (y[at] - mean) / std
-            inverted[at] = y[at] * std + mean
+            applied[at] = y[at] / std
+            inverted[at] = y[at] * std
         assert np.array_equal(scaling.apply(y), applied)
         assert np.array_equal(scaling.invert(y), inverted)
 
@@ -423,7 +409,7 @@ class TestValueEquality:
         nudged = MonomialMap(model.f_o.L + 1e-12, model.f_o.K)
         assert model != dataclasses.replace(model, f_o=nudged)
         assert model != dataclasses.replace(model, meta={"t_minus": 1})
-        scaled = dataclasses.replace(model, scaling=OutputScaling([0.0], [2.0]))
+        scaled = dataclasses.replace(model, scaling=OutputScaling([2.0]))
         assert scaled != model
         assert scaled == copy.deepcopy(scaled)
         with pytest.raises(TypeError):
@@ -478,10 +464,7 @@ class TestSerialization:
             assert np.array_equal(back.f_o.K.K, model.f_o.K.K)
             assert np.array_equal(back.h_o.L, model.h_o.L)
             assert np.array_equal(back.h_o.K.K, model.h_o.K.K)
-            assert (back.scaling is None) == (model.scaling is None)
-            if model.scaling is not None:
-                assert np.array_equal(back.scaling.mean, model.scaling.mean)
-                assert np.array_equal(back.scaling.std, model.scaling.std)
+            assert np.array_equal(back.scaling.std, model.scaling.std)
             assert (back.g_io is None) == (model.g_io is None)
             if model.g_io is not None:
                 assert np.array_equal(back.g_io.L, model.g_io.L)
@@ -537,10 +520,10 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             deserialize_model('{"format": "something-else"}')
 
-    @pytest.mark.parametrize("version", [99, 0, True, 1.0, "1", None, "missing"])
-    def test_rejects_any_version_but_1(self, version):
+    @pytest.mark.parametrize("version", [99, 0, True, 2.0, "2", None, "missing"])
+    def test_rejects_any_version_but_2(self, version):
         doc = json.loads(serialize_model(reference_fixture_model()))
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         if version == "missing":
             del doc["version"]
         else:
@@ -548,6 +531,47 @@ class TestSerialization:
         shown = "None" if version == "missing" else repr(version)
         with pytest.raises(ValidationError, match=f"^model document version {shown} "):
             deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("mean", [0.0, 0.7], ids=["zero-mean", "nonzero-mean"])
+    def test_rejects_version_1_with_the_remedy(self, mean):
+        # Version 1 held an output mean beside the std.
+        doc = json.loads(serialize_model(reference_fixture_model()))
+        doc.update(version=1, scaling={"mean": [mean], "std": [2.0]})
+        with pytest.raises(ValidationError) as err:
+            deserialize_model(json.dumps(doc))
+        assert str(err.value) == (
+            "model document version 1 is not supported; it must be 2: identify the model again"
+        )
+
+    @pytest.mark.parametrize(
+        "scaling",
+        [{"mean": [0.0], "std": [2.0]}, {"mean": [0.0]}, {"std": [2.0], "offset": [1.0]},
+         {}, None, "missing", [2.0]],
+        ids=["with-mean", "mean-only", "extra-key", "empty", "null", "missing", "list"],
+    )
+    def test_rejects_a_scaling_that_is_not_one_divisor(self, scaling):
+        doc = json.loads(serialize_model(reference_fixture_model()))
+        if scaling == "missing":
+            del doc["scaling"]
+        else:
+            doc["scaling"] = scaling
+        with pytest.raises(ValidationError, match=r'^scaling must be \{"std": \[\.\.\.\]\}, got '):
+            deserialize_model(json.dumps(doc))
+
+    def test_model_without_a_scaling_has_unit_divisors(self, rng):
+        model = decay_model()
+        assert model.scaling == OutputScaling([1.0])
+        doc = serialize_model(model)
+        assert json.loads(doc)["scaling"] == {"std": [1.0]}
+        back = deserialize_model(doc)
+        assert back == model and serialize_model(back) == doc
+        ts = TimeSeriesSet(rng.standard_normal((5, 1, 2)))
+        plain = predict_one_step(model, ts, np.ones((1, 2)))
+        assert plain == predict_one_step(back, ts, np.ones((1, 2)))
+
+    def test_rejects_a_scaling_of_another_output_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="scaling dimension must equal d_y"):
+            dataclasses.replace(decay_model(), scaling=OutputScaling([1.0, 2.0]))
 
     def test_numpy_integer_dimensions_serialize_as_python_ints(self):
         model = reference_fixture_model()
@@ -580,7 +604,6 @@ class TestSerialization:
             lambda doc: doc["f_o"]["K"][0].append(0),
             lambda doc: doc["f_o"].update(n_vars=doc["f_o"]["n_vars"] + 1),
             lambda doc: doc.pop("f_o"),
-            lambda doc: doc.update(scaling={"mean": [0.0] * doc["d_y"]}),
             lambda doc: doc.update(t_minus="two"),
             lambda doc: doc.update(t_minus=1.5),
             lambda doc: doc.update(t_minus=True),
@@ -592,19 +615,23 @@ class TestSerialization:
             lambda doc: doc["f_o"]["K"][0].__setitem__(0, True),
             lambda doc: doc["f_o"]["L"][0].__setitem__(0, "0.5"),
             lambda doc: doc["h_o"]["L"][0].__setitem__(1, True),
-            lambda doc: doc.update(scaling={"mean": [0.0], "std": ["2"]}),
-            lambda doc: doc.update(scaling={"mean": [False], "std": [2.0]}),
-            lambda doc: doc.update(scaling={"mean": [10**400], "std": [2.0]}),
+            lambda doc: doc.update(scaling={"std": ["2"]}),
+            lambda doc: doc.update(scaling={"std": [False]}),
+            lambda doc: doc.update(scaling={"std": [10**400]}),
+            lambda doc: doc.update(scaling={"std": [0.0]}),
+            lambda doc: doc.update(scaling={"std": [1.0, 2.0]}),
+            lambda doc: doc.update(scaling={"std": 2.0}),
             lambda doc: doc.update(meta="x"),
             lambda doc: doc.update(t_minus=0, g_io={
                 "n_vars": 0, "k_max": [], "K": [[]], "L": [[1.0]] * doc["n"]}),
         ],
-        ids=["ragged-K", "n_vars-vs-K", "missing-f_o", "scaling-without-std",
+        ids=["ragged-K", "n_vars-vs-K", "missing-f_o",
              "non-integer-t_minus", "fractional-t_minus", "boolean-t_minus",
              "fractional-n", "boolean-d_y", "fractional-n_vars",
              "fractional-k_max", "fractional-K", "boolean-K",
-             "string-L", "boolean-L", "string-std",
-             "boolean-mean", "huge-integer-mean", "string-meta", "zero-t_minus"],
+             "string-L", "boolean-L", "string-std", "boolean-std",
+             "huge-integer-std", "zero-std", "two-std", "scalar-std",
+             "string-meta", "zero-t_minus"],
     )
     def test_malformed_document_raises_validation_error(self, corrupt):
         doc = json.loads(serialize_model(reference_fixture_model()))

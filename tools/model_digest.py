@@ -16,11 +16,15 @@ The inputs are the benchmark's own, imported from ``bench/workloads.py``:
   and polynomial (A2) acceptance sets, the two-output system of the test
   suite (``TestIdentify::test_two_output_system``), and the
   ``cli_roundtrip`` training set of seed 1, which goes through
-  ``polysid.cli.main``: one digest of the model document without its
-  ``meta`` and one of the held-out predictions;
+  ``polysid.cli.main``: one digest of the model and one of the held-out
+  predictions;
 - the ``predict_batch`` batch of seed 1: one digest of its predictions.
 
-That makes 41 lines.
+That makes 41 lines.  A model's digest covers its numbers, not its
+document: ``n``, ``d_y``, ``t_minus``, the output divisors ``scaling.std``
+and the coefficient and exponent arrays of ``f_o``, ``h_o`` and ``g_io``.
+So a change of the document layout leaves it as it is, and ``meta``, which
+echoes the config, is left out.
 
 The ``polysid`` imported is the first one on ``sys.path``, so ``PYTHONPATH``
 chooses the source tree; this checkout's ``src/`` comes last.  Running the
@@ -55,7 +59,7 @@ import workloads as wl  # noqa: E402
 from polysid import IdentConfig, cli, dataio, generate, identify, predict_with_burn_in  # noqa: E402
 from polysid.genred import MonomialMap  # noqa: E402
 from polysid.monomials import PowerMatrix, identity_power_matrix  # noqa: E402
-from polysid.model import ObserverModel, deserialize_model, serialize_model  # noqa: E402
+from polysid.model import ObserverModel, deserialize_model  # noqa: E402
 
 #: Seeds whose ``ident_pooled`` training sets are identified.
 POOLED_SEEDS = (1, 2)
@@ -69,8 +73,13 @@ def sha(data: bytes) -> str:
 
 
 def model_digest(model: ObserverModel) -> str:
-    """Digest of the model document without ``meta``, which echoes the config."""
-    return sha(serialize_model(dataclasses.replace(model, meta={})).encode())
+    """Digest of the model's dimensions, output divisors and map arrays, each with its shape."""
+    h = hashlib.sha256(repr((model.n, model.d_y, model.t_minus)).encode())
+    maps = [M for M in (model.f_o, model.h_o, model.g_io) if M is not None]
+    for a in [model.scaling.std] + [a for M in maps for a in (M.L, M.K.K)]:
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def ranks(n: int, n1, n2) -> str:
