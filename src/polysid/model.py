@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .genred import MonomialMap, eval_monomial_map_many
-from .monomials import PowerMatrix, data_matrix_workspace
+from .monomials import PowerMatrix, data_matrix_workspace, eval_chain
 from .series import TimeSeriesSet, past_windows
 
 #: Any state component beyond this magnitude aborts the observer recursion.
@@ -195,39 +195,47 @@ def run_observer(
 ) -> np.ndarray:
     """Outputs ``h(x)``, shape ``(steps, h.m, s)``, of ``x <- f(x, feedback(i, h(x)))``.
 
-    Step ``i`` is time ``t_start + i`` and each column of ``x`` one series.
-    ``feedback`` gives the outputs that drive the state: the measured ones
-    for prediction, the noisy ones for simulation.  It receives row ``i`` of
-    the returned array, which it may change in place.
+    Step ``i`` is time ``t_start + i`` and each column of ``x`` one series;
+    ``x`` itself is left unchanged.  ``feedback`` gives the outputs that drive
+    the state: the measured ones for prediction, the noisy ones for
+    simulation.  It receives row ``i`` of the returned array, which it may
+    change in place.
+
+    Outputs agree across batch widths only to rounding: the monomial values
+    do not depend on the width, but the BLAS kernel of ``L @`` them does.
 
     Raises:
+        InvalidInputError: If ``x`` has a non-finite entry.
         NumericalOverflowError: Naming the series and time of the first
             output, computed or fed back, that is not finite.
         DivergenceError: Naming the series and time at which a state
             component first exceeds ``STATE_OVERFLOW_GUARD`` or is NaN.
     """
-    yhat = np.empty((steps, h.m, x.shape[1]))
+    n, s = x.shape
+    z = np.empty((n + h.m, s))  # the state over the fed-back outputs, for the whole run
+    z[:n] = real_array(x, "samples", 2)  # checked once: the guards keep z finite
+    yhat = np.empty((steps, h.m, s))
     # One data-matrix workspace per map for all steps, so that no step allocates
     # one: with a fresh one per step, the heap layout decided the peak memory.
-    h_work = data_matrix_workspace(h.K, x.shape[1])
-    f_work = data_matrix_workspace(f.K, x.shape[1])
-    # Overflow is reported by the guards, not by numpy warnings.
+    h_work = data_matrix_workspace(h.K, s)
+    f_work = data_matrix_workspace(f.K, s)
+    # Guards, not numpy warnings, report overflow; each tests the whole array first.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            yhat[i] = eval_monomial_map_many(h, x.T, h_work)
-            y = feedback(i, yhat[i])
-            finite = np.isfinite(yhat[i]).all(axis=0) & np.isfinite(y).all(axis=0)
-            if not finite.all():
+            np.matmul(h.L, eval_chain(h.K, z[:n], h_work), out=yhat[i])
+            z[n:] = feedback(i, yhat[i])
+            if not (np.isfinite(yhat[i]).all() and np.isfinite(z[n:]).all()):
+                finite = np.isfinite(yhat[i]).all(axis=0) & np.isfinite(z[n:]).all(axis=0)
                 raise NumericalOverflowError(
                     f"the output of series {int(finite.argmin()) + 1} at time "
                     f"{t_start + i} overflows"
                 )
-            x = eval_monomial_map_many(f, np.vstack([x, y]).T, f_work)
-            worst = np.abs(x).max(axis=0)
+            np.matmul(f.L, eval_chain(f.K, z, f_work), out=z[:n])
             # NaN (say ``inf - inf``) fails every comparison: test for "within".
-            if not (worst <= STATE_OVERFLOW_GUARD).all():
+            if not np.abs(z[:n]).max() <= STATE_OVERFLOW_GUARD:
+                within = np.abs(z[:n]).max(axis=0) <= STATE_OVERFLOW_GUARD
                 raise DivergenceError(
-                    f"state diverged in series {int(worst.argmax()) + 1} after time "
+                    f"state diverged in series {int(within.argmin()) + 1} after time "
                     f"{t_start + i} (|x| > {STATE_OVERFLOW_GUARD:g} or NaN)"
                 )
     return yhat

@@ -356,14 +356,21 @@ def build_data_matrix(samples, pm: PowerMatrix, out: np.ndarray | None = None) -
             f"out must be a float array of shape ({pm.chain_plan[0]}, {X.shape[0]}), "
             f"got {W.dtype} {W.shape}"
         )
-    XT = np.ascontiguousarray(X.T)
+    return eval_chain(pm, np.ascontiguousarray(X.T), W)
+
+
+def eval_chain(pm: PowerMatrix, rows: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """:func:`build_data_matrix` without checks, on finite ``rows`` ``(pm.n, s)``, one per variable.
+
+    ``W`` is a :func:`data_matrix_workspace` on ``s`` samples; returns its view ``W[: pm.d_v]``.
+    """
     for row, parent, j in pm.chain_plan[1]:
         if j < 0:
             W[row] = 1.0
         elif parent < 0:
-            W[row] = XT[j]
+            W[row] = rows[j]
         else:
-            np.multiply(W[parent], XT[j], out=W[row])
+            np.multiply(W[parent], rows[j], out=W[row])
     return W[: pm.d_v]
 
 

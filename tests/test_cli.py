@@ -319,6 +319,27 @@ class TestPredictGuards:
         )
         assert not out.exists()
 
+    def test_diverging_state_is_a_divergence_error(self, tmp_path, capsys):
+        # CI's divergence case: x(t+1) = 10 x from the state x = 1 at time 2 passes
+        # the guard after time 14, in every series; the first is named.
+        spec_path, data = tmp_path / "linear.spec", tmp_path / "test.csv"
+        spec_path.write_text(spec_to_kv(linear_spec(50)))
+        assert run(["gen", "--spec", spec_path, "--seed", "2", "--out", data]) == 0
+        model_path, out = tmp_path / "diverge.json", tmp_path / "p.csv"
+        model_path.write_text(
+            '{"format": "polysid-model", "version": 2, "n": 1, "d_y": 1,'
+            ' "f_o": {"n_vars": 2, "k_max": [1, 0], "K": [[1, 0]], "L": [[10.0]]},'
+            ' "h_o": {"n_vars": 1, "k_max": [1], "K": [[1]], "L": [[1.0]]},'
+            ' "g_io": {"n_vars": 1, "k_max": [0], "K": [[0]], "L": [[1.0]]},'
+            ' "t_minus": 1, "scaling": {"std": [1.0]}, "meta": {}}'
+        )
+        capsys.readouterr()
+        assert run(["predict", "--model", model_path, "--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: DIVERGENCE: state diverged in series 1 after time 14 (|x| > 1e+12 or NaN)\n"
+        )
+        assert not out.exists()
+
     def test_undecodable_model_is_a_parse_error(self, tmp_path, capsys):
         model_path, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "p.csv"
         model_path.write_text('{"format": "polysid-model", "version": 2, "n": ' + "1" * 5000 + "}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -171,6 +172,28 @@ class TestPredictOneStep:
             predict_one_step(model, ts, np.array([[1.0, 1e12, 1.0]]))
         assert "series 2 after time 1" in str(err.value)
 
+    def test_divergence_names_the_first_diverged_series(self):
+        # As above, series 2's state is NaN after time 1; series 1's is 10^26,
+        # finite but over the guard, and it is the one named.
+        K_f = PowerMatrix(np.array([[26, 0], [25, 1]]), (26, 1))
+        f_o = MonomialMap(np.array([[1.0, -1.0]]), K_f)
+        h_o = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
+        model = ObserverModel(n=1, d_y=1, f_o=f_o, h_o=h_o)
+        Y = np.zeros((3, 1, 3))
+        Y[:, 0, 1] = 1e12
+        with pytest.raises(DivergenceError) as err:
+            predict_one_step(model, TimeSeriesSet(Y), np.array([[10.0, 1e12, 1.0]]))
+        assert str(err.value) == "state diverged in series 1 after time 1 (|x| > 1e+12 or NaN)"
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["1-D", "2-D"])
+    def test_leaves_the_initial_states_unchanged(self, rng, shape):
+        model = zero_output_model()
+        x0 = rng.standard_normal(shape)
+        before = x0.copy()
+        ts = TimeSeriesSet(rng.standard_normal((4, 1, 1 if len(shape) == 1 else shape[1])))
+        predict_one_step(model, ts, x0)
+        assert np.array_equal(x0, before)
+
     def test_dimension_mismatch(self, rng):
         model = decay_model()
         ts = TimeSeriesSet(rng.standard_normal((4, 2, 1)))
@@ -291,6 +314,57 @@ class TestBurnIn:
         with pytest.raises(NumericalOverflowError) as err:
             generate(spec, 1)
         assert str(err.value) == "the output of series 1 at time 2 overflows"
+
+    IDENTITY = MonomialMap(np.array([[1.0]]), identity_power_matrix(1))
+
+    @pytest.mark.parametrize(
+        "h_o, x0, message",
+        [(POWER_30, [1.0, 1e10, 1e10], "the output of series 2 at time 2 overflows"),
+         # Series 1's x^30 overflows at time 3, a step after series 2's.
+         (POWER_30, [1e9, 1e10], "the output of series 2 at time 2 overflows"),
+         # Series 3's state is the larger, 3e12 against 2e12.
+         (IDENTITY, [1.0, 2e11, 3e11],
+          "state diverged in series 2 after time 1 (|x| > 1e+12 or NaN)"),
+         # Series 1's state passes the guard after time 3, a step after series 2's.
+         (IDENTITY, [1e10, 1e11],
+          "state diverged in series 2 after time 2 (|x| > 1e+12 or NaN)")],
+        ids=["output-two-at-once", "output-higher-series-first",
+             "state-two-at-once", "state-higher-series-first"],
+    )
+    def test_guards_name_the_first_series_at_the_first_time(self, h_o, x0, message):
+        model = ObserverModel(n=1, d_y=1, f_o=self.TENFOLD, h_o=h_o)
+        with pytest.raises((NumericalOverflowError, DivergenceError)) as err:
+            predict_one_step(model, TimeSeriesSet(np.ones((5, 1, len(x0)))), np.array([x0]))
+        assert str(err.value) == message
+
+    def test_simulation_leaves_its_initial_states_unchanged(self, monkeypatch):
+        # The package exports the function ``generate`` under its module's name.
+        generate_module = importlib.import_module("polysid.generate")
+        seen = []
+
+        def recorded(f, h, x, steps, feedback):
+            seen.append((x, x.copy()))
+            return run_observer(f, h, x, steps, feedback)
+
+        run_observer = generate_module.run_observer
+        monkeypatch.setattr(generate_module, "run_observer", recorded)
+        spec = GeneratorSpec(
+            n=1, d_y=1, f=self.TENFOLD, h=self.IDENTITY, x0_min=(0.5,), x0_max=(2.0,),
+            noise_std=0.1, t_1=5, s=3,
+        )
+        generate(spec, 1)
+        [(x, before)] = seen
+        assert np.array_equal(x, before)
+
+    def test_simulation_rejects_non_finite_initial_states(self):
+        # The box's width, 2e308, overflows, so the drawn states are infinite.
+        spec = GeneratorSpec(
+            n=1, d_y=1, f=self.TENFOLD, h=self.IDENTITY, x0_min=(-1e308,), x0_max=(1e308,),
+            noise_std=0.0, t_1=5, s=3,
+        )
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError) as err:
+            generate(spec, 1)
+        assert str(err.value) == "non-finite entries in samples"
 
     def test_summaries_of_huge_finite_predictions_are_finite(self):
         # y = x^16 from x = 1e10 predicts 1e160, whose square overflows.
