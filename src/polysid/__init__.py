@@ -5,7 +5,9 @@ The package identifies an observer model
     x(t+1) = f_o(x(t), y(t)),      yhat(t | t-1) = h_o(x(t)),
 
 with polynomial ``f_o`` and ``h_o``, from finite sets of output time series,
-and evaluates it by one-step-ahead prediction.
+and evaluates it by one-step-ahead prediction.  Samples are columns: states
+and monomial-map inputs are ``(n, s)`` and series ``(t, d_y, s)``, as
+``TimeSeriesSet.Y``, one sample or series per column.
 """
 
 from .errors import (

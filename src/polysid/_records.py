@@ -42,8 +42,8 @@ def readonly_copy(a, dtype=None) -> np.ndarray:
     return out
 
 
-def real_array(a, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
-    """``a`` as a float array, uncopied if it is one, of ``ndim`` (or one of ``ndim``) dimensions.
+def real_array(a, what: str, ndim: int) -> np.ndarray:
+    """``a`` as a float array, uncopied if it is one, of ``ndim`` dimensions.
 
     Booleans, strings and bytes are not numbers here, though numpy converts them; but
     numpy turns a list mixing booleans and numbers into a number array, which passes.
@@ -63,9 +63,8 @@ def real_array(a, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
         x = x.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what} must be an array of real numbers: {exc}") from exc
-    dims = np.atleast_1d(ndim)
-    if x.ndim not in dims:
-        raise InvalidInputError(f"{what} must be {'- or '.join(map(str, dims))}-D, got {x.shape}")
+    if x.ndim != ndim:
+        raise InvalidInputError(f"{what} must be {ndim}-D, got {x.shape}")
     if not np.isfinite(x).all():
         raise InvalidInputError(f"non-finite entries in {what}")
     return x

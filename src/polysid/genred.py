@@ -65,9 +65,6 @@ class MonomialMap(ArrayRecord):
         return bool((self.L != 0.0).any(axis=0).all())
 
 
-def eval_monomial_map_many(M: MonomialMap, samples, work: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate the map at many points; returns columns in sample order.
-
-    ``work`` is :func:`build_data_matrix`'s ``out``, a workspace reused across calls.
-    """
-    return M.L @ build_data_matrix(samples, M.K, work)
+def eval_monomial_map_many(M: MonomialMap, samples) -> np.ndarray:
+    """Evaluate the map at the samples ``(n_vars, s)``, one per column; returns ``(m, s)``."""
+    return M.L @ build_data_matrix(samples, M.K)

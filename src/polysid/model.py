@@ -261,7 +261,7 @@ def predict_one_step(
         t_start: 1-based time of the first prediction.
 
     Raises:
-        InvalidInputError: If ``x0`` is not a 1-D or 2-D array of finite real numbers
+        InvalidInputError: If ``x0`` is not a 2-D array of finite real numbers
             that fits the model and ``ts``, or ``t_start`` not an integer in ``1..ts.t_1``.
         DivergenceError: If any state component exceeds the overflow guard;
             the message names the series and time step.
@@ -274,8 +274,7 @@ def predict_one_step(
         raise DimensionMismatchError(
             f"model output dimension {model.d_y} does not match data dimension {ts.d_y}"
         )
-    x = real_array(x0, "x0", (1, 2))
-    x = x[:, None] if x.ndim == 1 else x
+    x = real_array(x0, "x0", 2)
     if x.shape != (model.n, ts.s):
         raise DimensionMismatchError(
             f"x0 must have shape ({model.n}, {ts.s}), got {x.shape}"
@@ -297,12 +296,12 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
     """Compute the state after a measured history via the stored past lifting.
 
     Args:
-        y_past: The ``t_minus`` most recent outputs, shape ``(t_minus, d_y)``
-            in time order (oldest first); may also carry a trailing series
-            axis ``(t_minus, d_y, s)``.
+        y_past: The ``t_minus`` most recent outputs of each series, shape
+            ``(t_minus, d_y, s)`` as in ``TimeSeriesSet.Y``, in time order
+            (oldest first).
 
     Returns:
-        State column(s) at the time immediately after the window.
+        The states ``(n, s)`` at the time immediately after the window.
 
     The states of an identified model's training series ``ts`` at its
     single anchor ``model.t_minus + 1`` are the burn-in state
@@ -310,15 +309,13 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
 
     Raises:
         InvalidInputError: If the model carries no past lifting, or ``y_past`` is
-            not a 2-D or 3-D array of finite real numbers that fits the model.
+            not a 3-D array of finite real numbers that fits the model.
         NumericalOverflowError: Naming the first series whose state is not
             finite: its past outputs overflow the scaling or the lifting.
     """
     if model.g_io is None or model.t_minus is None:
         raise InvalidInputError("model does not store a past-output lifting")
-    Y = real_array(y_past, "past window y_past", (2, 3))
-    squeeze = Y.ndim == 2
-    Y = Y[:, :, None] if squeeze else Y
+    Y = real_array(y_past, "past window y_past", 3)
     if Y.shape[0] != model.t_minus or Y.shape[1] != model.d_y:
         raise DimensionMismatchError(
             f"past window must have shape ({model.t_minus}, {model.d_y}, s), got {Y.shape}"
@@ -329,14 +326,14 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
         window = past_windows(Y, [model.t_minus + 1], model.t_minus)
         finite = np.isfinite(window).all(axis=0)
         if finite.all():
-            x = eval_monomial_map_many(model.g_io, window.T)
+            x = eval_monomial_map_many(model.g_io, window)
             finite = np.isfinite(x).all(axis=0)
     if not finite.all():
         raise NumericalOverflowError(
             f"the state of series {int(finite.argmin()) + 1} is not finite: its "
             "past outputs overflow the output scaling or the past lifting"
         )
-    return x[:, 0] if squeeze else x
+    return x
 
 
 def predict_with_burn_in(model: ObserverModel, ts: TimeSeriesSet) -> PredictionReport:

@@ -72,7 +72,7 @@ class PowerMatrix(ArrayRecord):
     """Integer exponent matrix indexing a monomial vector.
 
     Attributes:
-        K: Array of shape ``(d_v, n)`` of nonnegative integers; rows are
+        K: Integer array of shape ``(d_v, n)``, entries nonnegative; rows are
             pairwise distinct and strictly decreasing lexicographically.
         k_max: Per-variable exponent bounds, nonnegative integers; every ``K[i, j] <= k_max[j]``.
 
@@ -90,13 +90,10 @@ class PowerMatrix(ArrayRecord):
             raise InvalidInputError(f"power matrix must be 2-D: {exc}") from exc
         if K.ndim != 2:
             raise InvalidInputError(f"power matrix must be 2-D, got shape {K.shape}")
-        if not np.issubdtype(K.dtype, np.integer):
-            if K.dtype.kind not in "bf" or not (
-                np.isfinite(K).all() and (K == np.floor(K)).all()
-            ):
-                raise InvalidInputError("power matrix entries must be integers")
-            if K.size and np.abs(K).max() >= 2.0**63:
-                raise InvalidInputError("power matrix entries exceed the int64 range")
+        if not np.issubdtype(K.dtype, np.integer):  # booleans and integral floats too
+            raise InvalidInputError("power matrix entries must be integers")
+        if K.size and int(K.max()) >= 2**63:  # before the cast, which wraps uint64
+            raise InvalidInputError("power matrix entries exceed the int64 range")
         K = readonly_copy(K, np.int64)
         if K.size and K.min() < 0:
             raise InvalidInputError("power matrix entries must be nonnegative")
@@ -290,9 +287,10 @@ def enumerate_power_matrix(
 
 
 def data_matrix_workspace(pm: PowerMatrix, s: int) -> np.ndarray:
-    """An uninitialised ``out`` for :func:`build_data_matrix` on ``s`` samples.
+    """The uninitialised ``W`` in which :func:`eval_chain` evaluates ``pm`` on ``s`` samples.
 
-    It starts on a 64-byte cache line.  malloc aligns to 16 bytes only, and
+    It has ``pm.chain_plan[0]`` rows, one per chain row, and ``s`` columns,
+    and starts on a 64-byte cache line.  malloc aligns to 16 bytes only, and
     a chain evaluated in a misaligned array ran about 15% slower (5000
     samples, 179 rows, on a 2-core Xeon VM), so the time depended on where
     the array landed.
@@ -316,53 +314,44 @@ def data_matrix_workspace(pm: PowerMatrix, s: int) -> np.ndarray:
     return buf[start : start + cells].reshape(pm.chain_plan[0], s)
 
 
-def build_data_matrix(samples, pm: PowerMatrix, out: np.ndarray | None = None) -> np.ndarray:
+def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
     """Evaluate the monomial vector at every sample.
 
     Rows are computed along ``pm.chain_plan``, one multiply by a variable
     per row, so each value is the left-to-right product of its factors:
     ``x[j]`` repeated ``K[i, j]`` times, in increasing ``j``.  No power is
     taken, and a sample's column is the same bit for bit whatever other
-    samples share the batch.
+    samples share the batch, and whatever the memory layout of ``samples``.
 
     Args:
-        samples: Array-like of shape ``(s, n)`` (or a list of ``n``-vectors)
-            of finite real numbers.
+        samples: Array-like of shape ``(n, s)`` of finite real numbers, one
+            sample per column; a square ``(s, n)`` array is read as ``(n, s)``.
         pm: Power matrix with ``n`` variables and ``d_v`` rows.
-        out: Optional workspace from :func:`data_matrix_workspace`, so that
-            repeated calls on ``s`` samples evaluate into one array.
 
     Returns:
         Array of shape ``(d_v, s)`` whose column ``k`` is the monomial vector
-        evaluated at ``samples[k]``; sample order is preserved.  With ``out``,
-        it is a view of the first ``d_v`` rows of ``out``.
+        evaluated at ``samples[:, k]``; sample order is preserved.
 
     Raises:
-        InvalidInputError: If the samples are not a nonempty 1-D or 2-D finite real array.
-        DimensionMismatchError: If the sample dimension is not ``pm.n``, or
-            ``out`` is not a float array of the workspace's shape.
-        CapacityError: As :func:`data_matrix_workspace`, without ``out``.
+        InvalidInputError: If the samples are not a 2-D finite real array with a column.
+        DimensionMismatchError: If the samples do not have ``pm.n`` rows.
+        CapacityError: As :func:`data_matrix_workspace`.
     """
-    X = np.atleast_2d(real_array(samples, "samples", (1, 2)))  # one vector, one sample
-    if X.shape[0] == 0:
+    X = real_array(samples, "samples", 2)
+    if X.shape[1] == 0:
         raise InvalidInputError("sample list is empty")
-    if X.shape[1] != pm.n:
+    if X.shape[0] != pm.n:
         raise DimensionMismatchError(
-            f"sample dimension {X.shape[1]} does not match {pm.n} variables"
+            f"sample dimension {X.shape[0]} does not match {pm.n} variables"
         )
-    W = data_matrix_workspace(pm, X.shape[0]) if out is None else out
-    if W.shape != (pm.chain_plan[0], X.shape[0]) or W.dtype != np.float64:
-        raise DimensionMismatchError(
-            f"out must be a float array of shape ({pm.chain_plan[0]}, {X.shape[0]}), "
-            f"got {W.dtype} {W.shape}"
-        )
-    return eval_chain(pm, np.ascontiguousarray(X.T), W)
+    return eval_chain(pm, X, data_matrix_workspace(pm, X.shape[1]))
 
 
 def eval_chain(pm: PowerMatrix, rows: np.ndarray, W: np.ndarray) -> np.ndarray:
     """:func:`build_data_matrix` without checks, on finite ``rows`` ``(pm.n, s)``, one per variable.
 
-    ``W`` is a :func:`data_matrix_workspace` on ``s`` samples; returns its view ``W[: pm.d_v]``.
+    ``rows`` may have any strides.  ``W`` is a :func:`data_matrix_workspace`
+    on ``s`` samples; returns its view ``W[: pm.d_v]``.
     """
     for row, parent, j in pm.chain_plan[1]:
         if j < 0:

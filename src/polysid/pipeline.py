@@ -343,7 +343,7 @@ def _lifted_chunks(samples: np.ndarray, K: PowerMatrix, what: str, L=None):
     """Column slices of ``samples`` with their ``K`` lifting (times ``L``), checked as ``what``."""
     width = _chunk_width(K.d_v)
     for a in range(0, samples.shape[1], width):
-        V = build_data_matrix(samples[:, a : a + width].T, K)
+        V = build_data_matrix(samples[:, a : a + width], K)
         values = V if L is None else L @ V
         _check_finite(what, values)
         yield slice(a, a + width), values

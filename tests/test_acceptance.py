@@ -139,7 +139,7 @@ def test_a5_monomial_fixtures():
     pm = enumerate_power_matrix(2, (2, 1))
     expected_K = np.array([[2, 1], [2, 0], [1, 1], [1, 0], [0, 1], [0, 0]])
     rows_ok = bool(np.array_equal(pm.K, expected_K)) and pm.d_v == 6
-    v = build_data_matrix([[2.0, 3.0]], pm)[:, 0]
+    v = build_data_matrix([[2.0], [3.0]], pm)[:, 0]
     eval_ok = bool(np.array_equal(v, [12.0, 4.0, 6.0, 2.0, 3.0, 1.0]))
     report("A5", rows_ok and eval_ok, f"rows match: {rows_ok}, value at (2,3) matches: {eval_ok}")
     assert rows_ok and eval_ok

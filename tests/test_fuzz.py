@@ -241,7 +241,7 @@ sample_entries = (
 samples_like = st.recursive(
     sample_entries, lambda inner: st.lists(inner, max_size=4), max_leaves=12
 ) | st.builds(
-    lambda rows, dtype: np.asarray(rows, dtype=dtype),
+    lambda rows, dtype: np.asarray(rows, dtype=dtype).T,  # samples are the columns
     st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2), max_size=3),
     st.sampled_from([float, complex, str, object]),
 )

@@ -7,6 +7,7 @@ import pytest
 
 from polysid import (
     DimensionMismatchError,
+    InvalidInputError,
     MonomialMap,
     PowerMatrix,
     identity_power_matrix,
@@ -16,7 +17,7 @@ from polysid.genred import eval_monomial_map_many
 
 def eval_at(M: MonomialMap, x) -> np.ndarray:
     """The map at one point, through the batch evaluator."""
-    return eval_monomial_map_many(M, [x])[:, 0]
+    return eval_monomial_map_many(M, np.asarray(x)[:, None])[:, 0]
 
 
 class TestEvalMonomialMap:
@@ -45,6 +46,13 @@ class TestEvalMonomialMap:
         M = MonomialMap(np.eye(2), identity_power_matrix(2))
         with pytest.raises(DimensionMismatchError):
             eval_at(M, [1.0])
+
+    def test_samples_are_columns(self):
+        M = MonomialMap(np.eye(2), identity_power_matrix(2))
+        with pytest.raises(InvalidInputError, match=r"samples must be 2-D, got \(2,\)"):
+            eval_monomial_map_many(M, [1.0, 2.0])
+        with pytest.raises(DimensionMismatchError, match="sample dimension 3 does not match 2"):
+            eval_monomial_map_many(M, np.ones((3, 2)))
 
     def test_rejects_zero_column_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -85,10 +85,10 @@ class TestPredictOneStep:
         for k in range(s):
             x = x0[:, k].copy()
             for t in range(T):
-                yhat = model.scaling.invert(eval_monomial_map_many(model.h_o, [x])[:, 0])
+                yhat = model.scaling.invert(eval_monomial_map_many(model.h_o, x[:, None])[:, 0])
                 assert rep.predictions[t, :, k] == pytest.approx(yhat, rel=1e-12, abs=1e-12)
                 y_scaled = model.scaling.apply(ts.Y[t, :, k])
-                x = eval_monomial_map_many(model.f_o, [np.concatenate([x, y_scaled])])[:, 0]
+                x = eval_monomial_map_many(model.f_o, np.concatenate([x, y_scaled])[:, None])[:, 0]
 
     def test_each_map_has_one_workspace_for_all_steps(self, rng, monkeypatch):
         from polysid import model as model_module
@@ -185,14 +185,21 @@ class TestPredictOneStep:
             predict_one_step(model, TimeSeriesSet(Y), np.array([[10.0, 1e12, 1.0]]))
         assert str(err.value) == "state diverged in series 1 after time 1 (|x| > 1e+12 or NaN)"
 
-    @pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["1-D", "2-D"])
+    @pytest.mark.parametrize("shape", [(2, 3)], ids=["2-D"])
     def test_leaves_the_initial_states_unchanged(self, rng, shape):
         model = zero_output_model()
         x0 = rng.standard_normal(shape)
         before = x0.copy()
-        ts = TimeSeriesSet(rng.standard_normal((4, 1, 1 if len(shape) == 1 else shape[1])))
+        ts = TimeSeriesSet(rng.standard_normal((4, 1, shape[1])))
         predict_one_step(model, ts, x0)
         assert np.array_equal(x0, before)
+
+    def test_initial_states_are_columns(self):
+        model, ts = zero_output_model(), TimeSeriesSet(np.zeros((4, 1, 3)))
+        with pytest.raises(InvalidInputError, match=r"x0 must be 2-D, got \(2,\)"):
+            predict_one_step(model, ts, np.zeros(2))
+        with pytest.raises(DimensionMismatchError, match=r"x0 must have shape \(2, 3\), got \(3, 2\)"):
+            predict_one_step(model, ts, np.zeros((3, 2)))
 
     def test_dimension_mismatch(self, rng):
         model = decay_model()
@@ -423,6 +430,12 @@ class TestBurnIn:
         assert np.array_equal(rep.rmse, np.sqrt(np.mean(Y**2, axis=(0, 2))))
         assert np.array_equal(rep.relative_rmse, rep.rmse / Y.std(axis=(0, 2)))
         assert np.array_equal(rep.per_series_rmse, np.sqrt(np.mean(Y**2, axis=(0, 1))))
+
+    def test_past_window_has_a_series_axis(self):
+        model = self.half_std_model()
+        with pytest.raises(InvalidInputError, match=r"y_past must be 3-D, got \(1, 1\)"):
+            initial_state_from_past(model, np.ones((1, 1)))
+        assert initial_state_from_past(model, np.ones((1, 1, 3))).shape == (1, 3)
 
     def test_burn_in_requires_lifting(self, rng):
         model = decay_model()

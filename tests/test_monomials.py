@@ -136,6 +136,19 @@ class TestPowerMatrixInvariants:
         assert pm.d_v == 0 and pm.n == 3
 
     @pytest.mark.parametrize(
+        "K", [np.array([[True, False]]), np.array([[1.0, 0.0]])], ids=["bool", "integral-float"]
+    )
+    def test_rejects_exponents_of_another_dtype_than_integer(self, K):
+        with pytest.raises(InvalidInputError, match="power matrix entries must be integers"):
+            PowerMatrix(K, (1, 1))
+
+    def test_unsigned_exponents_beyond_int64_are_out_of_range(self):
+        with pytest.raises(InvalidInputError, match="power matrix entries exceed the int64 range"):
+            PowerMatrix(np.array([[2**63]], dtype=np.uint64), (2**63,))
+        top = PowerMatrix(np.array([[2**63 - 1]], dtype=np.uint64), (2**63 - 1,))
+        assert top.K.dtype == np.int64 and top.K[0, 0] == 2**63 - 1
+
+    @pytest.mark.parametrize(
         "K, k_max",
         [
             (np.array([["a"]]), (1,)),
@@ -170,7 +183,7 @@ class TestPowerMatrixInvariants:
 
 def eval_at(x, pm: PowerMatrix) -> np.ndarray:
     """The monomial vector at one point, through the batch evaluator."""
-    return build_data_matrix([x], pm)[:, 0]
+    return build_data_matrix(np.asarray(x)[:, None], pm)[:, 0]
 
 
 class TestEvalMonomialVector:
@@ -228,13 +241,13 @@ class TestEvalMonomialVector:
 
 class TestBuildDataMatrix:
     def test_single_column(self):
-        V = build_data_matrix([[2.0, 3.0]], appendix_matrix())
+        V = build_data_matrix([[2.0], [3.0]], appendix_matrix())
         assert V.shape == (6, 1)
         assert np.array_equal(V[:, 0], [12.0, 4.0, 6.0, 2.0, 3.0, 1.0])
 
     def test_constant_row_gives_ones(self, rng):
         pm = PowerMatrix(np.zeros((1, 2), dtype=int), (0, 0))
-        V = build_data_matrix(rng.standard_normal((7, 2)), pm)
+        V = build_data_matrix(rng.standard_normal((2, 7)), pm)
         assert np.array_equal(V, np.ones((1, 7)))
 
     def test_identity_power_matrix(self):
@@ -244,14 +257,31 @@ class TestBuildDataMatrix:
 
     def test_columns_match_pointwise_eval(self, rng):
         pm = enumerate_power_matrix(3, (1, 2, 1))
-        X = rng.uniform(-2, 2, size=(9, 3))
+        X = rng.uniform(-2, 2, size=(3, 9))
         V = build_data_matrix(X, pm)
         for j in range(9):
-            assert np.array_equal(V[:, j], eval_at(X[j], pm))
+            assert np.array_equal(V[:, j], eval_at(X[:, j], pm))
+
+    def test_any_memory_layout_gives_the_same_bits(self):
+        # eval_chain reads the caller's array with its strides; it makes no copy.
+        pm = enumerate_power_matrix(3, (2, 3, 2), max_degree=5)
+        X = np.ascontiguousarray(draw_samples(5, 40, 3))
+        views = [np.asfortranarray(X), X[:, ::2], np.ascontiguousarray(X.T).T]
+        for view in views:
+            assert not view.flags.c_contiguous
+            assert np.array_equal(
+                build_data_matrix(view, pm), build_data_matrix(np.ascontiguousarray(view), pm)
+            )
+
+    def test_samples_are_columns(self):
+        with pytest.raises(InvalidInputError, match=r"samples must be 2-D, got \(2,\)"):
+            build_data_matrix(np.array([2.0, 3.0]), appendix_matrix())
+        with pytest.raises(DimensionMismatchError, match="sample dimension 5 does not match 2"):
+            build_data_matrix(np.ones((5, 2)), appendix_matrix())
 
     def test_empty_samples(self):
         with pytest.raises(InvalidInputError):
-            build_data_matrix(np.zeros((0, 2)), appendix_matrix())
+            build_data_matrix(np.zeros((2, 0)), appendix_matrix())
 
     def test_workspace_is_reused_bit_for_bit(self, rng):
         # x1 x2^3 needs three auxiliary rows, so the workspace is taller than K.
@@ -260,25 +290,20 @@ class TestBuildDataMatrix:
         assert W.shape == (pm.chain_plan[0], 7) and pm.chain_plan[0] > pm.d_v
         assert W.ctypes.data % 64 == 0 and W.flags.c_contiguous
         for _ in range(2):
-            X = rng.standard_normal((7, 2))
-            V = build_data_matrix(X, pm, out=W)
+            X = rng.standard_normal((2, 7))
+            V = monomials.eval_chain(pm, X, W)
             assert np.shares_memory(V, W)
             assert np.array_equal(V, build_data_matrix(X, pm))
-
-    @pytest.mark.parametrize("out", [np.empty((6, 3)), np.empty((6, 4), dtype=np.float32)])
-    def test_workspace_of_another_shape_or_type_is_rejected(self, out):
-        with pytest.raises(DimensionMismatchError, match="out must be a float array of shape"):
-            build_data_matrix(np.ones((4, 2)), appendix_matrix(), out=out)
 
     @pytest.mark.parametrize(
         "samples",
         [
-            [["a", "b"]],
-            [[1.0, 2.0], [3.0]],
-            [[1.0 + 2.0j, 3.0]],
-            np.array([[1.0, 2.0]], dtype=complex),
-            [[10**400, 1.0]],
-            [[None, 1.0]],
+            [["a"], ["b"]],
+            [[1.0], [2.0, 3.0]],
+            [[1.0 + 2.0j], [3.0]],
+            np.array([[1.0], [2.0]], dtype=complex),
+            [[10**400], [1.0]],
+            [[None], [1.0]],
         ],
     )
     def test_malformed_samples_raise_invalid_input(self, samples):
@@ -290,10 +315,10 @@ class TestBuildDataMatrix:
         pm = PowerMatrix(np.array([[1, 3]]), (1, 3))
         assert pm.chain_plan[0] - pm.d_v == 3
         monkeypatch.setattr(monomials, "AUX_CELL_CAP", 12)
-        assert np.array_equal(build_data_matrix(np.full((4, 2), 2.0), pm), np.full((1, 4), 16.0))
+        assert np.array_equal(build_data_matrix(np.full((2, 4), 2.0), pm), np.full((1, 4), 16.0))
         empty = mock.patch.object(np, "empty", side_effect=AssertionError("allocated"))
         with empty, pytest.raises(CapacityError) as err:
-            build_data_matrix(np.full((5, 2), 2.0), pm)
+            build_data_matrix(np.full((2, 5), 2.0), pm)
         assert str(err.value) == (
             "the product chain needs at least 3 auxiliary rows for 5 samples, more than 12 cells"
         )
@@ -305,13 +330,11 @@ def product_oracle(samples, pm: PowerMatrix) -> np.ndarray:
     """Each row's factors multiplied from left to right, starting from ones:
     every variable repeated by its exponent, in increasing variable order."""
     X = np.asarray(samples, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    V = np.ones((pm.d_v, X.shape[0]))
+    V = np.ones((pm.d_v, X.shape[1]))
     for i, row in enumerate(pm.K.tolist()):
         for j, e in enumerate(row):
             for _ in range(e):
-                V[i] *= X[:, j]
+                V[i] *= X[j]
     return V
 
 
@@ -331,9 +354,9 @@ def power_matrices(draw, max_vars: int = 5):
 
 
 def draw_samples(seed: int, s: int, n: int) -> np.ndarray:
-    """Generic floats: full mantissas, signs and magnitudes from 1e-3 to 10."""
+    """Generic floats ``(n, s)``: full mantissas, signs and magnitudes from 1e-3 to 10."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((s, n)) * 10.0 ** rng.uniform(-3, 1, size=(1, n))
+    return (rng.standard_normal((s, n)) * 10.0 ** rng.uniform(-3, 1, size=(1, n))).T
 
 
 class TestChainPlan:
@@ -351,23 +374,18 @@ class TestChainPlan:
         pm = enumerate_power_matrix(3, (2, 3, 4), max_degree=5)
         X = draw_samples(9000, 9000, pm.n)
         V = build_data_matrix(X, pm)
-        for k in range(X.shape[0]):
-            assert np.array_equal(V[:, k], build_data_matrix(X[k], pm)[:, 0])
+        for k in range(X.shape[1]):
+            assert np.array_equal(V[:, k], build_data_matrix(X[:, k : k + 1], pm)[:, 0])
         assert np.array_equal(V, product_oracle(X, pm))
-
-    def test_single_sample_as_vector(self):
-        pm = PowerMatrix(np.array([[4, 1], [0, 3]]), (4, 3))
-        x = np.array([1.1, -0.7])
-        assert np.array_equal(build_data_matrix(x, pm), product_oracle(x, pm))
 
     def test_empty_matrix(self):
         pm = PowerMatrix(np.zeros((0, 2), dtype=np.int64), (1, 1))
-        assert build_data_matrix(np.ones((3, 2)), pm).shape == (0, 3)
+        assert build_data_matrix(np.ones((2, 3)), pm).shape == (0, 3)
 
     def test_exact_powers_and_signed_zero(self):
         pm = enumerate_power_matrix(2, (4, 4))
         edges = np.array([0.0, -0.0, 5e-324, 2.0**-1022, 1.0, -1.0, 2.0**200, -(2.0**-300)])
-        X = np.column_stack([edges, edges[::-1]])
+        X = np.vstack([edges, edges[::-1]])
         V = build_data_matrix(X, pm)
         oracle = product_oracle(X, pm)
         assert np.array_equal(V, oracle)
@@ -380,7 +398,7 @@ class TestChainPlan:
         # <- constant: five auxiliary rows, one multiply by a variable each.
         assert rows == 6
         assert steps == [(5, -1, 0), (4, 5, 0), (3, 4, 1), (2, 3, 2), (1, 2, 2), (0, 1, 2)]
-        x = np.array([[1.3, -0.4, 2.2]])
+        x = np.array([[1.3], [-0.4], [2.2]])
         assert np.array_equal(build_data_matrix(x, pm), product_oracle(x, pm))
 
     def test_auxiliary_rows_beyond_the_cap_raise(self, monkeypatch):
@@ -401,7 +419,7 @@ class TestChainPlan:
         # Planning that chain takes seconds, so the bound must fail first.
         pm = PowerMatrix(np.array([[10**6, 0], [1, 0], [0, 1]]), (10**6, 1))
         with pytest.raises(CapacityError, match="at least 999997 auxiliary rows for 5000"):
-            build_data_matrix(np.ones((5000, 2)), pm)
+            build_data_matrix(np.ones((2, 5000)), pm)
         assert "chain_plan" not in vars(pm)
 
     def test_every_parent_precedes_its_children(self):
@@ -417,7 +435,7 @@ class TestChainPlan:
         pm = enumerate_power_matrix(3, (2, 1, 2))
         twin = PowerMatrix(pm.K, pm.k_max)
         before = repr(pm)
-        build_data_matrix(rng.standard_normal((4, 3)), pm)
+        build_data_matrix(rng.standard_normal((3, 4)), pm)
         assert "chain_plan" in vars(pm) and "chain_plan" not in vars(twin)
         assert repr(pm) == before == repr(twin)
         assert pm == pm and [f.name for f in dataclasses.fields(pm)] == ["K", "k_max"]

@@ -228,7 +228,7 @@ class TestIdentify:
         t = echo["t_minus_max"] + 1
         scaled = TimeSeriesSet(model.scaling.apply(ts.Y))
         _, Ym = build_window_vectors(scaled, t, echo["t_plus_max"], echo["t_minus_max"])
-        X = eval_monomial_map_many(model.g_io, Ym.T)
+        X = eval_monomial_map_many(model.g_io, Ym)
         x0 = initial_state_from_past(model, ts.Y[t - 1 - model.t_minus : t - 1])
         assert np.array_equal(X, x0)
 
@@ -249,7 +249,7 @@ class TestIdentify:
         scaled = TimeSeriesSet((ts.Y - ts.Y.mean()) / ts.Y.std())
         Yplus, Yminus = build_window_vectors(scaled, 5, 3, 3)
         pm = enumerate_power_matrix(3, (1, 1, 1))
-        V_minus = build_data_matrix(Yminus.T, pm)
+        V_minus = build_data_matrix(Yminus, pm)
         res = svd_trunc(Yplus, V_minus, 0.9999)
         recon = np.linalg.norm(Yplus - res.C @ res.L @ V_minus)
         discarded = 1.0 - res.table.fractions[res.n - 1]
