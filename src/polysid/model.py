@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .genred import MonomialMap, eval_monomial_map_many
-from .monomials import PowerMatrix, data_matrix_workspace, eval_chain
+from .monomials import PowerMatrix, aligned_empty, data_matrix_workspace, eval_chain
 from .series import TimeSeriesSet, past_windows
 
 #: Any state component beyond this magnitude aborts the observer recursion.
@@ -57,12 +57,23 @@ class OutputScaling(ArrayRecord):
         object.__setattr__(self, "std", std)
 
     def _column(self, y: np.ndarray) -> np.ndarray:
-        """The std broadcasting over outputs ``(d_y,)``, ``(d_y, s)`` or ``(t, d_y, s)``."""
-        return self.std if np.ndim(y) == 1 else self.std[:, None]
+        """The std as a column over outputs ``(d_y, s)`` or ``(t, d_y, s)``.
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Raw outputs to scaled units."""
-        return y / self._column(y)
+        Raises:
+            DimensionMismatchError: For any other shape, so that no vector
+                broadcasts against the column silently.
+        """
+        shape = np.shape(y)
+        if len(shape) not in (2, 3) or shape[-2] != self.std.size:
+            raise DimensionMismatchError(
+                f"outputs must have shape (d_y, s) or (t, d_y, s) with d_y = {self.std.size}, "
+                f"got {shape}"
+            )
+        return self.std[:, None]
+
+    def apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Raw outputs to scaled units, written to ``out`` when given."""
+        return np.divide(y, self._column(y), out=out)
 
     def invert(self, y_scaled: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Scaled outputs to raw units, written to ``out`` when given."""
@@ -150,6 +161,17 @@ class PredictionReport(ArrayRecord):
         return float(self.relative_rmse.max())
 
 
+#: Largest magnitudes whose squares and their sums neither overflow nor lose
+#: their precision to underflow, so that they need no rescaling.
+_SAFE_MAGNITUDES = (1e-140, 1e140)
+
+
+def _safe(peaks: np.ndarray) -> bool:
+    """Whether every largest magnitude is 0 or in ``_SAFE_MAGNITUDES``."""
+    low, high = _SAFE_MAGNITUDES
+    return bool(((peaks == 0) | ((peaks > low) & (peaks < high))).all())
+
+
 def _rms(values: np.ndarray, axis: tuple[int, int], center: bool = False) -> np.ndarray:
     """Root mean square over ``axis``, about the mean (the std) if ``center``."""
     # Divided exactly by a power of two near the largest magnitude: no sum or square
@@ -164,6 +186,14 @@ def _rms(values: np.ndarray, axis: tuple[int, int], center: bool = False) -> np.
 
 @np.errstate(over="ignore")  # the residuals are checked instead
 def _summarize(t_start: int, measured: np.ndarray, predicted: np.ndarray) -> PredictionReport:
+    """The report's RMSEs, squaring the residuals once unless a magnitude needs ``_rms``.
+
+    Scaling by a power of two is exact, so where every largest magnitude is
+    in ``_SAFE_MAGNITUDES`` the unscaled sums give ``_rms``'s values bit for
+    bit.  One array holds the residuals, their squares, the squared
+    deviations of the outputs and the residuals again, so a report holds no
+    more memory at its peak than it returns.
+    """
     residuals = measured - predicted
     finite = np.isfinite(residuals).all(axis=1)
     if not finite.all():
@@ -171,10 +201,23 @@ def _summarize(t_start: int, measured: np.ndarray, predicted: np.ndarray) -> Pre
         raise NumericalOverflowError(
             f"the residual of series {k + 1} at time {t_start + t} overflows"
         )
-    rmse = _rms(residuals, (0, 2))
-    std = _rms(measured, (0, 2), center=True)
+    peaks = np.maximum(residuals.max(axis=0), -residuals.min(axis=0))  # (d_y, s)
+    if _safe(peaks.max(axis=1)) and _safe(peaks.max(axis=0)):
+        squares = np.multiply(residuals, residuals, out=residuals)
+        rmse = np.sqrt(squares.mean(axis=(0, 2)))
+        per_series = np.sqrt(squares.mean(axis=(0, 1)))
+    else:
+        rmse, per_series = _rms(residuals, (0, 2)), _rms(residuals, (0, 1))
+    peaks = np.maximum(measured.max(axis=(0, 2)), -measured.min(axis=(0, 2)))
+    if _safe(peaks):
+        deviations = np.subtract(measured, measured.mean(axis=(0, 2), keepdims=True),
+                                 out=residuals)
+        deviations *= deviations
+        std = np.sqrt(deviations.mean(axis=(0, 2)))
+    else:
+        std = _rms(measured, (0, 2), center=True)
+    np.subtract(measured, predicted, out=residuals)
     std = np.where(std > 0, std, 1.0)
-    per_series = _rms(residuals, (0, 1))
     return PredictionReport(
         t_start=t_start,
         predictions=predicted,
@@ -212,7 +255,9 @@ def run_observer(
             component first exceeds ``STATE_OVERFLOW_GUARD`` or is NaN.
     """
     n, s = x.shape
-    z = np.empty((n + h.m, s))  # the state over the fed-back outputs, for the whole run
+    # The state over the fed-back outputs, for the whole run; the chains read its rows, and
+    # aligned they read them faster, whatever the heap held before.
+    z = aligned_empty(n + h.m, s)
     z[:n] = real_array(x, "samples", 2)  # checked once: the guards keep z finite
     yhat = np.empty((steps, h.m, s))
     # One data-matrix workspace per map for all steps, so that no step allocates
@@ -321,9 +366,10 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
             f"past window must have shape ({model.t_minus}, {model.d_y}, s), got {Y.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        Y = model.scaling.apply(Y)
-        # The window before time t_minus + 1 is all of Y, most recent first.
-        window = past_windows(Y, [model.t_minus + 1], model.t_minus)
+        # The window before time t_minus + 1 is all of Y, most recent first: a
+        # new array, scaled in place.
+        window = past_windows(Y, [model.t_minus + 1], model.t_minus).reshape(Y.shape)
+        window = model.scaling.apply(window, out=window).reshape(-1, Y.shape[2])
         finite = np.isfinite(window).all(axis=0)
         if finite.all():
             x = eval_monomial_map_many(model.g_io, window)

@@ -16,6 +16,10 @@ it; parents missing from ``K`` become auxiliary rows, up to
 too.  Each value is thus the product of its factors from left to right,
 each variable repeated by its exponent, in increasing variable order.  It depends neither on which other rows a set
 contains nor on how many samples are evaluated together.
+
+Liftings of many samples run in blocks of :func:`block_columns` samples, one
+:func:`data_matrix_workspace` per call, so they hold ``O(d_v * block)``
+lifted cells, not ``O(d_v * s)``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ DEFAULT_ROW_CAP = 1_000_000
 #: on the cells each regression of ``identify`` holds.
 AUX_CELL_CAP = 100_000_000
 
+#: Least samples per block of a lifting; see :func:`block_columns`.
+CHUNK_COLUMNS = 1024
+
 
 def _exponent_bounds(k_max) -> tuple[int, ...]:
     """``k_max`` as a tuple of Python ``int``s, each a nonnegative integer."""
@@ -50,6 +57,28 @@ def _exponent_bounds(k_max) -> tuple[int, ...]:
     except TypeError as exc:
         raise InvalidInputError(f"k_max must be a sequence of integers: {exc}") from exc
     return tuple(integer(k, "k_max entry", 0) for k in entries)
+
+
+def _exponent_array(K, ndmin: int = 0) -> np.ndarray:
+    """``K``, with at least ``ndmin`` dimensions, as a 2-D int64 array of nonnegative integers.
+
+    Booleans and floats, integral or not, are rejected, never cast; an empty
+    array has no entry to reject, whatever numpy read it as.
+    """
+    try:
+        K = np.array(K, ndmin=ndmin)
+    except ValueError as exc:  # ragged rows
+        raise InvalidInputError(f"power matrix must be 2-D: {exc}") from exc
+    if K.ndim != 2:
+        raise InvalidInputError(f"power matrix must be 2-D, got shape {K.shape}")
+    if K.size and not np.issubdtype(K.dtype, np.integer):  # booleans and integral floats too
+        raise InvalidInputError("power matrix entries must be integers")
+    if K.size and int(K.max()) >= 2**63:  # before the cast, which wraps uint64
+        raise InvalidInputError("power matrix entries exceed the int64 range")
+    K = K.astype(np.int64, copy=False)
+    if K.size and K.min() < 0:
+        raise InvalidInputError("power matrix entries must be nonnegative")
+    return K
 
 
 def _check_rows_strictly_decreasing(K: np.ndarray) -> None:
@@ -84,19 +113,7 @@ class PowerMatrix(ArrayRecord):
     k_max: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            K = np.asarray(self.K)
-        except ValueError as exc:  # ragged rows
-            raise InvalidInputError(f"power matrix must be 2-D: {exc}") from exc
-        if K.ndim != 2:
-            raise InvalidInputError(f"power matrix must be 2-D, got shape {K.shape}")
-        if not np.issubdtype(K.dtype, np.integer):  # booleans and integral floats too
-            raise InvalidInputError("power matrix entries must be integers")
-        if K.size and int(K.max()) >= 2**63:  # before the cast, which wraps uint64
-            raise InvalidInputError("power matrix entries exceed the int64 range")
-        K = readonly_copy(K, np.int64)
-        if K.size and K.min() < 0:
-            raise InvalidInputError("power matrix entries must be nonnegative")
+        K = readonly_copy(_exponent_array(self.K))
         k_max = _exponent_bounds(self.k_max)
         if len(k_max) != K.shape[1]:
             raise InvalidInputError(
@@ -127,11 +144,12 @@ class PowerMatrix(ArrayRecord):
     ) -> "PowerMatrix":
         """Build a power matrix from rows in any order, sorting and deduplicating.
 
-        ``k_max`` defaults to the columnwise maximum of the rows.
+        The rows are checked as the constructor checks ``K``, so fractional
+        and boolean exponents raise its ``InvalidInputError``.  ``k_max``
+        defaults to the columnwise maximum of the rows.
         """
-        K = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows)
-        K = np.atleast_2d(np.asarray(K, dtype=np.int64))
-        K = np.unique(K, axis=0)[::-1]  # unique sorts ascending lex; reverse
+        rows = rows if isinstance(rows, np.ndarray) else list(rows)
+        K = np.unique(_exponent_array(rows, ndmin=2), axis=0)[::-1]  # unique sorts ascending
         if k_max is None:
             k_max = K.max(axis=0) if K.size else (0,) * K.shape[1]
         return cls(K, k_max)
@@ -286,6 +304,14 @@ def enumerate_power_matrix(
     return PowerMatrix(K, bounds)
 
 
+def block_columns(d_v: int) -> int:
+    """Samples per block of a lifting of ``d_v`` monomials: ``max(CHUNK_COLUMNS, 2 d_v)``.
+
+    A regression's block of ``V_u.T`` is thus at least twice as tall as it is wide.
+    """
+    return max(CHUNK_COLUMNS, 2 * d_v)
+
+
 def data_matrix_workspace(pm: PowerMatrix, s: int) -> np.ndarray:
     """The uninitialised ``W`` in which :func:`eval_chain` evaluates ``pm`` on ``s`` samples.
 
@@ -293,7 +319,9 @@ def data_matrix_workspace(pm: PowerMatrix, s: int) -> np.ndarray:
     and starts on a 64-byte cache line.  malloc aligns to 16 bytes only, and
     a chain evaluated in a misaligned array ran about 15% slower (5000
     samples, 179 rows, on a 2-core Xeon VM), so the time depended on where
-    the array landed.
+    the array landed.  A lifting asks for one block of
+    :func:`block_columns` samples, not for all of them, and evaluates every
+    block in its columns, so its memory is ``O(d_v * block)``.
 
     Raises:
         CapacityError: If the auxiliary chain rows times the samples exceed
@@ -308,10 +336,32 @@ def data_matrix_workspace(pm: PowerMatrix, s: int) -> np.ndarray:
             f"the product chain needs at least {aux} auxiliary rows for {s} "
             f"samples, more than {AUX_CELL_CAP} cells"
         )
-    cells = pm.chain_plan[0] * s
+    return aligned_empty(pm.chain_plan[0], s)
+
+
+def aligned_empty(rows: int, columns: int) -> np.ndarray:
+    """An uninitialised C-ordered float array ``(rows, columns)`` on a 64-byte cache line."""
+    cells = rows * columns
     buf = np.empty(cells + 7)
     start = -buf.ctypes.data % 64 // 8
-    return buf[start : start + cells].reshape(pm.chain_plan[0], s)
+    return buf[start : start + cells].reshape(rows, columns)
+
+
+def checked_samples(samples, pm: PowerMatrix) -> np.ndarray:
+    """``samples`` as a float array ``(pm.n, s)``, ``s >= 1``, uncopied if it is one.
+
+    Raises:
+        InvalidInputError: If the samples are not a 2-D finite real array with a column.
+        DimensionMismatchError: If the samples do not have ``pm.n`` rows.
+    """
+    X = real_array(samples, "samples", 2)
+    if X.shape[1] == 0:
+        raise InvalidInputError("sample list is empty")
+    if X.shape[0] != pm.n:
+        raise DimensionMismatchError(
+            f"sample dimension {X.shape[0]} does not match {pm.n} variables"
+        )
+    return X
 
 
 def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
@@ -333,17 +383,10 @@ def build_data_matrix(samples, pm: PowerMatrix) -> np.ndarray:
         evaluated at ``samples[:, k]``; sample order is preserved.
 
     Raises:
-        InvalidInputError: If the samples are not a 2-D finite real array with a column.
-        DimensionMismatchError: If the samples do not have ``pm.n`` rows.
+        InvalidInputError, DimensionMismatchError: As :func:`checked_samples`.
         CapacityError: As :func:`data_matrix_workspace`.
     """
-    X = real_array(samples, "samples", 2)
-    if X.shape[1] == 0:
-        raise InvalidInputError("sample list is empty")
-    if X.shape[0] != pm.n:
-        raise DimensionMismatchError(
-            f"sample dimension {X.shape[0]} does not match {pm.n} variables"
-        )
+    X = checked_samples(samples, pm)
     return eval_chain(pm, X, data_matrix_workspace(pm, X.shape[1]))
 
 
@@ -351,7 +394,7 @@ def eval_chain(pm: PowerMatrix, rows: np.ndarray, W: np.ndarray) -> np.ndarray:
     """:func:`build_data_matrix` without checks, on finite ``rows`` ``(pm.n, s)``, one per variable.
 
     ``rows`` may have any strides.  ``W`` is a :func:`data_matrix_workspace`
-    on ``s`` samples; returns its view ``W[: pm.d_v]``.
+    on ``s`` samples, or ``s`` of its columns; returns its view ``W[: pm.d_v]``.
     """
     for row, parent, j in pm.chain_plan[1]:
         if j < 0:

@@ -8,9 +8,11 @@ Three operations shared by the identification pipeline:
   matrix by a linear map of another, factored as ``C @ L`` so that ``L``
   maps the regressors onto a reduced state.  The map is cut either by the
   mass fraction of the regressors' singular values or, in reduced-rank
-  regression, by its own rank.  ``svd_trunc_chunks`` reads
-  the matrices as column chunks and factors them in place in one LAPACK
-  workspace of ``O((chunk + d_v) * d_v)`` cells, allocated once per regression.
+  regression, by its own rank.  ``svd_trunc_chunks`` reads the targets and
+  the samples in column chunks, lifts each chunk of samples to its
+  monomials straight into the free columns of one LAPACK workspace of
+  ``O((chunk + d_v) * d_v)`` cells, allocated once per regression, and
+  factors it there, so the lifted regressors are never held whole.
 * ``lk_reduce`` -- pruning of coefficient columns (and the matching power
   matrix rows) whose l1 norm falls below a fraction of the largest column.
 
@@ -32,7 +34,13 @@ from numpy.linalg import lapack_lite
 
 from ._records import ArrayRecord, positive_real, readonly_copy, real_array
 from .errors import DimensionMismatchError, InvalidInputError, NumericalOverflowError
-from .monomials import PowerMatrix
+from .monomials import (
+    PowerMatrix,
+    checked_samples,
+    data_matrix_workspace,
+    eval_chain,
+    identity_power_matrix,
+)
 
 #: Relative threshold under which singular values are treated as exact zeros
 #: before mass-fraction truncation (scaled by max matrix dimension).
@@ -134,43 +142,58 @@ def svd_trunc(V_y: np.ndarray, V_u: np.ndarray, r: float | None) -> SvdTruncResu
     """Best-fit linear map of ``V_u`` onto ``V_y`` through a truncated SVD.
 
     The one-chunk call, bit for bit, of the chunked R-SVD :func:`svd_trunc_chunks`,
-    whose memory is ``O((chunk + d_v) * d_v)``; here the chunk is all of ``V_u``.
+    whose memory is ``O((chunk + d_v) * d_v)``; here the chunk is all of ``V_u``,
+    and the regressors are its rows, lifted by the identity power matrix,
+    whose chain copies each row once.
 
     Raises:
         InvalidInputError, DimensionMismatchError, NumericalOverflowError: As
-            ``svd_trunc_chunks`` raises them.
+            ``svd_trunc_chunks`` raises them; InvalidInputError also if ``V_u``
+            has no row, or more rows than ``identity_power_matrix`` allows.
     """
-    return svd_trunc_chunks([(V_y, V_u)], r)
+    Vu = real_array(V_u, "V_u", 2)
+    return svd_trunc_chunks([(V_y, Vu)], identity_power_matrix(Vu.shape[0]), r)
 
 
 class _StackedQR:
-    """Sequential TSQR of ``V_u.T`` in one workspace ``buf``, C-ordered ``(d_v, cap)``.
+    """Sequential TSQR of the lifting ``V_u.T`` of ``pm`` in one workspace ``buf``.
 
-    LAPACK reads ``buf`` as the column-major ``cap x d_v`` stack ``[R; V_u,c.T]``
-    with ``lda = cap``: ``R.T`` in the first ``k`` columns, the chunk after them.
-    ``dgeqrf`` leaves Householder reflectors above the new ``R.T``'s diagonal;
-    they are set to ``+0.0``, the zeros of ``np.linalg.qr``'s ``triu``.
+    ``buf`` is a ``data_matrix_workspace`` of ``pm``, C-ordered ``(rows, cap)``
+    with ``rows = pm.chain_plan[0]``.  LAPACK reads its first ``d_v`` rows as
+    the column-major ``cap x d_v`` stack ``[R; V_u,c.T]`` with ``lda = cap``:
+    ``R.T`` in the first ``k`` columns, the chunk after them.  The chunk is
+    lifted there, so the chain's auxiliary rows, if any, sit after the rows
+    LAPACK reads.  ``dgeqrf`` leaves Householder reflectors above the new
+    ``R.T``'s diagonal; they are set to ``+0.0``, the zeros of
+    ``np.linalg.qr``'s ``triu``.
     """
 
-    def __init__(self, d_v: int, width: int) -> None:
-        self.d_v, self.k = d_v, 0
-        self.buf = np.empty((d_v, max(1, d_v + width)))  # LAPACK needs lda >= 1
-        self.tau = np.empty(d_v)
-        self.above = np.triu(np.ones((d_v, d_v), dtype=bool), 1)
+    def __init__(self, pm: PowerMatrix, width: int) -> None:
+        self.pm, self.d_v, self.k = pm, pm.d_v, 0
+        self.buf = data_matrix_workspace(pm, pm.d_v + width)
+        self.tau = np.empty(self.d_v)
+        self.above = np.triu(np.ones((self.d_v, self.d_v), dtype=bool), 1)
         # The work size np.linalg.qr's gufunc uses; it depends on d_v alone.
         query = np.empty(1)
-        lapack_lite.dgeqrf(self.buf.shape[1], d_v, self.buf, self.buf.shape[1],
+        lapack_lite.dgeqrf(self.buf.shape[1], self.d_v, self.buf, self.buf.shape[1],
                            self.tau, query, -1, 0)
-        self.work = np.empty(max(1, d_v, int(query[0])))
+        self.work = np.empty(max(1, self.d_v, int(query[0])))
 
-    def add(self, Vu: np.ndarray) -> None:
-        """Factor ``[R; Vu.T]``: grow the workspace if the chunk does not fit."""
-        k, m = self.k, self.k + Vu.shape[1]
+    def lift(self, samples: np.ndarray) -> np.ndarray:
+        """Lift ``samples`` into the columns after ``R.T``, growing the workspace to fit them.
+
+        Returns the lifted chunk ``V_u,c``, a ``(d_v, w)`` view of the workspace.
+        """
+        k, m = self.k, self.k + samples.shape[1]
         if m > self.buf.shape[1]:
-            grown = np.empty((self.d_v, self.d_v + Vu.shape[1]))
-            grown[:, :k] = self.buf[:, :k]
+            grown = data_matrix_workspace(self.pm, self.d_v + samples.shape[1])
+            grown[: self.d_v, :k] = self.buf[: self.d_v, :k]
             self.buf = grown
-        self.buf[:, k:m] = Vu
+        return eval_chain(self.pm, samples, self.buf[:, k:m])
+
+    def factor(self, w: int) -> None:
+        """Factor ``[R; V_u,c.T]`` in place, for the chunk of ``w`` columns last lifted."""
+        m = self.k + w
         lapack_lite.dgeqrf(m, self.d_v, self.buf, self.buf.shape[1],
                            self.tau, self.work, self.work.size, 0)
         self.k = min(m, self.d_v)
@@ -179,7 +202,7 @@ class _StackedQR:
     @property
     def R_T(self) -> np.ndarray:
         """``R.T``, ``d_v x k``: a view of the workspace."""
-        return self.buf[:, : self.k]
+        return self.buf[: self.d_v, : self.k]
 
 
 def _check_finite(name: str, *arrays: np.ndarray) -> None:
@@ -187,12 +210,18 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
         raise NumericalOverflowError(f"{name} overflows; rescale V_y or V_u")
 
 
-def svd_trunc_chunks(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray]], r: float | None
-) -> SvdTruncResult:
-    """Truncated-SVD regression of ``V_y`` on ``V_u``, read in column chunks.
+#: How :func:`svd_trunc_chunks`' ``NumericalOverflowError`` starts when a lifting overflows.
+LIFTING_OVERFLOW = "the lifted samples"
 
-    ``chunks`` yields ``(V_y[:, a:b], V_u[:, a:b])`` over consecutive columns.
+
+def svd_trunc_chunks(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], pm: PowerMatrix, r: float | None
+) -> SvdTruncResult:
+    """Truncated-SVD regression of ``V_y`` on the lifting ``V_u`` of samples, read in column chunks.
+
+    ``chunks`` yields ``(V_y[:, a:b], samples[:, a:b])`` over consecutive
+    columns, and ``V_u`` holds the monomial vector ``pm`` of each sample: it
+    is ``build_data_matrix(samples, pm)``, never built whole.
     ``H*`` is factored as ``C @ L``, so that ``V_y ~= C (L V_u)``, and cut in
     one of two ways.
 
@@ -213,43 +242,60 @@ def svd_trunc_chunks(
     sequential TSQR (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci.
     Comput. 34(1)), ``R = qr([R; V_u,c.T])`` per chunk, and
     ``C = G U_n / D_n**2`` for the mass cut, with ``G = sum_c V_y,c V_u,c.T``.
-    Each chunk is factored in place by ``dgeqrf`` through numpy's private
-    ``lapack_lite`` (see the module docstring), in one workspace of
-    ``(d_v + chunk) * d_v`` cells that the regression allocates once and grows
-    only for a chunk wider than the first; memory is thus
-    ``O((chunk + d_v) * d_v)``.  Each ``R`` is
-    ``np.linalg.qr``'s bit for bit.  One chunk gives the whole-matrix result
-    bit for bit; a split agrees with it to rounding.
+    The regression allocates one workspace of ``pm.chain_plan[0]`` rows and
+    ``d_v + chunk`` columns, and grows it only for a chunk wider than the
+    first.  Each chunk's samples are lifted by the product chain straight
+    into its free columns, checked, added to ``G``, and only then factored in
+    place by ``dgeqrf`` through numpy's private ``lapack_lite`` (see the
+    module docstring), which overwrites them.  So the workspace holds the
+    lifting, memory is ``O((chunk + d_v) * d_v)``, and no lifted chunk is
+    copied.  Each ``R`` is ``np.linalg.qr``'s bit for bit.  One chunk gives
+    the whole-matrix result bit for bit; a split agrees with it to rounding.
 
     Raises:
-        InvalidInputError: If a chunk is not two finite real 2-D arrays, if ``V_u``
-            is numerically zero (no entry above 1.5e-154), if ``r`` is neither
-            None nor a real in (0, 1), or, for the reduced-rank cut, if ``B`` is zero.
-        DimensionMismatchError: Naming the chunk, if its two column counts
-            differ or its row counts differ from the first chunk's.
-        NumericalOverflowError: If ``G``, ``R``, ``B`` or its norm, ``C``, ``L``
-            or ``H*`` is not finite, or, for the mass cut, a retained singular value
-            overflows when squared (above about 1.3e154).
+        InvalidInputError: If a chunk's ``V_y`` is not a finite real 2-D array
+            or its samples are not as ``checked_samples`` requires (naming the
+            chunk), if ``V_u`` is numerically zero (no entry above 1.5e-154),
+            if ``r`` is neither None nor a real in (0, 1), or, for the
+            reduced-rank cut, if ``B`` is zero.
+        DimensionMismatchError: Naming the chunk, if its samples do not have
+            ``pm.n`` rows, its two column counts differ, or ``V_y``'s row
+            count differs from the first chunk's.
+        NumericalOverflowError: Starting with ``LIFTING_OVERFLOW`` and naming
+            the chunk, if its lifted samples are not finite; else if ``G``,
+            ``R``, ``B`` or its norm, ``C``, ``L`` or ``H*`` is not finite, or,
+            for the mass cut, a retained singular value overflows when squared
+            (above about 1.3e154).
+        CapacityError: As ``data_matrix_workspace``.
     """
     r = None if r is None else positive_real(r, "threshold r", 1.0)
     tsqr, G, columns = None, None, 0
-    for c, (V_y, V_u) in enumerate(chunks, 1):
-        Vy, Vu = real_array(V_y, "V_y", 2), real_array(V_u, "V_u", 2)
-        if Vy.shape[1] != Vu.shape[1]:
+    for c, (V_y, samples) in enumerate(chunks, 1):
+        Vy = real_array(V_y, "V_y", 2)
+        try:
+            X = checked_samples(samples, pm)
+        except InvalidInputError as exc:
+            raise type(exc)(f"chunk {c}: {exc}") from exc
+        if Vy.shape[1] != X.shape[1]:
             raise DimensionMismatchError(
-                f"chunk {c}: column counts differ: V_y has {Vy.shape[1]}, V_u has {Vu.shape[1]}"
+                f"chunk {c}: column counts differ: V_y has {Vy.shape[1]}, "
+                f"the samples have {X.shape[1]}"
             )
         if tsqr is None:
-            tsqr, d_y = _StackedQR(Vu.shape[0], Vu.shape[1]), Vy.shape[0]
-        elif (Vy.shape[0], Vu.shape[0]) != (d_y, tsqr.d_v):
+            tsqr, d_y = _StackedQR(pm, X.shape[1]), Vy.shape[0]
+        elif Vy.shape[0] != d_y:
             raise DimensionMismatchError(
-                f"chunk {c}: V_y and V_u have {Vy.shape[0]} and {Vu.shape[0]} rows, "
-                f"chunk 1's have {d_y} and {tsqr.d_v}"
+                f"chunk {c}: V_y has {Vy.shape[0]} rows, chunk 1's has {d_y}"
             )
-        columns += Vu.shape[1]
-        tsqr.add(Vu)
         with np.errstate(over="ignore", invalid="ignore"):
+            Vu = tsqr.lift(X)
+            if not np.isfinite(Vu).all():
+                raise NumericalOverflowError(
+                    f"{LIFTING_OVERFLOW} of chunk {c} overflow; rescale the samples"
+                )
             G = Vy @ Vu.T if G is None else G + Vy @ Vu.T
+        tsqr.factor(X.shape[1])  # overwrites Vu
+        columns += X.shape[1]
     if tsqr is None:
         raise InvalidInputError("V_u must not be identically zero, and no chunk was given")
     R_T = tsqr.R_T

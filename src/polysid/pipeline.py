@@ -57,10 +57,13 @@ reduced-rank state needs an extra affine direction, which the column pruning
 then drops as a small constant column of ``f_o`` (A1 gave 3 states and an
 error of 0.17).  The mass cut's threshold ``r1`` is ignored.
 
-One chunk loop lifts all samples: both regressions stream to ``svd_trunc_chunks``,
-whose split factorization differs from a whole one only at rounding level.
-One state-map evaluation gives the states at the (consecutive) anchors and one
-step later, and all of ``identify`` runs in one overflow scope.
+Every lifting runs in column blocks of ``block_columns(d_v)`` samples: both
+regressions stream their samples to ``svd_trunc_chunks``, which lifts each
+block straight into its factorization's workspace and whose split
+factorization differs from a whole one only at rounding level, and the map
+evaluations lift each block into one workspace.  One state-map evaluation
+gives the states at the (consecutive) anchors and one step later, and all of
+``identify`` runs in one overflow scope.
 """
 
 from __future__ import annotations
@@ -79,25 +82,32 @@ from .errors import (
     NumericalOverflowError,
     RankDeficiencyError,
 )
-from .genred import MonomialMap
+from .genred import MonomialMap, eval_monomial_map_many
 from .model import ObserverModel, OutputScaling
 from .monomials import (
     AUX_CELL_CAP,
+    CHUNK_COLUMNS,
     PowerMatrix,
+    block_columns,
     build_data_matrix,
     checked_power_set,
     enumerate_power_matrix,
     identity_power_matrix,
 )
-from .numred import SvdTruncResult, TruncationTable, lk_reduce, svd_trunc, svd_trunc_chunks
+from .numred import (
+    LIFTING_OVERFLOW,
+    SvdTruncResult,
+    TruncationTable,
+    lk_reduce,
+    svd_trunc,
+    svd_trunc_chunks,
+)
 from .series import TimeSeriesSet, past_windows
 
-# The removed elimination stage and block path, and the unchunked svd_trunc;
-# not called, kept while the benchmark's tracer still patches these names.
+# The removed elimination stage and block path, the unchunked svd_trunc and
+# build_data_matrix; not called, kept while the benchmark's tracer still
+# patches these names.  CHUNK_COLUMNS is the lifting block's least width.
 eliminate_products = partition_power_matrix = merge_power_matrices = None
-
-#: Samples per chunk of a lifting in ``identify``; ``2 d_v`` for ``d_v`` monomials if wider.
-CHUNK_COLUMNS = 1024
 
 
 def build_window_vectors(
@@ -335,23 +345,11 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
         raise _overflow(name)
 
 
-def _chunk_width(d_v: int) -> int:
-    return max(CHUNK_COLUMNS, 2 * d_v)  # so each regression QR is tall
-
-
-def _lifted_chunks(samples: np.ndarray, K: PowerMatrix, what: str, L=None):
-    """Column slices of ``samples`` with their ``K`` lifting (times ``L``), checked as ``what``."""
-    width = _chunk_width(K.d_v)
-    for a in range(0, samples.shape[1], width):
-        V = build_data_matrix(samples[:, a : a + width], K)
-        values = V if L is None else L @ V
-        _check_finite(what, values)
-        yield slice(a, a + width), values
-
-
 def eval_many_checked(M: MonomialMap, samples: np.ndarray, what: str) -> np.ndarray:
-    """Evaluate a monomial map on the sample columns chunk by chunk; ``what`` names overflow."""
-    return np.hstack([values for _, values in _lifted_chunks(samples, M.K, what, M.L)])
+    """Evaluate a monomial map on the sample columns block by block; ``what`` names overflow."""
+    values = eval_monomial_map_many(M, samples)
+    _check_finite(what, values)
+    return values
 
 
 def _lifting(stage: _Stage, k_max: tuple, columns: int, max_degree=None) -> PowerMatrix:
@@ -362,7 +360,7 @@ def _lifting(stage: _Stage, k_max: tuple, columns: int, max_degree=None) -> Powe
     """
     try:
         d_v = checked_power_set(len(k_max), k_max, max_degree=max_degree)[2]
-        cells = d_v * (d_v + min(_chunk_width(d_v), columns))
+        cells = d_v * (d_v + min(block_columns(d_v), columns))
         if cells > AUX_CELL_CAP:
             raise CapacityError(
                 f"regressing on its {d_v} monomials takes {cells} cells, more than {AUX_CELL_CAP}"
@@ -375,7 +373,7 @@ def _lifting(stage: _Stage, k_max: tuple, columns: int, max_degree=None) -> Powe
 def _regress(
     target: np.ndarray, samples: np.ndarray, K: PowerMatrix, r: float | None, stage: _Stage
 ) -> SvdTruncResult:
-    """Regress ``target`` on the monomials ``K`` of the sample columns, chunk by chunk.
+    """Regress ``target`` on the monomials ``K`` of the sample columns, block by block.
 
     ``r`` is the mass cut's threshold, or None for the reduced-rank cut.
 
@@ -385,13 +383,16 @@ def _regress(
         RankDeficiencyError: Naming ``stage``'s regression, if the retained
             rank uses every data column.
     """
-    chunks = _lifted_chunks(samples, K, stage.lifted)
+    width = block_columns(K.d_v)
+    chunks = (
+        (target[:, a : a + width], samples[:, a : a + width])
+        for a in range(0, samples.shape[1], width)
+    )
     try:
-        res = svd_trunc_chunks(((target[:, columns], V) for columns, V in chunks), r)
+        res = svd_trunc_chunks(chunks, K, r)
     except NumericalOverflowError as exc:
-        if stage.lifted in str(exc):  # raised by the lifting, which named itself
-            raise
-        raise _overflow(stage.regression) from exc
+        lifting = str(exc).startswith(LIFTING_OVERFLOW)
+        raise _overflow(stage.lifted if lifting else stage.regression) from exc
     if samples.shape[1] <= res.n:
         raise RankDeficiencyError(
             f"{samples.shape[1]} data columns for retained rank {res.n} in {stage.regression}; "

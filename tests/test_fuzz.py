@@ -271,7 +271,7 @@ GATED_ENTRY_POINTS = {
     "predict_one_step": lambda a: predict_one_step(GATED_MODEL, GATED_SERIES, a),
     "initial_state_from_past": lambda a: initial_state_from_past(GATED_MODEL, a),
     "mdtrunc": lambda a: mdtrunc(a, 0.5),
-    "svd_trunc_chunks": lambda a: svd_trunc_chunks([(a, a)], 0.5),
+    "svd_trunc_chunks": lambda a: svd_trunc_chunks([(a, a)], POWER_MATRIX, 0.5),
     "lk_reduce": lambda a: lk_reduce(a, POWER_MATRIX, 0.5),
     "GeneratorSpec-box": lambda a: dataclasses.replace(linear_spec(2), x0_min=a, x0_max=a),
     "GeneratorSpec-noise_std": lambda a: dataclasses.replace(linear_spec(2), noise_std=a),
@@ -332,7 +332,7 @@ SCALAR_ENTRY_POINTS = {
     "enumerate_power_matrix-max_degree": lambda v: enumerate_power_matrix(2, (2, 2), max_degree=v),
     "mdtrunc-r": lambda v: mdtrunc([2.0, 1.0], v),
     "svd_trunc-r": lambda v: svd_trunc(np.eye(2), np.eye(2), v),
-    "svd_trunc_chunks-r": lambda v: svd_trunc_chunks([(np.eye(2), np.eye(2))], v),
+    "svd_trunc_chunks-r": lambda v: svd_trunc_chunks([(np.eye(2), np.eye(2))], POWER_MATRIX, v),
     "lk_reduce-r": lambda v: lk_reduce(np.ones((1, 4)), POWER_MATRIX, v),
 }
 

@@ -85,9 +85,9 @@ class TestPredictOneStep:
         for k in range(s):
             x = x0[:, k].copy()
             for t in range(T):
-                yhat = model.scaling.invert(eval_monomial_map_many(model.h_o, x[:, None])[:, 0])
+                yhat = model.scaling.invert(eval_monomial_map_many(model.h_o, x[:, None]))[:, 0]
                 assert rep.predictions[t, :, k] == pytest.approx(yhat, rel=1e-12, abs=1e-12)
-                y_scaled = model.scaling.apply(ts.Y[t, :, k])
+                y_scaled = model.scaling.apply(ts.Y[t, :, k : k + 1])[:, 0]
                 x = eval_monomial_map_many(model.f_o, np.concatenate([x, y_scaled])[:, None])[:, 0]
 
     def test_each_map_has_one_workspace_for_all_steps(self, rng, monkeypatch):
@@ -472,6 +472,11 @@ class TestValueEquality:
     def test_output_scaling_layouts(self, rng, shape):
         scaling = OutputScaling([2.0, 0.25])
         y = rng.standard_normal(shape)
+        if len(shape) == 1:  # no caller scales one vector: rejected, not broadcast to (2, 2)
+            for method in (scaling.apply, scaling.invert):
+                with pytest.raises(DimensionMismatchError, match=r"got \(2,\)$"):
+                    method(y)
+            return
         applied, inverted = np.empty(shape), np.empty(shape)
         for d, std in enumerate(scaling.std):
             at = (slice(None),) * (len(shape) == 3) + (d,)  # the output axis
@@ -479,6 +484,16 @@ class TestValueEquality:
             inverted[at] = y[at] * std
         assert np.array_equal(scaling.apply(y), applied)
         assert np.array_equal(scaling.invert(y), inverted)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 4), (4, 3, 2), (1, 4, 2, 3)])
+    def test_output_scaling_rejects_other_shapes(self, shape):
+        scaling = OutputScaling([2.0, 0.25])
+        for method in (scaling.apply, scaling.invert):
+            with pytest.raises(DimensionMismatchError) as err:
+                method(np.ones(shape))
+            assert str(err.value) == (
+                f"outputs must have shape (d_y, s) or (t, d_y, s) with d_y = 2, got {shape}"
+            )
 
     def test_time_series_set(self, rng):
         Y = rng.standard_normal((3, 2, 2))

@@ -142,6 +142,20 @@ class TestPowerMatrixInvariants:
         with pytest.raises(InvalidInputError, match="power matrix entries must be integers"):
             PowerMatrix(K, (1, 1))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1.5, 0), (True, 1)], [(True, False), (False, True)], [(1.0, 0), (0.0, 1.0)]],
+        ids=["fractional", "bool", "integral-float"],
+    )
+    def test_from_rows_rejects_exponents_the_constructor_rejects(self, rows):
+        with pytest.raises(InvalidInputError, match="^power matrix entries must be integers$"):
+            PowerMatrix.from_rows(rows)
+
+    def test_from_rows_of_nothing_is_one_empty_row(self):
+        for rows in ([], [()]):
+            pm = PowerMatrix.from_rows(rows)
+            assert pm.K.shape == (1, 0) and pm.K.dtype == np.int64
+
     def test_unsigned_exponents_beyond_int64_are_out_of_range(self):
         with pytest.raises(InvalidInputError, match="power matrix entries exceed the int64 range"):
             PowerMatrix(np.array([[2**63]], dtype=np.uint64), (2**63,))

@@ -21,7 +21,7 @@ from polysid import (
     mdtrunc,
     svd_trunc,
 )
-from polysid.monomials import enumerate_power_matrix
+from polysid.monomials import build_data_matrix, enumerate_power_matrix, identity_power_matrix
 from polysid.numred import RRR_CUT, SINGULAR_VALUE_EPS, svd_trunc_chunks
 
 
@@ -316,7 +316,8 @@ class TestSvdTruncChunks:
         V_u = rng.standard_normal((d_vu, rank)) @ rng.standard_normal((rank, s))
         V_y = rng.standard_normal((4, s))
         n, D_n, C, L, H_star, table = whole_matrix_oracle(V_y, V_u, 0.99)
-        for res in (svd_trunc(V_y, V_u, 0.99), svd_trunc_chunks([(V_y, V_u)], 0.99)):
+        chunked = svd_trunc_chunks([(V_y, V_u)], identity_power_matrix(d_vu), 0.99)
+        for res in (svd_trunc(V_y, V_u, 0.99), chunked):
             assert res.n == n and res.table == table
             for got, want in [(res.D_n, D_n), (res.C, C), (res.L, L), (res.H_star, H_star)]:
                 assert np.array_equal(got, want)
@@ -327,7 +328,7 @@ class TestSvdTruncChunks:
         V_u = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 200))
         V_y = rng.standard_normal((3, 12)) @ V_u + 0.1 * rng.standard_normal((3, 200))
         whole = svd_trunc(V_y, V_u, 0.999)
-        res = svd_trunc_chunks(split(V_y, V_u, widths), 0.999)
+        res = svd_trunc_chunks(split(V_y, V_u, widths), identity_power_matrix(12), 0.999)
         assert res.n == whole.n and len(res.table) == len(whole.table)
         assert res.D_n == pytest.approx(whole.D_n, rel=1e-12)
         assert np.linalg.norm(res.H_star - whole.H_star) <= 1e-10 * np.linalg.norm(whole.H_star)
@@ -339,7 +340,7 @@ class TestSvdTruncChunks:
         V_y = rng.standard_normal((3, 12)) @ V_u + 0.1 * rng.standard_normal((3, 200))
         chunks = split(V_y, V_u, widths)
         n, D_n, C, L, H_star, table = sequential_qr_oracle(chunks, 0.999)
-        res = svd_trunc_chunks(chunks, 0.999)
+        res = svd_trunc_chunks(chunks, identity_power_matrix(12), 0.999)
         assert res.n == n and res.table == table
         for got, want in [(res.D_n, D_n), (res.C, C), (res.L, L), (res.H_star, H_star)]:
             assert np.array_equal(got, want)
@@ -350,7 +351,7 @@ class TestSvdTruncChunks:
         V_u, V_y = rng.standard_normal((160, 700)), rng.standard_normal((2, 700))
         chunks = split(V_y, V_u, [400, 300])
         n, D_n, C, L, H_star, table = sequential_qr_oracle(chunks, 0.999)
-        res = svd_trunc_chunks(chunks, 0.999)
+        res = svd_trunc_chunks(chunks, identity_power_matrix(160), 0.999)
         assert res.n == n and res.table == table
         for got, want in [(res.D_n, D_n), (res.C, C), (res.L, L), (res.H_star, H_star)]:
             assert np.array_equal(got, want)
@@ -364,30 +365,31 @@ class TestSvdTruncChunks:
                 seen.append(c[1])
                 yield c
 
-        res = svd_trunc_chunks(chunks(), 0.9)
+        res = svd_trunc_chunks(chunks(), identity_power_matrix(4), 0.9)
         assert len(seen) == 3 and np.array_equal(np.hstack(seen), V_u)
         assert res.n == svd_trunc(V_y, V_u, 0.9).n
 
     def test_rejects_no_chunks_and_bad_chunks(self):
+        pm = identity_power_matrix(4)
         with pytest.raises(InvalidInputError, match="identically zero"):
-            svd_trunc_chunks([], 0.5)
+            svd_trunc_chunks([], pm, 0.5)
         with pytest.raises(InvalidInputError, match="identically zero"):
-            svd_trunc_chunks([(np.ones((2, 3)), np.zeros((4, 3)))] * 2, 0.5)
+            svd_trunc_chunks([(np.ones((2, 3)), np.zeros((4, 3)))] * 2, pm, 0.5)
         good = (np.ones((2, 3)), np.ones((4, 3)))
         with pytest.raises(DimensionMismatchError):
-            svd_trunc_chunks([good, (np.ones((2, 2)), np.ones((4, 3)))], 0.5)
+            svd_trunc_chunks([good, (np.ones((2, 2)), np.ones((4, 3)))], pm, 0.5)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            svd_trunc_chunks([good, (np.ones((2, 1)), np.full((4, 1), np.nan))], 0.5)
+            svd_trunc_chunks([good, (np.ones((2, 1)), np.full((4, 1), np.nan))], pm, 0.5)
         with pytest.raises(InvalidInputError, match="threshold"):
-            svd_trunc_chunks(iter(()), 1.0)
+            svd_trunc_chunks(iter(()), pm, 1.0)
 
     @pytest.mark.parametrize(
         "rows, message",
         [
             # np.hstack's ValueError, before the rows were checked.
-            ((2, 4), "chunk 2: V_y and V_u have 2 and 4 rows, chunk 1's have 2 and 3"),
+            ((2, 4), "chunk 2: sample dimension 4 does not match 3 variables"),
             # Broadcast into G, giving a wrong result, before the rows were checked.
-            ((1, 3), "chunk 2: V_y and V_u have 1 and 3 rows, chunk 1's have 2 and 3"),
+            ((1, 3), "chunk 2: V_y has 1 rows, chunk 1's has 2"),
         ],
         ids=["V_u", "V_y"],
     )
@@ -395,8 +397,35 @@ class TestSvdTruncChunks:
         chunks = [(rng.random((2, 5)), rng.random((3, 5))),
                   (rng.random((rows[0], 5)), rng.random((rows[1], 5)))]
         with pytest.raises(DimensionMismatchError) as err:
-            svd_trunc_chunks(chunks, 0.5)
+            svd_trunc_chunks(chunks, identity_power_matrix(3), 0.5)
         assert str(err.value) == message
+
+    @SPLITS
+    def test_lifted_chunks_are_the_sequential_qr_bit_for_bit(self, rng, widths):
+        # Not downward-closed: the chain evaluates x1 x2^3, x2^2 x3^2 and
+        # x1^2 x3 through auxiliary parents, in rows after the 12 LAPACK reads.
+        pm = PowerMatrix.from_rows(
+            [(1, 3, 0), (0, 2, 2), (2, 0, 1), (0, 0, 0), (1, 1, 1), (3, 0, 0),
+             (0, 1, 0), (0, 0, 3), (1, 0, 2), (2, 2, 0), (0, 3, 1), (1, 2, 2)]
+        )
+        assert pm.d_v == 12 and pm.chain_plan[0] > pm.d_v
+        X = rng.uniform(-1.0, 1.0, (3, 200))
+        V_u = build_data_matrix(X, pm)
+        V_y = rng.standard_normal((3, 12)) @ V_u + 0.1 * rng.standard_normal((3, 200))
+        n, D_n, C, L, H_star, table = sequential_qr_oracle(split(V_y, V_u, widths), 0.999)
+        res = svd_trunc_chunks(split(V_y, X, widths), pm, 0.999)
+        assert res.n == n and res.table == table
+        for got, want in [(res.D_n, D_n), (res.C, C), (res.L, L), (res.H_star, H_star)]:
+            assert np.array_equal(got, want)
+
+    def test_overflowing_lifting_names_the_chunk_without_warning(self):
+        pm = PowerMatrix.from_rows([(9,), (0,)])
+        chunks = [(np.ones((1, 2)), np.ones((1, 2))), (np.ones((1, 2)), np.full((1, 2), 1e40))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflowError) as err:
+                svd_trunc_chunks(chunks, pm, None)
+        assert str(err.value) == "the lifted samples of chunk 2 overflow; rescale the samples"
 
 
 class TestReducedRankCut:
@@ -435,7 +464,7 @@ class TestReducedRankCut:
         _, V_y, V_u = self.planted(rng, 3)
         V_y = V_y + 1e-3 * rng.standard_normal(V_y.shape)
         whole = svd_trunc(V_y, V_u, None)
-        res = svd_trunc_chunks(split(V_y, V_u, widths), None)
+        res = svd_trunc_chunks(split(V_y, V_u, widths), identity_power_matrix(12), None)
         assert res.n == whole.n and len(res.table) == len(whole.table)
         assert res.D_n == pytest.approx(whole.D_n, rel=1e-12)
         assert np.linalg.norm(res.H_star - whole.H_star) <= 1e-10 * np.linalg.norm(whole.H_star)

@@ -399,6 +399,21 @@ class TestIdentify:
         )
         assert "B = G W" in str(err.value.__cause__)
 
+    def test_lifting_overflowing_in_its_second_block_names_its_stage(self):
+        # x^9 of 1e40 overflows; the first block of 1024 samples is all ones.
+        K = PowerMatrix.from_rows([(9,), (0,)])
+        samples = np.ones((1, 2 * CHUNK_COLUMNS))
+        samples[0, CHUNK_COLUMNS + 5] = 1e40
+        message = "; the outputs overflow, so raise scale_gamma or rescale the data"
+        with pytest.raises(NumericalOverflowError) as err:
+            _regress(np.ones((1, samples.shape[1])), samples, K, None, _PAST)
+        assert str(err.value) == "non-finite values in the lifted past windows" + message
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalOverflowError
+        ) as err:  # identify's overflow scope
+            eval_many_checked(MonomialMap(np.ones((1, 2)), K), samples, "the state samples")
+        assert str(err.value) == "non-finite values in the state samples" + message
+
     # At amplitude 1e-10, std * scale_gamma underflows to 0 itself.
     @pytest.mark.parametrize("amplitude", [1.0, 1e-10])
     def test_tiny_scale_gamma_overflows_the_output_scaling_without_warning(self, amplitude):
