@@ -349,7 +349,7 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
         The states ``(n, s)`` at the time immediately after the window.
 
     The states of an identified model's training series ``ts`` at its
-    single anchor ``model.t_minus + 1`` are the burn-in state
+    first anchor ``model.t_minus + 1`` are the burn-in state
     ``initial_state_from_past(model, ts.Y[: model.t_minus])``.
 
     Raises:

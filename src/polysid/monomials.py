@@ -65,13 +65,18 @@ def _exponent_array(K, ndmin: int = 0) -> np.ndarray:
     Booleans and floats, integral or not, are rejected, never cast; an empty
     array has no entry to reject, whatever numpy read it as.
     """
+    raw = K
     try:
-        K = np.array(K, ndmin=ndmin)
+        K = np.array(raw, ndmin=ndmin)
     except ValueError as exc:  # ragged rows
         raise InvalidInputError(f"power matrix must be 2-D: {exc}") from exc
     if K.ndim != 2:
         raise InvalidInputError(f"power matrix must be 2-D, got shape {K.shape}")
-    if K.size and not np.issubdtype(K.dtype, np.integer):  # booleans and integral floats too
+    # numpy reads booleans mixed with integers in a list as integers, so a list is scanned.
+    listed_bool = not isinstance(raw, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.array(raw, dtype=object).flat
+    )
+    if listed_bool or K.size and not np.issubdtype(K.dtype, np.integer):  # integral floats too
         raise InvalidInputError("power matrix entries must be integers")
     if K.size and int(K.max()) >= 2**63:  # before the cast, which wraps uint64
         raise InvalidInputError("power matrix entries exceed the int64 range")

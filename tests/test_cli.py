@@ -46,7 +46,7 @@ max_total_degree_xy = 2
 scale_gamma = 5.0
 """
 
-DEPRECATED = {"r1", "r3", "block_limit", "t_plus_min", "t_minus_min"}
+DEPRECATED = {"r1", "r3", "block_limit", "t_plus_min", "t_minus_min", "pool_windows"}
 
 
 @pytest.fixture
@@ -116,8 +116,8 @@ class TestFullFlow:
         assert sorted(keys("CONFIG")) == sorted(fields - DEPRECATED)
         assert keys("HORIZONS") == ["columns", "rows_presented", "rows_kept"]
         assert "rows_presented = 16" in sections["HORIZONS"]
-        # 50 series, below 4 times the 2**4 past monomials: every anchor pooled.
-        assert "pool_windows = True" in sections["CONFIG"]
+        # Every anchor of 30 samples with windows of 4 + 4: 23 per series.
+        assert "columns = 1150" in sections["HORIZONS"]
         every_key = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
         assert "pooled" not in every_key
         for key in ("t_plus_max", "t_minus_max", "retained_rank_n1"):
@@ -427,6 +427,7 @@ class TestConfig:
             "scale_gamma = 2\nmax_total_degree_xy = 3\n"
         )
         assert (cfg.r4, cfg.k_max_y, cfg.k_max_x) == (0.01, 2, 3)
+        # Deprecated, pool_windows still parses as a boolean; only resolving warns.
         assert (cfg.t_plus_max, cfg.pool_windows, cfg.scale_gamma) == (5, True, 2.0)
         assert cfg.max_total_degree_xy == 3
         with pytest.raises(ConfigError, match="threshold 'r4' is mandatory"):
@@ -452,8 +453,10 @@ class TestConfig:
         assert not model_path.exists()
 
     @pytest.mark.parametrize(
-        "name, value", [("r1", 0.999), ("r3", 0.001), ("block_limit", 2)],
-        ids=["r1", "r3", "block_limit"],
+        "name, value",
+        [("r1", 0.999), ("r3", 0.001), ("block_limit", 2),
+         ("pool_windows", True), ("pool_windows", False)],
+        ids=["r1", "r3", "block_limit", "pool_windows-True", "pool_windows-False"],
     )
     def test_deprecated_r3_warns_and_changes_nothing(self, name, value):
         ts = generate(decay_spec(20, t_1=12), 5)

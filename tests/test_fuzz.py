@@ -303,7 +303,7 @@ SCALAR_ENTRY_POINTS = {
         )
         for name in (
             "r2", "r4", "scale_gamma", "t_plus_max", "t_minus_max", "k_max_y", "k_max_x",
-            "k_max_y2", "pool_windows", "max_total_degree_xy",
+            "k_max_y2", "max_total_degree_xy",
         )
     },
     "build_window_vectors-t": lambda v: build_window_vectors(GATED_SERIES, v, 1, 1),
@@ -346,10 +346,6 @@ def test_gated_entry_points_arbitrary_scalars(entry):
 #: Calls that ended in a bare ValueError, TypeError or IndexError, or truncated
 #: a non-integer silently, each with its error and message.
 SCALAR_FAULTS = {
-    "resolved-pool_windows": (
-        lambda: IdentConfig(**SCALAR_CONFIG, pool_windows=BIG).resolved(SCALAR_SERIES),
-        ConfigError, "pool_windows must be a boolean, got about 10**5000",
-    ),
     "resolved-t_plus_max": (
         lambda: IdentConfig(**{**SCALAR_CONFIG, "t_plus_max": BIG}).resolved(SCALAR_SERIES),
         ConfigError, "t_plus_max must be an integer in 1..12, got about 10**5000",

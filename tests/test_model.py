@@ -35,7 +35,24 @@ from polysid import (
 )
 from polysid.genred import eval_monomial_map_many
 
-from conftest import linear_spec, random_model, reference_fixture_model
+from conftest import decay_spec, linear_spec, random_model, reference_fixture_model
+
+#: A document of the decay x(t+1) = 0.5 x(t), y = x, written before
+#: ``pool_windows`` was deprecated: its config echo holds it.
+OLDER_DECAY_DOCUMENT = json.dumps({
+    "format": "polysid-model", "version": 2, "n": 1, "d_y": 1,
+    "f_o": {"n_vars": 2, "k_max": [1, 1], "K": [[1, 0], [0, 1]],
+            "L": [[0.27777777777777785, -0.24845199749997682]]},
+    "h_o": {"n_vars": 1, "k_max": [1], "K": [[1]], "L": [[-0.894427190999916]]},
+    "g_io": {"n_vars": 2, "k_max": [1, 1], "K": [[1, 0], [0, 1]],
+             "L": [[-0.1118033988749894, -0.2236067977499789]]},
+    "t_minus": 2, "scaling": {"std": [0.19157635630684938]},
+    "meta": {"config": {
+        "r2": 0.9999, "r4": 0.001, "t_plus_max": 2, "t_minus_max": 2, "k_max_y": 1,
+        "k_max_x": 1, "k_max_y2": 1, "pool_windows": False, "max_total_degree_xy": None,
+        "scale_gamma": 1.0,
+    }},
+})
 
 
 def zero_output_model(n: int = 2, d_y: int = 1) -> ObserverModel:
@@ -253,17 +270,17 @@ class TestBurnIn:
         assert x == pytest.approx(expected, rel=1e-12)
 
     def test_replay_matches_training_diagnostics(self):
-        ts = generate(linear_spec(25), 31)
-        cfg = IdentConfig(
-            r2=0.999, r4=0.001,
-            t_plus_max=2, t_minus_max=2,
-            k_max_y=1, pool_windows=False,
-        )
+        # Windows of 2 + 2 samples in 4: the one admissible anchor t_minus + 1
+        # is where the burn-in prediction starts.  Output noise keeps the
+        # residuals off the rounding floor, so they are compared relatively.
+        ts = generate(dataclasses.replace(linear_spec(25, t_1=4), noise_std=0.01), 31)
+        cfg = IdentConfig(r2=0.999, r4=0.001, t_plus_max=2, t_minus_max=2, k_max_y=1)
         model, diag = identify(ts, cfg)
-        # The single anchor t_minus + 1 is where the burn-in prediction starts.
+        assert diag.n_columns == ts.s  # one anchor: its residual is the training RMSE
         rep = predict_with_burn_in(model, ts)
         anchor_abs_resid = np.abs(rep.residuals[0, 0, :]) / model.scaling.std[0]
-        assert anchor_abs_resid == pytest.approx(diag.training_rmse_per_series, abs=1e-12)
+        assert anchor_abs_resid.min() > 1e-4
+        assert anchor_abs_resid == pytest.approx(diag.training_rmse_per_series, rel=1e-10)
 
     def test_overflowing_history_names_the_series(self):
         # Raised before the observer runs, with no numpy warning (pytest's
@@ -579,6 +596,19 @@ class TestSerialization:
         assert "X0" not in doc
         doc["X0"] = [[0.25, -0.5], [1.0, 2.0]]
         assert deserialize_model(json.dumps(doc)) == model
+
+    def test_loads_a_document_whose_config_echo_holds_pool_windows(self):
+        # A scalar decay identified on its first anchor alone, as written
+        # before every identification pooled its anchors.
+        text = OLDER_DECAY_DOCUMENT
+        model = deserialize_model(text)
+        assert model.meta["config"]["pool_windows"] is False
+        held = generate(decay_spec(3, t_1=12), 8)
+        rep = predict_with_burn_in(model, held)
+        assert rep.rmse == pytest.approx([0.0], abs=1e-15)
+        plain = predict_with_burn_in(dataclasses.replace(model, meta={}), held)
+        assert np.array_equal(rep.predictions, plain.predictions)
+        assert json.loads(serialize_model(model)) == json.loads(text)
 
     def test_rejects_zero_coefficient_column(self):
         model = reference_fixture_model()

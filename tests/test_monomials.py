@@ -143,9 +143,20 @@ class TestPowerMatrixInvariants:
             PowerMatrix(K, (1, 1))
 
     @pytest.mark.parametrize(
+        "K", [[[True, 0]], [(1, 0), (0, np.True_)], ([0, 1], [False, 0])],
+        ids=["bool", "numpy-bool", "false"],
+    )
+    def test_rejects_booleans_mixed_with_integers(self, K):
+        # numpy reads each of these lists as an integer array.
+        assert np.issubdtype(np.array(K).dtype, np.integer)
+        with pytest.raises(InvalidInputError, match="^power matrix entries must be integers$"):
+            PowerMatrix(K, (1, 1))
+
+    @pytest.mark.parametrize(
         "rows",
-        [[(1.5, 0), (True, 1)], [(True, False), (False, True)], [(1.0, 0), (0.0, 1.0)]],
-        ids=["fractional", "bool", "integral-float"],
+        [[(1.5, 0), (True, 1)], [(True, False), (False, True)], [(1.0, 0), (0.0, 1.0)],
+         [(True, 1)], [(0, 1), (np.True_, 0)]],
+        ids=["fractional", "bool", "integral-float", "mixed-bool", "mixed-numpy-bool"],
     )
     def test_from_rows_rejects_exponents_the_constructor_rejects(self, rows):
         with pytest.raises(InvalidInputError, match="^power matrix entries must be integers$"):

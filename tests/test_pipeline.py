@@ -34,8 +34,9 @@ from polysid import (
     svd_trunc,
 )
 from polysid.genred import eval_monomial_map_many
+from polysid.monomials import CHUNK_COLUMNS
 from polysid.numred import svd_trunc_chunks
-from polysid.pipeline import _PAST, CHUNK_COLUMNS, _regress, eval_many_checked
+from polysid.pipeline import _PAST, _regress, eval_many_checked
 from polysid.series import past_windows
 
 from conftest import decay_spec, linear_spec, polynomial_spec
@@ -141,10 +142,22 @@ class TestIdentify:
         echo = model.meta["config"]
         assert echo == diag.config_echo
         assert echo["k_max_y"] == echo["k_max_y2"] == 1
-        # 20 series, not below 4 times the 2**2 past monomials: one anchor.
-        assert echo["pool_windows"] is False and diag.n_columns == ts.s
+        assert diag.n_columns == 9 * ts.s  # anchors 3 to 11
         assert set(model.meta) == {"config"}
-        assert not {"r1", "r3", "block_limit", "t_plus_min", "t_minus_min"} & set(echo)
+        deprecated = {"r1", "r3", "block_limit", "t_plus_min", "t_minus_min", "pool_windows"}
+        assert not deprecated & set(echo)
+
+    @pytest.mark.parametrize(
+        "s, t_1, t_plus, t_minus, k_max_y", [(40, 12, 2, 2, 1), (64, 10, 3, 2, 3)]
+    )
+    def test_every_admissible_anchor_is_a_data_column(self, s, t_1, t_plus, t_minus, k_max_y):
+        # s >= 4 d_v for the (k_max_y + 1) ** t_minus past monomials: these
+        # sets once ran on the first anchor alone.
+        ts = generate(decay_spec(s, t_1=t_1), 7)
+        assert s >= 4 * (k_max_y + 1) ** t_minus
+        cfg = small_decay_config(t_plus_max=t_plus, t_minus_max=t_minus, k_max_y=k_max_y)
+        _, diag = identify(ts, cfg)
+        assert diag.n_columns == (t_1 - t_minus - t_plus + 1) * s
 
     def test_model_echo_is_its_own_copy(self):
         ts = generate(decay_spec(20, t_1=12), 7)
@@ -277,7 +290,7 @@ class TestIdentify:
         ts = generate(polynomial_spec(400, 40), 3)
         cfg = IdentConfig(
             r2=0.9999, r4=0.001, t_plus_max=8, t_minus_max=8,
-            k_max_y=1, max_total_degree_xy=2, scale_gamma=2.0, pool_windows=True,
+            k_max_y=1, max_total_degree_xy=2, scale_gamma=2.0,
         )
         tracemalloc.start()
         try:
@@ -316,15 +329,17 @@ class TestIdentify:
         assert diag_set == diag
 
     def test_rank_deficiency_error(self):
+        # Windows of 3 + 3 samples in 6 admit one anchor, one column per series.
         # Two columns carry a rank-2 past-to-future map: the past regression runs out.
-        ts = generate(linear_spec(2, t_1=30), 17)
-        cfg = small_decay_config(pool_windows=False, t_minus_max=3, t_plus_max=3)
+        ts = generate(linear_spec(2, t_1=6), 17)
+        cfg = small_decay_config(t_minus_max=3, t_plus_max=3)
         with pytest.raises(RankDeficiencyError, match=r"^2 data columns for retained "
-                           r"rank 2 in the past regression; supply more series"):
+                           r"rank 2 in the past regression; supply more series or "
+                           r"longer ones, or shorten the windows\n"):
             identify(ts, cfg)
         # The cut keeps at most t_plus_max * d_y = 3 states, so 3 columns run
         # out in the dynamics regression, not in the past one.
-        ts = generate(linear_spec(3, t_1=30), 17)
+        ts = generate(linear_spec(3, t_1=6), 17)
         with pytest.raises(RankDeficiencyError, match=r"^3 data columns for retained "
                            r"rank 3 in the dynamics regression; supply more series"):
             identify(ts, cfg)
@@ -427,10 +442,11 @@ class TestIdentify:
             "raise scale_gamma or rescale the data"
         )
 
-    @pytest.mark.parametrize("pool_windows", [False, True])
-    def test_state_map_is_evaluated_once(self, monkeypatch, pool_windows):
+    @pytest.mark.parametrize("s", [10, 40])
+    def test_state_map_is_evaluated_once(self, monkeypatch, s):
         # The anchors are consecutive: the past windows one step later are
-        # those of every anchor but the first, and of the next anchor.
+        # those of every anchor but the first, and of the next anchor.  40
+        # series, over 4 times the 2**2 past monomials, once ran on the first anchor alone.
         calls = []
 
         def recording_eval(M, samples, *args):
@@ -438,15 +454,12 @@ class TestIdentify:
             return eval_many_checked(M, samples, *args)
 
         monkeypatch.setattr("polysid.pipeline.eval_many_checked", recording_eval)
-        ts = generate(decay_spec(40, t_1=12), 7)
-        model, diag = identify(ts, small_decay_config(pool_windows=pool_windows))
+        ts = generate(decay_spec(s, t_1=12), 7)
+        model, diag = identify(ts, small_decay_config())
         lifted = [samples for M, samples in calls if M is model.g_io]
         assert len(lifted) == 1
         echo = diag.config_echo
-        anchors = np.arange(echo["t_minus_max"] + 1, ts.t_1 - echo["t_plus_max"] + 2)
-        if not echo["pool_windows"]:
-            anchors = anchors[:1]
-        anchors = np.append(anchors, anchors[-1] + 1)
+        anchors = np.arange(echo["t_minus_max"] + 1, ts.t_1 - echo["t_plus_max"] + 3)
         assert lifted[0].shape[1] == len(anchors) * ts.s
         scaled = model.scaling.apply(ts.Y)
         assert np.array_equal(lifted[0], past_windows(scaled, anchors, model.t_minus))
@@ -470,13 +483,10 @@ class TestIdentify:
         assert "state-output monomial lifting" in str(err.value)
 
     def test_windows_fit_the_anchor(self):
-        # The single anchor t_minus_max + 1 lies in the first half of the series,
-        # and the future window starting there ends by t_1.
+        # The future window starting at the first anchor t_minus_max + 1 ends by t_1.
         ts = generate(linear_spec(10, t_1=12), 23)
         small_decay_config(t_minus_max=5, t_plus_max=7).resolved(ts)
-        with pytest.raises(ConfigError, match=r"^t_minus_max 6 puts the anchor 7 past half "
-                           r"the series length \(12/2\)$"):
-            identify(ts, small_decay_config(t_minus_max=6))
+        small_decay_config(t_minus_max=11, t_plus_max=1).resolved(ts)
         with pytest.raises(ConfigError, match=r"^t_plus_max 8 leaves no room for a future "
                            r"window after the anchor 6 in 12 samples$"):
             identify(ts, small_decay_config(t_minus_max=5, t_plus_max=8))
@@ -489,38 +499,25 @@ class TestIdentify:
         assert res.t_plus_max == res.t_minus_max == 8
         assert (res.k_max_y, res.k_max_x, res.k_max_y2) == (1, 1, 2)
         assert type(res.k_max_y2) is int
-        assert res.pool_windows is True  # 3 series, 2**16 past monomials
         for f in dataclasses.fields(res):
-            assert type(getattr(res, f.name)) in (float, bool, int, type(None)), f.name
+            assert type(getattr(res, f.name)) in (float, int, type(None)), f.name
         assert res.resolved(ts) == res
-        assert cfg.pool_windows is None
         res = IdentConfig(
             r2=0.9, r4=0.01, t_plus_max=4, t_minus_max=3
         ).resolved(ts)
         assert (res.t_plus_max, res.t_minus_max) == (4, 3)
         assert res.resolved(ts) == res
-        # Past windows of 2 steps of 2 outputs: d_v = 2**4 = 16 monomials.
-        cfg = IdentConfig(r2=0.9, r4=0.01, t_plus_max=2, t_minus_max=2)
-        for s, pooled in ((4 * 16 - 1, True), (4 * 16, False)):
-            ts = TimeSeriesSet(rng.standard_normal((8, 2, s)))
-            res = cfg.resolved(ts)
-            assert res.pool_windows is pooled
-            assert res.resolved(ts) == res
-            explicit = dataclasses.replace(cfg, pool_windows=not pooled).resolved(ts)
-            assert explicit.pool_windows is (not pooled)
-            assert explicit.resolved(ts) == explicit
 
     def test_numpy_scalars_and_fractions_resolve_to_plain_values(self):
         ts = generate(decay_spec(20, t_1=12), 7)
         cfg = small_decay_config(
             r2=np.float32(0.9999), r4=np.float32(0.001),
-            pool_windows=np.bool_(True), scale_gamma=Fraction(5),
+            scale_gamma=Fraction(5),
         )
         model, diag = identify(ts, cfg)
         echo = model.meta["config"]
         assert (echo["r2"], echo["scale_gamma"]) == (float(np.float32(0.9999)), 5.0)
         assert type(echo["r4"]) is type(echo["scale_gamma"]) is float
-        assert echo["pool_windows"] is True
         assert diag.n_columns == 9 * ts.s  # anchors 3 to 11
         assert deserialize_model(serialize_model(model)) == model
 
@@ -534,7 +531,6 @@ class TestIdentify:
         [
             ("r2", None), ("r2", "0.9"), ("r4", True), ("r4", np.nan),
             ("scale_gamma", None), ("scale_gamma", "1"), ("scale_gamma", False),
-            ("pool_windows", "no"), ("pool_windows", 1),
             ("t_plus_max", None), ("t_plus_max", 2.0), ("t_minus_max", np.float64(3)),
             ("k_max_y", True), ("k_max_x", -1), ("k_max_y2", "1"),
             ("max_total_degree_xy", 1.5),

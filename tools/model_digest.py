@@ -129,9 +129,10 @@ def cli_roundtrip(workdir: Path) -> None:
 
 def main(workdir: Path) -> None:
     # The benchmark's configs still set the deprecated r1, r3, block_limit,
-    # t_plus_min and t_minus_min.
+    # t_plus_min, t_minus_min and pool_windows.
     warnings.filterwarnings(
-        "ignore", "(r1|r3|block_limit|t_plus_min|t_minus_min) is ignored", FutureWarning
+        "ignore", "(r1|r3|block_limit|t_plus_min|t_minus_min|pool_windows) is ignored",
+        FutureWarning,
     )
     pooled = wl.IdentPooled()
     for seed in POOLED_SEEDS:
@@ -149,9 +150,7 @@ def main(workdir: Path) -> None:
         "A2",
         generate(wl.polynomial_spec(60, 20), 11),
         generate(wl.polynomial_spec(10, 20), 12),
-        dataclasses.replace(
-            wl.POOLED_CONFIG, t_plus_max=4, t_minus_max=4, pool_windows=None
-        ),
+        dataclasses.replace(wl.POOLED_CONFIG, t_plus_max=4, t_minus_max=4),
     )
     identified(
         "two_output",
