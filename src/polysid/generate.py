@@ -86,11 +86,11 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
     rng = np.random.default_rng(integer(seed, "seed", 0))
     lo, hi = np.array(spec.x0_min), np.array(spec.x0_max)
 
-    def noisy(i: int, y: np.ndarray) -> np.ndarray:
+    def noisy(i: int, y: np.ndarray, out: np.ndarray) -> None:
         # In place: ``y`` is row ``i`` of the outputs run_observer returns.
         if spec.noise_std > 0:
             y += spec.noise_std * rng.standard_normal(y.shape)
-        return y
+        np.copyto(out, y)
 
     try:
         x = lo[:, None] + (hi - lo)[:, None] * rng.random((spec.n, spec.s))

@@ -17,11 +17,13 @@ from ._records import ArrayRecord, readonly_copy, real_array
 from .errors import DimensionMismatchError
 from .monomials import (
     PowerMatrix,
+    aligned_empty,
+    bind_chain,
     block_columns,
     build_data_matrix,  # noqa: F401  not called; the benchmark's tracer patches this name
     checked_samples,
     data_matrix_workspace,
-    eval_chain,
+    run_chain,
 )
 
 
@@ -78,11 +80,13 @@ def eval_monomial_map_many(M: MonomialMap, samples) -> np.ndarray:
     The samples are lifted in blocks of ``block_columns(d_v)`` columns, each
     into the same :func:`~polysid.monomials.data_matrix_workspace`, and ``L @``
     each block is written into the result.  So beyond the result the memory is
-    ``O(d_v * block)``, not ``O(d_v * s)``.  Each block of the result is
-    ``L @ build_data_matrix(block)`` bit for bit.  The whole result matches
-    ``L @ build_data_matrix(samples)`` only where BLAS rounds a column the
-    same at either width: it does not, for example, for a one-column last
-    block, which numpy multiplies by ``gemv``.
+    ``O(d_v * block)``, not ``O(d_v * s)``.  Each block's samples are copied
+    into one staging array, so that one chain, bound to it and to the
+    workspace, lifts every full block; a shorter last block is bound again.
+    Each block of the result is ``L @ build_data_matrix(block)`` bit for bit.
+    The whole result matches ``L @ build_data_matrix(samples)`` only where
+    BLAS rounds a column the same at either width: it does not, for example,
+    for a one-column last block, which numpy multiplies by ``gemv``.
 
     Raises:
         InvalidInputError, DimensionMismatchError: As
@@ -90,10 +94,17 @@ def eval_monomial_map_many(M: MonomialMap, samples) -> np.ndarray:
         CapacityError: As :func:`~polysid.monomials.data_matrix_workspace`.
     """
     X = checked_samples(samples, M.K)
-    s, width = X.shape[1], block_columns(M.K.d_v)
+    s = X.shape[1]
+    width = min(block_columns(M.K.d_v), s)
     out = np.empty((M.m, s))
-    W = data_matrix_workspace(M.K, min(width, s))
+    W = data_matrix_workspace(M.K, width)
+    stage = aligned_empty(M.n_vars, width)
+    chain = bind_chain(M.K, stage, W)
     for a in range(0, s, width):
         b = min(a + width, s)
-        np.matmul(M.L, eval_chain(M.K, X[:, a:b], W[:, : b - a]), out=out[:, a:b])
+        if b - a < width:
+            chain = bind_chain(M.K, stage[:, : b - a], W[:, : b - a])
+        np.copyto(stage[:, : b - a], X[:, a:b])
+        run_chain(chain)
+        np.matmul(M.L, W[: M.K.d_v, : b - a], out=out[:, a:b])
     return out

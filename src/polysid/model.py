@@ -13,6 +13,7 @@ it was identified from; ``g_io`` computes a state from any measured history.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -28,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .genred import MonomialMap, eval_monomial_map_many
-from .monomials import PowerMatrix, aligned_empty, data_matrix_workspace, eval_chain
+from .monomials import PowerMatrix, aligned_empty, bind_chain, data_matrix_workspace, run_chain
 from .series import TimeSeriesSet, past_windows
 
 #: Any state component beyond this magnitude aborts the observer recursion.
@@ -190,33 +191,36 @@ def _summarize(t_start: int, measured: np.ndarray, predicted: np.ndarray) -> Pre
 
     Scaling by a power of two is exact, so where every largest magnitude is
     in ``_SAFE_MAGNITUDES`` the unscaled sums give ``_rms``'s values bit for
-    bit.  One array holds the residuals, their squares, the squared
-    deviations of the outputs and the residuals again, so a report holds no
-    more memory at its peak than it returns.
+    bit.  One array holds the residuals' magnitudes, their squares, the
+    squared deviations of the outputs and the residuals, so a report holds
+    no more memory at its peak than it returns.  A magnitude squares to the
+    residual's square, and ``_rms`` of it is ``_rms`` of the residual.
     """
-    residuals = measured - predicted
-    finite = np.isfinite(residuals).all(axis=1)
-    if not finite.all():
+    magnitudes = measured - predicted
+    np.abs(magnitudes, out=magnitudes)
+    peaks = magnitudes.max(axis=0)  # (d_y, s)
+    # max propagates NaN and inf, so the peaks are finite only if every residual is.
+    if not np.isfinite(peaks).all():
+        finite = np.isfinite(magnitudes).all(axis=1)
         t, k = np.unravel_index(finite.argmin(), finite.shape)
         raise NumericalOverflowError(
             f"the residual of series {k + 1} at time {t_start + t} overflows"
         )
-    peaks = np.maximum(residuals.max(axis=0), -residuals.min(axis=0))  # (d_y, s)
     if _safe(peaks.max(axis=1)) and _safe(peaks.max(axis=0)):
-        squares = np.multiply(residuals, residuals, out=residuals)
+        squares = np.multiply(magnitudes, magnitudes, out=magnitudes)
         rmse = np.sqrt(squares.mean(axis=(0, 2)))
         per_series = np.sqrt(squares.mean(axis=(0, 1)))
     else:
-        rmse, per_series = _rms(residuals, (0, 2)), _rms(residuals, (0, 1))
+        rmse, per_series = _rms(magnitudes, (0, 2)), _rms(magnitudes, (0, 1))
     peaks = np.maximum(measured.max(axis=(0, 2)), -measured.min(axis=(0, 2)))
     if _safe(peaks):
         deviations = np.subtract(measured, measured.mean(axis=(0, 2), keepdims=True),
-                                 out=residuals)
+                                 out=magnitudes)
         deviations *= deviations
         std = np.sqrt(deviations.mean(axis=(0, 2)))
     else:
         std = _rms(measured, (0, 2), center=True)
-    np.subtract(measured, predicted, out=residuals)
+    residuals = np.subtract(measured, predicted, out=magnitudes)
     std = np.where(std > 0, std, 1.0)
     return PredictionReport(
         t_start=t_start,
@@ -233,16 +237,24 @@ def run_observer(
     h: MonomialMap,
     x: np.ndarray,
     steps: int,
-    feedback: Callable[[int, np.ndarray], np.ndarray],
+    feedback: Callable[[int, np.ndarray, np.ndarray], None],
     t_start: int = 1,
 ) -> np.ndarray:
-    """Outputs ``h(x)``, shape ``(steps, h.m, s)``, of ``x <- f(x, feedback(i, h(x)))``.
+    """Outputs ``h(x)``, shape ``(steps, h.m, s)``, of ``x <- f(x, y)``, ``y`` from ``feedback``.
 
     Step ``i`` is time ``t_start + i`` and each column of ``x`` one series;
-    ``x`` itself is left unchanged.  ``feedback`` gives the outputs that drive
-    the state: the measured ones for prediction, the noisy ones for
-    simulation.  It receives row ``i`` of the returned array, which it may
-    change in place.
+    ``x`` itself is left unchanged.  ``feedback(i, yhat_i, out)`` gives the
+    outputs that drive the state: the measured ones for prediction, the
+    noisy ones for simulation.  ``yhat_i`` is row ``i`` of the returned
+    array, which it may change in place; ``out`` is the ``(h.m, s)`` array
+    of the driving outputs, which it must fill and must not keep: the next
+    step overwrites it.
+
+    Each map's product chain is bound once to its workspace and to the rows
+    of one stack of the state over the driving outputs, and runs there at
+    every step.  An ``h`` over the identity power matrix, which an identified
+    ``h_o`` has unless a zero column was dropped, multiplies the state rows
+    directly.
 
     Outputs agree across batch widths only to rounding: the monomial values
     do not depend on the width, but the BLAS kernel of ``L @`` them does.
@@ -258,27 +270,39 @@ def run_observer(
     # The state over the fed-back outputs, for the whole run; the chains read its rows, and
     # aligned they read them faster, whatever the heap held before.
     z = aligned_empty(n + h.m, s)
-    z[:n] = real_array(x, "samples", 2)  # checked once: the guards keep z finite
+    state, driving = z[:n], z[n:]
+    state[...] = real_array(x, "samples", 2)  # checked once: the guards keep z finite
     yhat = np.empty((steps, h.m, s))
     # One data-matrix workspace per map for all steps, so that no step allocates
-    # one: with a fresh one per step, the heap layout decided the peak memory.
-    h_work = data_matrix_workspace(h.K, s)
+    # one: with a fresh one per step, the heap layout decided the peak memory.  The
+    # chain of an identity h would only copy the state rows, so it reads them instead.
+    if np.array_equal(h.K.K, np.eye(n, dtype=np.int64)):
+        h_chain, h_monomials = [], state
+    else:
+        h_work = data_matrix_workspace(h.K, s)
+        h_chain, h_monomials = bind_chain(h.K, state, h_work), h_work[: h.K.d_v]
     f_work = data_matrix_workspace(f.K, s)
+    f_chain, f_monomials = bind_chain(f.K, z, f_work), f_work[: f.K.d_v]
     # Guards, not numpy warnings, report overflow; each tests the whole array first.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            np.matmul(h.L, eval_chain(h.K, z[:n], h_work), out=yhat[i])
-            z[n:] = feedback(i, yhat[i])
-            if not (np.isfinite(yhat[i]).all() and np.isfinite(z[n:]).all()):
-                finite = np.isfinite(yhat[i]).all(axis=0) & np.isfinite(z[n:]).all(axis=0)
-                raise NumericalOverflowError(
-                    f"the output of series {int(finite.argmin()) + 1} at time "
-                    f"{t_start + i} overflows"
-                )
-            np.matmul(f.L, eval_chain(f.K, z, f_work), out=z[:n])
+        for i, yhat_i in enumerate(yhat):
+            run_chain(h_chain)
+            np.matmul(h.L, h_monomials, out=yhat_i)
+            feedback(i, yhat_i, driving)
+            # A sum is finite only if every term is, though a finite sum may overflow.
+            if not math.isfinite(yhat_i.sum() + driving.sum()):
+                finite = np.isfinite(yhat_i).all(axis=0) & np.isfinite(driving).all(axis=0)
+                if not finite.all():
+                    raise NumericalOverflowError(
+                        f"the output of series {int(finite.argmin()) + 1} at time "
+                        f"{t_start + i} overflows"
+                    )
+            run_chain(f_chain)
+            np.matmul(f.L, f_monomials, out=state)
             # NaN (say ``inf - inf``) fails every comparison: test for "within".
-            if not np.abs(z[:n]).max() <= STATE_OVERFLOW_GUARD:
-                within = np.abs(z[:n]).max(axis=0) <= STATE_OVERFLOW_GUARD
+            if not (state.max() <= STATE_OVERFLOW_GUARD
+                    and state.min() >= -STATE_OVERFLOW_GUARD):
+                within = np.abs(state).max(axis=0) <= STATE_OVERFLOW_GUARD
                 raise DivergenceError(
                     f"state diverged in series {int(within.argmin()) + 1} after time "
                     f"{t_start + i} (|x| > {STATE_OVERFLOW_GUARD:g} or NaN)"
@@ -327,11 +351,12 @@ def predict_one_step(
     t_start = integer(t_start, "t_start", 1, ts.t_1)
 
     measured = ts.Y[t_start - 1 :]
+    std = model.scaling.std[:, None]
 
-    def feedback(i: int, yhat_i: np.ndarray) -> np.ndarray:
+    def feedback(i: int, yhat_i: np.ndarray, out: np.ndarray) -> None:
         # Step by step, so no scaled copy of the set is held; in place, so the guard sees it.
-        model.scaling.invert(yhat_i, out=yhat_i)
-        return model.scaling.apply(measured[i])
+        np.multiply(yhat_i, std, out=yhat_i)
+        np.divide(measured[i], std, out=out)
 
     predicted = run_observer(model.f_o, model.h_o, x, len(measured), feedback, t_start)
     return _summarize(t_start, measured, predicted)

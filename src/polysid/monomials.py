@@ -20,6 +20,16 @@ contains nor on how many samples are evaluated together.
 Liftings of many samples run in blocks of :func:`block_columns` samples, one
 :func:`data_matrix_workspace` per call, so they hold ``O(d_v * block)``
 lifted cells, not ``O(d_v * s)``.
+
+A chain run many times on the same arrays, block after block of a lifting
+or step after step of the observer, is *bound* once by :func:`bind_chain`:
+its steps become ``(function, operands)`` pairs over row views of the
+workspace and of the sample rows, built once, and :func:`run_chain` reruns
+them on whatever samples those rows hold.  Building a step's views costs
+about as much as its arithmetic on a thousand samples: the 254-row chain of
+a 244-monomial past lifting took 160 us on one sample and 245 us on 1024
+with the views built at every run, 69 us and 153 us bound (2-core Xeon VM).
+:func:`eval_chain` binds and runs once, for callers that run a chain once.
 """
 
 from __future__ import annotations
@@ -401,14 +411,36 @@ def eval_chain(pm: PowerMatrix, rows: np.ndarray, W: np.ndarray) -> np.ndarray:
     ``rows`` may have any strides.  ``W`` is a :func:`data_matrix_workspace`
     on ``s`` samples, or ``s`` of its columns; returns its view ``W[: pm.d_v]``.
     """
+    run_chain(bind_chain(pm, rows, W))
+    return W[: pm.d_v]
+
+
+def bind_chain(pm: PowerMatrix, rows: np.ndarray, W: np.ndarray) -> list:
+    """The steps of ``pm.chain_plan``, bound to the row views of ``W`` and ``rows``.
+
+    ``rows`` and ``W`` are as :func:`eval_chain` takes them.  Each step is a
+    ``(function, operands)`` pair: ``np.copyto`` fills the constant row with
+    1 and copies a first-degree row from its variable, ``np.multiply``
+    multiplies any other row from its parent.  :func:`run_chain` runs the
+    steps as often as the caller writes new samples into ``rows``, and each
+    run leaves in ``W[: pm.d_v]`` what :func:`eval_chain` would, bit for bit.
+    """
+    w, x = list(W), list(rows)
+    bound = []
     for row, parent, j in pm.chain_plan[1]:
         if j < 0:
-            W[row] = 1.0
+            bound.append((np.copyto, (w[row], 1.0)))
         elif parent < 0:
-            W[row] = rows[j]
+            bound.append((np.copyto, (w[row], x[j])))
         else:
-            np.multiply(W[parent], rows[j], out=W[row])
-    return W[: pm.d_v]
+            bound.append((np.multiply, (w[parent], x[j], w[row])))
+    return bound
+
+
+def run_chain(bound: list) -> None:
+    """Run a :func:`bind_chain` on the values its rows hold now."""
+    for op, operands in bound:
+        op(*operands)
 
 
 def monomial_name(k: Iterable[int], var_names: Sequence[str]) -> str:

@@ -73,6 +73,7 @@ gives the states at the (consecutive) anchors and one step later, and all of
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -165,6 +166,21 @@ _IGNORED_FIELDS = (
 )
 
 
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which its caller's warning names the first frame outside polysid.
+
+    So a warning points at the user's line, whether ``identify`` or the user
+    resolved the config.  numpy's frames are skipped too: ``np.errstate``
+    wraps ``identify`` in one.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] in (
+        "polysid", "numpy"
+    ):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass
 class IdentConfig:
     """Parameters of the identification pipeline.
@@ -235,7 +251,8 @@ class IdentConfig:
         }
         for name, reason in _IGNORED_FIELDS:
             if getattr(self, name) is not None:
-                warnings.warn(f"{name} is ignored: {reason}", FutureWarning, stacklevel=2)
+                warnings.warn(f"{name} is ignored: {reason}", FutureWarning,
+                              stacklevel=_caller_stacklevel())
         for name, least in _INT_LEAST.items():
             v = getattr(self, name)
             if v is not None or name != "max_total_degree_xy":

@@ -118,6 +118,21 @@ def random_model(rng: np.random.Generator) -> ObserverModel:
     )
 
 
+def row_loop_chain(pm: PowerMatrix, rows: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The product chain as it ran before chains were bound: a view per row, each run.
+
+    The reference of the bit-identity tests of the bound chains.
+    """
+    for row, parent, j in pm.chain_plan[1]:
+        if j < 0:
+            W[row] = 1.0
+        elif parent < 0:
+            W[row] = rows[j]
+        else:
+            np.multiply(W[parent], rows[j], out=W[row])
+    return W[: pm.d_v]
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

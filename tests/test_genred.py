@@ -18,7 +18,9 @@ from polysid import (
 )
 from polysid import genred
 from polysid.genred import eval_monomial_map_many
-from polysid.monomials import CHUNK_COLUMNS, block_columns
+from polysid.monomials import CHUNK_COLUMNS, block_columns, data_matrix_workspace
+
+from conftest import row_loop_chain
 
 
 def eval_at(M: MonomialMap, x) -> np.ndarray:
@@ -96,6 +98,38 @@ class TestBlockedEvaluation:
         if s <= CHUNK_COLUMNS:  # one block: the whole product
             assert np.array_equal(got, M.L @ build_data_matrix(X, K))
         assert np.allclose(got, M.L @ build_data_matrix(X, K), rtol=1e-13, atol=1e-13)
+
+    @staticmethod
+    def row_loop(M: MonomialMap, X: np.ndarray) -> np.ndarray:
+        """The blocked evaluation as it ran before chains were bound: the row loop per block."""
+        s, width = X.shape[1], block_columns(M.K.d_v)
+        out = np.empty((M.m, s))
+        W = data_matrix_workspace(M.K, min(width, s))
+        for a in range(0, s, width):
+            b = min(a + width, s)
+            np.matmul(M.L, row_loop_chain(M.K, X[:, a:b], W[:, : b - a]), out=out[:, a:b])
+        return out
+
+    @pytest.mark.parametrize(
+        "s, bound_widths",
+        # 1025 and 2049 end in a one-column block, whose chain is bound again.
+        [(1, [1]), (1023, [1023]), (1024, [1024]), (1025, [1024, 1]), (2049, [1024, 1])],
+    )
+    def test_one_bound_chain_per_block_width_matches_the_row_loop(self, rng, monkeypatch, s,
+                                                                  bound_widths):
+        K = PowerMatrix.from_rows([(3, 0, 1), (1, 2, 2), (0, 0, 4), (0, 0, 0), (2, 2, 0)])
+        M = MonomialMap(rng.standard_normal((3, K.d_v)), K)
+        X = rng.uniform(-1.0, 1.0, (3, s))
+        widths = []
+
+        def counted(pm, rows, W):
+            widths.append(W.shape[1])
+            return bind(pm, rows, W)
+
+        bind = genred.bind_chain
+        monkeypatch.setattr(genred, "bind_chain", counted)
+        assert np.array_equal(eval_monomial_map_many(M, X), self.row_loop(M, X))
+        assert widths == bound_widths
 
     def test_a_wide_map_has_blocks_of_twice_its_monomials(self, rng):
         K = enumerate_power_matrix(10, (1,) * 10, max_degree=5)

@@ -33,9 +33,18 @@ from polysid import (
     predict_with_burn_in,
     serialize_model,
 )
+from polysid import model as model_module
 from polysid.genred import eval_monomial_map_many
+from polysid.monomials import aligned_empty, data_matrix_workspace
 
-from conftest import decay_spec, linear_spec, random_model, reference_fixture_model
+from conftest import (
+    decay_spec,
+    linear_spec,
+    polynomial_spec,
+    random_model,
+    reference_fixture_model,
+    row_loop_chain,
+)
 
 #: A document of the decay x(t+1) = 0.5 x(t), y = x, written before
 #: ``pool_windows`` was deprecated: its config echo holds it.
@@ -107,9 +116,14 @@ class TestPredictOneStep:
                 y_scaled = model.scaling.apply(ts.Y[t, :, k : k + 1])[:, 0]
                 x = eval_monomial_map_many(model.f_o, np.concatenate([x, y_scaled])[:, None])[:, 0]
 
-    def test_each_map_has_one_workspace_for_all_steps(self, rng, monkeypatch):
-        from polysid import model as model_module
-
+    @pytest.mark.parametrize(
+        "power, workspaces",
+        # An identity output map reads the state rows and needs no workspace.
+        [(1, [(1, 4)]), (2, [(1, 4), (1, 4)])],
+        ids=["identity-output", "square-output"],
+    )
+    def test_each_map_has_one_workspace_for_all_steps(self, rng, monkeypatch, power,
+                                                      workspaces):
         made = []
 
         def counted(pm, s):
@@ -118,11 +132,12 @@ class TestPredictOneStep:
 
         workspace = model_module.data_matrix_workspace
         monkeypatch.setattr(model_module, "data_matrix_workspace", counted)
-        model = decay_model()
+        h_o = MonomialMap(np.array([[1.0]]), PowerMatrix(np.array([[power]]), (power,)))
+        model = dataclasses.replace(decay_model(), h_o=h_o)
         ts = TimeSeriesSet(rng.standard_normal((9, 1, 4)))
         rep = predict_one_step(model, ts, np.ones((1, 4)))
-        assert made == [(1, 4), (1, 4)]
-        assert rep.predictions[:, 0, 0] == pytest.approx(0.5 ** np.arange(9), abs=1e-15)
+        assert made == workspaces
+        assert rep.predictions[:, 0, 0] == pytest.approx(0.5 ** (power * np.arange(9)), abs=1e-15)
 
     def test_observer_causality(self, rng):
         model = decay_model()
@@ -248,6 +263,87 @@ class TestPredictOneStep:
         assert rep.per_series_rmse == pytest.approx(
             np.sqrt(np.mean(Y**2, axis=(0, 1)))
         )
+
+
+def row_loop_observer(f, h, x, steps, feedback):
+    """``run_observer`` as it ran before chains were bound, without its guards.
+
+    Each step evaluates both chains by the row loop, and ``feedback(i, yhat_i)``
+    returns the driving outputs, which are copied into the stack.
+    """
+    n, s = x.shape
+    z = aligned_empty(n + h.m, s)
+    z[:n] = x
+    yhat = np.empty((steps, h.m, s))
+    h_work, f_work = data_matrix_workspace(h.K, s), data_matrix_workspace(f.K, s)
+    for i in range(steps):
+        np.matmul(h.L, row_loop_chain(h.K, z[:n], h_work), out=yhat[i])
+        z[n:] = feedback(i, yhat[i])
+        np.matmul(f.L, row_loop_chain(f.K, z, f_work), out=z[:n])
+    return yhat
+
+
+#: Output maps over three states: the identity, whose chain ``run_observer``
+#: skips, the identity less a column, and a polynomial one.
+OUTPUT_SETS = {
+    "identity": identity_power_matrix(3),
+    "identity-less-x2": PowerMatrix(np.array([[1, 0, 0], [0, 0, 1]]), (1, 0, 1)),
+    "polynomial": PowerMatrix.from_rows([(2, 0, 1), (1, 1, 0), (0, 0, 1), (0, 0, 0)]),
+}
+
+
+class TestBoundObserver:
+    """The observer with bound chains against the row loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("K_h", OUTPUT_SETS.values(), ids=OUTPUT_SETS.keys())
+    def test_predictions_match_the_row_loop(self, rng, K_h):
+        n, d_y, s, T = 3, 2, 300, 12
+        # Not downward-closed over (x, y): the chain has auxiliary rows.
+        K_f = PowerMatrix.from_rows(
+            [(1, 0, 0, 1, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+             (0, 0, 0, 0, 1), (2, 0, 1, 0, 0), (0, 1, 0, 1, 1)]
+        )
+        assert K_f.chain_plan[0] > K_f.d_v
+        model = ObserverModel(
+            n=n, d_y=d_y,
+            f_o=MonomialMap(0.3 * rng.standard_normal((n, K_f.d_v)), K_f),
+            h_o=MonomialMap(rng.standard_normal((d_y, K_h.d_v)), K_h),
+            scaling=OutputScaling(rng.uniform(0.5, 2.0, d_y)),
+        )
+        ts = TimeSeriesSet(0.3 * rng.standard_normal((T, d_y, s)))
+        x0 = 0.3 * rng.standard_normal((n, s))
+
+        def feedback(i, yhat_i):
+            model.scaling.invert(yhat_i, out=yhat_i)
+            return model.scaling.apply(ts.Y[i])
+
+        reference = row_loop_observer(model.f_o, model.h_o, x0, T, feedback)
+        assert np.array_equal(predict_one_step(model, ts, x0).predictions, reference)
+
+    def test_run_observer_fills_the_driving_outputs(self, rng):
+        model = reference_fixture_model()
+        x0 = rng.uniform(-0.5, 0.5, (2, 40))
+        drive = rng.standard_normal((6, 1, 40))
+
+        def feedback(i, yhat_i, out):
+            out[...] = drive[i]
+
+        yhat = model_module.run_observer(model.f_o, model.h_o, x0, 6, feedback)
+        reference = row_loop_observer(model.f_o, model.h_o, x0, 6, lambda i, y: drive[i])
+        assert np.array_equal(yhat, reference)
+
+    def test_noisy_simulation_matches_the_row_loop(self):
+        spec = dataclasses.replace(polynomial_spec(200, t_1=15), noise_std=0.05)
+        rng = np.random.default_rng(3)
+        lo, hi = np.array(spec.x0_min), np.array(spec.x0_max)
+
+        def noisy(i, y):
+            y += spec.noise_std * rng.standard_normal(y.shape)
+            return y
+
+        x = lo[:, None] + (hi - lo)[:, None] * rng.random((spec.n, spec.s))
+        reference = row_loop_observer(spec.f, spec.h, x, spec.t_1, noisy)
+        assert np.array_equal(generate(spec, 3).Y, reference)
 
 
 class TestBurnIn:
@@ -427,6 +523,35 @@ class TestBurnIn:
         with pytest.raises(NumericalOverflowError) as err:
             predict_one_step(model, TimeSeriesSet(Y), np.array([[6e11, 6e11, 1.0]]))
         assert str(err.value) == "the residual of series 2 at time 3 overflows"
+
+    @pytest.mark.parametrize(
+        "d_y, where, value, entry",
+        [(1, "predicted", np.nan, (0, 3, 1)),
+         (1, "predicted", -np.inf, (0, 3, 1)),
+         (1, "predicted", np.inf, (0, 3, 1)),
+         (1, "measured", np.inf, (0, 3, 1)),
+         (2, "predicted", np.nan, (1, 3, 1)),
+         (2, "measured", -np.inf, (1, 0, 2))],
+        ids=["nan", "plus-inf", "minus-inf", "infinite-measured", "second-output",
+             "second-output-measured"],
+    )
+    def test_non_finite_residual_names_series_and_time(self, rng, d_y, where, value, entry):
+        arrays = {name: rng.standard_normal((5, d_y, 4)) for name in ("measured", "predicted")}
+        output, t, k = entry  # that output of series k + 1 at time index t
+        arrays[where][t, output, k] = value
+        # A bad entry in an earlier series but at a later time is not the first.
+        arrays["predicted"][4, 0, 0] = np.nan
+        with pytest.raises(NumericalOverflowError) as err:
+            model_module._summarize(3, arrays["measured"], arrays["predicted"])
+        assert str(err.value) == f"the residual of series {k + 1} at time {3 + t} overflows"
+
+    def test_finite_outputs_whose_sum_overflows_pass_the_guard(self):
+        # Each output is 1.5e308; the sum the guard tests first overflows.
+        huge = MonomialMap(np.array([[1.5e296]]), identity_power_matrix(1))
+        model = ObserverModel(n=1, d_y=1, f_o=self.HOLD, h_o=huge)
+        rep = predict_one_step(model, TimeSeriesSet(np.ones((3, 1, 2))), np.full((1, 2), 1e12))
+        assert np.array_equal(rep.predictions, np.full((3, 1, 2), 1.5e296 * 1e12))
+        assert rep.rmse == pytest.approx([1.5e308], rel=1e-12)
 
     def test_summaries_of_huge_measured_outputs_are_finite(self):
         # The zero prediction leaves residuals of 1e308, whose std's squares overflow.

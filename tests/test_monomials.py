@@ -23,7 +23,7 @@ from polysid import TimeSeriesSet, predict_one_step, serialize_model
 from polysid import monomials
 from polysid.monomials import monomial_name
 
-from conftest import random_model
+from conftest import random_model, row_loop_chain
 
 APPENDIX_K = np.array([[2, 1], [2, 0], [1, 1], [1, 0], [0, 1], [0, 0]])
 
@@ -481,6 +481,47 @@ class TestChainPlan:
         predict_one_step(model, TimeSeriesSet(Y), rng.standard_normal((model.n, 3)))
         assert "chain_plan" in vars(model.f_o.K)
         assert serialize_model(model) == doc
+
+
+#: Sets whose bound chains are checked against the row loop: enumerated,
+#: degree-capped, pruned (its chain needs auxiliary rows), the identity and
+#: the constant row alone.
+BOUND_SETS = {
+    "box": enumerate_power_matrix(3, (2, 3, 2)),
+    "degree-capped": enumerate_power_matrix(4, (3, 2, 3, 2), max_degree=4),
+    "pruned": PowerMatrix.from_rows([(3, 0, 1), (1, 2, 2), (0, 0, 4), (0, 0, 0), (2, 2, 0)]),
+    "identity": monomials.identity_power_matrix(4),
+    "constant": PowerMatrix(np.zeros((1, 3), dtype=np.int64), (0, 0, 0)),
+}
+
+
+class TestBoundChain:
+    """A chain bound once and run on new samples against the row loop, bit for bit."""
+
+    def test_the_pruned_set_has_auxiliary_rows(self):
+        pruned = BOUND_SETS["pruned"]
+        assert pruned.chain_plan[0] > pruned.d_v
+
+    @pytest.mark.parametrize("pm", BOUND_SETS.values(), ids=BOUND_SETS.keys())
+    def test_reruns_match_the_row_loop(self, pm):
+        s = 37
+        stage = monomials.aligned_empty(pm.n, s)
+        W = monomials.data_matrix_workspace(pm, s)
+        chain = monomials.bind_chain(pm, stage, W)
+        for seed in range(3):
+            stage[...] = draw_samples(seed, s, pm.n)
+            monomials.run_chain(chain)
+            reference = monomials.data_matrix_workspace(pm, s)
+            row_loop_chain(pm, stage, reference)
+            assert np.array_equal(W, reference)  # the auxiliary rows too
+            assert np.array_equal(W[: pm.d_v], product_oracle(stage, pm))
+
+    @pytest.mark.parametrize("pm", BOUND_SETS.values(), ids=BOUND_SETS.keys())
+    def test_eval_chain_matches_the_row_loop_on_strided_rows(self, pm):
+        X = draw_samples(7, 80, pm.n)[:, ::2]
+        got = monomials.eval_chain(pm, X, monomials.data_matrix_workspace(pm, 40))
+        reference = row_loop_chain(pm, X, monomials.data_matrix_workspace(pm, 40))
+        assert np.array_equal(got, reference)
 
 
 def test_monomial_name():

@@ -328,6 +328,15 @@ class TestIdentify:
         assert serialize_model(model_set) == serialize_model(model)
         assert diag_set == diag
 
+    @pytest.mark.parametrize("via", ["identify", "resolved"])
+    def test_deprecated_field_warning_names_the_callers_line(self, via):
+        ts = generate(linear_spec(30), 13)
+        cfg = small_decay_config(t_plus_max=3, t_minus_max=3, r3=0.1)
+        with pytest.warns(FutureWarning, match="^r3 is ignored") as record:
+            identify(ts, cfg) if via == "identify" else cfg.resolved(ts)
+        [warning] = record
+        assert warning.filename == __file__
+
     def test_rank_deficiency_error(self):
         # Windows of 3 + 3 samples in 6 admit one anchor, one column per series.
         # Two columns carry a rank-2 past-to-future map: the past regression runs out.
