@@ -13,7 +13,6 @@ it was identified from; ``g_io`` computes a state from any measured history.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -252,9 +251,7 @@ def run_observer(
 
     Each map's product chain is bound once to its workspace and to the rows
     of one stack of the state over the driving outputs, and runs there at
-    every step.  An ``h`` over the identity power matrix, which an identified
-    ``h_o`` has unless a zero column was dropped, multiplies the state rows
-    directly.
+    every step.
 
     Outputs agree across batch widths only to rounding: the monomial values
     do not depend on the width, but the BLAS kernel of ``L @`` them does.
@@ -274,34 +271,25 @@ def run_observer(
     state[...] = real_array(x, "samples", 2)  # checked once: the guards keep z finite
     yhat = np.empty((steps, h.m, s))
     # One data-matrix workspace per map for all steps, so that no step allocates
-    # one: with a fresh one per step, the heap layout decided the peak memory.  The
-    # chain of an identity h would only copy the state rows, so it reads them instead.
-    if np.array_equal(h.K.K, np.eye(n, dtype=np.int64)):
-        h_chain, h_monomials = [], state
-    else:
-        h_work = data_matrix_workspace(h.K, s)
-        h_chain, h_monomials = bind_chain(h.K, state, h_work), h_work[: h.K.d_v]
-    f_work = data_matrix_workspace(f.K, s)
-    f_chain, f_monomials = bind_chain(f.K, z, f_work), f_work[: f.K.d_v]
+    # one: with a fresh one per step, the heap layout decided the peak memory.
+    h_work, f_work = data_matrix_workspace(h.K, s), data_matrix_workspace(f.K, s)
+    h_chain, f_chain = bind_chain(h.K, state, h_work), bind_chain(f.K, z, f_work)
     # Guards, not numpy warnings, report overflow; each tests the whole array first.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, yhat_i in enumerate(yhat):
             run_chain(h_chain)
-            np.matmul(h.L, h_monomials, out=yhat_i)
+            np.matmul(h.L, h_work[: h.K.d_v], out=yhat_i)
             feedback(i, yhat_i, driving)
-            # A sum is finite only if every term is, though a finite sum may overflow.
-            if not math.isfinite(yhat_i.sum() + driving.sum()):
+            if not (np.isfinite(yhat_i).all() and np.isfinite(driving).all()):
                 finite = np.isfinite(yhat_i).all(axis=0) & np.isfinite(driving).all(axis=0)
-                if not finite.all():
-                    raise NumericalOverflowError(
-                        f"the output of series {int(finite.argmin()) + 1} at time "
-                        f"{t_start + i} overflows"
-                    )
+                raise NumericalOverflowError(
+                    f"the output of series {int(finite.argmin()) + 1} at time "
+                    f"{t_start + i} overflows"
+                )
             run_chain(f_chain)
-            np.matmul(f.L, f_monomials, out=state)
+            np.matmul(f.L, f_work[: f.K.d_v], out=state)
             # NaN (say ``inf - inf``) fails every comparison: test for "within".
-            if not (state.max() <= STATE_OVERFLOW_GUARD
-                    and state.min() >= -STATE_OVERFLOW_GUARD):
+            if not np.abs(state).max() <= STATE_OVERFLOW_GUARD:
                 within = np.abs(state).max(axis=0) <= STATE_OVERFLOW_GUARD
                 raise DivergenceError(
                     f"state diverged in series {int(within.argmin()) + 1} after time "
@@ -351,12 +339,11 @@ def predict_one_step(
     t_start = integer(t_start, "t_start", 1, ts.t_1)
 
     measured = ts.Y[t_start - 1 :]
-    std = model.scaling.std[:, None]
 
     def feedback(i: int, yhat_i: np.ndarray, out: np.ndarray) -> None:
         # Step by step, so no scaled copy of the set is held; in place, so the guard sees it.
-        np.multiply(yhat_i, std, out=yhat_i)
-        np.divide(measured[i], std, out=out)
+        model.scaling.invert(yhat_i, out=yhat_i)
+        model.scaling.apply(measured[i], out=out)
 
     predicted = run_observer(model.f_o, model.h_o, x, len(measured), feedback, t_start)
     return _summarize(t_start, measured, predicted)
