@@ -76,7 +76,8 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
     seed always produce the same series.
 
     Raises:
-        InvalidInputError: If ``seed`` is not a nonnegative integer.
+        InvalidInputError: If ``seed`` is not a nonnegative integer, or the
+            box is so wide that its drawn states are not finite.
         DivergenceError: If a trajectory leaves the guard region; choose
             smaller coefficients or a smaller initial-state box.
         NumericalOverflowError: Naming the series and time of the first
@@ -94,6 +95,7 @@ def generate(spec: GeneratorSpec, seed: int) -> TimeSeriesSet:
 
     try:
         x = lo[:, None] + (hi - lo)[:, None] * rng.random((spec.n, spec.s))
+        x = real_array(x, "samples", 2)  # the box's width can overflow
         Y = run_observer(spec.f, spec.h, x, spec.t_1, noisy)
     except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
         raise CapacityError(

@@ -256,8 +256,10 @@ def run_observer(
     Outputs agree across batch widths only to rounding: the monomial values
     do not depend on the width, but the BLAS kernel of ``L @`` them does.
 
+    ``x`` must be finite: the callers check it, and the guards keep every
+    later state finite.
+
     Raises:
-        InvalidInputError: If ``x`` has a non-finite entry.
         NumericalOverflowError: Naming the series and time of the first
             output, computed or fed back, that is not finite.
         DivergenceError: Naming the series and time at which a state
@@ -268,7 +270,7 @@ def run_observer(
     # aligned they read them faster, whatever the heap held before.
     z = aligned_empty(n + h.m, s)
     state, driving = z[:n], z[n:]
-    state[...] = real_array(x, "samples", 2)  # checked once: the guards keep z finite
+    state[...] = x  # finite, as the callers check: the guards keep z finite
     yhat = np.empty((steps, h.m, s))
     # One data-matrix workspace per map for all steps, so that no step allocates
     # one: with a fresh one per step, the heap layout decided the peak memory.
@@ -381,11 +383,15 @@ def initial_state_from_past(model: ObserverModel, y_past: np.ndarray) -> np.ndar
         # The window before time t_minus + 1 is all of Y, most recent first: a
         # new array, scaled in place.
         window = past_windows(Y, [model.t_minus + 1], model.t_minus).reshape(Y.shape)
-        window = model.scaling.apply(window, out=window).reshape(-1, Y.shape[2])
-        finite = np.isfinite(window).all(axis=0)
-        if finite.all():
+        window = model.scaling.apply(window, out=window).reshape(Y.shape[0] * Y.shape[1], -1)
+        try:  # the lifting checks the window, once
             x = eval_monomial_map_many(model.g_io, window)
-            finite = np.isfinite(x).all(axis=0)
+        except InvalidInputError:
+            # Y is finite, so a window that is not overflowed the scaling.
+            if np.isfinite(window).all():  # no series at all
+                raise
+            x = window
+        finite = np.isfinite(x).all(axis=0)
     if not finite.all():
         raise NumericalOverflowError(
             f"the state of series {int(finite.argmin()) + 1} is not finite: its "

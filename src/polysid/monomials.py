@@ -339,6 +339,15 @@ def data_matrix_workspace(pm: PowerMatrix, s: int) -> np.ndarray:
     block in its columns, so its memory is ``O(d_v * block)``.
 
     Raises:
+        CapacityError: As :func:`chain_rows`.
+    """
+    return aligned_empty(chain_rows(pm, s), s)
+
+
+def chain_rows(pm: PowerMatrix, s: int) -> int:
+    """``pm.chain_plan[0]``, the rows of ``pm``'s workspace, checked for ``s`` samples.
+
+    Raises:
         CapacityError: If the auxiliary chain rows times the samples exceed
             ``AUX_CELL_CAP``: a lower bound before planning, the count before allocating.
     """
@@ -351,7 +360,7 @@ def data_matrix_workspace(pm: PowerMatrix, s: int) -> np.ndarray:
             f"the product chain needs at least {aux} auxiliary rows for {s} "
             f"samples, more than {AUX_CELL_CAP} cells"
         )
-    return aligned_empty(pm.chain_plan[0], s)
+    return pm.chain_plan[0]
 
 
 def aligned_empty(rows: int, columns: int) -> np.ndarray:

@@ -66,7 +66,10 @@ Every lifting runs in column blocks of ``block_columns(d_v)`` samples: both
 regressions stream their samples to ``svd_trunc_chunks``, which lifts each
 block straight into its factorization's workspace and whose split
 factorization differs from a whole one only at rounding level, and the map
-evaluations lift each block into one workspace.  One state-map evaluation
+evaluations lift each block into one workspace, or a split map's heads and
+tails into one each (see :func:`~polysid.genred.eval_monomial_map_many`):
+an unsplit map keeps the bits of ``L @`` its lifting, a split one agrees
+with it to rounding.  One state-map evaluation
 gives the states at the (consecutive) anchors and one step later, and all of
 ``identify`` runs in one overflow scope.
 """

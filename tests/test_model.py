@@ -404,6 +404,26 @@ class TestBurnIn:
         with pytest.raises(NumericalOverflowError, match="series 2 at time 3 overflows"):
             predict_with_burn_in(self.half_std_model(), TimeSeriesSet(Y))
 
+    def test_an_empty_history_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="sample list is empty"):
+            initial_state_from_past(self.half_std_model(), np.ones((1, 1, 0)))
+
+    def test_each_array_is_checked_once(self, monkeypatch):
+        # The past window, the scaled window the lifting takes, and the burn-in state.
+        from polysid import monomials
+        checked = []
+
+        def recorded(a, what, ndim):
+            checked.append(what)
+            return real_array(a, what, ndim)
+
+        model, ts = self.half_std_model(), TimeSeriesSet(np.full((5, 1, 3), 0.25))
+        real_array = model_module.real_array
+        monkeypatch.setattr(model_module, "real_array", recorded)
+        monkeypatch.setattr(monomials, "real_array", recorded)
+        predict_with_burn_in(model, ts)
+        assert checked == ["past window y_past", "samples", "x0"]
+
     #: x(t+1) = 10 x with y ignored, and y = x^30: from x = 1e10 the output
     #: is 1e300 at the first step and overflows at the second, while the
     #: state stays below the divergence guard.
